@@ -301,12 +301,18 @@ class BorderPolytree:
                 home[v].append(b.id)
         self.variable_home = {v: tuple(ids) for v, ids in home.items()}
         self.priors: Optional[dict[int, Factor]] = None
+        self._tree: Optional[Tree] = None
 
     def __len__(self):
         return len(self.borders)
 
     def tree(self) -> Tree:
-        return Tree(range(len(self.borders)), self.edges)
+        """The border polytree as a :class:`Tree`, built on first use and
+        then shared (with its structural index) by every session.  Raises
+        NotSinglyConnectedError if the borders form an undirected loop."""
+        if self._tree is None:
+            self._tree = Tree(range(len(self.borders)), self.edges)
+        return self._tree
 
     def home_border(self, var: int) -> int:
         ids = self.variable_home[var]

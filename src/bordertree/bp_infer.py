@@ -84,30 +84,32 @@ class BorderSession:
         self.store = store if store is not None else {}
         self.use_division = use_division
         self.tree: Tree = bp.tree()
+        self.index = self.tree.index
         self.sent = 0
         self.collected = 0
-        self._side_vars_memo: dict[tuple[int, int], frozenset[int]] = {}
-        self._side_core_memo: dict[tuple[int, int], bool] = {}
         self._pi_cache: dict[int, Factor] = {}
         self._lambda_cache: dict[int, Factor] = {}
         self._hfull_cache: dict[int, Factor] = {}
+        # (evidence variable, its home borders, one of them): side fingerprints
+        self._ev_homes = [
+            (v, frozenset(bp.variable_home[v]), bp.variable_home[v][0]) for v in ev.vars
+        ]
 
         self.core_nodes: set[int] = set()
         self.cores: dict[int, object] = {}
         self.pivots: dict[int, int] = {}
-        self.informed: set[int] = set()
+        self.informed_in: dict[int, set[int]] = {}  # component id -> informed borders
 
+        comp_of = self.index.comp
         groups_by_comp: dict[int, list[set[int]]] = {}
         first_var_homes: dict[int, set[int]] = {}
         for v in ev.vars:
             homes = set(bp.variable_home[v])
-            comp = min(self.tree.component_of(next(iter(homes))))
+            comp = comp_of[next(iter(homes))]
             groups_by_comp.setdefault(comp, []).append(homes)
             first_var_homes.setdefault(comp, homes)
         for comp, groups in sorted(groups_by_comp.items()):
-            if pivot is not None and pivot in self.tree.component_of(
-                next(iter(groups[0]))
-            ):
+            if pivot is not None and comp_of.get(pivot) == comp:
                 groups = groups + [{pivot}]
             core = smallest_hitting_core(self.tree, groups)
             if pivot is not None and pivot in core.nodes:
@@ -123,33 +125,41 @@ class BorderSession:
             for msg in collection_schedule(self.tree, core, pv):
                 self._send(msg.source, msg.target)
                 self.collected += 1
-            self.informed.add(pv)
+            self.informed_in[comp] = {pv}
+
+    @property
+    def informed(self) -> set[int]:
+        """Every border that holds its full message set so far."""
+        return set().union(*self.informed_in.values())
 
     # -- geometry ------------------------------------------------------------
 
-    def _side_vars(self, a: int, b: int) -> frozenset[int]:
-        """Variables living on a's side of edge (a, b)."""
-        key = (a, b)
-        if key not in self._side_vars_memo:
-            seen = {a}
-            stack = [a]
-            while stack:
-                v = stack.pop()
-                for u in self.tree.neighbors(v):
-                    if (v, u) in ((a, b), (b, a)) or u in seen:
-                        continue
-                    seen.add(u)
-                    stack.append(u)
-            out: set[int] = set()
-            for bid in seen:
-                out |= self.bp.borders[bid].members
-            self._side_vars_memo[key] = frozenset(out)
-            self._side_core_memo[key] = bool(seen & self.core_nodes)
-        return self._side_vars_memo[key]
+    def _side_vars(self, a: int, b: int) -> list[int]:
+        """Evidence variables living on a's side of edge (a, b): those with
+        a home border there.
+
+        A variable's home borders are connected (running intersection), so
+        unless they hold a or b they lie wholly on one side, and any one of
+        them tells which."""
+        on_side = self.index.on_side
+        return [
+            v
+            for v, homes, home in self._ev_homes
+            if a in homes or (b not in homes and on_side(a, b, home))
+        ]
 
     def _side_has_core(self, a: int, b: int) -> bool:
-        self._side_vars(a, b)
-        return self._side_core_memo[(a, b)]
+        """Does a's side of edge (a, b) hold a border of the evidential core?
+
+        The core of a's component is connected, so unless it holds a or b
+        it lies wholly on one side, and its pivot tells which."""
+        comp = self.index.comp[a]
+        core = self.cores.get(comp)
+        if core is None:
+            return False
+        if a in core.nodes:
+            return True
+        return b not in core.nodes and self.index.on_side(a, b, self.pivots[comp])
 
     # -- restricted tables ------------------------------------------------------
 
@@ -206,7 +216,7 @@ class BorderSession:
             # table over the receiving border's variables, so evidence on
             # them is part of the message even when they sit outside the
             # child side.
-            side = self._side_vars(c, p) | self.bp.borders[p].members
+            side = [*self._side_vars(c, p), *self.bp.borders[p].members]
         return (p, c, direction, self.ev.fingerprint(side))
 
     def get_pi_edge(self, p: int, c: int) -> Factor:
@@ -316,17 +326,16 @@ class BorderSession:
     # -- queries ---------------------------------------------------------------
 
     def ensure_informed(self, bid: int):
-        comp_nodes = self.tree.component_of(bid)
-        informed = self.informed & comp_nodes
-        if bid in informed:
-            return
+        informed = self.informed_in.get(self.index.comp[bid])
         if not informed:
             return  # evidence-free component: all messages are vacuous
+        if bid in informed:
+            return
         _gate, sched = distribution_schedule(self.tree, informed, bid)
         for msg in sched:
             self._send(msg.source, msg.target)
-            self.informed.add(msg.target)
-        self.informed.add(bid)
+            informed.add(msg.target)
+        informed.add(bid)
 
     def border_product(self, bid: int) -> Factor:
         return multiply(self.pi_border(bid), self.lambda_border(bid))
@@ -394,13 +403,14 @@ def asynchronous_sweep(
                 f = multiply(f, session.get_lambda_edge(bid, w))
         return f
 
-    for comp in sorted({min(tree.component_of(b.id)) for b in bp.borders}):
+    for comp in sorted(session.index.members):
         start = session.pivots.get(comp, comp)
+        informed = session.informed_in.setdefault(comp, set())
         seen = {start}
         queue = [start]
         while queue:
             v = queue.pop(0)
-            session.informed.add(v)
+            informed.add(v)
             lam_full = session.lambda_border(v)
             for u in sorted(tree.neighbors(v)):
                 if u in seen:

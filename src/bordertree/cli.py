@@ -266,7 +266,11 @@ def cmd_gen(args, out):
     if args.polytree:
         bn = random_polytree(rng, args.nodes, args.nodes, args.max_card)
     else:
-        bn = random_dag(rng, args.nodes, args.nodes, args.max_card)
+        try:
+            bn = random_dag(rng, args.nodes, args.nodes, args.max_card)
+        except ValueError as e:  # --nodes over the state-space cap
+            print(f"usage error: {e}", file=sys.stderr)
+            return 2
     out.write(emit_network(bn))
     return 0
 

@@ -1,10 +1,20 @@
 """Singly connected tree machinery shared by the node and border engines.
 
-Path finding uses the hub method (pre-loaded hub-to-hub and node-to-hub
-paths, loops erased) with plain BFS as the oracle and fallback.  Evidential
-cores are the smallest subtrees covering marked nodes; collection schedules
-orient core edges toward a pivot, and distribution schedules walk from the
-gate of the informed set out to a target.
+Every tree carries one structural index, built once by a single DFS the
+first time it is needed (a tree never changes after construction):
+component ids, a parent pointer and depth per node of a rooted copy of each
+component, and Euler-tour entry/exit times (Tarjan & Vishkin 1985).  With
+it, the component of a node and the side test "is x on a's side of edge
+(a, b)?" cost O(1), and the path between two nodes costs O(path length), so
+per-message and per-query geometry no longer searches the whole tree.
+
+Path finding also offers the hub method (pre-loaded hub-to-hub and
+node-to-hub paths, loops erased), with the index path as its fallback;
+plain BFS (:meth:`Tree.bfs_path`, :meth:`Tree.component_of`) stays as the
+reference the index is tested against.  Evidential cores are the smallest
+subtrees covering marked nodes; collection schedules orient core edges
+toward a pivot, and distribution schedules walk from the gate of the
+informed set out to a target.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as _product
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -93,6 +104,91 @@ class Tree:
                     queue.append(u)
         return out
 
+    @cached_property
+    def index(self) -> "TreeIndex":
+        """The structural index, built on first use and kept for the tree's life."""
+        return TreeIndex(self)
+
+    def path(self, x: Node, y: Node) -> list[Node]:
+        """The unique undirected path, in O(path length); raises if x and y
+        are disconnected.  Same answer as :meth:`bfs_path`."""
+        return self.index.path(x, y)
+
+
+class TreeIndex:
+    """Component ids, rooted parent pointers, depths and Euler-tour times.
+
+    Each component is rooted at its least node, which is also its id.
+    ``tin`` numbers the nodes of the whole forest in DFS pre-order, so the
+    subtree of ``v`` is exactly the nodes ``x`` with
+    ``tin[v] <= tin[x] <= tout[v]``.
+    """
+
+    def __init__(self, tree: Tree):
+        comp: dict[Node, Node] = {}
+        parent: dict[Node, Optional[Node]] = {}
+        depth: dict[Node, int] = {}
+        tin: dict[Node, int] = {}
+        members: dict[Node, tuple[Node, ...]] = {}
+        order: list[Node] = []
+        for root in sorted(tree.nodes):
+            if root in comp:
+                continue
+            start = len(order)
+            comp[root], parent[root], depth[root] = root, None, 0
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                tin[v] = len(order)
+                order.append(v)
+                for u in tree.neighbors(v):
+                    if u not in comp:
+                        comp[u], parent[u], depth[u] = root, v, depth[v] + 1
+                        stack.append(u)
+            members[root] = tuple(order[start:])
+        size = dict.fromkeys(order, 1)
+        for v in reversed(order):
+            if parent[v] is not None:
+                size[parent[v]] += size[v]
+        self.comp = comp
+        self.parent = parent
+        self.depth = depth
+        self.tin = tin
+        self.tout = {v: tin[v] + size[v] - 1 for v in order}
+        self.members = members  # component id -> its nodes
+
+    def path(self, x: Node, y: Node) -> list[Node]:
+        """x ... y, by walking parent pointers up to the meeting point."""
+        if self.comp[x] != self.comp[y]:
+            raise BordertreeError(f"nodes {x!r} and {y!r} are disconnected")
+        parent, depth = self.parent, self.depth
+        head: list[Node] = []
+        tail: list[Node] = []
+        while depth[x] > depth[y]:
+            head.append(x)
+            x = parent[x]
+        while depth[y] > depth[x]:
+            tail.append(y)
+            y = parent[y]
+        while x != y:
+            head.append(x)
+            tail.append(y)
+            x, y = parent[x], parent[y]
+        head.append(x)
+        head.extend(reversed(tail))
+        return head
+
+    def on_side(self, a: Node, b: Node, x: Node) -> bool:
+        """Is x in a's component of the tree minus the edge (a, b)?
+
+        ``(a, b)`` must be a tree edge, in either orientation.
+        """
+        tin, tout = self.tin, self.tout
+        if self.parent[a] == b:  # a's side is a's subtree
+            return tin[a] <= tin[x] <= tout[a]
+        # b is a's child: a's side is the component minus b's subtree
+        return self.comp[x] == self.comp[a] and not tin[b] <= tin[x] <= tout[b]
+
 
 @dataclass
 class HubIndex:
@@ -108,7 +204,8 @@ def build_hub_index(tree: Tree, hubs: Optional[Sequence[Node]] = None) -> HubInd
         chosen: list[Node] = []
         remaining = set(tree.nodes)
         while remaining:
-            comp = sorted(tree.component_of(min(remaining, key=str)), key=str)
+            first = min(remaining, key=str)
+            comp = sorted(tree.index.members[tree.index.comp[first]], key=str)
             remaining -= set(comp)
             want = max(1, math.isqrt(len(comp)))
             ranked = sorted(comp, key=lambda v: (-len(tree.neighbors(v)), str(v)))
@@ -131,7 +228,7 @@ def build_hub_index(tree: Tree, hubs: Optional[Sequence[Node]] = None) -> HubInd
     for i, a in enumerate(hubs):
         for b in hubs[i + 1 :]:
             try:
-                p = tree.bfs_path(a, b)
+                p = tree.path(a, b)
             except BordertreeError:
                 continue
             hub_paths[(a, b)] = p[1:-1]
@@ -171,12 +268,13 @@ def _erase_loops(walk: list[Node]) -> list[Node]:
 def tree_path(tree: Tree, index: Optional[HubIndex], x: Node, y: Node) -> list[Node]:
     """Hub-method path: x to its hub, hub to hub, hub to y, loops erased.
 
-    Falls back to BFS when either endpoint has no hub in its component.
+    Falls back to the tree's parent-pointer path when either endpoint has
+    no hub in its component.
     """
     if x == y:
         return [x]
     if index is None or x not in index.nearest or y not in index.nearest:
-        return tree.bfs_path(x, y)
+        return tree.path(x, y)
     hx, px = index.nearest[x]
     hy, py = index.nearest[y]
     if hx == hy:
@@ -184,7 +282,7 @@ def tree_path(tree: Tree, index: Optional[HubIndex], x: Node, y: Node) -> list[N
     else:
         between = index.hub_paths.get((hx, hy))
         if between is None:
-            return tree.bfs_path(x, y)
+            return tree.path(x, y)
         walk = [*px, *between, *py[::-1]]
     path = _erase_loops(walk)
     if path[0] != x or path[-1] != y:
@@ -210,9 +308,9 @@ class EvidentialCore:
 
 
 def _core_from_nodes(tree: Tree, nodes: set[Node]) -> EvidentialCore:
-    edges = frozenset((p, c) for p, c in tree.edges if p in nodes and c in nodes)
-    roots = frozenset(v for v in nodes if not any(c == v for _, c in edges))
-    leaves = frozenset(v for v in nodes if not any(p == v for p, _ in edges))
+    edges = frozenset((p, c) for c in nodes for p in tree.parents[c] if p in nodes)
+    roots = frozenset(v for v in nodes if not any(p in nodes for p in tree.parents[v]))
+    leaves = frozenset(v for v in nodes if not any(c in nodes for c in tree.children[v]))
     return EvidentialCore(frozenset(nodes), edges, roots, leaves)
 
 
@@ -224,7 +322,7 @@ def evidential_core(tree: Tree, marked: Iterable[Node]) -> EvidentialCore:
     base = marked[0]
     nodes: set[Node] = {base}
     for m in marked[1:]:
-        nodes.update(tree.bfs_path(base, m))
+        nodes.update(tree.path(base, m))
     # The union of paths from one marked node to all others spans every
     # pairwise path (tree geometry), so a single sweep suffices.
     return _core_from_nodes(tree, nodes)
@@ -267,9 +365,10 @@ def smallest_hitting_core(tree: Tree, groups: Sequence[Iterable[Node]]) -> Evide
     groups = [set(g) for g in groups if g]
     if not groups:
         raise ValueError("need at least one non-empty group")
-    comp = tree.component_of(next(iter(groups[0])))
+    index = tree.index
+    comp = index.comp[next(iter(groups[0]))]
     for g in groups:
-        if not g <= comp:
+        if any(index.comp[v] != comp for v in g):
             raise BordertreeError("groups span multiple components")
     combos = math.prod(len(g) for g in groups)
     if combos <= 4096:
@@ -278,12 +377,12 @@ def smallest_hitting_core(tree: Tree, groups: Sequence[Iterable[Node]]) -> Evide
             anchor = combo[0]
             nodes = {anchor}
             for m in combo[1:]:
-                nodes.update(tree.bfs_path(anchor, m))
+                nodes.update(index.path(anchor, m))
             key = (len(nodes), tuple(sorted(nodes, key=str)))
             if best is None or key < best[0]:
                 best = (key, nodes)
         return _core_from_nodes(tree, best[1])
-    nodes = set(comp)
+    nodes = set(index.members[comp])
     deg = {v: sum(1 for u in tree.neighbors(v) if u in nodes) for v in nodes}
     changed = True
     while changed:
@@ -334,16 +433,19 @@ def collection_schedule(tree: Tree, core: EvidentialCore, pivot: Node) -> Schedu
         adj[c].append(p)
     sched = Schedule()
     seen = {pivot}
-
-    def visit(v: Node):
-        for u in adj[v]:
-            if u in seen:
-                continue
-            seen.add(u)
-            visit(u)
-            sched.messages.append(_directed(tree, u, v))
-
-    visit(pivot)
+    # Iterative DFS: a message leaves a node once all its subtrees are done.
+    stack = [(pivot, iter(adj[pivot]))]
+    while stack:
+        v, rest = stack[-1]
+        for u in rest:
+            if u not in seen:
+                seen.add(u)
+                stack.append((u, iter(adj[u])))
+                break
+        else:
+            stack.pop()
+            if stack:
+                sched.messages.append(_directed(tree, v, stack[-1][0]))
     return sched
 
 
@@ -351,12 +453,15 @@ def distribution_schedule(
     tree: Tree, informed: set[Node], target: Node
 ) -> tuple[Node, Schedule]:
     """Walk from the unique gate of the connected informed set out to the
-    target; the returned schedule informs every node along the way."""
+    target; the returned schedule informs every node along the way.
+
+    The path toward any informed node enters the informed set at the gate
+    (the target's nearest informed node), so any one of them will do."""
     if target in informed:
         return target, Schedule()
     if not informed:
         raise ValueError("informed set must be non-empty")
-    path = tree.bfs_path(target, min(informed, key=str))
+    path = tree.path(target, next(iter(informed)))
     gate = next(v for v in path if v in informed)
     out_path = path[: path.index(gate) + 1][::-1]  # gate ... target
     sched = Schedule()

@@ -78,15 +78,13 @@ class PolytreeSession:
         self.lambda_edge: dict[tuple[int, int], Factor] = {}
         self.collected = 0
         self.distributed = 0
-        self._side_memo: dict[tuple[int, int], bool] = {}
+        self.index = engine.tree.index
         self.cores: dict[int, "object"] = {}
         self.pivots: dict[int, int] = {}
-        self.informed: set[int] = set()
-        ev_vars = list(ev.vars)
+        self.informed_in: dict[int, set[int]] = {}  # component id -> informed nodes
         by_comp: dict[int, list[int]] = {}
-        for v in ev_vars:
-            comp = min(engine.tree.component_of(v))
-            by_comp.setdefault(comp, []).append(v)
+        for v in ev.vars:
+            by_comp.setdefault(self.index.comp[v], []).append(v)
         for comp, marked in sorted(by_comp.items()):
             core = evidential_core(engine.tree, marked)
             if pivot is not None and pivot in core.nodes:
@@ -98,29 +96,19 @@ class PolytreeSession:
             for msg in collection_schedule(engine.tree, core, pv):
                 self._send(msg.source, msg.target)
                 self.collected += 1
-            self.informed.add(pv)
+            self.informed_in[comp] = {pv}
+
+    @property
+    def informed(self) -> set[int]:
+        """Every node that holds its full message set so far."""
+        return set().union(*self.informed_in.values())
 
     # -- evidence geometry -------------------------------------------------
 
     def _side_has_evidence(self, a: int, b: int) -> bool:
         """Does the component of ``a`` in tree-minus-edge(a,b) hold evidence?"""
-        key = (a, b)
-        if key not in self._side_memo:
-            seen = {a}
-            stack = [a]
-            hit = self.ev.allowed(a) is not None
-            while stack and not hit:
-                v = stack.pop()
-                for u in self.e.tree.neighbors(v):
-                    if (v, u) in ((a, b), (b, a)) or u in seen:
-                        continue
-                    seen.add(u)
-                    if self.ev.allowed(u) is not None:
-                        hit = True
-                        break
-                    stack.append(u)
-            self._side_memo[key] = hit
-        return self._side_memo[key]
+        on_side = self.index.on_side
+        return any(on_side(a, b, v) for v in self.ev.vars)
 
     # -- message access ------------------------------------------------------
 
@@ -191,18 +179,17 @@ class PolytreeSession:
     # -- queries ---------------------------------------------------------------
 
     def ensure_informed(self, q: int):
-        comp = min(self.e.tree.component_of(q))
-        if comp not in self.cores:
+        informed = self.informed_in.get(self.index.comp[q])
+        if not informed:
             return  # evidence-free component: every message is vacuous
-        informed = self.informed & self.e.tree.component_of(q)
         if q in informed:
             return
         _gate, sched = distribution_schedule(self.e.tree, informed, q)
         for msg in sched:
             self._send(msg.source, msg.target)
             self.distributed += 1
-            self.informed.add(msg.target)
-        self.informed.add(q)
+            informed.add(msg.target)
+        informed.add(q)
 
     def posterior(self, q: int) -> tuple[Factor, Factor]:
         """(unnormalized Pr{q, [evidence]}, normalized posterior)."""

@@ -19,8 +19,18 @@ def random_dag(
     statespace_cap: int = 2**20,
 ) -> BayesianNetwork:
     """Random DAG with strictly positive tables; edges always point from a
-    lower to a higher id, so declaration order is a topological order."""
+    lower to a higher id, so declaration order is a topological order.
+
+    Cardinalities are lowered to 2 until the joint state space fits
+    ``statespace_cap``; raises ValueError when even 2**n does not fit."""
     n = int(rng.integers(n_min, n_max + 1))
+    if 2**n > statespace_cap:
+        # Even all-binary variables exceed the cap; the repair loop below
+        # could never get under it.
+        raise ValueError(
+            f"{n} variables have at least 2**{n} joint states, "
+            f"over the state-space cap {statespace_cap}"
+        )
     cards = rng.integers(2, card_max + 1, size=n)
     while math.prod(int(c) for c in cards) > statespace_cap:
         cards[int(rng.integers(0, n))] = 2

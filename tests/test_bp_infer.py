@@ -364,3 +364,11 @@ def test_disconnected_network(rng):
         np.testing.assert_allclose(
             posts[q].values, oracle_posterior(bn, ev, q), atol=1e-9
         )
+
+
+def test_chain_longer_than_recursion_limit(long_chain):
+    bn, ev, ref_posts, ref_pe = long_chain
+    posts, pe = bp_query(build_border_polytree(bn), ev)
+    assert pe == pytest.approx(ref_pe, rel=1e-9)
+    for q in bn.ids:
+        np.testing.assert_allclose(posts[q].values, ref_posts[q].values, atol=1e-9)

@@ -181,6 +181,11 @@ class TestOtherCommands:
         poly = parse_network(run("gen", "--seed", "1", "--nodes", "7", "--polytree")[1])
         assert poly.is_singly_connected()
 
+    def test_gen_over_state_space_cap_is_usage_error(self, capsys):
+        code, out = run("gen", "--nodes", "21")
+        assert code == 2 and out == ""
+        assert "state-space cap 1048576" in capsys.readouterr().err
+
 
 class TestRepl:
     def _drive(self, lines):

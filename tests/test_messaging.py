@@ -46,6 +46,63 @@ class TestTree:
         assert t.component_of(0) == {0, 1}
 
 
+def two_component_forest():
+    # 0-1-2-3 with 1-4, and 5-6-7 with 6-8, as a directed forest
+    return Tree(range(9), [(1, 0), (1, 2), (3, 2), (4, 1), (5, 6), (6, 7), (8, 6)])
+
+
+def side_by_dfs(tree, a, b):
+    """a's component of the tree minus edge (a, b), by plain DFS."""
+    seen = {a}
+    stack = [a]
+    while stack:
+        v = stack.pop()
+        for u in tree.neighbors(v):
+            if {v, u} != {a, b} and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
+class TestTreeIndex:
+    def trees(self, rng):
+        yield two_component_forest()
+        for _ in range(20):
+            yield random_tree(rng, int(rng.integers(1, 18)))
+
+    def test_path_equals_bfs_for_all_pairs(self, rng):
+        for tree in self.trees(rng):
+            for x in tree.nodes:
+                for y in tree.nodes:
+                    if tree.index.comp[x] == tree.index.comp[y]:
+                        assert tree.path(x, y) == tree.bfs_path(x, y)
+
+    def test_side_test_equals_dfs(self, rng):
+        for tree in self.trees(rng):
+            for p, c in tree.edges:
+                for a, b in ((p, c), (c, p)):
+                    side = side_by_dfs(tree, a, b)
+                    for x in tree.nodes:
+                        assert tree.index.on_side(a, b, x) == (x in side)
+
+    def test_component_id_is_least_node(self, rng):
+        for tree in self.trees(rng):
+            for v in tree.nodes:
+                comp = tree.component_of(v)
+                assert tree.index.comp[v] == min(comp)
+                assert set(tree.index.members[min(comp)]) == comp
+
+    def test_disconnected_pair_raises(self):
+        tree = two_component_forest()
+        for x, y in ((0, 5), (7, 3), (4, 8)):
+            with pytest.raises(BordertreeError, match="disconnected"):
+                tree.path(x, y)
+
+    def test_border_polytree_shares_one_tree_and_index(self, bp_c):
+        tree = bp_c.tree()
+        assert bp_c.tree() is tree and tree.index is tree.index
+
+
 class TestHubPaths:
     def test_fixture_path(self, poly_b):
         eng = PolytreeEngine(poly_b, hubs=[poly_b.id_of("J"), poly_b.id_of("H")])

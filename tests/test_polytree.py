@@ -190,3 +190,11 @@ def test_multi_component_polytree(rng):
         np.testing.assert_allclose(
             posts[q].values, oracle_posterior(bn, ev, q), atol=1e-9
         )
+
+
+def test_chain_longer_than_recursion_limit(long_chain):
+    bn, ev, ref_posts, ref_pe = long_chain
+    posts, pe = PolytreeEngine(bn).query(ev)
+    assert pe == pytest.approx(ref_pe, rel=1e-9)
+    for q in bn.ids:
+        np.testing.assert_allclose(posts[q].values, ref_posts[q].values, atol=1e-9)
