@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import BordertreeError
-from .factor import Factor, indicator, marginal_to, multiply, normalize, product_all, restrict, sum_out
+from .factor import Factor, contract, indicator, normalize, product_all, restrict
 from .network import NO_EVIDENCE, BayesianNetwork
 
 
@@ -287,10 +287,7 @@ def downward_pass(chain: BorderChain, ev=NO_EVIDENCE) -> list[Factor]:
     steps = chain.steps
     pi = [restrict(steps[0].cohort_table, ev)]
     for step in steps[1:]:
-        f = multiply(restrict(step.cohort_table, ev), pi[-1])
-        if step.promoted is not None:
-            f = sum_out(f, {step.promoted})
-        pi.append(f)
+        pi.append(contract([restrict(step.cohort_table, ev), pi[-1]], step.border))
     return pi
 
 
@@ -306,8 +303,7 @@ def upward_pass(chain: BorderChain, ev=NO_EVIDENCE) -> list[Factor]:
     for j in range(gamma, 0, -1):
         step = steps[j]
         if step.cohort:
-            f = multiply(restrict(step.cohort_table, ev), lam[j])
-            lam[j - 1] = sum_out(f, step.cohort)
+            lam[j - 1] = contract([restrict(step.cohort_table, ev), lam[j]], steps[j - 1].border)
         else:
             lam[j - 1] = lam[j]
     return lam
@@ -336,8 +332,7 @@ def chain_posterior(
         j = chain.home_step(q)
     elif q not in chain.border(j):
         raise KeyError(f"variable {q} not in border {j}")
-    m = multiply(passes.pi[j], passes.lam[j])
-    unnorm = marginal_to(m, {q})
+    unnorm = contract([passes.pi[j], passes.lam[j]], (q,))
     posterior, evidence_prob = normalize(unnorm)
     return unnorm, posterior, evidence_prob
 

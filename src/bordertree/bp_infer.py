@@ -18,6 +18,7 @@ from .bp_build import Border, BorderPolytree
 from .errors import BordertreeError
 from .factor import (
     Factor,
+    contract,
     divide,
     indicator,
     marginal_to,
@@ -184,13 +185,16 @@ class BorderSession:
             if not b.parents:
                 f = self._prior_r(bid)
             else:
-                f = multiply(self._phi_r(b), self.get_pi_edge(b.parents[0], bid))
-                if b.promoted is not None:
-                    f = sum_out(f, {b.promoted})
+                f = contract([self._phi_r(b), self.get_pi_edge(b.parents[0], bid)], b.members)
         else:
-            f = Factor.scalar(1.0)
-            for pid, kept in zip(b.parents, b.carried):
-                f = multiply(f, marginal_to(self.get_pi_edge(pid, bid), kept))
+            # Each parent's message is marginalized on its own: one joint
+            # contraction would sum a variable dropped by two parents once
+            # over their product, a different answer.
+            marginals = [
+                marginal_to(self.get_pi_edge(pid, bid), kept)
+                for pid, kept in zip(b.parents, b.carried)
+            ]
+            f = contract(marginals, b.members)
         self._pi_cache[bid] = f
         return f
 
@@ -198,9 +202,8 @@ class BorderSession:
         f = self._lambda_cache.get(bid)
         if f is not None:
             return f
-        f = self._indicator(bid)
-        for c in self.tree.children[bid]:
-            f = multiply(f, self.get_lambda_edge(bid, c))
+        lams = [self.get_lambda_edge(bid, c) for c in self.tree.children[bid]]
+        f = contract([self._indicator(bid), *lams], self.bp.borders[bid].members)
         self._lambda_cache[bid] = f
         return f
 
@@ -253,13 +256,11 @@ class BorderSession:
         return self._indicator(p)
 
     def compute_pi_edge(self, p: int, c: int, lam_hint: Optional[Factor] = None) -> Factor:
-        f = self.pi_border(p)
         if lam_hint is not None:
-            f = multiply(f, lam_hint)
+            lams = [lam_hint]
         else:
-            for w in self.tree.children[p]:
-                if w != c:
-                    f = multiply(f, self.get_lambda_edge(p, w))
+            lams = [self.get_lambda_edge(p, w) for w in self.tree.children[p] if w != c]
+        f = contract([self.pi_border(p), *lams], self.bp.borders[p].members)
         self.store[self._store_key(p, c, "pi")] = f
         return f
 
@@ -268,8 +269,8 @@ class BorderSession:
         b = self.bp.borders[c]
         lam = self.lambda_border(c)
         if b.kind == "type1":
-            f = multiply(self._phi_r(b), lam)
-            f = sum_out(f, b.cohort) if b.cohort else f
+            # Everything but the cohort lies in the parent border.
+            f = contract([self._phi_r(b), lam], self.bp.borders[p].members)
         else:
             f = self._junction_lambda(b, p, lam)
         self.store[self._store_key(p, c, "lambda")] = f
@@ -305,8 +306,9 @@ class BorderSession:
         for pid in b.parents:
             if pid == p:
                 continue
-            f = multiply(f, self.get_pi_edge(pid, b.id))
-            f = sum_out(f, self.bp.borders[pid].members & set(f.scope))
+            # f stays within b's members; sum out what parent pid holds.
+            keep = b.members - self.bp.borders[pid].members
+            f = contract([f, self.get_pi_edge(pid, b.id)], keep)
         return f
 
     def _send(self, src: int, dst: int):
@@ -338,7 +340,8 @@ class BorderSession:
         informed.add(bid)
 
     def border_product(self, bid: int) -> Factor:
-        return multiply(self.pi_border(bid), self.lambda_border(bid))
+        members = self.bp.borders[bid].members
+        return contract([self.pi_border(bid), self.lambda_border(bid)], members)
 
     def posterior(self, var: int, home: Optional[int] = None) -> tuple[Factor, Factor]:
         if home is None:
@@ -346,14 +349,14 @@ class BorderSession:
         elif var not in self.bp.borders[home].members:
             raise KeyError(f"variable {var} not in border {home}")
         self.ensure_informed(home)
-        unnorm = marginal_to(self.border_product(home), {var})
+        unnorm = contract([self.pi_border(home), self.lambda_border(home)], (var,))
         post, _ = normalize(unnorm)
         return unnorm, post
 
     def evidence_prob(self) -> float:
         out = 1.0
-        for comp, pv in self.pivots.items():
-            out *= self.border_product(pv).total()
+        for pv in self.pivots.values():
+            out *= contract([self.pi_border(pv), self.lambda_border(pv)], ()).total()
         return out
 
 
@@ -397,11 +400,8 @@ def asynchronous_sweep(
             except ZeroDivisionError:
                 if division:
                     raise
-        f = session._indicator(bid)
-        for w in tree.children[bid]:
-            if w != child:
-                f = multiply(f, session.get_lambda_edge(bid, w))
-        return f
+        lams = [session.get_lambda_edge(bid, w) for w in tree.children[bid] if w != child]
+        return contract([session._indicator(bid), *lams], bp.borders[bid].members)
 
     for comp in sorted(session.index.members):
         start = session.pivots.get(comp, comp)

@@ -11,6 +11,14 @@ aligns tables deterministically:
 * entries are finite and non-negative.
 
 Factors are immutable after construction and all operations are pure.
+
+Every message and readout is a product of factors followed by a
+marginalization.  :func:`contract` computes that in one ``np.einsum`` call,
+without building the product table: ``contract(factors, keep)`` is
+``marginal_to(product_all(factors), keep)``.  Its einsum subscripts depend
+only on the operands' relative layout (each scope's rank pattern within the
+union, plus cards), so one small, capped cache of them serves every network.
+:func:`multiply` and :func:`sum_out` remain the pairwise operations.
 """
 
 from __future__ import annotations
@@ -122,6 +130,70 @@ def product_all(factors: Iterable[Factor]) -> Factor:
     for f in factors:
         out = multiply(out, f)
     return out
+
+
+def _check_cards(factors: list[Factor]) -> None:
+    seen: dict[int, int] = {}
+    for f in factors:
+        for v, c in zip(f.scope, f.cards):
+            if seen.setdefault(v, c) != c:
+                raise ValueError(f"cardinality mismatch for variable {v}: {seen[v]} vs {c}")
+
+
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+# (per operand: rank pattern within the union and cards; kept ranks) ->
+# einsum subscripts.  Keys name no variable ids, so the cache does not grow
+# with network size or count; the cap bounds it for any mix of layouts.  An
+# entry is a pure function of its key, so sharing the cache across sessions
+# and threads cannot change a result.
+_SUBSCRIPTS: dict[tuple, str] = {}
+_SUBSCRIPTS_MAX = 512
+
+
+def contract(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
+    """Marginal onto ``keep`` of the product of ``factors``, in one einsum.
+
+    Equals ``marginal_to(product_all(factors), keep)`` without building the
+    product table.  Variables in ``keep`` outside every operand's scope are
+    ignored, scalar operands fold into a multiplier, and a lone operand with
+    nothing to sum out is returned as is.
+    """
+    factors = list(factors)
+    keep = set(keep)
+    if len(factors) == 1 and all(v in keep for v in factors[0].scope):
+        return factors[0]
+    scale = 1.0
+    ops: list[Factor] = []
+    cards: dict[int, int] = {}
+    for f in factors:
+        if f.scope:
+            ops.append(f)
+            cards.update(zip(f.scope, f.cards))
+        else:
+            scale *= float(f.values)
+    rank = {v: r for r, v in enumerate(sorted(cards))}
+    out = tuple(v for v in rank if v in keep)
+    key = (
+        tuple((tuple([rank[v] for v in f.scope]), f.cards) for f in ops),
+        tuple([rank[v] for v in out]),
+    )
+    subscripts = _SUBSCRIPTS.get(key)
+    if subscripts is None:
+        # A key fixes every operand's cards, so a cached key passed this check.
+        _check_cards(ops)
+        layouts, out_ranks = key
+        subscripts = (
+            ",".join("".join(_LETTERS[r] for r in ranks) for ranks, _ in layouts)
+            + "->"
+            + "".join(_LETTERS[r] for r in out_ranks)
+        )
+        if len(_SUBSCRIPTS) >= _SUBSCRIPTS_MAX:
+            _SUBSCRIPTS.clear()
+        _SUBSCRIPTS[key] = subscripts
+    vals = np.einsum(subscripts, *[f.values for f in ops]) if ops else np.asarray(1.0)
+    if scale != 1.0:
+        vals = vals * scale
+    return Factor(out, [cards[v] for v in out], vals)
 
 
 def sum_out(f: Factor, vars: Iterable[int]) -> Factor:

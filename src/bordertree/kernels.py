@@ -1,10 +1,9 @@
-"""Numpy fallback for the table kernels.
+"""Numpy table kernels for the pairwise factor operations.
 
-Both backends implement the same two primitives over row-major float64
-tables: ``product`` (aligned elementwise multiply onto a union shape) and
-``sum_axes`` (marginalize a set of axes).  The compiled backend in
-``_tablekern`` walks the tables with explicit strides; here we lean on
-numpy broadcasting instead.
+``product`` multiplies two aligned row-major float64 tables onto their union
+shape and ``sum_axes`` marginalizes a set of axes; ``factor.multiply`` and
+``factor.sum_out`` call them.  A product followed by a marginalization goes
+through ``factor.contract`` instead, which never builds the product table.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import BordertreeError, NotSinglyConnectedError
-from .factor import Factor, indicator, multiply, normalize, restrict, sum_out
+from .factor import Factor, contract, indicator, multiply, normalize, restrict, sum_out
 from .messaging import (
     HubIndex,
     Tree,
@@ -137,36 +137,31 @@ class PolytreeSession:
             )  # pragma: no cover
         return indicator([x], [self.bn.card(x)], self.ev)
 
+    # Factors whose product, summed onto {v}, gives pi(v) and lambda(v).
+
+    def _pi_factors(self, v: int) -> list[Factor]:
+        return [self._pr_r(v), *(self.get_pi_edge(p, v) for p in self.bn.parents[v])]
+
+    def _lambda_factors(self, v: int) -> list[Factor]:
+        lams = [self.get_lambda_edge(v, c) for c in self.bn.children(v)]
+        return [indicator([v], [self.bn.card(v)], self.ev), *lams]
+
     def pi_node(self, v: int) -> Factor:
-        f = self._pr_r(v)
-        for p in self.bn.parents[v]:
-            f = multiply(f, self.get_pi_edge(p, v))
-        return sum_out(f, self.bn.parents[v]) if self.bn.parents[v] else f
+        return contract(self._pi_factors(v), (v,))
 
     def lambda_node(self, v: int) -> Factor:
-        f = indicator([v], [self.bn.card(v)], self.ev)
-        for c in self.bn.children(v):
-            f = multiply(f, self.get_lambda_edge(v, c))
-        return f
+        return contract(self._lambda_factors(v), (v,))
 
     def compute_pi_edge(self, x: int, y: int) -> Factor:
-        f = self.pi_node(x)
-        for w in self.bn.children(x):
-            if w != y:
-                f = multiply(f, self.get_lambda_edge(x, w))
+        lams = [self.get_lambda_edge(x, w) for w in self.bn.children(x) if w != y]
+        f = contract([*self._pi_factors(x), *lams], (x,))
         self.pi_edge[(x, y)] = f
         return f
 
     def compute_lambda_edge(self, x: int, y: int) -> Factor:
         """Message y sends up to its parent x."""
-        f = self._pr_r(y)
-        others = [p for p in self.bn.parents[y] if p != x]
-        for p in others:
-            f = multiply(f, self.get_pi_edge(p, y))
-        if others:
-            f = sum_out(f, others)
-        f = multiply(f, self.lambda_node(y))
-        f = sum_out(f, {y})
+        pis = [self.get_pi_edge(p, y) for p in self.bn.parents[y] if p != x]
+        f = contract([self._pr_r(y), *pis, *self._lambda_factors(y)], (x,))
         self.lambda_edge[(x, y)] = f
         return f
 
@@ -194,17 +189,17 @@ class PolytreeSession:
     def posterior(self, q: int) -> tuple[Factor, Factor]:
         """(unnormalized Pr{q, [evidence]}, normalized posterior)."""
         self.ensure_informed(q)
-        unnorm = multiply(self.pi_node(q), self.lambda_node(q))
+        unnorm = self.node_product(q)
         post, _ = normalize(unnorm)
         return unnorm, post
 
     def node_product(self, q: int) -> Factor:
-        return multiply(self.pi_node(q), self.lambda_node(q))
+        return contract([*self._pi_factors(q), *self._lambda_factors(q)], (q,))
 
     def evidence_prob(self) -> float:
         out = 1.0
-        for comp, pv in self.pivots.items():
-            out *= self.node_product(pv).total()
+        for pv in self.pivots.values():
+            out *= contract([*self._pi_factors(pv), *self._lambda_factors(pv)], ()).total()
         return out
 
 

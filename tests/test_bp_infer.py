@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bordertree.border_chain import build_chain, downward_pass
+from bordertree.border_chain import build_chain, chain_posterior, downward_pass, run_passes
 from bordertree.bnformat import parse_evidence
 from bordertree.bp_build import border_polytree_from_chain, build_border_polytree
 from bordertree.bp_infer import (
@@ -372,3 +372,39 @@ def test_chain_longer_than_recursion_limit(long_chain):
     assert pe == pytest.approx(ref_pe, rel=1e-9)
     for q in bn.ids:
         np.testing.assert_allclose(posts[q].values, ref_posts[q].values, atol=1e-9)
+
+
+def _grid(rows, cols, card, rng):
+    """Grid network: each cell's parents are the cells above and to its left."""
+    spec = []
+    for r in range(rows):
+        for c in range(cols):
+            parents = [f"x{r - 1}{c}"] * (r > 0) + [f"x{r}{c - 1}"] * (c > 0)
+            spec.append((f"x{r}{c}", card, parents))
+    return zoo.build_network(spec, rng)
+
+
+def test_grid_engines_vs_oracle():
+    # Grid borders are wide and every junction has two parents: the shape
+    # whose border products the fused contractions replace.
+    bn = _grid(3, 3, 3, np.random.default_rng(31))
+    bp = build_border_polytree(bn)
+    preload_priors(bp)
+    chain = build_chain(bn)
+    ev_rng = np.random.default_rng(32)
+    for _ in range(4):
+        ev = random_evidence(ev_rng, bn, max_vars=4)
+        want_pe = oracle_event_prob(bn, ev)
+        want = {q: oracle_posterior(bn, ev, q) for q in bn.ids}
+        passes = run_passes(chain, ev)
+        chain_posts = {q: chain_posterior(chain, ev, q, passes=passes) for q in bn.ids}
+        results = {
+            "bp_query": bp_query(bp, ev),
+            "sweep/division auto": asynchronous_sweep(bp, ev, use_division=None),
+            "sweep/no division": asynchronous_sweep(bp, ev, use_division=False),
+            "chain": ({q: r[1] for q, r in chain_posts.items()}, chain_posts[0][2]),
+        }
+        for name, (posts, pe) in results.items():
+            assert pe == pytest.approx(want_pe, rel=1e-9), name
+            for q in bn.ids:
+                np.testing.assert_allclose(posts[q].values, want[q], atol=1e-9, err_msg=name)

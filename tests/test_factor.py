@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bordertree.errors import ImpossibleEvidenceError
+from bordertree import factor as factor_mod
 from bordertree.factor import (
     Factor,
+    contract,
     divide,
     indicator,
     marginal_to,
@@ -130,6 +132,83 @@ class TestSumOut:
         right = multiply(f, sum_out(g, {y}))
         assert left.scope == right.scope
         np.testing.assert_allclose(left.values, right.values, rtol=1e-12, atol=1e-12)
+
+
+def loop_product(fs) -> Factor:
+    out = Factor.scalar(1.0)
+    for f in fs:
+        out = loop_multiply(out, f)
+    return out
+
+
+# Ids 6 and 7 never occur in a drawn scope: keep may name variables outside
+# the union.
+_KEEP = st.sets(st.integers(0, 7))
+
+
+class TestContract:
+    @settings(max_examples=60, deadline=None)
+    @given(factors(), factors(), _KEEP)
+    def test_matches_multiply_then_sum_out(self, f, g, keep):
+        got = contract([f, g], keep)
+        prod = multiply(f, g)
+        want = sum_out(prod, [v for v in prod.scope if v not in keep])
+        assert got.scope == want.scope and got.cards == want.cards
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
+        loop = marginal_to(loop_multiply(f, g), keep)
+        np.testing.assert_allclose(got.values, loop.values, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(factors(max_vars=3), min_size=3, max_size=5), _KEEP)
+    def test_many_operands(self, fs, keep):
+        got = contract(fs, keep)
+        want = marginal_to(loop_product(fs), keep)
+        assert got.scope == want.scope
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(factors(), factors(), st.floats(0, 10), _KEEP)
+    def test_scalar_operands_fold_in(self, f, g, c, keep):
+        fs = [Factor.scalar(c), f, Factor.scalar(0.5), g]
+        got = contract(fs, keep)
+        want = marginal_to(loop_product(fs), keep)
+        assert got.scope == want.scope
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
+
+    def test_only_scalars_and_keep_outside_union(self):
+        assert float(contract([Factor.scalar(2.0), Factor.scalar(3.0)], {4}).values) == 6.0
+        f = Factor((0, 1), (2, 3), np.arange(6.0))
+        total = contract([f], {9})
+        assert total.scope == () and float(total.values) == 15.0
+
+    def test_cardinality_mismatch(self):
+        f = Factor((0, 1), (2, 3), np.ones((2, 3)))
+        g = Factor((1,), (2,), [1.0, 2.0])
+        for _ in range(2):  # a failed layout must not be cached as valid
+            with pytest.raises(ValueError, match="cardinality mismatch for variable 1: 3 vs 2"):
+                contract([f, g], {0})
+
+    def test_read_only_output(self):
+        f = Factor((0, 1), (2, 3), np.arange(6.0))
+        g = Factor((1,), (3,), [1.0, 2.0, 3.0])
+        for out in (contract([f, g], {0}), contract([f], {0, 1}), contract([], ())):
+            assert not out.values.flags.writeable
+            with pytest.raises(ValueError):
+                out.values[...] = 0.0
+
+    def test_subscript_cache_ignores_variable_ids(self):
+        def chain(offset):
+            vals = np.arange(4.0).reshape(2, 2)
+            fs = [Factor((offset + k, offset + k + 1), (2, 2), vals) for k in range(3)]
+            return contract(fs, {offset, offset + 3})
+
+        first = chain(0)
+        size = len(factor_mod._SUBSCRIPTS)
+        for offset in (10, 100, 1000):
+            out = chain(offset)
+            assert out.scope == (offset, offset + 3)
+            np.testing.assert_array_equal(out.values, first.values)
+        assert len(factor_mod._SUBSCRIPTS) == size
 
 
 class TestRestrict:
