@@ -15,9 +15,10 @@ Factors are immutable after construction and all operations are pure.
 Every message and readout is a product of factors followed by a
 marginalization.  :func:`contract` computes that in one ``np.einsum`` call,
 without building the product table: ``contract(factors, keep)`` is
-``marginal_to(product_all(factors), keep)``.  Its einsum subscripts depend
-only on the operands' relative layout (each scope's rank pattern within the
-union, plus cards), so one small, capped cache of them serves every network.
+``marginal_to(product_all(factors), keep)``.  Its einsum subscripts name
+each variable by its rank within the operands' union.  A node or border
+with more incoming messages than one einsum call takes is contracted in
+groups, so fan-out is unbounded.
 :func:`multiply` and :func:`sum_out` remain the pairwise operations.
 """
 
@@ -132,22 +133,9 @@ def product_all(factors: Iterable[Factor]) -> Factor:
     return out
 
 
-def _check_cards(factors: list[Factor]) -> None:
-    seen: dict[int, int] = {}
-    for f in factors:
-        for v, c in zip(f.scope, f.cards):
-            if seen.setdefault(v, c) != c:
-                raise ValueError(f"cardinality mismatch for variable {v}: {seen[v]} vs {c}")
-
-
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-# (per operand: rank pattern within the union and cards; kept ranks) ->
-# einsum subscripts.  Keys name no variable ids, so the cache does not grow
-# with network size or count; the cap bounds it for any mix of layouts.  An
-# entry is a pure function of its key, so sharing the cache across sessions
-# and threads cannot change a result.
-_SUBSCRIPTS: dict[tuple, str] = {}
-_SUBSCRIPTS_MAX = 512
+# np.einsum takes fewer than NPY_MAXARGS operands: 32 on numpy 1.x, 64 on 2.x.
+_MAX_OPERANDS = 31
 
 
 def contract(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
@@ -156,7 +144,9 @@ def contract(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
     Equals ``marginal_to(product_all(factors), keep)`` without building the
     product table.  Variables in ``keep`` outside every operand's scope are
     ignored, scalar operands fold into a multiplier, and a lone operand with
-    nothing to sum out is returned as is.
+    nothing to sum out is returned as is.  More operands than one einsum
+    call takes are folded in groups: each group is contracted onto the
+    variables that ``keep`` or a later operand still needs.
     """
     factors = list(factors)
     keep = set(keep)
@@ -166,30 +156,28 @@ def contract(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
     ops: list[Factor] = []
     cards: dict[int, int] = {}
     for f in factors:
-        if f.scope:
-            ops.append(f)
-            cards.update(zip(f.scope, f.cards))
-        else:
+        if not f.scope:
             scale *= float(f.values)
-    rank = {v: r for r, v in enumerate(sorted(cards))}
+            continue
+        ops.append(f)
+        for v, c in zip(f.scope, f.cards):
+            if cards.setdefault(v, c) != c:
+                raise ValueError(f"cardinality mismatch for variable {v}: {cards[v]} vs {c}")
+    while len(ops) > _MAX_OPERANDS:
+        head, ops = ops[:_MAX_OPERANDS], ops[_MAX_OPERANDS:]
+        ops.insert(0, _einsum(head, keep.union(*(f.scope for f in ops)), cards, 1.0))
+    return _einsum(ops, keep, cards, scale)
+
+
+def _einsum(ops: list[Factor], keep: set[int], cards: dict[int, int], scale: float) -> Factor:
+    """``scale`` times the marginal onto ``keep`` of the product of ``ops``."""
+    rank = {v: _LETTERS[r] for r, v in enumerate(sorted(set().union(*(f.scope for f in ops))))}
     out = tuple(v for v in rank if v in keep)
-    key = (
-        tuple((tuple([rank[v] for v in f.scope]), f.cards) for f in ops),
-        tuple([rank[v] for v in out]),
+    subscripts = (
+        ",".join("".join([rank[v] for v in f.scope]) for f in ops)
+        + "->"
+        + "".join([rank[v] for v in out])
     )
-    subscripts = _SUBSCRIPTS.get(key)
-    if subscripts is None:
-        # A key fixes every operand's cards, so a cached key passed this check.
-        _check_cards(ops)
-        layouts, out_ranks = key
-        subscripts = (
-            ",".join("".join(_LETTERS[r] for r in ranks) for ranks, _ in layouts)
-            + "->"
-            + "".join(_LETTERS[r] for r in out_ranks)
-        )
-        if len(_SUBSCRIPTS) >= _SUBSCRIPTS_MAX:
-            _SUBSCRIPTS.clear()
-        _SUBSCRIPTS[key] = subscripts
     vals = np.einsum(subscripts, *[f.values for f in ops]) if ops else np.asarray(1.0)
     if scale != 1.0:
         vals = vals * scale

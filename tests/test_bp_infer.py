@@ -12,8 +12,10 @@ from bordertree.bp_infer import (
     bp_query,
     preload_priors,
 )
+from bordertree import factor
 from bordertree.network import EvidenceSet
 from bordertree.oracle import oracle_event_prob, oracle_marginal, oracle_posterior
+from bordertree.polytree import polytree_query
 from bordertree.randgen import random_dag, random_evidence
 from bordertree import zoo
 
@@ -408,3 +410,80 @@ def test_grid_engines_vs_oracle():
             assert pe == pytest.approx(want_pe, rel=1e-9), name
             for q in bn.ids:
                 np.testing.assert_allclose(posts[q].values, want[q], atol=1e-9, err_msg=name)
+
+
+def _star(children, rng):
+    """Naive-Bayes star: one card-3 root, binary children."""
+    spec = [("R", 3, [])] + [(f"c{i}", 2, ["R"]) for i in range(children)]
+    return zoo.build_network(spec, rng)
+
+
+def _star_reference(bn, ev):
+    """Closed-form star posteriors and Pr(e): every child is independent
+    given the root, so each marginal is a sum over the root's 3 values."""
+    prior = bn.cpts[0].values
+    like = {}  # child -> Pr{child | R} with evidence-excluded values zeroed
+    for c in bn.ids[1:]:
+        mask = np.ones(2)
+        if ev.allowed(c) is not None:
+            mask = np.isin(np.arange(2), sorted(ev.allowed(c))).astype(float)
+        like[c] = bn.cpts[c].values * mask  # axes (R, child)
+    joint_root = prior * np.prod([t.sum(axis=1) for t in like.values()], axis=0)
+    pe = joint_root.sum()
+    posts = {0: joint_root / pe}
+    for c, t in like.items():
+        others = prior * np.prod([u.sum(axis=1) for d, u in like.items() if d != c], axis=0)
+        posts[c] = (others[:, None] * t).sum(axis=0) / pe
+    return posts, pe
+
+
+def test_star_fan_out_beyond_einsum_operand_limit():
+    # The root receives one message per child: 70 messages exceed the
+    # operands one np.einsum call takes (31 on numpy 1.x, 63 on 2.x).  The
+    # joint has 3 * 2**70 entries, past the oracle's cap, so the reference
+    # is the closed form.
+    bn = _star(70, np.random.default_rng(41))
+    ev = EvidenceSet(bn, {c: {c % 2} for c in range(1, 67)})
+    want, want_pe = _star_reference(bn, ev)
+    bp = build_border_polytree(bn)
+    preload_priors(bp)
+    results = {
+        "bp_query": bp_query(bp, ev),
+        "sweep/division auto": asynchronous_sweep(bp, ev, use_division=None),
+        "sweep/no division": asynchronous_sweep(bp, ev, use_division=False),
+        "polytree": polytree_query(bn, ev),
+    }
+    for name, (posts, pe) in results.items():
+        assert pe == pytest.approx(want_pe, rel=1e-9), name
+        for q in bn.ids:
+            np.testing.assert_allclose(posts[q].values, want[q], atol=1e-9, err_msg=name)
+
+
+@pytest.mark.parametrize("shape", ["star", "grid"])
+def test_engines_with_operands_folded_in_pairs(monkeypatch, shape):
+    # Force the grouped contraction everywhere and check it against the
+    # oracle on networks small enough to enumerate.
+    monkeypatch.setattr(factor, "_MAX_OPERANDS", 2)
+    rng = np.random.default_rng(43)
+    bn = _star(9, rng) if shape == "star" else _grid(3, 3, 3, rng)
+    bp = build_border_polytree(bn)
+    preload_priors(bp)
+    for _ in range(3):
+        ev = random_evidence(rng, bn, max_vars=5)
+        want_pe = oracle_event_prob(bn, ev)
+        results = {
+            "bp_query": bp_query(bp, ev),
+            "sweep/division auto": asynchronous_sweep(bp, ev, use_division=None),
+            "sweep/no division": asynchronous_sweep(bp, ev, use_division=False),
+        }
+        if shape == "star":
+            results["polytree"] = polytree_query(bn, ev)
+            ref, ref_pe = _star_reference(bn, ev)
+            assert ref_pe == pytest.approx(want_pe, rel=1e-9)
+        for name, (posts, pe) in results.items():
+            assert pe == pytest.approx(want_pe, rel=1e-9), name
+            for q in bn.ids:
+                want = oracle_posterior(bn, ev, q)
+                np.testing.assert_allclose(posts[q].values, want, atol=1e-9, err_msg=name)
+                if shape == "star":
+                    np.testing.assert_allclose(ref[q], want, atol=1e-9)
