@@ -6,6 +6,10 @@ product of the recruited CPTs.  The downward pass pushes evidence-weighted
 mass border by border toward the last border, the upward pass pulls
 likelihoods back toward the first, and any border containing the query
 yields the same posterior.
+
+The promotion engine here (rules 1-7, the initial-border search and the
+state-space tie-break) is the only copy of the plain border algorithm:
+stage II of :mod:`bordertree.bp_build` calls it inside each macro-node.
 """
 
 from __future__ import annotations
@@ -58,25 +62,34 @@ class PassResult:
     beta: Optional[int]  # last such step
 
 
-# -- initial border -----------------------------------------------------
+# -- the promotion engine -------------------------------------------------
+#
+# Stage II's hooks: ``members`` restricts the initial-border search to a
+# parentless macro, ``blocked`` names interface variables that may not be
+# promoted yet, and ``result`` sizes a candidate's resulting border
+# (including any foreign interface a junction would pull in).
 
 
-def _ancestral_roots(bn: BayesianNetwork, var: int) -> frozenset[int]:
-    anc = bn.ancestors(var)
-    return frozenset(v for v in anc if not bn.parents[v]) or frozenset({var})
+def _co_parents(bn: BayesianNetwork, xs, members) -> frozenset[int]:
+    """``bn.set_co_parents(xs)`` in the subgraph induced by ``members``."""
+    h = {p for v in xs for p in bn.parents[v] if p in members} - xs
+    kids = {c for v in xs for c in bn.children(v) if c in members} - xs - h
+    return frozenset({p for c in kids for p in bn.parents[c] if p in members} - xs - kids)
 
 
-def initial_border(bn: BayesianNetwork) -> frozenset[int]:
-    """A set of roots to start the chain, co-parentless whenever one exists.
+def initial_border(bn: BayesianNetwork, members=None) -> frozenset[int]:
+    """A set of roots to start a chain, co-parentless whenever one exists.
 
     Climbs from each root in turn: absorb root co-parents, jump to the
     ancestral roots of a non-root co-parent, stop when co-parentless.  If
     every climb cycles, small root sets are searched exhaustively; some DAGs
     have no co-parentless set of roots at all, and then the full root set is
     returned (any set of roots is parentless, so the chain still works, the
-    early promotions just fall to the fictitious rules).
+    early promotions just fall to the fictitious rules).  ``members`` limits
+    the search to the subgraph it induces (a parentless macro-node).
     """
-    roots = frozenset(bn.roots())
+    members = frozenset(bn.ids if members is None else members)
+    roots = frozenset(v for v in members if not bn.parents[v])
     if not roots:
         bn.topological_order()  # raises CycleError with a useful message
     for start in sorted(roots):
@@ -84,28 +97,26 @@ def initial_border(bn: BayesianNetwork) -> frozenset[int]:
         seen: set[frozenset[int]] = set()
         while current not in seen:
             seen.add(current)
-            cops = bn.set_co_parents(current)
+            cops = _co_parents(bn, current, members)
             if not cops:
                 return current
             root_cops = cops & roots
             if root_cops:
                 current = current | root_cops
                 continue
-            current = _ancestral_roots(bn, min(cops))
+            k = min(cops)
+            current = (bn.ancestors(k) & roots) or frozenset({k})
     if len(roots) <= 16:
         for k in range(1, len(roots) + 1):
             for combo in combinations(sorted(roots), k):
-                if not bn.set_co_parents(frozenset(combo)):
+                if not _co_parents(bn, frozenset(combo), members):
                     return frozenset(combo)
     return roots
 
 
-# -- promotion rules -----------------------------------------------------
-
-
-def _bottom_ancestors(bn: BayesianNetwork, seeds, bottom: frozenset[int]) -> frozenset[int]:
+def bottom_ancestors(bn: BayesianNetwork, seeds, bottom) -> frozenset[int]:
     out: set[int] = set()
-    stack = [s for s in seeds]
+    stack = list(seeds)
     while stack:
         v = stack.pop()
         for p in bn.parents[v]:
@@ -115,24 +126,28 @@ def _bottom_ancestors(bn: BayesianNetwork, seeds, bottom: frozenset[int]) -> fro
     return frozenset(out)
 
 
-def _candidates_for_rule(bn, border, bottom, rule):
-    """(promoted, cohort) candidates for one rule; empty list if inapplicable."""
+def rule_candidates(bn, border, bottom, rule, blocked=frozenset()):
+    """(promoted, cohort) candidates for one rule; empty list if inapplicable.
+    Variables in ``blocked`` are never promoted."""
     out = []
-    if rule == 1:
+    if rule in (1, 2, 3, 6):
         for v in border:
-            if not (set(bn.children(v)) & bottom):
-                out.append((v, frozenset()))
-    elif rule == 2:
-        for v in border:
+            if v in blocked:
+                continue
             kids = set(bn.children(v)) & bottom
-            if kids and not (bn.co_parents(v) & bottom):
-                out.append((v, frozenset(kids)))
-    elif rule == 3:
-        for v in border:
-            kids = set(bn.children(v)) & bottom
-            cops = bn.co_parents(v) & bottom
-            if kids and cops and all(not (set(bn.parents[k]) & bottom) for k in cops):
-                out.append((v, frozenset(kids | cops)))
+            if rule == 1:
+                if not kids:
+                    out.append((v, frozenset()))
+            elif not kids:
+                continue
+            elif rule == 6:
+                out.append((v, frozenset(kids) | bottom_ancestors(bn, kids, bottom)))
+            else:
+                cops = bn.co_parents(v) & bottom
+                if rule == 2 and not cops:
+                    out.append((v, frozenset(kids)))
+                elif rule == 3 and cops and all(not (set(bn.parents[k]) & bottom) for k in cops):
+                    out.append((v, frozenset(kids | cops)))
     elif rule == 4:
         for v in bottom:
             if bn.parents[v] and not (set(bn.parents[v]) & bottom):
@@ -141,66 +156,38 @@ def _candidates_for_rule(bn, border, bottom, rule):
         for v in bottom:
             if not bn.parents[v]:
                 out.append((None, frozenset({v})))
-    elif rule == 6:
-        for v in border:
-            kids = set(bn.children(v)) & bottom
-            if kids:
-                cohort = frozenset(kids) | _bottom_ancestors(bn, kids, bottom)
-                out.append((v, cohort))
     elif rule == 7:
         for v in bottom:
-            cohort = frozenset({v}) | _bottom_ancestors(bn, [v], bottom)
-            out.append((None, cohort))
-    elif rule == 8:
-        # Degenerate merge: recruit a whole detached parentless component.
-        comp = _detached_components(bn, border, bottom)
-        out.extend((None, frozenset(c)) for c in comp)
+            out.append((None, frozenset({v}) | bottom_ancestors(bn, [v], bottom)))
     return out
 
 
-def _detached_components(bn, border, bottom):
-    unseen = set(bottom)
-    comps = []
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        stack = [start]
-        attached = False
-        while stack:
-            v = stack.pop()
-            for u in (*bn.parents[v], *bn.children(v)):
-                if u in bottom and u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-                elif u not in bottom:
-                    attached = True
-        unseen -= comp
-        if not attached:
-            comps.append(comp)
-    return comps
-
-
-def _border_size(bn: BayesianNetwork, border) -> int:
-    return math.prod(bn.card(v) for v in border)
+def next_border(border, promoted, cohort) -> frozenset[int]:
+    return (border - ({promoted} if promoted is not None else frozenset())) | cohort
 
 
 def choose_next(
-    bn: BayesianNetwork, border: frozenset[int], bottom: frozenset[int]
+    bn: BayesianNetwork,
+    border: frozenset[int],
+    bottom,
+    blocked=frozenset(),
+    result=next_border,
 ) -> tuple[Optional[int], frozenset[int], int]:
-    """First applicable rule in order 1..8; ties broken by the state-space
-    size of the resulting border, then by lowest variable id."""
+    """First applicable rule in order 1..7; ties broken by the state-space
+    size of the resulting border, ``result(border, promoted, cohort)``, then
+    by lowest variable id.  Rule 7 offers a candidate for every bottom
+    variable, so some rule always applies."""
     if not bottom:
         raise ValueError("bottom part is empty; chain is complete")
-    for rule in range(1, 9):
-        cands = _candidates_for_rule(bn, border, bottom, rule)
+    for rule in range(1, 8):
+        cands = rule_candidates(bn, border, bottom, rule, blocked)
         if not cands:
             continue
 
         def key(cand):
             promoted, cohort = cand
-            result = (border - ({promoted} if promoted is not None else set())) | cohort
-            tie = promoted if promoted is not None else min(cohort)
-            return (_border_size(bn, result), tie)
+            size = math.prod(bn.card(v) for v in result(border, promoted, cohort))
+            return (size, promoted if promoted is not None else min(cohort))
 
         promoted, cohort = min(cands, key=key)
         return promoted, cohort, rule
@@ -213,7 +200,7 @@ def _rule_for_forced(bn, border, bottom, promoted):
             f"illegal forced promotion: {bn.name_of(promoted)} not in the border"
         )
     for rule in (1, 2, 3, 6):
-        for cand_promoted, cohort in _candidates_for_rule(bn, border, bottom, rule):
+        for cand_promoted, cohort in rule_candidates(bn, border, bottom, rule):
             if cand_promoted == promoted:
                 return cohort, rule
     raise BordertreeError(
@@ -221,7 +208,7 @@ def _rule_for_forced(bn, border, bottom, promoted):
     )  # pragma: no cover
 
 
-def _cohort_table(bn: BayesianNetwork, cohort: frozenset[int], border: frozenset[int]) -> Factor:
+def cohort_table(bn: BayesianNetwork, cohort: frozenset[int], border: frozenset[int]) -> Factor:
     if not cohort:
         return Factor.scalar(1.0)
     hc = bn.set_parents(cohort)
@@ -263,8 +250,8 @@ def build_chain(
             cohort, rule = _rule_for_forced(bn, border, bottom, promoted)
         else:
             promoted, cohort, rule = choose_next(bn, border, bottom)
-        table = _cohort_table(bn, cohort, border)
-        border = (border - ({promoted} if promoted is not None else frozenset())) | cohort
+        table = cohort_table(bn, cohort, border)
+        border = next_border(border, promoted, cohort)
         bottom = bottom - cohort
         steps.append(ChainStep(j, promoted, cohort, border, table, rule))
     if forced_order is not None and j + 1 != len(forced_order):

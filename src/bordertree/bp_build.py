@@ -5,24 +5,31 @@ topological order, parent edges one at a time, and each undirected loop the
 new edge closes is opened by merging the two loop-forming parent macros
 (never the recruited node itself), taking the aggregation closure, and
 absorbing further loop members while any quotient cycle remains, smallest
-post-closure state space first.
+post-closure state space first.  A union-find over the recruited edges
+tells whether an edge closes a loop, so the quotient graph is searched only
+when one does.
 
-Stage II stretches each macro-node into a border chain with the promotion
-rules of the plain border algorithm plus the cross-macro rules: stretching
-follows the macro topological order, cohorts never leave their macro,
-parent-side interface sets are kept co-located and recorded, and foreign
-parents are pulled in through one junction border per macro pair.
+Stage II stretches each macro-node into a border chain by calling the
+chain's promotion engine (:func:`~bordertree.border_chain.choose_next` and
+:func:`~bordertree.border_chain.initial_border`), and adds only the
+cross-macro rules: stretching follows the macro topological order, cohorts
+never leave their macro, parent-side interface sets are kept co-located and
+recorded (their variables are blocked from promotion until then), and
+foreign parents are pulled in through one junction border per macro pair
+(whose interface counts toward a candidate's border size).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BordertreeError, NotSinglyConnectedError
-from .factor import Factor, product_all
-from .messaging import Tree
+from .border_chain import choose_next, cohort_table, initial_border, next_border
+from .factor import Factor
+from .messaging import Tree, UnionFind
 from .network import BayesianNetwork
 
 
@@ -31,23 +38,32 @@ from .network import BayesianNetwork
 # ---------------------------------------------------------------------------
 
 
+def _reach(seeds, step) -> set[int]:
+    """Nodes reachable from ``seeds`` by one or more ``step`` moves."""
+    seen: set[int] = set()
+    stack = list(seeds)
+    while stack:
+        for u in step(stack.pop()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
 def aggregation_closure(bn: BayesianNetwork, seed) -> frozenset[int]:
     """Smallest superset of ``seed`` with every directed path between two
-    members staying inside (interiors absorbed until fixpoint)."""
-    members = set(seed)
+    members staying inside.
+
+    That is ``seed | (desc(seed) & anc(seed))``: a node on such a path
+    descends from one seed and precedes another (never the same one, in a
+    DAG), so one downward and one upward search from the seeds suffice.
+    """
+    members = frozenset(seed)
     if not members:
         raise ValueError("seed must be non-empty")
-    desc = {v: bn.descendants(v) for v in bn.ids}
-    anc = {v: bn.ancestors(v) for v in bn.ids}
-    while True:
-        add: set[int] = set()
-        for u in members:
-            for v in members:
-                if u != v and v in desc[u]:
-                    add |= (desc[u] & anc[v]) - members
-        if not add:
-            return frozenset(members)
-        members |= add
+    down = _reach(members, bn.children)
+    up = _reach(members, bn.parents.__getitem__)
+    return members | (down & up)
 
 
 @dataclass
@@ -57,11 +73,38 @@ class MacroPolytree:
     edges: frozenset[tuple[int, int]]  # quotient parent-group -> child-group
     source: BayesianNetwork
 
+    def __post_init__(self):
+        parents: list[list[int]] = [[] for _ in self.groups]
+        children: list[list[int]] = [[] for _ in self.groups]
+        for a, b in sorted(self.edges):
+            children[a].append(b)
+            parents[b].append(a)
+        self._parents = [tuple(ps) for ps in parents]
+        self._children = [tuple(cs) for cs in children]
+
     def group_parents(self, g: int) -> tuple[int, ...]:
-        return tuple(sorted({a for a, b in self.edges if b == g}))
+        return self._parents[g]
 
     def group_children(self, g: int) -> tuple[int, ...]:
-        return tuple(sorted({b for a, b in self.edges if a == g}))
+        return self._children[g]
+
+    def topological_order(self) -> list[int]:
+        """Macro indices parents first, least min-member first among the
+        ready; raises BordertreeError if the quotient has a directed cycle."""
+        indeg = [len(ps) for ps in self._parents]
+        ready = [(self.groups[g][0], g) for g, d in enumerate(indeg) if d == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            g = heapq.heappop(ready)[1]
+            order.append(g)
+            for gc in self._children[g]:
+                indeg[gc] -= 1
+                if indeg[gc] == 0:
+                    heapq.heappush(ready, (self.groups[gc][0], gc))
+        if len(order) != len(self.groups):
+            raise BordertreeError("macro quotient graph is cyclic")
+        return order
 
     def interface(self, gp: int, gc: int) -> frozenset[int]:
         """Members of gp that parent some member of gc."""
@@ -205,14 +248,17 @@ def stage1(bn: BayesianNetwork) -> MacroPolytree:
 
             blob = part.merge({blob, min(cands, key=score)})
 
+    # Variables joined by active edges; merges never join two of these
+    # components (a merged macro is a quotient cycle or a closure, whose
+    # members are linked by active edges), so a new edge closes a loop
+    # exactly when its ends are already joined.
+    linked = UnionFind()
     for tau in bn.topological_order():
         part.add(tau)
         for p in sorted(bn.parents[tau]):
             mp, mt = part.macro_of[p], part.macro_of[tau]
-            if mp == mt:
-                active_edges.add((p, tau))
-                continue
-            path = _quotient_path(part, active_edges, mp, mt)
+            loop = not linked.union(p, tau) and mp != mt
+            path = _quotient_path(part, active_edges, mp, mt) if loop else None
             active_edges.add((p, tau))
             if path is None:
                 continue
@@ -236,21 +282,9 @@ def verify_macro_polytree(mp: MacroPolytree) -> list[str]:
     """Invariant violations of a stage-I result (empty when sound)."""
     problems = []
     bn = mp.source
-    # quotient digraph acyclic
-    indeg = {g: 0 for g in range(len(mp.groups))}
-    for a, b in mp.edges:
-        indeg[b] += 1
-    ready = [g for g, d in indeg.items() if d == 0]
-    done = 0
-    while ready:
-        g = ready.pop()
-        done += 1
-        for a, b in mp.edges:
-            if a == g:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    ready.append(b)
-    if done != len(mp.groups):
+    try:
+        mp.topological_order()
+    except BordertreeError:
         problems.append("quotient digraph has a directed cycle")
     try:
         Tree(range(len(mp.groups)), sorted(mp.edges))
@@ -339,7 +373,8 @@ class BorderPolytree:
 
 
 class _MacroStretcher:
-    """Stretches one macro-node into borders, honoring rules 9-13."""
+    """Stretches one macro-node into borders: the chain's promotion engine
+    (:func:`~bordertree.border_chain.choose_next`) plus rules 9-13."""
 
     def __init__(self, builder: "_Stage2Builder", g: int):
         self.b = builder
@@ -357,27 +392,15 @@ class _MacroStretcher:
 
     # -- helpers ---------------------------------------------------------
 
-    def _blocked(self, v: int) -> bool:
-        for gc, s in self.own_ifaces.items():
-            if v in s and (self.g, gc) not in self.b.recorded:
-                return True
-        return False
+    def _blocked(self) -> frozenset[int]:
+        """Interface variables not yet co-located for their child macro."""
+        waiting = [s for gc, s in self.own_ifaces.items() if (self.g, gc) not in self.b.recorded]
+        return frozenset().union(*waiting)
 
     def _record_interfaces(self):
         for gc, s in self.own_ifaces.items():
             if (self.g, gc) not in self.b.recorded and s <= self.vars:
                 self.b.recorded[(self.g, gc)] = self.tip
-
-    def _bottom_ancestors(self, seeds) -> set[int]:
-        out: set[int] = set()
-        stack = list(seeds)
-        while stack:
-            v = stack.pop()
-            for p in self.bn.parents[v]:
-                if p in self.bottom and p not in out:
-                    out.add(p)
-                    stack.append(p)
-        return out
 
     def _foreign_needed(self, cohort) -> list[int]:
         """Parent macros whose interface must be junctioned for this cohort."""
@@ -394,69 +417,14 @@ class _MacroStretcher:
                 gps.add(gp)
         return sorted(gps, key=lambda gp: self.b.recorded[(gp, self.g)])
 
-    def _result_vars(self, promoted, cohort) -> frozenset[int]:
-        vars = set(self.vars)
+    def _result_vars(self, border, promoted, cohort) -> frozenset[int]:
+        """The border a promotion leaves, with any junctioned interfaces."""
+        vars = set(border)
         for gp in self._foreign_needed(cohort):
             vars |= self.mp.interface(gp, self.g)
         if promoted is not None:
             vars.discard(promoted)
         return frozenset(vars | set(cohort))
-
-    # -- rule candidates ---------------------------------------------------
-
-    def _candidates(self, rule: int):
-        bn, bottom = self.bn, self.bottom
-        out = []
-        if rule == 1:
-            for v in self.vars:
-                if not (set(bn.children(v)) & bottom) and not self._blocked(v):
-                    out.append((v, frozenset()))
-        elif rule in (2, 3):
-            for v in self.vars:
-                kids = set(bn.children(v)) & bottom
-                if not kids or self._blocked(v):
-                    continue
-                cops = (bn.set_parents(kids) - {v}) & bottom
-                if rule == 2 and not cops:
-                    out.append((v, frozenset(kids)))
-                elif rule == 3 and cops and all(
-                    not (set(bn.parents[k]) & bottom) for k in cops
-                ):
-                    out.append((v, frozenset(kids | cops)))
-        elif rule == 4:
-            for v in bottom:
-                if bn.parents[v] and not (set(bn.parents[v]) & bottom):
-                    out.append((None, frozenset({v})))
-        elif rule == 5:
-            for v in bottom:
-                if not bn.parents[v]:
-                    out.append((None, frozenset({v})))
-        elif rule == 6:
-            for v in self.vars:
-                kids = set(bn.children(v)) & bottom
-                if kids and not self._blocked(v):
-                    out.append((v, frozenset(kids | self._bottom_ancestors(kids))))
-        elif rule == 7:
-            for v in bottom:
-                out.append((None, frozenset({v} | self._bottom_ancestors([v]))))
-        return out
-
-    def _choose(self):
-        for rule in range(1, 8):
-            cands = self._candidates(rule)
-            if not cands:
-                continue
-
-            def key(cand):
-                promoted, cohort = cand
-                tie = promoted if promoted is not None else min(cohort)
-                return (_statespace(self.bn, self._result_vars(*cand)), tie)
-
-            promoted, cohort = min(cands, key=key)
-            return promoted, cohort, rule
-        raise BordertreeError(
-            f"macro {self.g}: no applicable promotion rule"
-        )  # pragma: no cover
 
     # -- border emission ---------------------------------------------------
 
@@ -507,24 +475,17 @@ class _MacroStretcher:
             )
         )
 
-    def _emit_type1(self, promoted, cohort, root=False):
-        table = product_all(self.bn.cpts[v] for v in sorted(cohort))
-        hc = self.bn.set_parents(cohort)
-        if not root and not hc <= self.vars:
-            raise BordertreeError(
-                f"cohort parents {self.bn.names(hc - self.vars)} escape border"
-            )  # pragma: no cover
-        members = (self.vars - ({promoted} if promoted is not None else set())) | cohort
+    def _emit_type1(self, promoted, cohort):
         self._emit(
             Border(
                 id=len(self.b.borders),
-                members=frozenset(members),
+                members=next_border(self.vars, promoted, cohort),
                 kind="type1",
                 owner=self.g,
                 parents=(self.tip,) if self.tip is not None else (),
                 promoted=promoted,
                 cohort=frozenset(cohort),
-                cohort_table=table,
+                cohort_table=cohort_table(self.bn, cohort, self.vars),
             )
         )
         self.bottom -= set(cohort)
@@ -540,8 +501,8 @@ class _MacroStretcher:
                 f"macro {self.g} has no internal root"
             )  # pragma: no cover - induced graph of a DAG
         if not self.mp.group_parents(self.g):
-            b0 = _induced_initial_border(self.bn, self.members)
-            self._emit_type1(None, frozenset(b0), root=True)
+            b0 = initial_border(self.bn, self.members)
+            self._emit_type1(None, b0)
             return
         starter = internal_roots[0]
         if self.bn.parents[starter]:
@@ -551,41 +512,13 @@ class _MacroStretcher:
     def run(self):
         self._start()
         while self.bottom:
-            promoted, cohort, _rule = self._choose()
+            promoted, cohort, _rule = choose_next(
+                self.bn, self.vars, self.bottom, self._blocked(), self._result_vars
+            )
             gps = self._foreign_needed(cohort)
             if gps:
                 self._junction(gps)
-            self._emit_type1(promoted, cohort, root=self.tip is None and promoted is None)
-
-
-def _induced_initial_border(bn: BayesianNetwork, members: set[int]) -> frozenset[int]:
-    """Co-parentless set of roots of the subgraph induced by a parentless
-    macro (falls back to all its roots, mirroring ``initial_border``)."""
-    roots = frozenset(v for v in members if not bn.parents[v])
-
-    def co_parents(subset: frozenset[int]) -> frozenset[int]:
-        h = {p for v in subset for p in bn.parents[v] if p in members} - subset
-        kids = {
-            c for v in subset for c in bn.children(v) if c in members
-        } - subset - h
-        cops = {p for c in kids for p in bn.parents[c] if p in members}
-        return frozenset(cops - subset - kids)
-
-    current = frozenset({min(roots)})
-    seen: set[frozenset[int]] = set()
-    while current not in seen:
-        seen.add(current)
-        cops = co_parents(current)
-        if not cops:
-            return current
-        root_cops = cops & roots
-        if root_cops:
-            current |= root_cops
-            continue
-        k = min(cops)
-        anc = frozenset(v for v in bn.ancestors(k) if v in members and not bn.parents[v])
-        current = anc or frozenset({k})
-    return roots
+            self._emit_type1(promoted, cohort)
 
 
 class _Stage2Builder:
@@ -597,22 +530,7 @@ class _Stage2Builder:
         self.junctioned: set[tuple[int, int]] = set()
 
     def run(self) -> BorderPolytree:
-        # Macro topological order, lowest min-member-id first among ready.
-        n = len(self.mp.groups)
-        indeg = {g: len(self.mp.group_parents(g)) for g in range(n)}
-        ready = sorted((g for g in range(n) if indeg[g] == 0), key=lambda g: self.mp.groups[g][0])
-        order = []
-        while ready:
-            g = ready.pop(0)
-            order.append(g)
-            for gc in self.mp.group_children(g):
-                indeg[gc] -= 1
-                if indeg[gc] == 0:
-                    ready.append(gc)
-            ready.sort(key=lambda x: self.mp.groups[x][0])
-        if len(order) != n:
-            raise BordertreeError("macro quotient graph is cyclic")
-        for g in order:
+        for g in self.mp.topological_order():
             _MacroStretcher(self, g).run()
         interfaces = {
             (gp, gc): (self.mp.interface(gp, gc), self.recorded[(gp, gc)])

@@ -31,6 +31,29 @@ from .errors import BordertreeError, NotSinglyConnectedError
 Node = Hashable
 
 
+class UnionFind:
+    """Disjoint sets of hashable items, with path halving."""
+
+    def __init__(self):
+        self.rep: dict[Node, Node] = {}
+
+    def find(self, x: Node) -> Node:
+        rep = self.rep
+        rep.setdefault(x, x)
+        while rep[x] != x:
+            rep[x] = rep[rep[x]]
+            x = rep[x]
+        return x
+
+    def union(self, a: Node, b: Node) -> bool:
+        """Join the sets of a and b; False if they were one set already."""
+        a, b = self.find(a), self.find(b)
+        if a == b:
+            return False
+        self.rep[a] = b
+        return True
+
+
 class Tree:
     """Directed polytree: parent->child edges whose undirected form is acyclic."""
 
@@ -53,19 +76,10 @@ class Tree:
         self._check_acyclic()
 
     def _check_acyclic(self):
-        rep = {n: n for n in self.nodes}
-
-        def find(x):
-            while rep[x] != x:
-                rep[x] = rep[rep[x]]
-                x = rep[x]
-            return x
-
+        linked = UnionFind()
         for p, c in self.edges:
-            a, b = find(p), find(c)
-            if a == b:
+            if not linked.union(p, c):
                 raise NotSinglyConnectedError(f"undirected cycle through {p!r}")
-            rep[a] = b
 
     def neighbors(self, v: Node) -> list[Node]:
         return [*self.parents[v], *self.children[v]]

@@ -8,8 +8,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CycleError
+from .errors import CycleError, NotSinglyConnectedError
 from .factor import Factor, sum_out
+from .messaging import Tree
 
 
 @dataclass(frozen=True)
@@ -196,20 +197,10 @@ class BayesianNetwork:
 
     def is_singly_connected(self) -> bool:
         """True iff each connected component has no undirected cycle."""
-        parent = list(range(len(self.variables)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for v in self.ids:
-            for p in self.parents[v]:
-                a, b = find(v), find(p)
-                if a == b:
-                    return False
-                parent[a] = b
+        try:
+            Tree(self.ids, ((p, v) for v in self.ids for p in self.parents[v]))
+        except NotSinglyConnectedError:
+            return False
         return True
 
     def names(self, xs: Iterable[int]) -> tuple[str, ...]:

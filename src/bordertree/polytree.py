@@ -42,14 +42,13 @@ def node_priors(bn: BayesianNetwork) -> dict[int, Factor]:
 
 class PolytreeEngine:
     def __init__(self, bn: BayesianNetwork, hubs: Optional[Iterable[int]] = None):
-        if not bn.is_singly_connected():
+        try:
+            self.tree = Tree(bn.ids, [(p, v) for v in bn.ids for p in bn.parents[v]])
+        except NotSinglyConnectedError:
             raise NotSinglyConnectedError(
                 "network has an undirected loop; use the border polytree engine"
-            )
+            ) from None
         self.bn = bn
-        self.tree = Tree(
-            bn.ids, [(p, v) for v in bn.ids for p in bn.parents[v]]
-        )
         self.hub_index: HubIndex = build_hub_index(self.tree, hubs)
         self.priors = node_priors(bn)
 

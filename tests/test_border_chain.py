@@ -42,6 +42,13 @@ class TestInitialBorder:
         )
         assert initial_border(bn) == {bn.id_of("X")}
 
+    def test_members_limit_the_search(self):
+        # u co-parents w with x in the whole network, but not inside the
+        # parentless part {x}.
+        bn = zoo.build_network([("x", 2, []), ("u", 2, []), ("w", 2, ["x", "u"])])
+        assert names(bn, initial_border(bn)) == {"x", "u"}
+        assert names(bn, initial_border(bn, {bn.id_of("x")})) == {"x"}
+
     def test_random_dags_coparentless_or_provably_impossible(self, rng):
         for _ in range(60):
             bn = random_dag(rng, 3, 9, 2)
@@ -91,6 +98,13 @@ class TestChooseNext:
         assert promoted is None and rule == 4
         assert names(bn, cohort) == {"v"}
 
+    def test_blocked_variable_not_promoted(self, bn_a):
+        border = initial_border(bn_a)
+        bottom = frozenset(bn_a.ids) - border
+        blocked = {bn_a.id_of("A")}
+        promoted, cohort, rule = choose_next(bn_a, border, bottom, blocked)
+        assert promoted not in blocked
+
 
 class TestBuildChain:
     def test_forced_order_reproduces_table(self, bn_a):
@@ -112,6 +126,39 @@ class TestBuildChain:
             assert (row["V"], row["C"], row["B"], row["phi"], row["rule"]) == (
                 v, c, b, phi, rule
             )
+
+    def test_bn_c_unforced_rows(self, bn_c):
+        # Step 15 promotes U by rule 2: no bottom variable parents a child of
+        # U.  (Counting only the parents of U's bottom children, as stage II
+        # once did, would have let M be promoted with P and Q instead.)
+        rows = [tuple(r.values()) for r in chain_rows(build_chain(bn_c))]
+        assert rows == [
+            (0, "-", "A", "A", "A", "-"),
+            (1, "A", "B,C", "B,C", "B,C|A", "2"),
+            (2, "B", "D,F", "C,D,F", "D,F|B,C", "2"),
+            (3, "D", "H", "C,F,H", "H|D,F", "2"),
+            (4, "H", "I", "C,F,I", "I|F,H", "2"),
+            (5, "I", "-", "C,F", "1", "1"),
+            (6, "-", "G", "C,G,F", "G", "5"),
+            (7, "-", "K", "C,G,K,F", "K", "5"),
+            (8, "K", "L", "C,G,L,F", "L|K", "2"),
+            (9, "C", "N,O", "G,L,N,F,O", "N,O|C,G,L", "3"),
+            (10, "G", "-", "L,N,F,O", "1", "1"),
+            (11, "L", "R,S,T", "N,F,O,R,S,T", "R,S,T|L", "3"),
+            (12, "R", "U", "N,F,O,S,T,U", "U|R", "2"),
+            (13, "S", "M", "M,N,F,O,T,U", "M|S", "2"),
+            (14, "T", "V", "M,N,F,O,U,V", "V|T", "2"),
+            (15, "U", "Q,X", "M,N,Q,F,O,V,X", "Q,X|M,U,V", "2"),
+            (16, "M", "P", "N,P,Q,F,O,V,X", "P|M,N,Q", "2"),
+            (17, "N", "-", "P,Q,F,O,V,X", "1", "1"),
+            (18, "Q", "-", "P,F,O,V,X", "1", "1"),
+            (19, "P", "J", "F,O,V,X,J", "J|P,F,O", "2"),
+            (20, "F", "-", "O,V,X,J", "1", "1"),
+            (21, "O", "-", "V,X,J", "1", "1"),
+            (22, "J", "-", "V,X", "1", "1"),
+            (23, "V", "Y", "X,Y", "Y|V", "2"),
+            (24, "X", "Z", "Y,Z", "Z|X,Y", "2"),
+        ]
 
     def test_directed_chain_borders_are_singletons(self):
         bn = zoo.build_network(

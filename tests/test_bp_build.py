@@ -1,6 +1,7 @@
 """Stage I (macro-node polytrees) and Stage II (border polytrees)."""
 
 import numpy as np
+import pytest
 
 from bordertree.bp_build import (
     Border,
@@ -13,7 +14,10 @@ from bordertree.bp_build import (
     verify_bp,
     verify_macro_polytree,
 )
-from bordertree.border_chain import build_chain
+from bordertree.bnformat import parse_evidence
+from bordertree.bp_infer import BorderSession, preload_priors
+from bordertree.border_chain import build_chain, chain_rows
+from bordertree.network import EvidenceSet
 from bordertree.randgen import random_dag, random_polytree
 from bordertree import zoo
 
@@ -26,7 +30,31 @@ def errors(bp):
     return [d for d in verify_bp(bp) if d.severity == "error"]
 
 
+def fixpoint_closure(bn, seed):
+    """Reference aggregation closure: absorb the interiors of directed paths
+    between members until nothing changes."""
+    members = set(seed)
+    desc = {v: bn.descendants(v) for v in bn.ids}
+    anc = {v: bn.ancestors(v) for v in bn.ids}
+    while True:
+        add = set()
+        for u in members:
+            for v in members:
+                if u != v and v in desc[u]:
+                    add |= (desc[u] & anc[v]) - members
+        if not add:
+            return frozenset(members)
+        members |= add
+
+
 class TestAggregationClosure:
+    def test_matches_fixpoint_reference(self, rng):
+        for _ in range(200):
+            bn = random_dag(rng, 3, 14, 2)
+            k = int(rng.integers(1, min(5, len(bn)) + 1))
+            seed = [int(v) for v in rng.choice(len(bn), size=k, replace=False)]
+            assert aggregation_closure(bn, seed) == fixpoint_closure(bn, seed)
+
     def test_absorbs_path_interiors(self, bn_a):
         seed = {bn_a.id_of("A"), bn_a.id_of("H")}
         got = aggregation_closure(bn_a, seed)
@@ -167,6 +195,151 @@ class TestStage2:
                 continue
             for v in b.cohort:
                 assert mp.membership[v] == b.owner or not bn_c.parents[v]
+
+
+    def test_child_parenting_a_sibling_blocks_rule_2(self):
+        # In the upstream macro a's children b, c, d are all unrecruited, and
+        # b parents c, c parents d.  Like the chain, stage II counts b and c
+        # as bottom co-parents of a: a is not promoted at once with cohort
+        # b,c,d (rule 2); b is recruited alone (rule 4), then a is promoted
+        # with cohort c,d (rule 3).
+        bn = zoo.build_network(
+            [
+                ("a", 2, []),
+                ("b", 2, ["a"]),
+                ("c", 2, ["a", "b"]),
+                ("d", 2, ["a", "c"]),
+                ("e", 2, ["b", "d"]),
+            ]
+        )
+        bp = build_border_polytree(bn)
+        assert not errors(bp)
+        upstream = bp.macro.membership[bn.id_of("a")]
+        stretched = [b.members for b in bp.borders if b.owner == upstream]
+        assert [set(bn.names(m)) for m in stretched] == [{"a"}, {"a", "b"}, {"b", "c", "d"}]
+        chain = build_chain(bn)
+        assert stretched == [s.border for s in chain.steps[:3]]
+        assert [r["rule"] for r in chain_rows(chain)[1:3]] == ["4", "3"]
+
+
+# describe() rows of the fixtures' border polytrees and the default pivot of
+# a session observing each single variable (value 0).
+PINNED = {
+    "bn_a": (
+        [
+            (0, "type1", "A", 0, "-", "-", "A"),
+            (1, "type1", "A,B", 0, "0", "-", "B"),
+            (2, "type1", "B,C,D,F", 1, "1", "A", "C,D,F"),
+            (3, "type1", "G", 2, "-", "-", "G"),
+            (4, "type2", "C,D,F", 3, "2", "-", "-"),
+            (5, "type1", "D,F,H", 3, "4", "C", "H"),
+            (6, "type1", "F,H,I", 3, "5", "D", "I"),
+            (7, "type2", "G,H", 4, "3,5", "-", "-"),
+            (8, "type1", "H,J", 4, "7", "G", "J"),
+            (9, "type2", "H,I", 5, "6", "-", "-"),
+            (10, "type1", "I,K", 5, "9", "H", "K"),
+            (11, "type2", "I", 6, "6", "-", "-"),
+            (12, "type1", "L", 6, "11", "I", "L"),
+        ],
+        "A:0 B:1 C:2 D:2 F:2 G:3 H:5 I:6 J:8 K:10 L:12",
+    ),
+    "polytree_b": (
+        [
+            (0, "type1", "A", 0, "-", "-", "A"),
+            (1, "type1", "B", 1, "0", "A", "B"),
+            (2, "type1", "K", 7, "-", "-", "K"),
+            (3, "type1", "L3", 9, "-", "-", "L3"),
+            (4, "type1", "C", 2, "3", "L3", "C"),
+            (5, "type2", "A,C", 3, "0,4", "-", "-"),
+            (6, "type1", "C,D", 3, "5", "A", "D"),
+            (7, "type1", "H", 4, "4", "C", "H"),
+            (8, "type1", "L4", 10, "7", "H", "L4"),
+            (9, "type2", "D,K", 13, "2,6", "-", "-"),
+            (10, "type1", "K,M", 13, "9", "D", "M"),
+            (11, "type1", "P", 15, "-", "-", "P"),
+            (12, "type2", "M,P", 5, "10,11", "-", "-"),
+            (13, "type1", "I,P", 5, "12", "M", "I"),
+            (14, "type2", "I", 6, "13", "-", "-"),
+            (15, "type1", "J", 6, "14", "I", "J"),
+            (16, "type1", "L1", 8, "15", "J", "L1"),
+            (17, "type1", "R8", 16, "3", "L3", "R8"),
+            (18, "type1", "R12", 17, "-", "-", "R12"),
+            (19, "type2", "D,R12", 14, "6,18", "-", "-"),
+            (20, "type1", "N,R12", 14, "19", "D", "N"),
+            (21, "type2", "N", 11, "20", "-", "-"),
+            (22, "type1", "L9", 11, "21", "N", "L9"),
+            (23, "type2", "N", 12, "20", "-", "-"),
+            (24, "type1", "L10", 12, "23", "N", "L10"),
+        ],
+        "A:0 B:1 C:4 D:6 H:7 I:13 J:15 K:2 L1:16 L3:3 L4:8 L9:22 L10:24 M:10 N:20 "
+        "P:11 R8:17 R12:18",
+    ),
+    "bn_c": (
+        [
+            (0, "type1", "A", 0, "-", "-", "A"),
+            (1, "type1", "B,C", 1, "0", "A", "B,C"),
+            (2, "type1", "G", 2, "-", "-", "G"),
+            (3, "type1", "K", 3, "-", "-", "K"),
+            (4, "type1", "L", 4, "3", "K", "L"),
+            (5, "type1", "R", 7, "-", "-", "R"),
+            (6, "type1", "T", 8, "-", "-", "T"),
+            (7, "type2", "L,R,T", 5, "4,5,6", "-", "-"),
+            (8, "type1", "N,R,S,T", 5, "7", "L", "N,S"),
+            (9, "type1", "N,S,T,U", 5, "8", "R", "U"),
+            (10, "type1", "M,N,T,U", 5, "9", "S", "M"),
+            (11, "type1", "M,N,U,V", 5, "10", "T", "V"),
+            (12, "type1", "M,N,U", 5, "11", "V", "-"),
+            (13, "type1", "M,N,Q", 5, "12", "U", "Q"),
+            (14, "type1", "N,P,Q", 6, "13", "M", "P"),
+            (15, "type1", "N,P", 6, "14", "Q", "-"),
+            (16, "type2", "B,C,G,N,P", 6, "15,1,2", "-", "-"),
+            (17, "type1", "B,C,G,P,O", 6, "16", "N", "O"),
+            (18, "type1", "B,C,P,O", 6, "17", "G", "-"),
+            (19, "type1", "B,P,F,O", 6, "18", "C", "F"),
+            (20, "type1", "B,F,O", 6, "19", "P", "-"),
+            (21, "type1", "B,F", 6, "20", "O", "-"),
+            (22, "type1", "D,F", 6, "21", "B", "D"),
+            (23, "type1", "F,H", 6, "22", "D", "H"),
+            (24, "type2", "U,V", 9, "11", "-", "-"),
+            (25, "type1", "V,X", 9, "24", "U", "X"),
+            (26, "type1", "X,Y", 9, "25", "V", "Y"),
+            (27, "type1", "Y,Z", 10, "26", "X", "Z"),
+            (28, "type1", "H,I", 11, "23", "F", "I"),
+            (29, "type2", "P,F,O", 12, "19", "-", "-"),
+            (30, "type1", "F,O,J", 12, "29", "P", "J"),
+        ],
+        "A:0 B:1 C:1 G:2 K:3 L:4 M:10 N:8 P:14 Q:13 D:22 F:19 H:23 O:17 R:5 S:8 "
+        "T:6 U:9 V:11 X:25 Y:26 Z:27 I:28 J:30",
+    ),
+}
+
+
+class TestPinnedFixtures:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_border_rows_and_default_pivots(self, name):
+        bn = getattr(zoo, name)()
+        bp = build_border_polytree(bn)
+        preload_priors(bp)
+        rows, pivots = PINNED[name]
+        assert [tuple(r.values()) for r in bp.describe()] == rows
+        got = []
+        for v in bn.ids:
+            session = BorderSession(bp, EvidenceSet(bn, {v: {0}}))
+            (pivot,) = session.pivots.values()
+            got.append(f"{bn.name_of(v)}:{pivot}")
+        assert " ".join(got) == pivots
+
+    def test_fixture_evidence_pivots(self):
+        for name, ev, pivot, core in [
+            ("bn_a", "H=h0,K=k1", 9, [9, 10]),
+            ("bn_c", "B=b0,O=o1,Q=q0", 17, [14, 15, 16, 17]),
+        ]:
+            bn = getattr(zoo, name)()
+            bp = build_border_polytree(bn)
+            preload_priors(bp)
+            session = BorderSession(bp, parse_evidence(ev, bn))
+            assert session.pivots == {0: pivot}
+            assert sorted(session.core_nodes) == core
 
 
 class TestVerifyBp:

@@ -5,6 +5,7 @@ import pytest
 from bordertree.errors import BordertreeError, NotSinglyConnectedError
 from bordertree.messaging import (
     Tree,
+    UnionFind,
     build_hub_index,
     collection_schedule,
     core_by_pruning,
@@ -38,6 +39,12 @@ class TestTree:
     def test_rejects_parallel_edge(self):
         with pytest.raises(NotSinglyConnectedError):
             Tree([0, 1], [(0, 1), (1, 0)])
+
+    def test_union_find_reports_first_join_only(self):
+        linked = UnionFind()
+        assert linked.union(0, 1) and linked.union(2, 3) and linked.union(1, 3)
+        assert not linked.union(0, 2)
+        assert linked.find(0) == linked.find(3) != linked.find(4)
 
     def test_disconnected_pair(self):
         t = Tree([0, 1, 2, 3], [(0, 1), (2, 3)])

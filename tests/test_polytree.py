@@ -18,7 +18,7 @@ def engine(poly_b=None):
 
 
 def test_rejects_multiply_connected(bn_a):
-    with pytest.raises(NotSinglyConnectedError):
+    with pytest.raises(NotSinglyConnectedError, match="use the border polytree engine"):
         PolytreeEngine(bn_a)
 
 
