@@ -42,7 +42,7 @@ from .bp_build import (
     verify_bp,
     verify_macro_polytree,
 )
-from .bp_infer import BorderSession, asynchronous_sweep, bp_query, preload_priors
+from .bp_infer import BorderSession, bp_query, preload_priors
 from .errors import (
     BnFormatError,
     BordertreeError,

@@ -7,7 +7,7 @@ mass border by border toward the last border, the upward pass pulls
 likelihoods back toward the first, and any border containing the query
 yields the same posterior.
 
-The promotion engine here (rules 1-7, the initial-border search and the
+The promotion engine here (rules 1-6, the initial-border search and the
 state-space tie-break) is the only copy of the plain border algorithm:
 stage II of :mod:`bordertree.bp_build` calls it inside each macro-node.
 """
@@ -156,9 +156,6 @@ def rule_candidates(bn, border, bottom, rule, blocked=frozenset()):
         for v in bottom:
             if not bn.parents[v]:
                 out.append((None, frozenset({v})))
-    elif rule == 7:
-        for v in bottom:
-            out.append((None, frozenset({v}) | bottom_ancestors(bn, [v], bottom)))
     return out
 
 
@@ -173,13 +170,15 @@ def choose_next(
     blocked=frozenset(),
     result=next_border,
 ) -> tuple[Optional[int], frozenset[int], int]:
-    """First applicable rule in order 1..7; ties broken by the state-space
+    """First applicable rule in order 1..5; ties broken by the state-space
     size of the resulting border, ``result(border, promoted, cohort)``, then
-    by lowest variable id.  Rule 7 offers a candidate for every bottom
-    variable, so some rule always applies."""
+    by lowest variable id.  A non-empty bottom part has a variable with no
+    bottom parent (the network is acyclic), and that variable satisfies
+    rule 4 or rule 5, so some rule always applies and rules 6 and 7 are
+    never reached here (forced-order replay still uses rule 6)."""
     if not bottom:
         raise ValueError("bottom part is empty; chain is complete")
-    for rule in range(1, 8):
+    for rule in range(1, 6):
         cands = rule_candidates(bn, border, bottom, rule, blocked)
         if not cands:
             continue

@@ -19,7 +19,6 @@ from .errors import BordertreeError
 from .factor import (
     Factor,
     contract,
-    divide,
     indicator,
     marginal_to,
     multiply,
@@ -75,7 +74,6 @@ class BorderSession:
         ev=NO_EVIDENCE,
         pivot: Optional[int] = None,
         store: Optional[dict] = None,
-        use_division: Optional[bool] = False,
     ):
         if bp.priors is None:
             preload_priors(bp)
@@ -83,14 +81,12 @@ class BorderSession:
         self.bn = bp.source
         self.ev = ev
         self.store = store if store is not None else {}
-        self.use_division = use_division
         self.tree: Tree = bp.tree()
         self.index = self.tree.index
         self.sent = 0
         self.collected = 0
         self._pi_cache: dict[int, Factor] = {}
         self._lambda_cache: dict[int, Factor] = {}
-        self._hfull_cache: dict[int, Factor] = {}
         # (evidence variable, its home borders, one of them): side fingerprints
         self._ev_homes = [
             (v, frozenset(bp.variable_home[v]), bp.variable_home[v][0]) for v in ev.vars
@@ -235,15 +231,6 @@ class BorderSession:
         # evidence on that side is confined to the shared variables.
         return self._prior_r(p)
 
-    def _peek_pi_edge(self, p: int, c: int) -> Optional[Factor]:
-        """Stored or boundary downward message, None if not yet available."""
-        msg = self.store.get(self._store_key(p, c, "pi"))
-        if msg is not None:
-            return msg
-        if self._side_has_core(p, c):
-            return None
-        return self._prior_r(p)
-
     def get_lambda_edge(self, p: int, c: int) -> Factor:
         key = self._store_key(p, c, "lambda")
         msg = self.store.get(key)
@@ -255,11 +242,8 @@ class BorderSession:
             )  # pragma: no cover
         return self._indicator(p)
 
-    def compute_pi_edge(self, p: int, c: int, lam_hint: Optional[Factor] = None) -> Factor:
-        if lam_hint is not None:
-            lams = [lam_hint]
-        else:
-            lams = [self.get_lambda_edge(p, w) for w in self.tree.children[p] if w != c]
+    def compute_pi_edge(self, p: int, c: int) -> Factor:
+        lams = [self.get_lambda_edge(p, w) for w in self.tree.children[p] if w != c]
         f = contract([self.pi_border(p), *lams], self.bp.borders[p].members)
         self.store[self._store_key(p, c, "pi")] = f
         return f
@@ -277,31 +261,9 @@ class BorderSession:
         return f
 
     def _junction_lambda(self, b: Border, p: int, lam: Factor) -> Factor:
-        """Upward message of a junction border toward parent p.
-
-        Default: nested single-parent sums (multiply one parent message,
-        marginalize it away, repeat).  With division enabled, the product of
-        all parent messages is built once per border and each parent's
-        share is divided back out; entries equal the nested form wherever
-        the divisor is strictly positive.
-        """
-        division = self.use_division
-        if division is None or division:
-            own = self._peek_pi_edge(p, b.id)
-            if own is not None and own.values.size and float(own.values.min()) > 0.0:
-                full = self._hfull_cache.get(b.id)
-                if full is None:
-                    full = lam
-                    for pid in b.parents:
-                        full = multiply(full, self.get_pi_edge(pid, b.id))
-                    self._hfull_cache[b.id] = full
-                f = divide(full, own)
-                drop = set(f.scope) - self.bp.borders[p].members
-                return sum_out(f, drop) if drop else f
-            if division:
-                raise ZeroDivisionError(
-                    "division shortcut needs a strictly positive parent message"
-                )
+        """Upward message of a junction border toward parent p: nested
+        single-parent sums (multiply one other parent's message, marginalize
+        what that parent holds away, repeat)."""
         f = lam
         for pid in b.parents:
             if pid == p:
@@ -372,61 +334,4 @@ def bp_query(
     if queries is None:
         queries = list(bp.source.ids)
     posteriors = {q: session.posterior(q)[1] for q in queries}
-    return posteriors, session.evidence_prob()
-
-
-def asynchronous_sweep(
-    bp: BorderPolytree,
-    ev=NO_EVIDENCE,
-    pivot: Optional[int] = None,
-    use_division: Optional[bool] = None,
-) -> tuple[dict[int, Factor], float]:
-    """Inform every border (messages fanned out without a goal), then read a
-    posterior for every variable off its first home border.
-
-    When a border has several children, the product of all their upward
-    messages is reused per child by division when the divisor is strictly
-    positive (``use_division``: None = auto, False = always re-multiply).
-    """
-    session = BorderSession(bp, ev, pivot=pivot, use_division=use_division)
-    tree = session.tree
-
-    def lam_for_child(bid: int, child: int, lam_full: Factor) -> Factor:
-        division = session.use_division
-        if division is None or division:
-            child_msg = session.get_lambda_edge(bid, child)
-            try:
-                return divide(lam_full, child_msg)
-            except ZeroDivisionError:
-                if division:
-                    raise
-        lams = [session.get_lambda_edge(bid, w) for w in tree.children[bid] if w != child]
-        return contract([session._indicator(bid), *lams], bp.borders[bid].members)
-
-    for comp in sorted(session.index.members):
-        start = session.pivots.get(comp, comp)
-        informed = session.informed_in.setdefault(comp, set())
-        seen = {start}
-        queue = [start]
-        while queue:
-            v = queue.pop(0)
-            informed.add(v)
-            lam_full = session.lambda_border(v)
-            for u in sorted(tree.neighbors(v)):
-                if u in seen:
-                    continue
-                seen.add(u)
-                if tree.has_edge(v, u):
-                    key = session._store_key(v, u, "pi")
-                    if key not in session.store:
-                        session.compute_pi_edge(v, u, lam_hint=lam_for_child(v, u, lam_full))
-                        session.sent += 1
-                else:
-                    session._send(v, u)
-                queue.append(u)
-
-    posteriors = {}
-    for v in bp.source.ids:
-        _, post = session.posterior(v)
-        posteriors[v] = post
     return posteriors, session.evidence_prob()

@@ -258,13 +258,14 @@ def normalize(f: Factor) -> tuple[Factor, float]:
 def divide(f: Factor, g: Factor) -> Factor:
     """Pointwise quotient f/g with g broadcast over f's scope.
 
-    Requires scope(g) ⊆ scope(f) and strictly positive g entries; used only
-    by the guarded division shortcut in the asynchronous sweep.
+    Requires scope(g) ⊆ scope(f) and strictly positive g entries.  No
+    engine calls it: messages are re-multiplied instead, which needs no
+    guard against zero entries.
     """
     if not set(g.scope) <= set(f.scope):
         raise ValueError("divisor scope must be contained in dividend scope")
     if g.values.size and g.values.min() <= 0.0:
-        raise ZeroDivisionError("division shortcut requires strictly positive divisor")
+        raise ZeroDivisionError("divisor must be strictly positive")
     if not g.scope:
         return Factor(f.scope, f.cards, f.values / float(g.values))
     pos = {v: k for k, v in enumerate(f.scope)}

@@ -11,10 +11,16 @@ per-message and per-query geometry no longer searches the whole tree.
 Path finding also offers the hub method (pre-loaded hub-to-hub and
 node-to-hub paths, loops erased), with the index path as its fallback;
 plain BFS (:meth:`Tree.bfs_path`, :meth:`Tree.component_of`) stays as the
-reference the index is tested against.  Evidential cores are the smallest
-subtrees covering marked nodes; collection schedules orient core edges
-toward a pivot, and distribution schedules walk from the gate of the
-informed set out to a target.
+reference the index is tested against.
+
+An evidential core is the smallest subtree meeting every group of nodes
+(:func:`smallest_hitting_core`): the home borders of each evidence
+variable for the border engine, one node per evidence variable for the
+node engine (:func:`evidential_core`).  Groups must be connected, as
+running intersection makes home sets; then one linear leaf-pruning pass
+finds the unique minimum, or the least node common to every group.
+Collection schedules orient core edges toward a pivot, and distribution
+schedules walk from the gate of the informed set out to a target.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product as _product
 from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import BordertreeError, NotSinglyConnectedError
@@ -311,15 +316,6 @@ class EvidentialCore:
     roots: frozenset[Node]  # no parent inside the core
     leaves: frozenset[Node]  # no child inside the core
 
-    def degree(self, v: Node) -> int:
-        return sum(1 for p, c in self.edges if v in (p, c))
-
-    def endpoints(self) -> frozenset[Node]:
-        """Undirected path ends of the core (all marked by construction)."""
-        if len(self.nodes) == 1:
-            return self.nodes
-        return frozenset(v for v in self.nodes if self.degree(v) <= 1)
-
 
 def _core_from_nodes(tree: Tree, nodes: set[Node]) -> EvidentialCore:
     edges = frozenset((p, c) for c in nodes for p in tree.parents[c] if p in nodes)
@@ -329,52 +325,27 @@ def _core_from_nodes(tree: Tree, nodes: set[Node]) -> EvidentialCore:
 
 
 def evidential_core(tree: Tree, marked: Iterable[Node]) -> EvidentialCore:
-    """Smallest subtree containing all marked nodes (union of pairwise paths)."""
-    marked = list(dict.fromkeys(marked))
-    if not marked:
-        raise ValueError("marked set must be non-empty")
-    base = marked[0]
-    nodes: set[Node] = {base}
-    for m in marked[1:]:
-        nodes.update(tree.path(base, m))
-    # The union of paths from one marked node to all others spans every
-    # pairwise path (tree geometry), so a single sweep suffices.
-    return _core_from_nodes(tree, nodes)
-
-
-def core_by_pruning(tree: Tree, marked: Iterable[Node]) -> EvidentialCore:
-    """Alternative construction: repeatedly prune unmarked undirected leaves."""
-    marked = set(marked)
-    if not marked:
-        raise ValueError("marked set must be non-empty")
-    comp = tree.component_of(next(iter(marked)))
-    if not marked <= comp:
-        raise BordertreeError("marked nodes span multiple components")
-    nodes = set(comp)
-    deg = {v: sum(1 for u in tree.neighbors(v) if u in nodes) for v in nodes}
-    queue = deque(v for v in nodes if deg[v] <= 1 and v not in marked)
-    while queue:
-        v = queue.popleft()
-        if v not in nodes or v in marked or deg[v] > 1:
-            continue
-        nodes.discard(v)
-        for u in tree.neighbors(v):
-            if u in nodes:
-                deg[u] -= 1
-                if deg[u] <= 1 and u not in marked:
-                    queue.append(u)
-    return _core_from_nodes(tree, nodes)
+    """Smallest subtree containing all marked nodes: one group per node."""
+    return smallest_hitting_core(tree, [{m} for m in marked])
 
 
 def smallest_hitting_core(tree: Tree, groups: Sequence[Iterable[Node]]) -> EvidentialCore:
-    """Smallest connected subtree meeting every group (each group is the
-    connected home set of one evidence variable).
+    """Smallest connected subtree meeting every group.
 
-    Exact when the product of group sizes is small: a minimum hitting
-    subtree is the span of one representative per group, so enumerating
-    representative combinations finds the optimum, with ties broken by the
-    lexicographically least node sequence.  Very large products fall back
-    to greedy leaf pruning, which still yields a minimal core.
+    Each group must be connected in the tree: the home borders of one
+    evidence variable are, by running intersection, and so is a single
+    node.  If some node lies in every group, the core is the least such
+    node.  Otherwise the span of one member per group is pruned in one
+    queue pass: a leaf goes unless it is the last node left of some group,
+    and a leaf that stays can never go later.  The cost is O(span +
+    sum of group sizes).
+
+    The result is the unique minimum.  Each of its leaves is the only node
+    it keeps of some group; that group is connected, so each of its
+    members reaches the pruned tree through that leaf, and any connected
+    set meeting every group holds the path between any two leaves, hence
+    the whole pruned tree.  The same argument puts the minimum inside any
+    span, so the search may start from one.
     """
     groups = [set(g) for g in groups if g]
     if not groups:
@@ -384,33 +355,40 @@ def smallest_hitting_core(tree: Tree, groups: Sequence[Iterable[Node]]) -> Evide
     for g in groups:
         if any(index.comp[v] != comp for v in g):
             raise BordertreeError("groups span multiple components")
-    combos = math.prod(len(g) for g in groups)
-    if combos <= 4096:
-        best = None
-        for combo in _product(*[sorted(g, key=str) for g in groups]):
-            anchor = combo[0]
-            nodes = {anchor}
-            for m in combo[1:]:
-                nodes.update(index.path(anchor, m))
-            key = (len(nodes), tuple(sorted(nodes, key=str)))
-            if best is None or key < best[0]:
-                best = (key, nodes)
-        return _core_from_nodes(tree, best[1])
-    nodes = set(index.members[comp])
-    deg = {v: sum(1 for u in tree.neighbors(v) if u in nodes) for v in nodes}
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(nodes, key=str, reverse=True):
-            if deg[v] > 1:
-                continue
-            rest = nodes - {v}
-            if all(g & rest for g in groups):
-                nodes.discard(v)
-                for u in tree.neighbors(v):
-                    if u in nodes:
-                        deg[u] -= 1
-                changed = True
+    common = set.intersection(*groups)
+    if common:
+        return _core_from_nodes(tree, {min(common)})
+    anchor = next(iter(groups[0]))
+    nodes = {anchor}
+    for g in groups[1:]:
+        nodes.update(index.path(anchor, next(iter(g))))
+    adj: dict[Node, list[Node]] = {v: [] for v in nodes}
+    for v in nodes:
+        p = index.parent[v]
+        if p in nodes:
+            adj[v].append(p)
+            adj[p].append(v)
+    left = [0] * len(groups)  # nodes of each group still in the subtree
+    holds: dict[Node, list[int]] = {}  # node -> the groups it belongs to
+    for i, g in enumerate(groups):
+        for v in g & nodes:
+            left[i] += 1
+            holds.setdefault(v, []).append(i)
+    deg = {v: len(adj[v]) for v in nodes}
+    queue = deque(v for v in nodes if deg[v] == 1)
+    while queue:
+        v = queue.popleft()
+        mine = holds.get(v, ())
+        if any(left[i] == 1 for i in mine):
+            continue
+        nodes.discard(v)
+        for i in mine:
+            left[i] -= 1
+        for u in adj[v]:
+            if u in nodes:
+                deg[u] -= 1
+                if deg[u] == 1:
+                    queue.append(u)
     return _core_from_nodes(tree, nodes)
 
 

@@ -1,4 +1,4 @@
-"""Inference on border polytrees: priors, sessions, traces, sweeps."""
+"""Inference on border polytrees: priors, sessions, traces, incremental stores."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from bordertree.bnformat import parse_evidence
 from bordertree.bp_build import border_polytree_from_chain, build_border_polytree
 from bordertree.bp_infer import (
     BorderSession,
-    asynchronous_sweep,
     bp_query,
     preload_priors,
 )
@@ -237,33 +236,6 @@ class TestQueries:
             assert pe == pytest.approx(want_pe, rel=1e-12)
 
 
-class TestSweep:
-    def test_equals_per_query(self, bn_c, bp_c, ev_boq):
-        sweep, pe_sweep = asynchronous_sweep(bp_c, ev_boq)
-        posts, pe = bp_query(bp_c, ev_boq)
-        assert pe_sweep == pytest.approx(pe, rel=1e-12)
-        for q in bn_c.ids:
-            np.testing.assert_allclose(
-                sweep[q].values, posts[q].values, atol=1e-12
-            )
-
-    def test_division_matches_fallback(self, bn_c, bp_c, ev_boq):
-        with_div, _ = asynchronous_sweep(bp_c, ev_boq, use_division=None)
-        without, _ = asynchronous_sweep(bp_c, ev_boq, use_division=False)
-        for q in bn_c.ids:
-            np.testing.assert_allclose(
-                with_div[q].values, without[q].values, rtol=1e-12, atol=0
-            )
-
-    def test_no_evidence_sweep_gives_priors(self, bn_c, bp_c):
-        sweep, pe = asynchronous_sweep(bp_c, EvidenceSet(bn_c))
-        assert pe == pytest.approx(1.0)
-        for q in bn_c.ids:
-            np.testing.assert_allclose(
-                sweep[q].values, oracle_marginal(bn_c, [q]), atol=1e-9
-            )
-
-
 class TestIncrementalStore:
     def test_shared_store_reuses_messages(self, bn_c, bp_c):
         store: dict = {}
@@ -402,8 +374,6 @@ def test_grid_engines_vs_oracle():
         chain_posts = {q: chain_posterior(chain, ev, q, passes=passes) for q in bn.ids}
         results = {
             "bp_query": bp_query(bp, ev),
-            "sweep/division auto": asynchronous_sweep(bp, ev, use_division=None),
-            "sweep/no division": asynchronous_sweep(bp, ev, use_division=False),
             "chain": ({q: r[1] for q, r in chain_posts.items()}, chain_posts[0][2]),
         }
         for name, (posts, pe) in results.items():
@@ -449,8 +419,6 @@ def test_star_fan_out_beyond_einsum_operand_limit():
     preload_priors(bp)
     results = {
         "bp_query": bp_query(bp, ev),
-        "sweep/division auto": asynchronous_sweep(bp, ev, use_division=None),
-        "sweep/no division": asynchronous_sweep(bp, ev, use_division=False),
         "polytree": polytree_query(bn, ev),
     }
     for name, (posts, pe) in results.items():
@@ -473,8 +441,6 @@ def test_engines_with_operands_folded_in_pairs(monkeypatch, shape):
         want_pe = oracle_event_prob(bn, ev)
         results = {
             "bp_query": bp_query(bp, ev),
-            "sweep/division auto": asynchronous_sweep(bp, ev, use_division=None),
-            "sweep/no division": asynchronous_sweep(bp, ev, use_division=False),
         }
         if shape == "star":
             results["polytree"] = polytree_query(bn, ev)

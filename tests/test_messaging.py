@@ -1,5 +1,7 @@
 """Tree machinery: hub paths, evidential cores, schedules, gates."""
 
+import itertools
+
 import pytest
 
 from bordertree.errors import BordertreeError, NotSinglyConnectedError
@@ -8,7 +10,6 @@ from bordertree.messaging import (
     UnionFind,
     build_hub_index,
     collection_schedule,
-    core_by_pruning,
     default_pivot,
     distribution_schedule,
     evidential_core,
@@ -29,6 +30,40 @@ def random_tree(rng, n):
         other = int(rng.integers(0, i))
         edges.append((other, i) if rng.random() < 0.5 else (i, other))
     return Tree(range(n), edges)
+
+
+def random_group(rng, tree, size):
+    """A connected node set of up to ``size`` nodes, grown from a random node."""
+    group = {int(rng.integers(0, len(tree.nodes)))}
+    while len(group) < size:
+        rim = sorted({u for v in group for u in tree.neighbors(v)} - group)
+        if not rim:
+            break
+        group.add(int(rng.choice(rim)))
+    return group
+
+
+def path_union_core(tree, marked):
+    """Reference core for single nodes: the union of the paths from one
+    marked node to every other."""
+    nodes = {marked[0]}
+    for m in marked[1:]:
+        nodes.update(tree.bfs_path(marked[0], m))
+    return nodes
+
+
+def enumeration_core(tree, groups):
+    """Reference core for groups: the span of every choice of one member per
+    group, the least by (size, node tuple) kept."""
+    best = None
+    for combo in itertools.product(*[sorted(g, key=str) for g in groups]):
+        nodes = {combo[0]}
+        for m in combo[1:]:
+            nodes.update(tree.path(combo[0], m))
+        key = (len(nodes), tuple(sorted(nodes, key=str)))
+        if best is None or key < best[0]:
+            best = (key, nodes)
+    return best[1]
 
 
 class TestTree:
@@ -154,7 +189,8 @@ class TestEvidentialCore:
         assert set(poly_b.names(core.roots)) == {"K", "A", "C"}
         assert set(poly_b.names(core.leaves)) == {"B", "L4", "M"}
         # Every undirected endpoint of the core is an evidence node.
-        assert core.endpoints() <= set(marked)
+        degree = {v: sum(v in e for e in core.edges) for v in core.nodes}
+        assert {v for v, d in degree.items() if d <= 1} <= set(marked)
 
     def test_single_marked_node(self, poly_b):
         tree = tree_of(poly_b)
@@ -168,9 +204,10 @@ class TestEvidentialCore:
             tree = random_tree(rng, n)
             k = int(rng.integers(1, n + 1))
             marked = [int(v) for v in rng.choice(n, size=k, replace=False)]
-            a = evidential_core(tree, marked)
-            b = core_by_pruning(tree, marked)
-            assert a.nodes == b.nodes and a.edges == b.edges
+            core = evidential_core(tree, marked)
+            nodes = path_union_core(tree, marked)
+            assert core.nodes == nodes
+            assert core.edges == {(p, c) for p, c in tree.edges if {p, c} <= nodes}
 
     def test_marked_must_be_nonempty(self, poly_b):
         with pytest.raises(ValueError):
@@ -341,6 +378,29 @@ class TestHittingCore:
                 if best:
                     break
             assert len(core.nodes) == best
+
+    def test_matches_enumeration(self, rng):
+        # Connected groups that often overlap, so single-node cores (where
+        # the tie-break decides) are common too.
+        for _ in range(3000):
+            tree = random_tree(rng, int(rng.integers(1, 26)))
+            groups = [
+                random_group(rng, tree, int(rng.integers(1, 6)))
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            assert smallest_hitting_core(tree, groups).nodes == enumeration_core(tree, groups)
+
+    def test_common_node_is_least_id_past_4096_combinations(self):
+        # 11**4 choices of one member per group: the least node id wins, as
+        # in the enumeration, at any number of combinations.
+        tree = Tree(range(11), [(i, i + 1) for i in range(10)])
+        core = smallest_hitting_core(tree, [set(range(11))] * 4)
+        assert core.nodes == {0}
+
+    def test_groups_in_two_components_rejected(self):
+        tree = Tree(range(4), [(0, 1), (2, 3)])
+        with pytest.raises(BordertreeError, match="components"):
+            smallest_hitting_core(tree, [{0}, {3}])
 
     def test_helly_point_when_groups_intersect(self, poly_b):
         tree = tree_of(poly_b)
