@@ -125,12 +125,8 @@ def parse_network(text: str) -> BayesianNetwork:
         if d.severity == "error":
             if d.code == "cycle":
                 raise CycleError(d.message)
-            name = None
-            for n in names:
-                if f" {n} " in f" {d.message} " or d.message.startswith(f"cpt rows of {n} "):
-                    name = n
-                    break
-            raise BnFormatError(d.message, cpt_line.get(name) if name else None)
+            line = cpt_line.get(bn.name_of(d.var)) if d.var is not None else None
+            raise BnFormatError(d.message, line)
     return bn
 
 

@@ -8,6 +8,16 @@ answers each query by distributing from the informed set through a gate.
 Messages are memoized by edge, direction and the evidence fingerprint of
 the subtree behind them, so incremental evidence only recomputes the
 messages whose side actually changed.
+
+Store keys cost no scan of the evidence.  At session start each evidence
+variable is anchored at the top (least-depth) border of its home set, and
+a :class:`~bordertree.messaging.EdgeSides` index sorts them by Euler-tour
+entry time.  The variables on one side of an edge are then one or two
+``bisect``-found slices, plus the few shared by the edge's two borders.
+Each (edge, direction) key is built once per session, as the exact
+fingerprint tuple, so REPL store hits stay exact; so are the restricted
+priors, cohort tables and indicators.  Per-message bookkeeping therefore
+does not grow with the number of evidence variables.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ from .factor import (
     sum_out,
 )
 from .messaging import (
+    EdgeSides,
     Tree,
     collection_schedule,
     default_pivot,
@@ -87,10 +98,18 @@ class BorderSession:
         self.collected = 0
         self._pi_cache: dict[int, Factor] = {}
         self._lambda_cache: dict[int, Factor] = {}
-        # (evidence variable, its home borders, one of them): side fingerprints
-        self._ev_homes = [
-            (v, frozenset(bp.variable_home[v]), bp.variable_home[v][0]) for v in ev.vars
-        ]
+        self._prior_cache: dict[int, Factor] = {}
+        self._phi_cache: dict[int, Factor] = {}
+        self._indicator_cache: dict[int, Factor] = {}
+        self._key_cache: dict[tuple, tuple] = {}
+        # Evidence items (variable, allowed values), as fingerprints hold
+        # them; each variable is anchored at the top border of its home set.
+        self._ev_items = {v: (v, vals) for v, vals in ev.fingerprint()}
+        depth = self.index.depth
+        self._sides = EdgeSides(
+            self.index,
+            ((min(bp.variable_home[v], key=depth.__getitem__), v) for v in self._ev_items),
+        )
 
         self.core_nodes: set[int] = set()
         self.cores: dict[int, object] = {}
@@ -131,19 +150,17 @@ class BorderSession:
 
     # -- geometry ------------------------------------------------------------
 
-    def _side_vars(self, a: int, b: int) -> list[int]:
-        """Evidence variables living on a's side of edge (a, b): those with
-        a home border there.
+    def _side_evidence(self, a: int, b: int) -> list[int]:
+        """Evidence variables with a home border on a's side of edge (a, b).
 
         A variable's home borders are connected (running intersection), so
-        unless they hold a or b they lie wholly on one side, and any one of
-        them tells which."""
-        on_side = self.index.on_side
-        return [
-            v
-            for v, homes, home in self._ev_homes
-            if a in homes or (b not in homes and on_side(a, b, home))
-        ]
+        they meet a's side iff their top lies there, unless they hold both
+        a and its index parent b; those variables are shared by a and b."""
+        out = self._sides.side(a, b)
+        if self.index.parent[a] == b:
+            shared = self.bp.borders[a].members & self.bp.borders[b].members
+            out += [v for v in shared if v in self._ev_items]
+        return out
 
     def _side_has_core(self, a: int, b: int) -> bool:
         """Does a's side of edge (a, b) hold a border of the evidential core?
@@ -161,14 +178,24 @@ class BorderSession:
     # -- restricted tables ------------------------------------------------------
 
     def _prior_r(self, bid: int) -> Factor:
-        return restrict(self.bp.priors[bid], self.ev)
+        f = self._prior_cache.get(bid)
+        if f is None:
+            f = self._prior_cache[bid] = restrict(self.bp.priors[bid], self.ev)
+        return f
 
     def _phi_r(self, b: Border) -> Factor:
-        return restrict(b.cohort_table, self.ev)
+        f = self._phi_cache.get(b.id)
+        if f is None:
+            f = self._phi_cache[b.id] = restrict(b.cohort_table, self.ev)
+        return f
 
     def _indicator(self, bid: int) -> Factor:
-        members = sorted(self.bp.borders[bid].members)
-        return indicator(members, [self.bn.card(v) for v in members], self.ev)
+        f = self._indicator_cache.get(bid)
+        if f is None:
+            members = sorted(self.bp.borders[bid].members)
+            f = indicator(members, [self.bn.card(v) for v in members], self.ev)
+            self._indicator_cache[bid] = f
+        return f
 
     # -- border beliefs -----------------------------------------------------------
 
@@ -206,17 +233,25 @@ class BorderSession:
     # -- edge messages ----------------------------------------------------------
 
     def _store_key(self, p: int, c: int, direction: str):
+        key = self._key_cache.get((p, c, direction))
+        if key is not None:
+            return key
         if direction == "pi":
             # A downward message depends only on evidence over the parent
             # side (the parent border belongs to its own side).
-            side = self._side_vars(p, c)
+            side = self._side_evidence(p, c)
         else:
             # An upward message additionally restricts the reduced cohort
             # table over the receiving border's variables, so evidence on
             # them is part of the message even when they sit outside the
-            # child side.
-            side = [*self._side_vars(c, p), *self.bp.borders[p].members]
-        return (p, c, direction, self.ev.fingerprint(side))
+            # child side.  Their home sets hold p, so those of them that
+            # reach the child side do so through c and are counted there.
+            only_p = self.bp.borders[p].members - self.bp.borders[c].members
+            side = self._side_evidence(c, p)
+            side += [v for v in only_p if v in self._ev_items]
+        fingerprint = tuple(map(self._ev_items.__getitem__, sorted(side)))
+        key = self._key_cache[(p, c, direction)] = (p, c, direction, fingerprint)
+        return key
 
     def get_pi_edge(self, p: int, c: int) -> Factor:
         key = self._store_key(p, c, "pi")

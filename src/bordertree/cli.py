@@ -189,15 +189,18 @@ def cmd_query(args, out):
     ev = _evidence(args, bn)
     queries = _parse_queries(args, bn)
 
-    bp = _bp_for(bn)
-    prior_session = BorderSession(bp)
-    priors = {q: prior_session.posterior(q)[1].values for q in queries}
-
+    # The prior column comes from the engine that answers the query.
     if args.engine == "oracle":
+        priors = {q: oracle_posterior(bn, NO_EVIDENCE, q) for q in queries}
         posteriors = {q: oracle_posterior(bn, ev, q) for q in queries}
         evidence_prob = oracle_event_prob(bn, ev)
     elif args.engine == "chain":
         chain = build_chain(bn)
+        prior_passes = run_passes(chain, NO_EVIDENCE)
+        priors = {
+            q: chain_posterior(chain, NO_EVIDENCE, q, passes=prior_passes)[1].values
+            for q in queries
+        }
         passes = run_passes(chain, ev)
         posteriors = {}
         evidence_prob = 1.0
@@ -206,9 +209,13 @@ def cmd_query(args, out):
             posteriors[q] = post.values
     elif args.engine == "polytree":
         engine = PolytreeEngine(bn)
+        priors = {q: engine.priors[q].values for q in queries}
         posts, evidence_prob = engine.query(ev, queries)
         posteriors = {q: posts[q].values for q in queries}
     else:  # bp
+        bp = _bp_for(bn)
+        prior_session = BorderSession(bp)
+        priors = {q: prior_session.posterior(q)[1].values for q in queries}
         session = BorderSession(bp, ev, pivot=args.pivot)
         posteriors = {q: session.posterior(q)[1].values for q in queries}
         evidence_prob = session.evidence_prob()

@@ -233,6 +233,10 @@ def _axis_masks(f: Factor, ev) -> list[tuple[int, np.ndarray]]:
     return out
 
 
+# Factors are immutable, so every evidence-free indicator is this one.
+_ONE = Factor.scalar(1.0)
+
+
 def indicator(scope: Iterable[int], cards: Mapping[int, int] | Iterable[int], ev) -> Factor:
     """Indicator factor over the evidential part of ``scope`` (scalar 1 if none)."""
     scope = tuple(scope)
@@ -242,7 +246,7 @@ def indicator(scope: Iterable[int], cards: Mapping[int, int] | Iterable[int], ev
         card_list = list(cards)
     ev_vars = [(v, c) for v, c in zip(scope, card_list) if ev.allowed(v) is not None]
     if not ev_vars:
-        return Factor.scalar(1.0)
+        return _ONE
     f = Factor.ones([v for v, _ in ev_vars], [c for _, c in ev_vars])
     return restrict(f, ev)
 

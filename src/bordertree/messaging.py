@@ -7,6 +7,8 @@ component, and Euler-tour entry/exit times (Tarjan & Vishkin 1985).  With
 it, the component of a node and the side test "is x on a's side of edge
 (a, b)?" cost O(1), and the path between two nodes costs O(path length), so
 per-message and per-query geometry no longer searches the whole tree.
+:class:`EdgeSides` sorts items anchored at nodes (evidence variables) by
+entry time, so the items on one side of an edge are one or two slices.
 
 Path finding also offers the hub method (pre-loaded hub-to-hub and
 node-to-hub paths, loops erased), with the index path as its fallback;
@@ -26,6 +28,7 @@ schedules walk from the gate of the informed set out to a target.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -207,6 +210,56 @@ class TreeIndex:
             return tin[a] <= tin[x] <= tout[a]
         # b is a's child: a's side is the component minus b's subtree
         return self.comp[x] == self.comp[a] and not tin[b] <= tin[x] <= tout[b]
+
+
+class EdgeSides:
+    """Items anchored at tree nodes, found per side of an edge by slicing.
+
+    Each item is anchored at one node; items are kept sorted by their
+    anchor's Euler-tour entry time, so the items on a's side of edge
+    (a, b) are one or two contiguous runs, found by ``bisect``:
+
+    * if a is b's parent in the index, a's side is the component minus
+      subtree(b): the component's tin range with b's range cut out;
+    * if b is a's parent, a's side is subtree(a): one tin range.
+
+    Build costs O(k log k) for k items; a side then costs O(log k) plus
+    its own length, whatever k is.  A connected node set anchored at its
+    top (its least-depth node) is on a's side exactly when it meets that
+    side, except for a set holding both a and its parent b: its top lies
+    above a, so the caller adds such sets itself.  A single node is its
+    own top and has no exception.
+    """
+
+    def __init__(self, index: TreeIndex, anchored: Iterable[tuple[Node, object]]):
+        tin = index.tin
+        pairs = sorted(((tin[node], item) for node, item in anchored), key=lambda p: p[0])
+        self.index = index
+        self.tins = [t for t, _ in pairs]
+        self.items = [item for _, item in pairs]
+
+    def _runs(self, a: Node, b: Node) -> tuple[tuple[int, int], ...]:
+        """Index ranges [i, j) of ``items`` whose anchor is on a's side."""
+        index, tins = self.index, self.tins
+        tin, tout = index.tin, index.tout
+        if index.parent[a] == b:
+            return ((bisect_left(tins, tin[a]), bisect_right(tins, tout[a])),)
+        root = index.comp[a]
+        i, j = bisect_left(tins, tin[root]), bisect_right(tins, tout[root])
+        cut_i, cut_j = bisect_left(tins, tin[b], i, j), bisect_right(tins, tout[b], i, j)
+        return ((i, cut_i), (cut_j, j))
+
+    def side(self, a: Node, b: Node) -> list:
+        """Items anchored on a's side of the tree edge (a, b), in tin order."""
+        items = self.items
+        out: list = []
+        for i, j in self._runs(a, b):
+            out += items[i:j]
+        return out
+
+    def any(self, a: Node, b: Node) -> bool:
+        """Is any item anchored on a's side of the tree edge (a, b)?"""
+        return any(i < j for i, j in self._runs(a, b))
 
 
 @dataclass

@@ -212,6 +212,7 @@ class Diagnostic:
     severity: str  # "error" | "warning"
     code: str
     message: str
+    var: int | None = None  # the variable whose cpt it is about, if any
 
 
 def validate(bn: BayesianNetwork, tol: float = 1e-9) -> list[Diagnostic]:
@@ -241,6 +242,7 @@ def validate(bn: BayesianNetwork, tol: float = 1e-9) -> list[Diagnostic]:
                     "normalization",
                     f"cpt rows of {bn.name_of(v)} must sum to 1: "
                     f"got {got:.12g} at {assign or '()'}",
+                    v,
                 )
             )
         if np.any(f.values == 0.0):
@@ -249,6 +251,7 @@ def validate(bn: BayesianNetwork, tol: float = 1e-9) -> list[Diagnostic]:
                     "warning",
                     "positivity",
                     f"cpt of {bn.name_of(v)} contains zero entries",
+                    v,
                 )
             )
     return out

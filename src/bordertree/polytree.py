@@ -7,6 +7,11 @@ pulls messages through the evidential core to a pivot; distribution walks
 from the informed set out to each query.  Messages from outside the core
 are never computed: an outside parent contributes its preloaded prior and
 an outside child an indicator.
+
+Whether one side of an edge holds evidence is a non-empty-slice test on an
+:class:`~bordertree.messaging.EdgeSides` index of the evidence variables,
+built once per session, so it does not grow with the number of evidence
+variables.  Restricted tables and indicators are built once per session.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from typing import Iterable, Optional
 from .errors import BordertreeError, NotSinglyConnectedError
 from .factor import Factor, contract, indicator, multiply, normalize, restrict, sum_out
 from .messaging import (
+    EdgeSides,
     HubIndex,
     Tree,
     build_hub_index,
@@ -81,6 +87,9 @@ class PolytreeSession:
         self.cores: dict[int, "object"] = {}
         self.pivots: dict[int, int] = {}
         self.informed_in: dict[int, set[int]] = {}  # component id -> informed nodes
+        self._sides = EdgeSides(self.index, ((v, v) for v in ev.vars))
+        self._cpt_cache: dict[int, Factor] = {}
+        self._indicator_cache: dict[int, Factor] = {}
         by_comp: dict[int, list[int]] = {}
         for v in ev.vars:
             by_comp.setdefault(self.index.comp[v], []).append(v)
@@ -106,13 +115,21 @@ class PolytreeSession:
 
     def _side_has_evidence(self, a: int, b: int) -> bool:
         """Does the component of ``a`` in tree-minus-edge(a,b) hold evidence?"""
-        on_side = self.index.on_side
-        return any(on_side(a, b, v) for v in self.ev.vars)
+        return self._sides.any(a, b)
 
     # -- message access ------------------------------------------------------
 
     def _pr_r(self, v: int) -> Factor:
-        return restrict(self.bn.cpts[v], self.ev)
+        f = self._cpt_cache.get(v)
+        if f is None:
+            f = self._cpt_cache[v] = restrict(self.bn.cpts[v], self.ev)
+        return f
+
+    def _indicator(self, v: int) -> Factor:
+        f = self._indicator_cache.get(v)
+        if f is None:
+            f = self._indicator_cache[v] = indicator([v], [self.bn.card(v)], self.ev)
+        return f
 
     def get_pi_edge(self, x: int, y: int) -> Factor:
         """Downward message along edge x->y (scope {x})."""
@@ -134,7 +151,7 @@ class PolytreeSession:
             raise BordertreeError(
                 f"missing prerequisite upward message {y}->{x}"
             )  # pragma: no cover
-        return indicator([x], [self.bn.card(x)], self.ev)
+        return self._indicator(x)
 
     # Factors whose product, summed onto {v}, gives pi(v) and lambda(v).
 
@@ -143,7 +160,7 @@ class PolytreeSession:
 
     def _lambda_factors(self, v: int) -> list[Factor]:
         lams = [self.get_lambda_edge(v, c) for c in self.bn.children(v)]
-        return [indicator([v], [self.bn.card(v)], self.ev), *lams]
+        return [self._indicator(v), *lams]
 
     def pi_node(self, v: int) -> Factor:
         return contract(self._pi_factors(v), (v,))

@@ -43,6 +43,14 @@ def test_unnormalized_row_names_variable_and_assignment():
     assert "A=f" in str(exc.value)
 
 
+def test_unnormalized_row_blames_its_own_cpt_line():
+    # "to" is a word of the message about X; the error still points at X's cpt.
+    text = "node to 2 a b\nnode X 2 x0 x1\ncpt to 0.5 0.5\ncpt X 0.5 0.4\n"
+    with pytest.raises(BnFormatError, match="rows of X") as exc:
+        parse_network(text)
+    assert exc.value.line == 4
+
+
 @pytest.mark.parametrize(
     "text,match",
     [

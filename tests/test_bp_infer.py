@@ -14,8 +14,8 @@ from bordertree.bp_infer import (
 from bordertree import factor
 from bordertree.network import EvidenceSet
 from bordertree.oracle import oracle_event_prob, oracle_marginal, oracle_posterior
-from bordertree.polytree import polytree_query
-from bordertree.randgen import random_dag, random_evidence
+from bordertree.polytree import PolytreeEngine, polytree_query
+from bordertree.randgen import random_dag, random_evidence, random_polytree
 from bordertree import zoo
 
 
@@ -234,6 +234,110 @@ class TestQueries:
             _, want, want_pe = chain_posterior(chain, ev_hk, q, passes=passes)
             np.testing.assert_allclose(posts[q].values, want.values, atol=1e-12)
             assert pe == pytest.approx(want_pe, rel=1e-12)
+
+
+def side_vars(session, a, b):
+    """Reference side scan: the evidence variables with a home border on
+    a's side of edge (a, b), by one side test per evidence variable.
+
+    A variable's home borders are connected (running intersection), so
+    unless they hold a or b they lie wholly on one side, and any one of
+    them tells which."""
+    on_side = session.index.on_side
+    out = []
+    for v in session.ev.vars:
+        homes = session.bp.variable_home[v]
+        if a in homes or (b not in homes and on_side(a, b, homes[0])):
+            out.append(v)
+    return out
+
+
+def reference_key(session, p, c, direction):
+    """The message-store key, built from the reference side scan."""
+    if direction == "pi":
+        side = side_vars(session, p, c)
+    else:
+        side = [*side_vars(session, c, p), *session.bp.borders[p].members]
+    return (p, c, direction, session.ev.fingerprint(side))
+
+
+def windowed_dag(rng, n, window, max_parents=3, card_max=3):
+    """Random DAG whose parents come from the ``window`` nodes just before
+    each node: many undirected loops, narrow borders."""
+    spec = []
+    for i in range(n):
+        pool = list(range(max(0, i - window), i))
+        rng.shuffle(pool)
+        k = int(rng.integers(0, min(max_parents, len(pool)) + 1))
+        card = int(rng.integers(2, card_max + 1))
+        spec.append((f"v{i}", card, [f"v{p}" for p in sorted(pool[:k])]))
+    return zoo.build_network(spec, rng)
+
+
+class TestSideIndex:
+    """Store keys built from Euler-tour slices equal the side-scan keys."""
+
+    def networks(self, rng):
+        for _ in range(6):
+            yield windowed_dag(rng, int(rng.integers(20, 36)), int(rng.integers(2, 5)))
+        for _ in range(4):
+            yield random_polytree(rng, 20, 35, 3)
+
+    def test_keys_equal_side_scan_keys_on_every_edge(self, rng):
+        sizes = set()
+        for bn in self.networks(rng):
+            bp = build_border_polytree(bn)
+            preload_priors(bp)
+            for _ in range(4):
+                ev = random_evidence(rng, bn, max_vars=20)
+                sizes.add(len(ev))
+                s = BorderSession(bp, ev)
+                for p, c in bp.edges:
+                    for a, b in ((p, c), (c, p)):
+                        assert sorted(s._side_evidence(a, b)) == sorted(side_vars(s, a, b))
+                    for direction in ("pi", "lambda"):
+                        assert s._store_key(p, c, direction) == reference_key(s, p, c, direction)
+        assert min(sizes) == 1 and max(sizes) >= 15
+
+    def test_keys_in_a_forest_of_borders(self, rng):
+        # Two disconnected windowed DAGs side by side: each key slices only
+        # its own component's tin range.
+        spec = []
+        for base in (0, 12):
+            for i in range(12):
+                ps = [f"v{base + j}" for j in range(max(0, i - 2), i) if rng.random() < 0.7]
+                spec.append((f"v{base + i}", int(rng.integers(2, 4)), ps))
+        bn = zoo.build_network(spec, rng)
+        bp = build_border_polytree(bn)
+        preload_priors(bp)
+        assert len(set(bp.tree().index.comp.values())) >= 2
+        for _ in range(10):
+            s = BorderSession(bp, random_evidence(rng, bn, max_vars=12))
+            for p, c in bp.edges:
+                for direction in ("pi", "lambda"):
+                    assert s._store_key(p, c, direction) == reference_key(s, p, c, direction)
+
+    def test_polytree_side_test_equals_scan(self, rng):
+        def forest(rng):
+            # Drop random edges of a random polytree: several components.
+            bn = random_polytree(rng, 15, 30, 3)
+            spec = [
+                (bn.name_of(v), bn.card(v), [bn.name_of(p) for p in bn.parents[v] if rng.random() < 0.7])
+                for v in bn.ids
+            ]
+            return zoo.build_network(spec, rng)
+
+        for k in range(12):
+            bn = random_polytree(rng, 15, 30, 3) if k % 2 else forest(rng)
+            engine = PolytreeEngine(bn)
+            on_side = engine.tree.index.on_side
+            for _ in range(4):
+                ev = random_evidence(rng, bn, max_vars=20)
+                s = engine.session(ev)
+                for p, c in engine.tree.edges:
+                    for a, b in ((p, c), (c, p)):
+                        want = any(on_side(a, b, v) for v in ev.vars)
+                        assert s._side_has_evidence(a, b) == want
 
 
 class TestIncrementalStore:

@@ -77,6 +77,25 @@ class TestQuery:
         code, _ = run("query", BN_A, "--q", "A", "--engine", "polytree")
         assert code == 1
 
+    @pytest.mark.parametrize("engine", ["chain", "polytree", "oracle"])
+    def test_prior_column_from_the_chosen_engine(self, engine, monkeypatch):
+        # Only the default engine builds a border polytree.
+        import bordertree.cli as cli
+
+        def refuse(bn):
+            raise AssertionError("border polytree built for another engine")
+
+        monkeypatch.setattr(cli, "build_border_polytree", refuse)
+        code, out = run(
+            "query", POLY_B, "--evidence", "B=b1,K=k0", "--engine", engine, "--json"
+        )
+        assert code == 0
+        bn = load(POLY_B)
+        rows = json.loads(out)["posteriors"]
+        for q in bn.ids:
+            got = [float(r["prior"]) for r in rows if r["variable"] == bn.name_of(q)]
+            np.testing.assert_allclose(got, oracle_posterior(bn, parse_evidence("", bn), q), atol=1e-9)
+
     def test_no_evidence_posterior_equals_prior(self):
         code, out = run("query", BN_A, "--q", "A")
         for line in out.strip().splitlines()[1:3]:
@@ -228,6 +247,54 @@ class TestRepl:
         assert first == 3  # the 4-border evidential core has 3 edges
         assert fresh.sent == 3
         assert second == 1  # only the edge whose upstream side now holds B
+
+    def test_shared_store_hits_and_sends_per_step(self):
+        # Per step: the messages sent by its last session, the store lookups
+        # that found a message, and the store size after it.  Recorded with
+        # the per-message side scan that the Euler-tour side index replaced;
+        # the keys are the same tuples, so every count is unchanged.
+        class CountingStore(dict):
+            hits = 0
+
+            def __contains__(self, key):
+                found = dict.__contains__(self, key)
+                self.hits += found
+                return found
+
+            def get(self, key, default=None):
+                self.hits += dict.__contains__(self, key)
+                return dict.get(self, key, default)
+
+        steps = [
+            ("evidence Q=q0", 0, 0, 0),
+            ("query A,O", 6, 7, 6),
+            ("evidence B=b0", 2, 3, 8),
+            ("query Z", 7, 10, 15),
+            ("evidence O=o1", 3, 4, 18),
+            ("query A", 2, 9, 20),
+            ("retract B", 3, 4, 23),
+            ("query Y,I", 13, 21, 36),
+            ("evidence S=s0,T=t1", 8, 8, 44),
+            ("query J", 4, 13, 48),
+            ("evidence B=b1", 1, 9, 49),
+            ("query Q", 4, 13, 53),
+            ("retract Q", 4, 9, 57),
+            ("query A,B,C", 2, 13, 59),
+            ("status", 2, 8, 59),
+            ("reset", 2, 0, 59),
+            ("query A", 0, 0, 59),
+            ("evidence I=i0", 0, 0, 59),
+            ("query A,Z", 19, 19, 78),
+            ("priors", 19, 0, 78),
+        ]
+        session = ReplSession(load(BN_C), io.StringIO())
+        session.store = CountingStore()
+        got = []
+        for line, *_ in steps:
+            before = session.store.hits
+            session.handle(line)
+            got.append((line, session.last_sent, session.store.hits - before, len(session.store)))
+        assert got == steps
 
     def test_query_on_evidence_variable(self):
         _, out = self._drive(["evidence D=d0|d1", "query D"])
