@@ -9,6 +9,13 @@ Messages are memoized by edge, direction and the evidence fingerprint of
 the subtree behind them, so incremental evidence only recomputes the
 messages whose side actually changed.
 
+:class:`BorderSession` is a :class:`~bordertree.messaging.TreeSession`,
+which owns cores, pivots, the schedules, the store and the boundary
+fallbacks.  This module supplies the border algebra (border beliefs from
+cohort tables and junction splices, and the edge messages), the restricted
+prior an outside parent border sends, and the fingerprinted store key,
+which lets a store outlive its session.
+
 Store keys cost no scan of the evidence.  At session start each evidence
 variable is anchored at the top (least-depth) border of its home set, and
 a :class:`~bordertree.messaging.EdgeSides` index sorts them by Euler-tour
@@ -26,24 +33,8 @@ from typing import Iterable, Optional
 
 from .bp_build import Border, BorderPolytree
 from .errors import BordertreeError
-from .factor import (
-    Factor,
-    contract,
-    indicator,
-    marginal_to,
-    multiply,
-    normalize,
-    restrict,
-    sum_out,
-)
-from .messaging import (
-    EdgeSides,
-    Tree,
-    collection_schedule,
-    default_pivot,
-    distribution_schedule,
-    smallest_hitting_core,
-)
+from .factor import Factor, contract, marginal_to, multiply, restrict, sum_out
+from .messaging import EdgeSides, TreeSession, collection_schedule, distribution_schedule
 from .network import NO_EVIDENCE
 
 
@@ -70,7 +61,7 @@ def preload_priors(bp: BorderPolytree) -> dict[int, Factor]:
     return priors
 
 
-class BorderSession:
+class BorderSession(TreeSession):
     """One evidence set against a preloaded border polytree.
 
     ``store`` may be shared across sessions (the REPL does); it maps
@@ -90,65 +81,22 @@ class BorderSession:
             preload_priors(bp)
         self.bp = bp
         self.bn = bp.source
-        self.ev = ev
-        self.store = store if store is not None else {}
-        self.tree: Tree = bp.tree()
-        self.index = self.tree.index
-        self.sent = 0
-        self.collected = 0
+        tree = bp.tree()
         self._pi_cache: dict[int, Factor] = {}
         self._lambda_cache: dict[int, Factor] = {}
         self._prior_cache: dict[int, Factor] = {}
         self._phi_cache: dict[int, Factor] = {}
-        self._indicator_cache: dict[int, Factor] = {}
         self._key_cache: dict[tuple, tuple] = {}
         # Evidence items (variable, allowed values), as fingerprints hold
         # them; each variable is anchored at the top border of its home set.
         self._ev_items = {v: (v, vals) for v, vals in ev.fingerprint()}
-        depth = self.index.depth
+        depth = tree.index.depth
         self._sides = EdgeSides(
-            self.index,
+            tree.index,
             ((min(bp.variable_home[v], key=depth.__getitem__), v) for v in self._ev_items),
         )
-
-        self.core_nodes: set[int] = set()
-        self.cores: dict[int, object] = {}
-        self.pivots: dict[int, int] = {}
-        self.informed_in: dict[int, set[int]] = {}  # component id -> informed borders
-
-        comp_of = self.index.comp
-        groups_by_comp: dict[int, list[set[int]]] = {}
-        first_var_homes: dict[int, set[int]] = {}
-        for v in ev.vars:
-            homes = set(bp.variable_home[v])
-            comp = comp_of[next(iter(homes))]
-            groups_by_comp.setdefault(comp, []).append(homes)
-            first_var_homes.setdefault(comp, homes)
-        for comp, groups in sorted(groups_by_comp.items()):
-            if pivot is not None and comp_of.get(pivot) == comp:
-                groups = groups + [{pivot}]
-            core = smallest_hitting_core(self.tree, groups)
-            if pivot is not None and pivot in core.nodes:
-                pv = pivot
-            else:
-                pv = default_pivot(core, holding=first_var_homes[comp] & core.nodes)
-            self.cores[comp] = core
-            self.core_nodes |= core.nodes
-            self.pivots[comp] = pv
-        for comp in sorted(self.cores):
-            core = self.cores[comp]
-            pv = self.pivots[comp]
-            for msg in collection_schedule(self.tree, core, pv):
-                self._send(msg.source, msg.target)
-                self.collected += 1
-            self.informed_in[comp] = {pv}
-
-    @property
-    def informed(self) -> set[int]:
-        """Every border that holds its full message set so far."""
-        return set().union(*self.informed_in.values())
-
-    # -- geometry ------------------------------------------------------------
+        groups = [set(bp.variable_home[v]) for v in ev.vars]
+        super().__init__(tree, ev, groups, pivot, store, collection_schedule)
 
     def _side_evidence(self, a: int, b: int) -> list[int]:
         """Evidence variables with a home border on a's side of edge (a, b).
@@ -161,19 +109,6 @@ class BorderSession:
             shared = self.bp.borders[a].members & self.bp.borders[b].members
             out += [v for v in shared if v in self._ev_items]
         return out
-
-    def _side_has_core(self, a: int, b: int) -> bool:
-        """Does a's side of edge (a, b) hold a border of the evidential core?
-
-        The core of a's component is connected, so unless it holds a or b
-        it lies wholly on one side, and its pivot tells which."""
-        comp = self.index.comp[a]
-        core = self.cores.get(comp)
-        if core is None:
-            return False
-        if a in core.nodes:
-            return True
-        return b not in core.nodes and self.index.on_side(a, b, self.pivots[comp])
 
     # -- restricted tables ------------------------------------------------------
 
@@ -189,13 +124,12 @@ class BorderSession:
             f = self._phi_cache[b.id] = restrict(b.cohort_table, self.ev)
         return f
 
-    def _indicator(self, bid: int) -> Factor:
-        f = self._indicator_cache.get(bid)
-        if f is None:
-            members = sorted(self.bp.borders[bid].members)
-            f = indicator(members, [self.bn.card(v) for v in members], self.ev)
-            self._indicator_cache[bid] = f
-        return f
+    def _scope(self, bid: int) -> list[int]:
+        return sorted(self.bp.borders[bid].members)
+
+    # Boundary: an outside parent contributes its restricted prior; any
+    # evidence on that side is confined to the shared variables.
+    _outside_prior = _prior_r
 
     # -- border beliefs -----------------------------------------------------------
 
@@ -230,6 +164,12 @@ class BorderSession:
         self._lambda_cache[bid] = f
         return f
 
+    def _belief_factors(self, bid: int) -> list[Factor]:
+        return [self.pi_border(bid), self.lambda_border(bid)]
+
+    def border_product(self, bid: int) -> Factor:
+        return contract(self._belief_factors(bid), self.bp.borders[bid].members)
+
     # -- edge messages ----------------------------------------------------------
 
     def _store_key(self, p: int, c: int, direction: str):
@@ -253,35 +193,9 @@ class BorderSession:
         key = self._key_cache[(p, c, direction)] = (p, c, direction, fingerprint)
         return key
 
-    def get_pi_edge(self, p: int, c: int) -> Factor:
-        key = self._store_key(p, c, "pi")
-        msg = self.store.get(key)
-        if msg is not None:
-            return msg
-        if self._side_has_core(p, c):
-            raise BordertreeError(
-                f"missing prerequisite downward message {p}->{c}"
-            )  # pragma: no cover - schedules provide prerequisites
-        # Boundary: an outside parent contributes its restricted prior; any
-        # evidence on that side is confined to the shared variables.
-        return self._prior_r(p)
-
-    def get_lambda_edge(self, p: int, c: int) -> Factor:
-        key = self._store_key(p, c, "lambda")
-        msg = self.store.get(key)
-        if msg is not None:
-            return msg
-        if self._side_has_core(c, p):
-            raise BordertreeError(
-                f"missing prerequisite upward message {c}->{p}"
-            )  # pragma: no cover
-        return self._indicator(p)
-
     def compute_pi_edge(self, p: int, c: int) -> Factor:
         lams = [self.get_lambda_edge(p, w) for w in self.tree.children[p] if w != c]
-        f = contract([self.pi_border(p), *lams], self.bp.borders[p].members)
-        self.store[self._store_key(p, c, "pi")] = f
-        return f
+        return contract([self.pi_border(p), *lams], self.bp.borders[p].members)
 
     def compute_lambda_edge(self, p: int, c: int) -> Factor:
         """Message the child border c sends up to its parent p."""
@@ -289,11 +203,8 @@ class BorderSession:
         lam = self.lambda_border(c)
         if b.kind == "type1":
             # Everything but the cohort lies in the parent border.
-            f = contract([self._phi_r(b), lam], self.bp.borders[p].members)
-        else:
-            f = self._junction_lambda(b, p, lam)
-        self.store[self._store_key(p, c, "lambda")] = f
-        return f
+            return contract([self._phi_r(b), lam], self.bp.borders[p].members)
+        return self._junction_lambda(b, p, lam)
 
     def _junction_lambda(self, b: Border, p: int, lam: Factor) -> Factor:
         """Upward message of a junction border toward parent p: nested
@@ -308,53 +219,20 @@ class BorderSession:
             f = contract([f, self.get_pi_edge(pid, b.id)], keep)
         return f
 
-    def _send(self, src: int, dst: int):
-        key = (
-            self._store_key(src, dst, "pi")
-            if self.tree.has_edge(src, dst)
-            else self._store_key(dst, src, "lambda")
-        )
-        if key in self.store:
-            return
-        if self.tree.has_edge(src, dst):
-            self.compute_pi_edge(src, dst)
-        else:
-            self.compute_lambda_edge(dst, src)
-        self.sent += 1
-
     # -- queries ---------------------------------------------------------------
 
     def ensure_informed(self, bid: int):
-        informed = self.informed_in.get(self.index.comp[bid])
-        if not informed:
-            return  # evidence-free component: all messages are vacuous
-        if bid in informed:
-            return
-        _gate, sched = distribution_schedule(self.tree, informed, bid)
-        for msg in sched:
-            self._send(msg.source, msg.target)
-            informed.add(msg.target)
-        informed.add(bid)
-
-    def border_product(self, bid: int) -> Factor:
-        members = self.bp.borders[bid].members
-        return contract([self.pi_border(bid), self.lambda_border(bid)], members)
+        self._inform(bid, distribution_schedule)
 
     def posterior(self, var: int, home: Optional[int] = None) -> tuple[Factor, Factor]:
         if home is None:
             home = self.bp.home_border(var)
         elif var not in self.bp.borders[home].members:
             raise KeyError(f"variable {var} not in border {home}")
-        self.ensure_informed(home)
-        unnorm = contract([self.pi_border(home), self.lambda_border(home)], (var,))
-        post, _ = normalize(unnorm)
-        return unnorm, post
+        return self._readout(home, var)
 
-    def evidence_prob(self) -> float:
-        out = 1.0
-        for pv in self.pivots.values():
-            out *= contract([self.pi_border(pv), self.lambda_border(pv)], ()).total()
-        return out
+    # Bound here too, so that perfbench's tracer can wrap it per engine.
+    evidence_prob = TreeSession.evidence_prob
 
 
 def bp_query(

@@ -22,7 +22,15 @@ node engine (:func:`evidential_core`).  Groups must be connected, as
 running intersection makes home sets; then one linear leaf-pruning pass
 finds the unique minimum, or the least node common to every group.
 Collection schedules orient core edges toward a pivot, and distribution
-schedules walk from the gate of the informed set out to a target.
+schedules walk from the gate of the informed set out to a target: up from
+the target to the first informed node, or to the set's top node.
+
+:class:`TreeSession` is the session skeleton of both tree engines (the
+polytree engine's nodes, the border polytree's borders): cores and pivots,
+collection, the informed set and distribution, the message store and
+``_send``, the boundary fallbacks, indicators, counters and the read-out.
+Each engine supplies only its message algebra, its boundary prior, its
+belief factors, ``posterior`` and a store key.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from functools import cached_property
 from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import BordertreeError, NotSinglyConnectedError
+from .factor import Factor, contract, indicator, normalize
 
 Node = Hashable
 
@@ -238,28 +247,16 @@ class EdgeSides:
         self.tins = [t for t, _ in pairs]
         self.items = [item for _, item in pairs]
 
-    def _runs(self, a: Node, b: Node) -> tuple[tuple[int, int], ...]:
-        """Index ranges [i, j) of ``items`` whose anchor is on a's side."""
-        index, tins = self.index, self.tins
+    def side(self, a: Node, b: Node) -> list:
+        """Items anchored on a's side of the tree edge (a, b), in tin order."""
+        index, tins, items = self.index, self.tins, self.items
         tin, tout = index.tin, index.tout
         if index.parent[a] == b:
-            return ((bisect_left(tins, tin[a]), bisect_right(tins, tout[a])),)
+            return items[bisect_left(tins, tin[a]) : bisect_right(tins, tout[a])]
         root = index.comp[a]
         i, j = bisect_left(tins, tin[root]), bisect_right(tins, tout[root])
         cut_i, cut_j = bisect_left(tins, tin[b], i, j), bisect_right(tins, tout[b], i, j)
-        return ((i, cut_i), (cut_j, j))
-
-    def side(self, a: Node, b: Node) -> list:
-        """Items anchored on a's side of the tree edge (a, b), in tin order."""
-        items = self.items
-        out: list = []
-        for i, j in self._runs(a, b):
-            out += items[i:j]
-        return out
-
-    def any(self, a: Node, b: Node) -> bool:
-        """Is any item anchored on a's side of the tree edge (a, b)?"""
-        return any(i < j for i, j in self._runs(a, b))
+        return items[i:cut_i] + items[cut_j:j]
 
 
 @dataclass
@@ -495,24 +492,35 @@ def collection_schedule(tree: Tree, core: EvidentialCore, pivot: Node) -> Schedu
 
 
 def distribution_schedule(
-    tree: Tree, informed: set[Node], target: Node
+    tree: Tree, informed: set[Node], target: Node, top: Node
 ) -> tuple[Node, Schedule]:
     """Walk from the unique gate of the connected informed set out to the
     target; the returned schedule informs every node along the way.
 
-    The path toward any informed node enters the informed set at the gate
-    (the target's nearest informed node), so any one of them will do."""
+    ``top`` is the informed node of least index depth, so the informed set
+    lies in its subtree.  Going up from the target, the first informed node
+    is the gate.  A walk that reaches ``top``'s depth without meeting one
+    is outside that subtree, and then the gate is ``top`` itself.  The
+    cost is the length of the walk, not the size of the informed set."""
     if target in informed:
         return target, Schedule()
-    if not informed:
-        raise ValueError("informed set must be non-empty")
-    path = tree.path(target, next(iter(informed)))
-    gate = next(v for v in path if v in informed)
-    out_path = path[: path.index(gate) + 1][::-1]  # gate ... target
+    index = tree.index
+    parent, depth = index.parent, index.depth
+    limit = depth[top]
+    path = [target]  # target ... gate
+    v = target
+    while depth[v] > limit:
+        v = parent[v]
+        path.append(v)
+        if v in informed:
+            break
+    else:
+        path = index.path(target, top)
+    out_path = path[::-1]  # gate ... target
     sched = Schedule()
     for a, b in zip(out_path, out_path[1:]):
         sched.messages.append(_directed(tree, a, b))
-    return gate, sched
+    return out_path[0], sched
 
 
 def default_pivot(core: EvidentialCore, holding: Optional[Iterable[Node]] = None) -> Node:
@@ -524,3 +532,159 @@ def default_pivot(core: EvidentialCore, holding: Optional[Iterable[Node]] = None
         if hits:
             return hits[0]
     return rl[0]
+
+
+class TreeSession:
+    """One evidence set against a tree of nodes or of borders.
+
+    The session skeleton both tree engines share.  It owns:
+
+    * per component, the evidential core of the evidence groups and its
+      pivot (a requested pivot joins its component's core as one more
+      group), and the collection of every core message toward the pivot;
+    * the informed set and distribution: a query walks from the set's gate
+      out to its node, and the set's top node is kept as nodes join;
+    * ``_send`` and the message ``store``, which ``_send`` reads before it
+      computes; the counters ``sent`` (messages computed), ``collected``
+      and ``distributed`` (messages scheduled by each phase);
+    * the boundary fallbacks of ``get_pi_edge``/``get_lambda_edge``: a
+      message absent from the store must come from a side without core
+      nodes (``_side_has_core``, O(1)), and is the prior an outside parent
+      sends, or the receiver's own indicator;
+    * indicators, and the read-out of posteriors and ``evidence_prob``.
+
+    An engine sets ``bn`` (the network) and supplies its edge messages
+    (``compute_pi_edge(p, c)``, the message parent p sends child c, and
+    ``compute_lambda_edge(p, c)``, the one c sends p), ``_outside_prior(p)``,
+    ``_belief_factors(v)`` (the factors whose product is v's belief),
+    ``_scope(v)`` (v's variables), ``posterior``, ``ensure_informed`` and
+    ``_store_key(p, c, direction)``.  The engine passes in the schedule
+    functions, so each engine calls them through its own module, where the
+    benchmark's tracer finds them.
+    """
+
+    def __init__(self, tree: Tree, ev, groups: Iterable[set], pivot, store, collection):
+        """``groups`` holds, per evidence variable, the connected set of
+        nodes that carry it; ``collection`` is the collection schedule."""
+        index = self.index = tree.index
+        self.tree = tree
+        self.ev = ev
+        self.store = store if store is not None else {}
+        self.sent = self.collected = self.distributed = 0
+        self._indicator_cache: dict[Node, Factor] = {}
+        self.core_nodes: set[Node] = set()
+        self.cores: dict[Node, EvidentialCore] = {}
+        self.pivots: dict[Node, Node] = {}
+        self.informed_in: dict[Node, set[Node]] = {}  # component id -> informed nodes
+        self._top: dict[Node, Node] = {}  # component id -> its least-depth informed node
+        by_comp: dict[Node, list[set]] = {}
+        for g in groups:
+            by_comp.setdefault(index.comp[next(iter(g))], []).append(g)
+        for comp, gs in sorted(by_comp.items()):
+            if pivot is not None and index.comp.get(pivot) == comp:
+                gs = gs + [{pivot}]
+            core = smallest_hitting_core(tree, gs)
+            if pivot in core.nodes:
+                pv = pivot
+            else:
+                pv = default_pivot(core, holding=gs[0] & core.nodes)
+            self.cores[comp] = core
+            self.core_nodes |= core.nodes
+            self.pivots[comp] = pv
+            for msg in collection(tree, core, pv):
+                self._send(msg.source, msg.target)
+                self.collected += 1
+            self.informed_in[comp] = {pv}
+            self._top[comp] = pv
+
+    @property
+    def informed(self) -> set[Node]:
+        """Every node that holds its full message set so far."""
+        return set().union(*self.informed_in.values())
+
+    def _side_has_core(self, a: Node, b: Node) -> bool:
+        """Does a's side of edge (a, b) hold a node of the evidential core?
+
+        The core of a's component is connected, so unless it holds a or b
+        it lies wholly on one side, and its pivot tells which."""
+        comp = self.index.comp[a]
+        core = self.cores.get(comp)
+        if core is None:
+            return False
+        if a in core.nodes:
+            return True
+        return b not in core.nodes and self.index.on_side(a, b, self.pivots[comp])
+
+    def _indicator(self, v: Node) -> Factor:
+        f = self._indicator_cache.get(v)
+        if f is None:
+            scope = self._scope(v)
+            f = indicator(scope, [self.bn.card(x) for x in scope], self.ev)
+            self._indicator_cache[v] = f
+        return f
+
+    # -- edge messages ----------------------------------------------------------
+
+    def get_pi_edge(self, p: Node, c: Node) -> Factor:
+        """Downward message along edge p->c."""
+        msg = self.store.get(self._store_key(p, c, "pi"))
+        if msg is not None:
+            return msg
+        if self._side_has_core(p, c):
+            raise BordertreeError(
+                f"missing prerequisite downward message {p}->{c}"
+            )  # pragma: no cover - schedules provide prerequisites
+        return self._outside_prior(p)
+
+    def get_lambda_edge(self, p: Node, c: Node) -> Factor:
+        """Upward message along edge p->c, sent by child c."""
+        msg = self.store.get(self._store_key(p, c, "lambda"))
+        if msg is not None:
+            return msg
+        if self._side_has_core(c, p):
+            raise BordertreeError(
+                f"missing prerequisite upward message {c}->{p}"
+            )  # pragma: no cover
+        return self._indicator(p)
+
+    def _send(self, src: Node, dst: Node):
+        down = self.tree.has_edge(src, dst)
+        key = self._store_key(src, dst, "pi") if down else self._store_key(dst, src, "lambda")
+        if key in self.store:
+            return
+        self.store[key] = self.compute_pi_edge(src, dst) if down else self.compute_lambda_edge(dst, src)
+        self.sent += 1
+
+    # -- queries ---------------------------------------------------------------
+
+    def _inform(self, v: Node, distribution):
+        """Distribute to v from its component's gate (``distribution`` is
+        the distribution schedule); a no-op in an evidence-free component,
+        whose messages are all vacuous."""
+        comp = self.index.comp[v]
+        informed = self.informed_in.get(comp)
+        if not informed or v in informed:
+            return
+        depth = self.index.depth
+        top = self._top[comp]
+        _gate, sched = distribution(self.tree, informed, v, top)
+        for msg in sched:
+            self._send(msg.source, msg.target)
+            self.distributed += 1
+            informed.add(msg.target)
+            if depth[msg.target] < depth[top]:
+                top = msg.target
+        self._top[comp] = top
+
+    def _readout(self, v: Node, var: int) -> tuple[Factor, Factor]:
+        """(unnormalized Pr{var, [evidence]}, normalized posterior), read at v."""
+        self.ensure_informed(v)
+        unnorm = contract(self._belief_factors(v), (var,))
+        post, _ = normalize(unnorm)
+        return unnorm, post
+
+    def evidence_prob(self) -> float:
+        out = 1.0
+        for pv in self.pivots.values():
+            out *= contract(self._belief_factors(pv), ()).total()
+        return out

@@ -8,27 +8,29 @@ from the informed set out to each query.  Messages from outside the core
 are never computed: an outside parent contributes its preloaded prior and
 an outside child an indicator.
 
-Whether one side of an edge holds evidence is a non-empty-slice test on an
-:class:`~bordertree.messaging.EdgeSides` index of the evidence variables,
-built once per session, so it does not grow with the number of evidence
-variables.  Restricted tables and indicators are built once per session.
+:class:`PolytreeSession` is a :class:`~bordertree.messaging.TreeSession`,
+which owns cores, pivots, the schedules, the store and the boundary
+fallbacks; this module supplies the node messages, the node priors an
+outside parent sends, and the store key.  That key is ``(parent, child,
+direction)``, with no evidence fingerprint: the store never outlives its
+session, whose evidence is fixed, so a fingerprint would tell no two
+messages apart and would only add its cost to every lookup.  Restricted
+tables and indicators are built once per session.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .errors import BordertreeError, NotSinglyConnectedError
-from .factor import Factor, contract, indicator, multiply, normalize, restrict, sum_out
+from .errors import NotSinglyConnectedError
+from .factor import Factor, contract, multiply, restrict, sum_out
 from .messaging import (
-    EdgeSides,
     HubIndex,
     Tree,
+    TreeSession,
     build_hub_index,
     collection_schedule,
-    default_pivot,
     distribution_schedule,
-    evidential_core,
     tree_path,
 )
 from .network import NO_EVIDENCE, BayesianNetwork
@@ -74,84 +76,33 @@ class PolytreeEngine:
         return posteriors, session.evidence_prob()
 
 
-class PolytreeSession:
+class PolytreeSession(TreeSession):
+    """One evidence set against a polytree engine; messages have scope {x}."""
+
     def __init__(self, engine: PolytreeEngine, ev, pivot: Optional[int] = None):
         self.e = engine
         self.bn = engine.bn
-        self.ev = ev
-        self.pi_edge: dict[tuple[int, int], Factor] = {}
-        self.lambda_edge: dict[tuple[int, int], Factor] = {}
-        self.collected = 0
-        self.distributed = 0
-        self.index = engine.tree.index
-        self.cores: dict[int, "object"] = {}
-        self.pivots: dict[int, int] = {}
-        self.informed_in: dict[int, set[int]] = {}  # component id -> informed nodes
-        self._sides = EdgeSides(self.index, ((v, v) for v in ev.vars))
         self._cpt_cache: dict[int, Factor] = {}
-        self._indicator_cache: dict[int, Factor] = {}
-        by_comp: dict[int, list[int]] = {}
-        for v in ev.vars:
-            by_comp.setdefault(self.index.comp[v], []).append(v)
-        for comp, marked in sorted(by_comp.items()):
-            core = evidential_core(engine.tree, marked)
-            if pivot is not None and pivot in core.nodes:
-                pv = pivot
-            else:
-                pv = default_pivot(core, holding={marked[0]})
-            self.cores[comp] = core
-            self.pivots[comp] = pv
-            for msg in collection_schedule(engine.tree, core, pv):
-                self._send(msg.source, msg.target)
-                self.collected += 1
-            self.informed_in[comp] = {pv}
+        groups = [{v} for v in ev.vars]
+        super().__init__(engine.tree, ev, groups, pivot, None, collection_schedule)
 
-    @property
-    def informed(self) -> set[int]:
-        """Every node that holds its full message set so far."""
-        return set().union(*self.informed_in.values())
+    @staticmethod
+    def _store_key(x: int, y: int, direction: str) -> tuple[int, int, str]:
+        # The store lives and dies with the session, whose evidence is
+        # fixed, so the edge and direction name a message.
+        return (x, y, direction)
 
-    # -- evidence geometry -------------------------------------------------
+    def _scope(self, v: int) -> tuple[int]:
+        return (v,)
 
-    def _side_has_evidence(self, a: int, b: int) -> bool:
-        """Does the component of ``a`` in tree-minus-edge(a,b) hold evidence?"""
-        return self._sides.any(a, b)
-
-    # -- message access ------------------------------------------------------
+    def _outside_prior(self, x: int) -> Factor:
+        return self.e.priors[x]
 
     def _pr_r(self, v: int) -> Factor:
         f = self._cpt_cache.get(v)
         if f is None:
             f = self._cpt_cache[v] = restrict(self.bn.cpts[v], self.ev)
         return f
-
-    def _indicator(self, v: int) -> Factor:
-        f = self._indicator_cache.get(v)
-        if f is None:
-            f = self._indicator_cache[v] = indicator([v], [self.bn.card(v)], self.ev)
-        return f
-
-    def get_pi_edge(self, x: int, y: int) -> Factor:
-        """Downward message along edge x->y (scope {x})."""
-        msg = self.pi_edge.get((x, y))
-        if msg is not None:
-            return msg
-        if self._side_has_evidence(x, y):
-            raise BordertreeError(
-                f"missing prerequisite downward message {x}->{y}"
-            )  # pragma: no cover - schedules provide prerequisites
-        return self.e.priors[x]
-
-    def get_lambda_edge(self, x: int, y: int) -> Factor:
-        """Upward message along edge x->y, sent by child y (scope {x})."""
-        msg = self.lambda_edge.get((x, y))
-        if msg is not None:
-            return msg
-        if self._side_has_evidence(y, x):
-            raise BordertreeError(
-                f"missing prerequisite upward message {y}->{x}"
-            )  # pragma: no cover
-        return self._indicator(x)
 
     # Factors whose product, summed onto {v}, gives pi(v) and lambda(v).
 
@@ -162,6 +113,9 @@ class PolytreeSession:
         lams = [self.get_lambda_edge(v, c) for c in self.bn.children(v)]
         return [self._indicator(v), *lams]
 
+    def _belief_factors(self, v: int) -> list[Factor]:
+        return [*self._pi_factors(v), *self._lambda_factors(v)]
+
     def pi_node(self, v: int) -> Factor:
         return contract(self._pi_factors(v), (v,))
 
@@ -169,54 +123,26 @@ class PolytreeSession:
         return contract(self._lambda_factors(v), (v,))
 
     def compute_pi_edge(self, x: int, y: int) -> Factor:
+        """Message x sends down to its child y."""
         lams = [self.get_lambda_edge(x, w) for w in self.bn.children(x) if w != y]
-        f = contract([*self._pi_factors(x), *lams], (x,))
-        self.pi_edge[(x, y)] = f
-        return f
+        return contract([*self._pi_factors(x), *lams], (x,))
 
     def compute_lambda_edge(self, x: int, y: int) -> Factor:
         """Message y sends up to its parent x."""
         pis = [self.get_pi_edge(p, y) for p in self.bn.parents[y] if p != x]
-        f = contract([self._pr_r(y), *pis, *self._lambda_factors(y)], (x,))
-        self.lambda_edge[(x, y)] = f
-        return f
-
-    def _send(self, src: int, dst: int):
-        if self.e.tree.has_edge(src, dst):
-            self.compute_pi_edge(src, dst)
-        else:
-            self.compute_lambda_edge(dst, src)
+        return contract([self._pr_r(y), *pis, *self._lambda_factors(y)], (x,))
 
     # -- queries ---------------------------------------------------------------
 
     def ensure_informed(self, q: int):
-        informed = self.informed_in.get(self.index.comp[q])
-        if not informed:
-            return  # evidence-free component: every message is vacuous
-        if q in informed:
-            return
-        _gate, sched = distribution_schedule(self.e.tree, informed, q)
-        for msg in sched:
-            self._send(msg.source, msg.target)
-            self.distributed += 1
-            informed.add(msg.target)
-        informed.add(q)
+        self._inform(q, distribution_schedule)
 
     def posterior(self, q: int) -> tuple[Factor, Factor]:
         """(unnormalized Pr{q, [evidence]}, normalized posterior)."""
-        self.ensure_informed(q)
-        unnorm = self.node_product(q)
-        post, _ = normalize(unnorm)
-        return unnorm, post
+        return self._readout(q, q)
 
-    def node_product(self, q: int) -> Factor:
-        return contract([*self._pi_factors(q), *self._lambda_factors(q)], (q,))
-
-    def evidence_prob(self) -> float:
-        out = 1.0
-        for pv in self.pivots.values():
-            out *= contract([*self._pi_factors(pv), *self._lambda_factors(pv)], ()).total()
-        return out
+    # Bound here too, so that perfbench's tracer can wrap it per engine.
+    evidence_prob = TreeSession.evidence_prob
 
 
 def polytree_query(

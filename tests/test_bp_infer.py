@@ -318,6 +318,8 @@ class TestSideIndex:
                     assert s._store_key(p, c, direction) == reference_key(s, p, c, direction)
 
     def test_polytree_side_test_equals_scan(self, rng):
+        # With no pivot requested, the node engine's core is the span of
+        # the evidence nodes: a side holds a core node iff it holds evidence.
         def forest(rng):
             # Drop random edges of a random polytree: several components.
             bn = random_polytree(rng, 15, 30, 3)
@@ -337,7 +339,7 @@ class TestSideIndex:
                 for p, c in engine.tree.edges:
                     for a, b in ((p, c), (c, p)):
                         want = any(on_side(a, b, v) for v in ev.vars)
-                        assert s._side_has_evidence(a, b) == want
+                        assert s._side_has_core(a, b) == want
 
 
 class TestIncrementalStore:

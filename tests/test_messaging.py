@@ -152,7 +152,6 @@ class TestTreeIndex:
                     side = side_by_dfs(tree, a, b)
                     want = sorted(k for v, k in anchored if v in side)
                     assert sorted(sides.side(a, b)) == want
-                    assert sides.any(a, b) == bool(want)
 
     def test_border_polytree_shares_one_tree_and_index(self, bp_c):
         tree = bp_c.tree()
@@ -282,21 +281,26 @@ class TestCollectionSchedule:
             collection_schedule(tree, core, poly_b.id_of("K"))
 
 
+def top_of(tree, informed):
+    """The informed node of least index depth."""
+    return min(informed, key=tree.index.depth.__getitem__)
+
+
 class TestDistribution:
     def test_fixture_gate(self, poly_b):
         tree = tree_of(poly_b)
         informed = {poly_b.id_of(x) for x in ("D", "C", "H")}
         target = poly_b.id_of("R8")
-        gate, sched = distribution_schedule(tree, informed, target)
+        gate, sched = distribution_schedule(tree, informed, target, top_of(tree, informed))
         assert poly_b.name_of(gate) == "C"
         hops = [(poly_b.name_of(m.source), poly_b.name_of(m.target)) for m in sched]
         assert hops == [("C", "L3"), ("L3", "R8")]
 
     def test_target_already_informed(self, poly_b):
         tree = tree_of(poly_b)
-        informed = {poly_b.id_of("D")}
-        gate, sched = distribution_schedule(tree, informed, poly_b.id_of("D"))
-        assert gate == poly_b.id_of("D") and len(sched) == 0
+        d = poly_b.id_of("D")
+        gate, sched = distribution_schedule(tree, {d}, d, d)
+        assert gate == d and len(sched) == 0
 
     def test_informed_set_stays_connected(self, rng):
         for _ in range(25):
@@ -305,7 +309,7 @@ class TestDistribution:
             informed = {int(rng.integers(0, n))}
             order = list(rng.permutation(n))
             for target in order:
-                gate, sched = distribution_schedule(tree, informed, int(target))
+                gate, sched = distribution_schedule(tree, informed, int(target), top_of(tree, informed))
                 assert gate in informed or gate == target
                 for m in sched:
                     informed.add(m.source)
@@ -329,9 +333,11 @@ class TestDistribution:
             seed = int(rng.integers(0, n))
             informed = set(tree.bfs_path(seed, int(rng.integers(0, n))))
             target = int(rng.integers(0, n))
-            gate, _ = distribution_schedule(tree, informed, target)
+            gate, sched = distribution_schedule(tree, informed, target, top_of(tree, informed))
             dist = {v: len(tree.bfs_path(target, v)) for v in informed}
             assert dist.get(gate, 1) == min(dist.values() or [1])
+            path = tree.bfs_path(gate, target)
+            assert [(m.source, m.target) for m in sched] == list(zip(path, path[1:]))
 
     def test_no_message_resent_per_direction(self, rng):
         for _ in range(20):
@@ -340,7 +346,7 @@ class TestDistribution:
             informed = {0}
             sent = set()
             for target in rng.permutation(n):
-                _, sched = distribution_schedule(tree, informed, int(target))
+                _, sched = distribution_schedule(tree, informed, int(target), top_of(tree, informed))
                 for m in sched:
                     assert (m.source, m.target) not in sent
                     sent.add((m.source, m.target))

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from bordertree.bp_build import build_border_polytree
+from bordertree.bp_infer import BorderSession
 from bordertree.errors import NotSinglyConnectedError
 from bordertree.factor import multiply
 from bordertree.network import EvidenceSet
@@ -68,7 +70,7 @@ class TestMessages:
         k, m, p = poly_b.id_of("K"), poly_b.id_of("M"), poly_b.id_of("P")
         ev = EvidenceSet(poly_b, {k: {1}, p: {0}})
         s = eng.session(ev, pivot=p)  # collection flows K -> M -> I -> P
-        msg = s.pi_edge[(k, m)]
+        msg = s.store[(k, m, "pi")]
         expect = eng.priors[k].values * np.array([0.0, 1.0])
         np.testing.assert_allclose(msg.values, expect, atol=1e-12)
 
@@ -90,6 +92,34 @@ class TestMessages:
         assert s.collected == 0
         _, post = s.posterior(d)
         np.testing.assert_allclose(post.values, [1.0, 0.0], atol=1e-12)
+
+
+class TestSessions:
+    def test_every_requested_pivot_is_used(self, rng):
+        # A requested pivot joins its component's core as one more group,
+        # so it is used wherever it lies, and the answers do not move.
+        for _ in range(60):
+            bn = random_polytree(rng, 5, 12, 3)
+            ev = random_evidence(rng, bn)
+            eng = PolytreeEngine(bn)
+            pe = oracle_event_prob(bn, ev)
+            want = {q: oracle_posterior(bn, ev, q) for q in bn.ids}
+            for x in bn.ids:
+                s = eng.session(ev, pivot=x)
+                assert x in s.pivots.values()
+                assert s.evidence_prob() == pytest.approx(pe, rel=1e-9)
+                for q in bn.ids:
+                    np.testing.assert_allclose(s.posterior(q)[1].values, want[q], atol=1e-9)
+
+    def test_private_store_computes_each_scheduled_message_once(self, rng):
+        for _ in range(20):
+            bn = random_polytree(rng, 5, 20, 3)
+            bp = build_border_polytree(bn)
+            ev = random_evidence(rng, bn, max_vars=6)
+            for s in (PolytreeEngine(bn).session(ev), BorderSession(bp, ev)):
+                for q in bn.ids:
+                    s.posterior(q)
+                assert s.sent == s.collected + s.distributed == len(s.store)
 
 
 class TestPosteriors:
