@@ -167,9 +167,6 @@ class BorderSession(TreeSession):
     def _belief_factors(self, bid: int) -> list[Factor]:
         return [self.pi_border(bid), self.lambda_border(bid)]
 
-    def border_product(self, bid: int) -> Factor:
-        return contract(self._belief_factors(bid), self.bp.borders[bid].members)
-
     # -- edge messages ----------------------------------------------------------
 
     def _store_key(self, p: int, c: int, direction: str):

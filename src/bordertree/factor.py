@@ -11,19 +11,29 @@ aligns tables deterministically:
 * entries are finite and non-negative.
 
 Factors are immutable after construction and all operations are pure.
+Every factor, whatever built it, passes the same checks in
+``Factor.__init__``: scope order, cards, shape, finiteness and sign.  The
+constructor copies its input unless the array is read-only, C-contiguous and
+owns its data: nothing else can then write to it.  The operations below
+hand their fresh results over in that form, so a result is checked but never
+copied.
 
 Every message and readout is a product of factors followed by a
 marginalization.  :func:`contract` computes that in one ``np.einsum`` call,
 without building the product table: ``contract(factors, keep)`` is
 ``marginal_to(product_all(factors), keep)``.  Its einsum subscripts name
-each variable by its rank within the operands' union.  A node or border
-with more incoming messages than one einsum call takes is contracted in
-groups, so fan-out is unbounded.
+each variable by its rank within the operands' union.  They depend only on
+the operands' scopes and cards and on the kept set, so they are planned once
+per layout and kept in a bounded LRU cache.  A node or border with more
+incoming messages than one einsum call takes is contracted in groups, so
+fan-out is unbounded.
 :func:`multiply` and :func:`sum_out` remain the pairwise operations.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -33,22 +43,37 @@ from .errors import ImpossibleEvidenceError
 
 
 class Factor:
+    """A checked, read-only table over an ascending scope.
+
+    Every construction checks the entries with two reductions: a NaN or an
+    infinity makes the minimum or the maximum non-finite, and a negative
+    entry makes the minimum negative.  ``values`` is copied unless it is a
+    read-only, C-contiguous array that owns its data, the form in which
+    ``contract``, ``multiply``, ``sum_out``, ``restrict`` and ``normalize``
+    hand over their results.
+    """
+
     __slots__ = ("scope", "cards", "values")
 
     def __init__(self, scope: Iterable[int], cards: Iterable[int], values):
         scope = tuple(scope)
-        cards = tuple(int(c) for c in cards)
+        cards = tuple(map(int, cards))
         if len(scope) != len(cards):
             raise ValueError("scope and cards length mismatch")
-        if any(scope[i] >= scope[i + 1] for i in range(len(scope) - 1)):
+        if any(a >= b for a, b in zip(scope, scope[1:])):
             raise ValueError("scope must be strictly ascending variable ids")
         vals = np.asarray(values, dtype=np.float64)
-        if not np.all(np.isfinite(vals)):
+        lo = float(vals.min(initial=0.0))
+        hi = float(vals.max(initial=0.0))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("factor entries must be finite")
-        if vals.min(initial=0.0) < 0.0:
+        if lo < 0.0:
             raise ValueError("factor entries must be non-negative")
-        vals = np.ascontiguousarray(vals).reshape(cards).copy()
-        vals.setflags(write=False)
+        if vals.shape != cards:
+            vals = vals.reshape(cards)
+        if vals.flags.writeable or vals.base is not None or not vals.flags.c_contiguous:
+            vals = np.array(vals, order="C")
+            vals.setflags(write=False)
         self.scope = scope
         self.cards = cards
         self.values = vals
@@ -112,18 +137,30 @@ def _union_scope(f: Factor, g: Factor) -> tuple[tuple[int, ...], tuple[int, ...]
     return tuple(scope), tuple(cards)
 
 
+def _fresh(vals) -> np.ndarray:
+    """Freeze a newly computed result so ``Factor`` takes it without a copy.
+
+    Only the operation that computed ``vals`` holds it, so no writable
+    reference remains.  A view that einsum hands back is frozen too, but
+    ``Factor`` still copies it, as it does not own its data.
+    """
+    vals = np.asarray(vals)
+    vals.setflags(write=False)
+    return vals
+
+
 def multiply(f: Factor, g: Factor) -> Factor:
     """Pointwise product on the union scope."""
     if not f.scope:
-        return Factor(g.scope, g.cards, g.values * float(f.values))
+        return Factor(g.scope, g.cards, _fresh(g.values * float(f.values)))
     if not g.scope:
-        return Factor(f.scope, f.cards, f.values * float(g.values))
+        return Factor(f.scope, f.cards, _fresh(f.values * float(g.values)))
     scope, cards = _union_scope(f, g)
     pos = {v: k for k, v in enumerate(scope)}
     f_axes = tuple(pos[v] for v in f.scope)
     g_axes = tuple(pos[v] for v in g.scope)
     vals = kernels.product(f.values, f_axes, g.values, g_axes, cards)
-    return Factor(scope, cards, vals)
+    return Factor(scope, cards, _fresh(vals))
 
 
 def product_all(factors: Iterable[Factor]) -> Factor:
@@ -149,39 +186,54 @@ def contract(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
     variables that ``keep`` or a later operand still needs.
     """
     factors = list(factors)
-    keep = set(keep)
-    if len(factors) == 1 and all(v in keep for v in factors[0].scope):
+    keep = frozenset(keep)
+    if len(factors) == 1 and keep.issuperset(factors[0].scope):
         return factors[0]
     scale = 1.0
     ops: list[Factor] = []
-    cards: dict[int, int] = {}
     for f in factors:
-        if not f.scope:
+        if f.scope:
+            ops.append(f)
+        else:
             scale *= float(f.values)
-            continue
-        ops.append(f)
-        for v, c in zip(f.scope, f.cards):
-            if cards.setdefault(v, c) != c:
-                raise ValueError(f"cardinality mismatch for variable {v}: {cards[v]} vs {c}")
     while len(ops) > _MAX_OPERANDS:
         head, ops = ops[:_MAX_OPERANDS], ops[_MAX_OPERANDS:]
-        ops.insert(0, _einsum(head, keep.union(*(f.scope for f in ops)), cards, 1.0))
-    return _einsum(ops, keep, cards, scale)
+        ops.insert(0, _einsum(head, keep.union(*(f.scope for f in ops)), 1.0))
+    return _einsum(ops, keep, scale)
 
 
-def _einsum(ops: list[Factor], keep: set[int], cards: dict[int, int], scale: float) -> Factor:
+def _einsum(ops: list[Factor], keep: frozenset[int], scale: float) -> Factor:
     """``scale`` times the marginal onto ``keep`` of the product of ``ops``."""
-    rank = {v: _LETTERS[r] for r, v in enumerate(sorted(set().union(*(f.scope for f in ops))))}
-    out = tuple(v for v in rank if v in keep)
-    subscripts = (
-        ",".join("".join([rank[v] for v in f.scope]) for f in ops)
-        + "->"
-        + "".join([rank[v] for v in out])
-    )
+    subscripts, scope, cards = _plan(tuple([(f.scope, f.cards) for f in ops]), keep)
     vals = np.einsum(subscripts, *[f.values for f in ops]) if ops else np.asarray(1.0)
     if scale != 1.0:
         vals = vals * scale
-    return Factor(out, [cards[v] for v in out], vals)
+    return Factor(scope, cards, _fresh(vals))
+
+
+# The least recently used plan goes first.  A plan with its key takes about
+# 0.6 kB, so the cache stays within a few MB in a long-lived process.
+@functools.lru_cache(maxsize=4096)
+def _plan(layout: tuple, keep: frozenset[int]) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+    """Einsum subscripts, output scope and output cards for operands laid
+    out as ``layout``, one ``(scope, cards)`` pair each, summed onto ``keep``.
+
+    Raises on a variable whose cards differ between operands; the cache
+    stores no exception, so every call with such a layout raises.
+    """
+    cards: dict[int, int] = {}
+    for scope, cs in layout:
+        for v, c in zip(scope, cs):
+            if cards.setdefault(v, c) != c:
+                raise ValueError(f"cardinality mismatch for variable {v}: {cards[v]} vs {c}")
+    rank = {v: _LETTERS[r] for r, v in enumerate(sorted(cards))}
+    out = tuple(v for v in rank if v in keep)
+    subscripts = (
+        ",".join("".join([rank[v] for v in scope]) for scope, _ in layout)
+        + "->"
+        + "".join([rank[v] for v in out])
+    )
+    return subscripts, out, tuple(cards[v] for v in out)
 
 
 def sum_out(f: Factor, vars: Iterable[int]) -> Factor:
@@ -196,7 +248,7 @@ def sum_out(f: Factor, vars: Iterable[int]) -> Factor:
     keep = tuple(v for v in f.scope if v not in drop)
     keep_cards = tuple(c for v, c in zip(f.scope, f.cards) if v not in drop)
     vals = kernels.sum_axes(f.values, axes)
-    return Factor(keep, keep_cards, vals)
+    return Factor(keep, keep_cards, _fresh(vals))
 
 
 def marginal_to(f: Factor, keep: Iterable[int]) -> Factor:
@@ -218,7 +270,7 @@ def restrict(f: Factor, ev: "EvidenceLike") -> Factor:
         shape = [1] * nd
         shape[axis] = len(mask)
         vals *= mask.reshape(shape)
-    return Factor(f.scope, f.cards, vals)
+    return Factor(f.scope, f.cards, _fresh(vals))
 
 
 def _axis_masks(f: Factor, ev) -> list[tuple[int, np.ndarray]]:
@@ -256,7 +308,7 @@ def normalize(f: Factor) -> tuple[Factor, float]:
     s = f.total()
     if s <= 0.0:
         raise ImpossibleEvidenceError("all-zero factor: evidence has probability 0")
-    return Factor(f.scope, f.cards, f.values / s), s
+    return Factor(f.scope, f.cards, _fresh(f.values / s)), s
 
 
 def divide(f: Factor, g: Factor) -> Factor:

@@ -116,12 +116,6 @@ class PolytreeSession(TreeSession):
     def _belief_factors(self, v: int) -> list[Factor]:
         return [*self._pi_factors(v), *self._lambda_factors(v)]
 
-    def pi_node(self, v: int) -> Factor:
-        return contract(self._pi_factors(v), (v,))
-
-    def lambda_node(self, v: int) -> Factor:
-        return contract(self._lambda_factors(v), (v,))
-
     def compute_pi_edge(self, x: int, y: int) -> Factor:
         """Message x sends down to its child y."""
         lams = [self.get_lambda_edge(x, w) for w in self.bn.children(x) if w != y]

@@ -16,6 +16,7 @@ from bordertree.factor import (
     marginal_to,
     multiply,
     normalize,
+    product_all,
     restrict,
     sum_out,
 )
@@ -51,6 +52,80 @@ def factors(draw, max_vars=4, ids=range(6)):
         st.lists(st.floats(0, 10, allow_nan=False), min_size=n, max_size=n)
     )
     return Factor(scope, cards, np.asarray(vals).reshape(cards))
+
+
+class TestConstructor:
+    @pytest.mark.parametrize(
+        "scope, cards, values, message",
+        [
+            ((0,), (2,), [1.0, np.nan], "must be finite"),
+            ((0,), (2,), [np.inf, 1.0], "must be finite"),
+            ((0,), (2,), [1.0, -np.inf], "must be finite"),
+            ((0,), (2,), [-1.0, np.nan], "must be finite"),
+            ((), (), np.nan, "must be finite"),
+            ((0,), (2,), [0.5, -1e-300], "must be non-negative"),
+            ((0, 1), (2,), [1.0, 1.0], "length mismatch"),
+            ((1, 0), (2, 2), np.ones((2, 2)), "strictly ascending"),
+            ((1, 1), (2, 2), np.ones((2, 2)), "strictly ascending"),
+        ],
+    )
+    def test_rejects(self, scope, cards, values, message):
+        with pytest.raises(ValueError, match=message):
+            Factor(scope, cards, values)
+
+    def test_accepts_finite_entries_whose_sum_overflows(self):
+        f = Factor((0,), (2,), [1e308, 1e308])
+        np.testing.assert_array_equal(f.values, [1e308, 1e308])
+
+    def test_copies_a_writable_array(self):
+        a = np.arange(6.0).reshape(2, 3)
+        f = Factor((0, 1), (2, 3), a)
+        a[0, 0] = 99.0
+        assert f.values[0, 0] == 0.0
+
+    def test_copies_a_read_only_view(self):
+        base = np.arange(6.0)
+        view = base.reshape(2, 3)
+        view.setflags(write=False)
+        f = Factor((0, 1), (2, 3), view)
+        base[0] = 99.0
+        assert f.values[0, 0] == 0.0
+
+    def test_copies_a_read_only_array_into_row_major_order(self):
+        a = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        a.setflags(write=False)
+        f = Factor((0, 1), (2, 3), a)
+        assert f.values.flags.c_contiguous and not f.values.flags.writeable
+        np.testing.assert_array_equal(f.values, a)
+
+    def test_takes_an_owned_read_only_array_as_is(self):
+        a = np.arange(6.0).reshape(2, 3).copy()
+        a.setflags(write=False)
+        assert Factor((0, 1), (2, 3), a).values is a
+
+    def test_algebra_results_are_read_only(self, bn_a, ev_hk):
+        f = bn_a.cpts[bn_a.id_of("K")]
+        g = bn_a.cpts[bn_a.id_of("H")]
+        results = [
+            contract([f, g], f.scope),
+            contract([f], ()),
+            restrict(f, ev_hk),
+            normalize(f)[0],
+            multiply(f, g),
+            multiply(Factor.scalar(2.0), f),
+            sum_out(f, f.scope[:1]),
+            sum_out(f, f.scope),
+        ]
+        for out in results:
+            assert not out.values.flags.writeable
+            with pytest.raises(ValueError):
+                out.values[...] = 0.0
+
+    def test_contract_overflow_is_not_finite(self):
+        f = Factor((0,), (2,), [1e200, 1.0])
+        g = Factor((0,), (2,), [1e200, 1.0])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+            contract([f, g], (0,))
 
 
 class TestMultiply:
@@ -219,6 +294,34 @@ class TestContract:
             factor_mod._MAX_OPERANDS = saved
         assert got.scope == want.scope
         np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
+
+
+class TestPlanCache:
+    def test_cardinality_mismatch_raises_on_every_call(self):
+        f = Factor((0, 1), (2, 3), np.ones((2, 3)))
+        g = Factor((1,), (2,), [1.0, 2.0])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="cardinality mismatch for variable 1: 3 vs 2"):
+                contract([f, g], {0})
+
+    def test_one_layout_under_different_keep_sets(self):
+        rng = np.random.default_rng(7)
+        fs = [
+            Factor((0, 2), (2, 2), rng.random((2, 2))),
+            Factor((2, 3), (2, 4), rng.random((2, 4))),
+            Factor((3,), (4,), rng.random(4)),
+        ]
+        # 5 and 9 lie outside the operands' union.
+        for keep in ((), (0,), (2, 3), (0, 2, 3), (3, 5), (9,), (0, 2, 3, 9)):
+            want = marginal_to(product_all(fs), keep)
+            for _ in range(2):  # the first call plans, the repeat reads the cache
+                got = contract(fs, keep)
+                assert got.scope == want.scope and got.cards == want.cards
+                np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0.0)
+
+    def test_cache_is_bounded(self):
+        maxsize = factor_mod._plan.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
 
 
 class TestRestrict:

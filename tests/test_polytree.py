@@ -6,7 +6,7 @@ import pytest
 from bordertree.bp_build import build_border_polytree
 from bordertree.bp_infer import BorderSession
 from bordertree.errors import NotSinglyConnectedError
-from bordertree.factor import multiply
+from bordertree.factor import contract, multiply
 from bordertree.network import EvidenceSet
 from bordertree.oracle import oracle_event_prob, oracle_marginal, oracle_posterior
 from bordertree.polytree import PolytreeEngine, node_priors, polytree_query
@@ -124,7 +124,8 @@ class TestSessions:
 
 class TestPosteriors:
     def test_edge_product_identity(self, poly_b):
-        # Pi_Y(Q) * Lambda_Y(Q) equals Pi(Q) * Lambda(Q) for every child Y.
+        # Pi_Y(Q) * Lambda_Y(Q) equals Pi(Q) * Lambda(Q), the product of Q's
+        # belief factors summed onto Q, for every child Y.
         eng = PolytreeEngine(poly_b)
         ev = EvidenceSet(
             poly_b,
@@ -133,7 +134,7 @@ class TestPosteriors:
         s = eng.session(ev)
         for q in poly_b.ids:
             s.ensure_informed(q)
-            node = multiply(s.pi_node(q), s.lambda_node(q))
+            node = contract(s._belief_factors(q), (q,))
             for y in poly_b.children(q):
                 via_edge = multiply(
                     s.compute_pi_edge(q, y), s.compute_lambda_edge(q, y)
