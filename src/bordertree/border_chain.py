@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import BordertreeError
-from .factor import Factor, contract, indicator, normalize, product_all, restrict
+from .factor import Factor, contract, indicator, normalize, restrict
 from .network import NO_EVIDENCE, BayesianNetwork
 
 
@@ -215,7 +215,7 @@ def cohort_table(bn: BayesianNetwork, cohort: frozenset[int], border: frozenset[
         raise BordertreeError(
             f"cohort parents {bn.names(hc - border)} escape the border"
         )
-    return product_all(bn.cpts[v] for v in sorted(cohort))
+    return contract([bn.cpts[v] for v in sorted(cohort)], cohort | hc)
 
 
 def build_chain(
@@ -228,7 +228,7 @@ def build_chain(
     variable of each step.
     """
     b0 = initial_border(bn)
-    phi0 = product_all(bn.cpts[v] for v in sorted(b0))
+    phi0 = contract([bn.cpts[v] for v in sorted(b0)], b0)
     steps = [ChainStep(0, None, frozenset(b0), frozenset(b0), phi0, None)]
     border = frozenset(b0)
     bottom = frozenset(bn.ids) - border

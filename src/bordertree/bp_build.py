@@ -320,12 +320,10 @@ class BorderPolytree:
         borders: list[Border],
         source: BayesianNetwork,
         macro: Optional[MacroPolytree] = None,
-        interfaces: Optional[dict[tuple[int, int], tuple[frozenset[int], int]]] = None,
     ):
         self.borders = borders
         self.source = source
         self.macro = macro
-        self.interfaces = interfaces or {}
         self.edges = tuple(
             (p, b.id) for b in borders for p in b.parents
         )
@@ -532,11 +530,7 @@ class _Stage2Builder:
     def run(self) -> BorderPolytree:
         for g in self.mp.topological_order():
             _MacroStretcher(self, g).run()
-        interfaces = {
-            (gp, gc): (self.mp.interface(gp, gc), self.recorded[(gp, gc)])
-            for (gp, gc) in self.mp.edges
-        }
-        return BorderPolytree(self.borders, self.bn, self.mp, interfaces)
+        return BorderPolytree(self.borders, self.bn, self.mp)
 
 
 def stage2(mp: MacroPolytree) -> BorderPolytree:

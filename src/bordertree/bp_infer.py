@@ -29,30 +29,40 @@ does not grow with the number of evidence variables.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .bp_build import Border, BorderPolytree
 from .errors import BordertreeError
-from .factor import Factor, contract, marginal_to, multiply, restrict, sum_out
+from .factor import Factor, contract, restrict
 from .messaging import EdgeSides, TreeSession, collection_schedule, distribution_schedule
 from .network import NO_EVIDENCE
 
 
+def border_pi(
+    b: Border, phi: Optional[Factor], parent_pi: Callable[[int], Factor]
+) -> Factor:
+    """π of border ``b`` from its cohort table ``phi`` (type 1 only) and the
+    π message ``parent_pi(pid)`` each parent border sends it.
+
+    With no evidence this is the prior Pr{b}.  Type 1: the cohort table
+    times the parent's π, with the promoted variable summed out.  Type 2:
+    each parent's π marginalized onto its carried set on its own, then
+    multiplied.  One joint contraction of the parents' π would agree only
+    while no parent drops a variable that another parent carries.
+    """
+    if b.kind == "type1":
+        if not b.parents:
+            return phi
+        return contract([phi, parent_pi(b.parents[0])], b.members)
+    marginals = [contract([parent_pi(pid)], kept) for pid, kept in zip(b.parents, b.carried)]
+    return contract(marginals, b.members)
+
+
 def preload_priors(bp: BorderPolytree) -> dict[int, Factor]:
-    """Pr{border} for every border, by the evidence-free recursions."""
+    """Pr{border} for every border, by the evidence-free π recursion."""
     priors: dict[int, Factor] = {}
     for b in bp.borders:
-        if b.kind == "type1":
-            if not b.parents:
-                f = b.cohort_table
-            else:
-                f = multiply(b.cohort_table, priors[b.parents[0]])
-                if b.promoted is not None:
-                    f = sum_out(f, {b.promoted})
-        else:
-            f = Factor.scalar(1.0)
-            for pid, kept in zip(b.parents, b.carried):
-                f = multiply(f, marginal_to(priors[pid], kept))
+        f = border_pi(b, b.cohort_table, priors.__getitem__)
         expected = tuple(sorted(b.members))
         if f.scope != expected:  # pragma: no cover - structural guarantee
             raise BordertreeError(f"prior scope {f.scope} != border {expected}")
@@ -138,20 +148,8 @@ class BorderSession(TreeSession):
         if f is not None:
             return f
         b = self.bp.borders[bid]
-        if b.kind == "type1":
-            if not b.parents:
-                f = self._prior_r(bid)
-            else:
-                f = contract([self._phi_r(b), self.get_pi_edge(b.parents[0], bid)], b.members)
-        else:
-            # Each parent's message is marginalized on its own: one joint
-            # contraction would sum a variable dropped by two parents once
-            # over their product, a different answer.
-            marginals = [
-                marginal_to(self.get_pi_edge(pid, bid), kept)
-                for pid, kept in zip(b.parents, b.carried)
-            ]
-            f = contract(marginals, b.members)
+        phi = self._phi_r(b) if b.kind == "type1" else None
+        f = border_pi(b, phi, lambda pid: self.get_pi_edge(pid, bid))
         self._pi_cache[bid] = f
         return f
 

@@ -154,11 +154,8 @@ def _parse_queries(args, bn):
 
 
 def _bp_for(bn):
-    bp = getattr(bn, "_cached_bp", None)
-    if bp is None:
-        bp = build_border_polytree(bn)
-        preload_priors(bp)
-        bn._cached_bp = bp
+    bp = build_border_polytree(bn)
+    preload_priors(bp)
     return bp
 
 

@@ -18,16 +18,20 @@ owns its data: nothing else can then write to it.  The operations below
 hand their fresh results over in that form, so a result is checked but never
 copied.
 
-Every message and readout is a product of factors followed by a
-marginalization.  :func:`contract` computes that in one ``np.einsum`` call,
-without building the product table: ``contract(factors, keep)`` is
-``marginal_to(product_all(factors), keep)``.  Its einsum subscripts name
-each variable by its rank within the operands' union.  They depend only on
-the operands' scopes and cards and on the kept set, so they are planned once
-per layout and kept in a bounded LRU cache.  A node or border with more
-incoming messages than one einsum call takes is contracted in groups, so
-fan-out is unbounded.
-:func:`multiply` and :func:`sum_out` remain the pairwise operations.
+Every table the program computes is a product of factors followed by a
+marginalization: messages, passes and readouts, and also priors, cohort
+tables and row sums.  :func:`contract` computes that in one ``np.einsum``
+call, without building the product table when something is summed out.  Its
+einsum subscripts name each variable by its rank within the operands'
+union.  They depend only on the operands' scopes and cards and on the kept
+set, so they are planned once per layout and kept in a bounded LRU cache.  A
+node or border with more incoming messages than one einsum call takes is
+contracted in groups, so fan-out is unbounded.
+
+:func:`multiply`, :func:`product_all`, :func:`sum_out` and
+:func:`marginal_to` are short forms of :func:`contract` (a product onto the
+union scope, or a marginal of one factor), kept for the tests and the
+library's users.  The program itself calls :func:`contract`.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from . import kernels
 from .errors import ImpossibleEvidenceError
 
 
@@ -49,8 +52,7 @@ class Factor:
     infinity makes the minimum or the maximum non-finite, and a negative
     entry makes the minimum negative.  ``values`` is copied unless it is a
     read-only, C-contiguous array that owns its data, the form in which
-    ``contract``, ``multiply``, ``sum_out``, ``restrict`` and ``normalize``
-    hand over their results.
+    ``contract``, ``restrict`` and ``normalize`` hand over their results.
     """
 
     __slots__ = ("scope", "cards", "values")
@@ -109,34 +111,6 @@ class Factor:
         )
 
 
-def _union_scope(f: Factor, g: Factor) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Merged ascending scope and cards; raises on shared-card mismatch."""
-    scope: list[int] = []
-    cards: list[int] = []
-    i = j = 0
-    fs, gs = f.scope, g.scope
-    while i < len(fs) or j < len(gs):
-        if j >= len(gs) or (i < len(fs) and fs[i] < gs[j]):
-            scope.append(fs[i])
-            cards.append(f.cards[i])
-            i += 1
-        elif i >= len(fs) or gs[j] < fs[i]:
-            scope.append(gs[j])
-            cards.append(g.cards[j])
-            j += 1
-        else:
-            if f.cards[i] != g.cards[j]:
-                raise ValueError(
-                    f"cardinality mismatch for variable {fs[i]}: "
-                    f"{f.cards[i]} vs {g.cards[j]}"
-                )
-            scope.append(fs[i])
-            cards.append(f.cards[i])
-            i += 1
-            j += 1
-    return tuple(scope), tuple(cards)
-
-
 def _fresh(vals) -> np.ndarray:
     """Freeze a newly computed result so ``Factor`` takes it without a copy.
 
@@ -149,27 +123,6 @@ def _fresh(vals) -> np.ndarray:
     return vals
 
 
-def multiply(f: Factor, g: Factor) -> Factor:
-    """Pointwise product on the union scope."""
-    if not f.scope:
-        return Factor(g.scope, g.cards, _fresh(g.values * float(f.values)))
-    if not g.scope:
-        return Factor(f.scope, f.cards, _fresh(f.values * float(g.values)))
-    scope, cards = _union_scope(f, g)
-    pos = {v: k for k, v in enumerate(scope)}
-    f_axes = tuple(pos[v] for v in f.scope)
-    g_axes = tuple(pos[v] for v in g.scope)
-    vals = kernels.product(f.values, f_axes, g.values, g_axes, cards)
-    return Factor(scope, cards, _fresh(vals))
-
-
-def product_all(factors: Iterable[Factor]) -> Factor:
-    out = Factor.scalar(1.0)
-    for f in factors:
-        out = multiply(out, f)
-    return out
-
-
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # np.einsum takes fewer than NPY_MAXARGS operands: 32 on numpy 1.x, 64 on 2.x.
 _MAX_OPERANDS = 31
@@ -178,12 +131,11 @@ _MAX_OPERANDS = 31
 def contract(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
     """Marginal onto ``keep`` of the product of ``factors``, in one einsum.
 
-    Equals ``marginal_to(product_all(factors), keep)`` without building the
-    product table.  Variables in ``keep`` outside every operand's scope are
-    ignored, scalar operands fold into a multiplier, and a lone operand with
-    nothing to sum out is returned as is.  More operands than one einsum
-    call takes are folded in groups: each group is contracted onto the
-    variables that ``keep`` or a later operand still needs.
+    Variables in ``keep`` outside every operand's scope are ignored, scalar
+    operands fold into a multiplier, and a lone operand with nothing to sum
+    out is returned as is.  More operands than one einsum call takes are
+    folded in groups: each group is contracted onto the variables that
+    ``keep`` or a later operand still needs.
     """
     factors = list(factors)
     keep = frozenset(keep)
@@ -236,24 +188,29 @@ def _plan(layout: tuple, keep: frozenset[int]) -> tuple[str, tuple[int, ...], tu
     return subscripts, out, tuple(cards[v] for v in out)
 
 
+def multiply(f: Factor, g: Factor) -> Factor:
+    """Pointwise product on the union scope."""
+    return contract([f, g], f.scope + g.scope)
+
+
+def product_all(factors: Iterable[Factor]) -> Factor:
+    """Pointwise product of ``factors`` on their union scope."""
+    factors = list(factors)
+    return contract(factors, [v for f in factors for v in f.scope])
+
+
 def sum_out(f: Factor, vars: Iterable[int]) -> Factor:
     """Marginalize ``vars`` away; summing out the whole scope gives a scalar."""
     drop = set(vars)
-    if not drop:
-        return f
     missing = drop - set(f.scope)
     if missing:
         raise ValueError(f"variables {sorted(missing)} not in scope {f.scope}")
-    axes = tuple(k for k, v in enumerate(f.scope) if v in drop)
-    keep = tuple(v for v in f.scope if v not in drop)
-    keep_cards = tuple(c for v, c in zip(f.scope, f.cards) if v not in drop)
-    vals = kernels.sum_axes(f.values, axes)
-    return Factor(keep, keep_cards, _fresh(vals))
+    return contract([f], [v for v in f.scope if v not in drop])
 
 
 def marginal_to(f: Factor, keep: Iterable[int]) -> Factor:
-    keep = set(keep)
-    return sum_out(f, [v for v in f.scope if v not in keep])
+    """Marginal of ``f`` onto ``keep``; variables outside its scope are ignored."""
+    return contract([f], keep)
 
 
 def restrict(f: Factor, ev: "EvidenceLike") -> Factor:

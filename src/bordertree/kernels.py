@@ -1,9 +1,13 @@
-"""Numpy table kernels for the pairwise factor operations.
+"""Numpy table kernels: a pairwise product and an axis sum.
 
 ``product`` multiplies two aligned row-major float64 tables onto their union
-shape and ``sum_axes`` marginalizes a set of axes; ``factor.multiply`` and
-``factor.sum_out`` call them.  A product followed by a marginalization goes
-through ``factor.contract`` instead, which never builds the product table.
+shape and ``sum_axes`` marginalizes a set of axes.  Nothing in the package
+calls them: every table goes through ``factor.contract``, and
+``factor.multiply``/``factor.sum_out`` are short forms of it.  The module
+stays because the benchmark harness binds it: ``perfbench/spans.py`` wraps
+``product`` and ``sum_axes`` (their counts read 0 on a working build), and
+``perfbench/run.py`` records ``bordertree.KERNEL_BACKEND``, which is
+``BACKEND``.  It goes with the next change to the benchmark's bindings.
 """
 
 from __future__ import annotations

@@ -20,10 +20,11 @@ tables and indicators are built once per session.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import NotSinglyConnectedError
-from .factor import Factor, contract, multiply, restrict, sum_out
+from .factor import Factor, contract, restrict
 from .messaging import (
     HubIndex,
     Tree,
@@ -41,10 +42,7 @@ def node_priors(bn: BayesianNetwork) -> dict[int, Factor]:
     mutually independent, so one topological sweep suffices."""
     priors: dict[int, Factor] = {}
     for v in bn.topological_order():
-        f = bn.cpts[v]
-        for p in bn.parents[v]:
-            f = multiply(f, priors[p])
-        priors[v] = sum_out(f, bn.parents[v]) if bn.parents[v] else f
+        priors[v] = contract([bn.cpts[v], *[priors[p] for p in bn.parents[v]]], (v,))
     return priors
 
 
@@ -57,8 +55,13 @@ class PolytreeEngine:
                 "network has an undirected loop; use the border polytree engine"
             ) from None
         self.bn = bn
-        self.hub_index: HubIndex = build_hub_index(self.tree, hubs)
+        self._hubs = None if hubs is None else tuple(hubs)
         self.priors = node_priors(bn)
+
+    @cached_property
+    def hub_index(self) -> HubIndex:
+        """Hub paths for :meth:`path`, built on first use: queries never read them."""
+        return build_hub_index(self.tree, self._hubs)
 
     def path(self, x: int, y: int) -> list[int]:
         return tree_path(self.tree, self.hub_index, x, y)

@@ -19,6 +19,20 @@ from bordertree.randgen import random_dag, random_evidence, random_polytree
 from bordertree import zoo
 
 
+def junction_dags(count=8, seed=5):
+    """Seeded random DAGs whose border polytree has a junction border with
+    at least two parents, whose prior multiplies the marginals of several
+    parents' priors."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        bn = random_dag(rng, 6, 12)
+        bp = build_border_polytree(bn)
+        if any(b.kind == "type2" and len(b.parents) > 1 for b in bp.borders):
+            out.append(bn)
+    return out
+
+
 def border_id(bp, bn, names):
     members = frozenset(bn.id_of(n) for n in names)
     return next(b.id for b in bp.borders if b.members == members)
@@ -31,14 +45,21 @@ class TestPreload:
         want = oracle_marginal(bn_c, root.members)
         np.testing.assert_allclose(prior.values, want, atol=1e-12)
 
-    def test_all_border_priors_match_oracle(self, bn_c, bp_c):
-        for b in bp_c.borders:
-            np.testing.assert_allclose(
-                bp_c.priors[b.id].values,
-                oracle_marginal(bn_c, b.members),
-                atol=1e-9,
-                err_msg=str(b.id),
-            )
+    def test_all_border_priors_match_oracle(self, bn_a, bn_c, poly_b):
+        nets = {"bn_a": bn_a, "bn_c": bn_c, "polytree_b": poly_b}
+        nets.update((f"dag{i}", bn) for i, bn in enumerate(junction_dags()))
+        for name, bn in nets.items():
+            bp = build_border_polytree(bn)
+            priors = preload_priors(bp)
+            assert any(b.kind == "type2" for b in bp.borders), name
+            for b in bp.borders:
+                assert priors[b.id].scope == tuple(sorted(b.members))
+                np.testing.assert_allclose(
+                    priors[b.id].values,
+                    oracle_marginal(bn, b.members),
+                    atol=1e-9,
+                    err_msg=f"{name} border {b.id}",
+                )
 
     def test_chain_view_priors_equal_downward_pass(self, bn_a):
         chain = build_chain(bn_a)

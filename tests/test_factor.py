@@ -38,6 +38,17 @@ def loop_multiply(f: Factor, g: Factor) -> Factor:
     return Factor(scope, shape, out)
 
 
+def loop_marginal(f: Factor, keep) -> Factor:
+    """Reference marginal: add each entry of ``f`` into its kept assignment."""
+    keep = set(keep)
+    idx = [k for k, v in enumerate(f.scope) if v in keep]
+    shape = tuple(f.cards[k] for k in idx)
+    out = np.zeros(shape)
+    for assign in itertools.product(*(range(c) for c in f.cards)):
+        out[tuple(assign[k] for k in idx)] += f.values[assign]
+    return Factor(tuple(f.scope[k] for k in idx), shape, out)
+
+
 # One shared card per variable id, so factors drawn independently align.
 _CARDS = (2, 3, 2, 4, 2, 3)
 
@@ -167,7 +178,7 @@ class TestMultiply:
     def test_cardinality_mismatch(self):
         f = Factor((0,), (2,), [1.0, 2.0])
         g = Factor((0,), (3,), [1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="cardinality mismatch"):
+        with pytest.raises(ValueError, match="cardinality mismatch for variable 0: 2 vs 3"):
             multiply(f, g)
 
 
@@ -195,6 +206,15 @@ class TestSumOut:
         f = Factor((0,), (2,), [1.0, 2.0])
         with pytest.raises(ValueError, match="not in scope"):
             sum_out(f, {3})
+
+    @settings(max_examples=50, deadline=None)
+    @given(factors(), st.sets(st.integers(0, 5)))
+    def test_matches_loop_oracle(self, f, drop):
+        drop &= set(f.scope)
+        got = sum_out(f, drop)
+        want = loop_marginal(f, set(f.scope) - drop)
+        assert got.scope == want.scope and got.cards == want.cards
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(factors(ids=range(3)), factors(ids=range(3, 6)))
@@ -230,14 +250,14 @@ class TestContract:
         want = sum_out(prod, [v for v in prod.scope if v not in keep])
         assert got.scope == want.scope and got.cards == want.cards
         np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
-        loop = marginal_to(loop_multiply(f, g), keep)
+        loop = loop_marginal(loop_multiply(f, g), keep)
         np.testing.assert_allclose(got.values, loop.values, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(factors(max_vars=3), min_size=3, max_size=5), _KEEP)
     def test_many_operands(self, fs, keep):
         got = contract(fs, keep)
-        want = marginal_to(loop_product(fs), keep)
+        want = loop_marginal(loop_product(fs), keep)
         assert got.scope == want.scope
         np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
 
@@ -246,7 +266,7 @@ class TestContract:
     def test_scalar_operands_fold_in(self, f, g, c, keep):
         fs = [Factor.scalar(c), f, Factor.scalar(0.5), g]
         got = contract(fs, keep)
-        want = marginal_to(loop_product(fs), keep)
+        want = loop_marginal(loop_product(fs), keep)
         assert got.scope == want.scope
         np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
 
@@ -278,14 +298,14 @@ class TestContract:
         fs[10:10] = [Factor((0, k), (3, 2), rng.random((3, 2))) for k in (1, 2, 3)]
         for keep in ((0,), (), (0, 2)):
             got = contract(fs, keep)
-            want = marginal_to(loop_product(fs), keep)
+            want = loop_marginal(loop_product(fs), keep)
             assert got.scope == want.scope
             np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(factors(max_vars=3), min_size=1, max_size=7), _KEEP, st.integers(2, 3))
     def test_operands_folded_in_groups(self, fs, keep, limit):
-        want = marginal_to(loop_product(fs), keep)
+        want = loop_marginal(loop_product(fs), keep)
         saved = factor_mod._MAX_OPERANDS
         factor_mod._MAX_OPERANDS = limit
         try:
@@ -313,7 +333,7 @@ class TestPlanCache:
         ]
         # 5 and 9 lie outside the operands' union.
         for keep in ((), (0,), (2, 3), (0, 2, 3), (3, 5), (9,), (0, 2, 3, 9)):
-            want = marginal_to(product_all(fs), keep)
+            want = loop_marginal(loop_product(fs), keep)
             for _ in range(2):  # the first call plans, the repeat reads the cache
                 got = contract(fs, keep)
                 assert got.scope == want.scope and got.cards == want.cards
@@ -322,6 +342,26 @@ class TestPlanCache:
     def test_cache_is_bounded(self):
         maxsize = factor_mod._plan.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
+
+
+class TestShortForms:
+    """``product_all`` and ``marginal_to`` are short forms of ``contract``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(factors(max_vars=3), max_size=4), _KEEP)
+    def test_match_loop_oracles(self, fs, keep):
+        prod = product_all(fs)
+        want = loop_product(fs)
+        assert prod.scope == want.scope and prod.cards == want.cards
+        np.testing.assert_allclose(prod.values, want.values, rtol=1e-12, atol=1e-12)
+        got = marginal_to(prod, keep)
+        want = loop_marginal(want, keep)
+        assert got.scope == want.scope and got.cards == want.cards
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
+
+    def test_empty_product_is_one(self):
+        one = product_all([])
+        assert one.scope == () and float(one.values) == 1.0
 
 
 class TestRestrict:

@@ -17,6 +17,7 @@ from bordertree.messaging import (
     smallest_hitting_core,
     tree_path,
 )
+from bordertree.network import EvidenceSet
 from bordertree.polytree import PolytreeEngine
 from bordertree.randgen import random_polytree
 
@@ -170,6 +171,13 @@ class TestHubPaths:
         index = build_hub_index(tree, hubs=[j, h])
         between = index.hub_paths[(j, h)]
         assert [poly_b.name_of(v) for v in between] == ["I", "M", "D", "C"]
+
+    def test_index_is_built_on_first_path(self, poly_b):
+        eng = PolytreeEngine(poly_b, hubs=[poly_b.id_of("J"), poly_b.id_of("H")])
+        eng.query(EvidenceSet(poly_b, {poly_b.id_of("B"): {1}}))
+        assert "hub_index" not in vars(eng)
+        eng.path(poly_b.id_of("P"), poly_b.id_of("A"))
+        assert eng.hub_index.hubs == (poly_b.id_of("J"), poly_b.id_of("H"))
 
     def test_path_to_self(self, poly_b):
         eng = PolytreeEngine(poly_b)
