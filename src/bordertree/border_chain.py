@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .errors import BordertreeError
 from .factor import Factor, contract, indicator, normalize, restrict
-from .network import NO_EVIDENCE, BayesianNetwork
+from .network import NO_EVIDENCE, BayesianNetwork, reach
 
 
 @dataclass(frozen=True)
@@ -115,15 +115,7 @@ def initial_border(bn: BayesianNetwork, members=None) -> frozenset[int]:
 
 
 def bottom_ancestors(bn: BayesianNetwork, seeds, bottom) -> frozenset[int]:
-    out: set[int] = set()
-    stack = list(seeds)
-    while stack:
-        v = stack.pop()
-        for p in bn.parents[v]:
-            if p in bottom and p not in out:
-                out.add(p)
-                stack.append(p)
-    return frozenset(out)
+    return frozenset(reach(seeds, lambda v: bottom.intersection(bn.parents[v])))
 
 
 def rule_candidates(bn, border, bottom, rule, blocked=frozenset()):

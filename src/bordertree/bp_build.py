@@ -7,7 +7,11 @@ new edge closes is opened by merging the two loop-forming parent macros
 absorbing further loop members while any quotient cycle remains, smallest
 post-closure state space first.  A union-find over the recruited edges
 tells whether an edge closes a loop, so the quotient graph is searched only
-when one does.
+when one does.  The partition keeps that quotient live (a merge moves the
+absorbed macros' links onto the kept one), and every cycle in it passes
+through one known macro: the recruited node's after its loop-closing edge,
+the growing blob during repair.  One search from that macro
+(:func:`_cycle_through`) finds each cycle.
 
 Stage II stretches each macro-node into a border chain by calling the
 chain's promotion engine (:func:`~bordertree.border_chain.choose_next` and
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,7 +35,7 @@ from .errors import BordertreeError, NotSinglyConnectedError
 from .border_chain import choose_next, cohort_table, initial_border, next_border
 from .factor import Factor
 from .messaging import Tree, UnionFind
-from .network import BayesianNetwork
+from .network import BayesianNetwork, reach
 
 
 # ---------------------------------------------------------------------------
@@ -38,32 +43,23 @@ from .network import BayesianNetwork
 # ---------------------------------------------------------------------------
 
 
-def _reach(seeds, step) -> set[int]:
-    """Nodes reachable from ``seeds`` by one or more ``step`` moves."""
-    seen: set[int] = set()
-    stack = list(seeds)
-    while stack:
-        for u in step(stack.pop()):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
-
-
 def aggregation_closure(bn: BayesianNetwork, seed) -> frozenset[int]:
     """Smallest superset of ``seed`` with every directed path between two
     members staying inside.
 
-    That is ``seed | (desc(seed) & anc(seed))``: a node on such a path
-    descends from one seed and precedes another (never the same one, in a
-    DAG), so one downward and one upward search from the seeds suffice.
+    That is ``seed | (desc(seed) & anc(seed))``.  A node on such a path
+    comes after the seed it starts from in topological order and precedes
+    the seed it ends at, so an upward search that stops at the earliest
+    seed, then a downward search among the ancestors it found, both stay
+    within the seeds' span of that order.
     """
     members = frozenset(seed)
     if not members:
         raise ValueError("seed must be non-empty")
-    down = _reach(members, bn.children)
-    up = _reach(members, bn.parents.__getitem__)
-    return members | (down & up)
+    rank = bn.rank()
+    first = min(rank[v] for v in members)
+    up = reach(members, lambda v: [p for p in bn.parents[v] if rank[p] > first])
+    return members | reach(members, lambda v: up.intersection(bn.children(v)))
 
 
 @dataclass
@@ -116,9 +112,14 @@ class MacroPolytree:
 
 
 class _Partition:
+    """Macro-nodes over the recruited variables, with their live quotient:
+    ``links[m][n]`` has bit 1 set when an active edge runs m -> n and bit 2
+    when one runs n -> m."""
+
     def __init__(self):
         self.macro_of: dict[int, int] = {}
         self.members: dict[int, set[int]] = {}
+        self.links: dict[int, dict[int, int]] = {}
         self._next = 0
 
     def add(self, var: int) -> int:
@@ -126,7 +127,18 @@ class _Partition:
         self._next += 1
         self.macro_of[var] = mid
         self.members[mid] = {var}
+        self.links[mid] = {}
         return mid
+
+    def link(self, p: int, c: int):
+        """Record the active edge p -> c."""
+        a, b = self.macro_of[p], self.macro_of[c]
+        if a != b:
+            self._join(a, b, 1)
+
+    def _join(self, a: int, b: int, dirs: int):
+        self.links[a][b] = self.links[a].get(b, 0) | dirs
+        self.links[b][a] = self.links[b].get(a, 0) | _FLIP[dirs]
 
     def merge(self, mids: set[int]) -> int:
         mids = set(mids)
@@ -135,82 +147,57 @@ class _Partition:
             for v in self.members[m]:
                 self.macro_of[v] = keep
             self.members[keep] |= self.members.pop(m)
+            for n, dirs in self.links.pop(m).items():
+                del self.links[n][m]
+                if n not in mids:  # pairs inside mids become internal
+                    self._join(keep, n, dirs)
         return keep
 
 
-def _quotient_adj(part: _Partition, edges: set[tuple[int, int]]):
-    adj: dict[int, set[int]] = {m: set() for m in part.members}
-    for p, c in edges:
-        a, b = part.macro_of[p], part.macro_of[c]
-        if a != b:
-            adj[a].add(b)
-            adj[b].add(a)
-    return adj
+_FLIP = (0, 2, 1, 3)  # direction bits seen from the other end
 
 
-def _quotient_path(part, edges, start: int, goal: int) -> Optional[list[int]]:
-    adj = _quotient_adj(part, edges)
-    if start == goal:
-        return [start]
-    prev = {start: start}
-    queue = [start]
-    while queue:
-        v = queue.pop(0)
-        for u in sorted(adj[v]):
-            if u in prev:
+def _cycle_through(part: _Partition, m: int) -> Optional[list[int]]:
+    """A quotient cycle through macro ``m`` (``m`` first), or None.
+
+    Every quotient cycle must pass through ``m``, so the quotient without it
+    is a forest.  A pair joined in both directions is a 2-cycle; otherwise
+    one BFS grows a tree from each neighbour of ``m`` and the first edge
+    between two of these trees closes a cycle.  A tree whose frontier runs
+    out touches no other, so the search stops when one frontier is left.
+    """
+    links = part.links[m]
+    for n in sorted(links):
+        if links[n] == 3:
+            return [m, n]
+    root = {n: n for n in links}
+    prev: dict[int, Optional[int]] = dict.fromkeys(links)
+    queued = dict.fromkeys(links, 1)
+    live = len(links)
+    queue = deque(sorted(links))
+    while live > 1:
+        u = queue.popleft()
+        r = root[u]
+        for w in part.links[u]:
+            if w == m or w == prev[u]:
                 continue
-            prev[u] = v
-            if u == goal:
-                path = [goal]
-                while path[-1] != start:
-                    path.append(prev[path[-1]])
-                return path[::-1]
-            queue.append(u)
+            if w not in root:
+                root[w], prev[w] = r, u
+                queued[r] += 1
+                queue.append(w)
+            elif root[w] != r:
+                return [m, *_to_root(prev, u)[::-1], *_to_root(prev, w)]
+        queued[r] -= 1
+        live -= not queued[r]
     return None
 
 
-def _find_quotient_cycle(part, edges) -> Optional[list[int]]:
-    # Two macros joined in both directions form a multigraph 2-cycle (same
-    # direction collapses to one edge, opposite directions never may).
-    directed: set[tuple[int, int]] = set()
-    for p, c in edges:
-        a, b = part.macro_of[p], part.macro_of[c]
-        if a != b:
-            if (b, a) in directed:
-                return [a, b]
-            directed.add((a, b))
-    adj = _quotient_adj(part, edges)
-    seen: set[int] = set()
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        stack = [(start, None)]
-        prev: dict[int, Optional[int]] = {start: None}
-        while stack:
-            v, came = stack.pop()
-            seen.add(v)
-            for u in sorted(adj[v]):
-                if u == came:
-                    continue
-                if u in prev:
-                    # Back edge: cycle = path(v..lca) + path(u..lca).
-                    av, au = [v], [u]
-                    vs = {v}
-                    x = v
-                    while prev[x] is not None:
-                        x = prev[x]
-                        av.append(x)
-                        vs.add(x)
-                    x = u
-                    while x not in vs:
-                        x = prev[x]
-                        au.append(x)
-                    lca = au[-1]
-                    cycle = av[: av.index(lca) + 1] + au[-2::-1]
-                    return cycle
-                prev[u] = v
-                stack.append((u, v))
-    return None
+def _to_root(prev: dict[int, Optional[int]], x: int) -> list[int]:
+    path = [x]
+    while prev[x] is not None:
+        x = prev[x]
+        path.append(x)
+    return path
 
 
 def _statespace(bn: BayesianNetwork, vars) -> int:
@@ -218,12 +205,14 @@ def _statespace(bn: BayesianNetwork, vars) -> int:
 
 
 def stage1(bn: BayesianNetwork) -> MacroPolytree:
-    bn.topological_order()  # raises on cycles up front
     part = _Partition()
-    active_edges: set[tuple[int, int]] = set()
 
-    def absorb(blob_macros: set[int], tau: int) -> int:
-        """Merge, close under aggregation, then repair remaining cycles."""
+    def absorb(blob_macros: set[int], tau: int):
+        """Merge, close under aggregation, then repair remaining cycles.
+
+        Every quotient cycle passes through the blob: the quotient was a
+        forest before the loop-closing edge, and each merge takes the blob
+        in, so one search at the blob finds any cycle that is left."""
         blob = part.merge(blob_macros)
         while True:
             closed = aggregation_closure(bn, part.members[blob])
@@ -231,12 +220,9 @@ def stage1(bn: BayesianNetwork) -> MacroPolytree:
             if touched != {blob}:
                 blob = part.merge(touched)
                 continue
-            cycle = _find_quotient_cycle(part, active_edges)
+            cycle = _cycle_through(part, blob)
             if cycle is None:
-                return blob
-            if blob not in cycle:  # pragma: no cover - merges always join it
-                blob = part.merge(set(cycle) | {blob})
-                continue
+                return
             tau_macro = part.macro_of[tau]
             cands = [m for m in cycle if m not in (blob, tau_macro)]
             if not cands:
@@ -256,26 +242,23 @@ def stage1(bn: BayesianNetwork) -> MacroPolytree:
     for tau in bn.topological_order():
         part.add(tau)
         for p in sorted(bn.parents[tau]):
-            mp, mt = part.macro_of[p], part.macro_of[tau]
-            loop = not linked.union(p, tau) and mp != mt
-            path = _quotient_path(part, active_edges, mp, mt) if loop else None
-            active_edges.add((p, tau))
-            if path is None:
-                continue
-            # New edge closes the unique loop mp .. path[-2] .. mt .. mp;
-            # merge the two loop-forming parent macros, never tau's macro.
-            absorb({mp, path[-2]}, tau)
+            loop = not linked.union(p, tau) and part.macro_of[p] != part.macro_of[tau]
+            part.link(p, tau)
+            # The quotient was a forest, so any cycle is the new edge's
+            # unique loop through tau's macro; merge its two loop-forming
+            # parent macros (the macro's neighbours on it), never tau's.
+            cycle = _cycle_through(part, part.macro_of[tau]) if loop else None
+            if cycle is not None:
+                absorb({cycle[1], cycle[-1]}, tau)
 
-    order = sorted(part.members.values(), key=min)
-    groups = [tuple(sorted(g)) for g in order]
+    order = sorted(part.members, key=lambda m: min(part.members[m]))
+    index = {m: i for i, m in enumerate(order)}
+    groups = [tuple(sorted(part.members[m])) for m in order]
     membership = {v: i for i, g in enumerate(groups) for v in g}
-    q_edges = set()
-    for v in bn.ids:
-        for p in bn.parents[v]:
-            a, b = membership[p], membership[v]
-            if a != b:
-                q_edges.add((a, b))
-    return MacroPolytree(groups, membership, frozenset(q_edges), bn)
+    q_edges = frozenset(
+        (index[a], index[b]) for a in order for b, dirs in part.links[a].items() if dirs & 1
+    )
+    return MacroPolytree(groups, membership, q_edges, bn)
 
 
 def verify_macro_polytree(mp: MacroPolytree) -> list[str]:
@@ -584,25 +567,22 @@ def verify_bp(bp: BorderPolytree) -> list[BpDiagnostic]:
         tree = None
 
     # Running intersection: each variable's home borders form a connected
-    # subgraph of the border polytree.
+    # subgraph of the border polytree.  A node set H of a forest is
+    # connected iff exactly |H| - 1 forest edges join two of its nodes, so
+    # count, per variable, the border edges whose two ends both hold it.
     if tree is not None:
-        adj = {b.id: set(tree.neighbors(b.id)) for b in bp.borders}
+        inner = dict.fromkeys(bn.ids, 0)
+        for p, c in bp.edges:
+            for v in bp.borders[p].members & bp.borders[c].members:
+                inner[v] += 1
         for v in bn.ids:
-            homes = set(bp.variable_home[v])
+            homes = bp.variable_home[v]
             if not homes:
                 out.append(
                     BpDiagnostic("error", "coverage", f"{bn.name_of(v)} is in no border")
                 )
                 continue
-            seen = {min(homes)}
-            stack = [min(homes)]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y in homes and y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            if seen != homes:
+            if inner[v] != len(homes) - 1:
                 out.append(
                     BpDiagnostic(
                         "error",

@@ -47,8 +47,17 @@ def border_pi(
     With no evidence this is the prior Pr{b}.  Type 1: the cohort table
     times the parent's π, with the promoted variable summed out.  Type 2:
     each parent's π marginalized onto its carried set on its own, then
-    multiplied.  One joint contraction of the parents' π would agree only
-    while no parent drops a variable that another parent carries.
+    multiplied.
+
+    The parents of a junction border share no variable.  A border of macro
+    g holds only g's variables and interface variables of g's parent
+    macros, so a shared variable would need a 2-cycle between g and a
+    parent macro, the same macro pair junctioned twice, or an undirected
+    3- or 4-cycle in the quotient; stage I and the single-edge rule exclude
+    all three.  One joint contraction would therefore give the same table,
+    but plain einsum loops over the product of all its operands' sizes:
+    two 3^6 parents kept to two variables each cost over ten times as much
+    joined as marginalized first.
     """
     if b.kind == "type1":
         if not b.parents:

@@ -96,9 +96,6 @@ class Factor:
     def card_of(self, var: int) -> int:
         return self.cards[self.scope.index(var)]
 
-    def axis_of(self, var: int) -> int:
-        return self.scope.index(var)
-
     def total(self) -> float:
         return float(self.values.sum())
 

@@ -4,13 +4,26 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import CycleError, NotSinglyConnectedError
 from .factor import Factor, contract
 from .messaging import Tree
+
+
+def reach(seeds: Iterable[int], step: Callable[[int], Iterable[int]]) -> set[int]:
+    """Nodes reachable from ``seeds`` by one or more ``step`` moves (a seed
+    is included only when some move reaches it)."""
+    seen: set[int] = set()
+    stack = list(seeds)
+    while stack:
+        for u in step(stack.pop()):
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -71,6 +84,7 @@ class BayesianNetwork:
                 if f.card_of(u) != self.variables[u].cardinality:
                     raise ValueError(f"cpt cardinality mismatch at {self.name_of(u)}")
         self._children: dict[int, tuple[int, ...]] | None = None
+        self._rank: dict[int, int] | None = None
         self._by_name = {v.name: v.id for v in self.variables}
 
     # -- basic lookups ----------------------------------------------------
@@ -132,24 +146,10 @@ class BayesianNetwork:
         return frozenset(out)
 
     def ancestors(self, var: int) -> frozenset[int]:
-        seen: set[int] = set()
-        stack = list(self.parents[var])
-        while stack:
-            u = stack.pop()
-            if u not in seen:
-                seen.add(u)
-                stack.extend(self.parents[u])
-        return frozenset(seen)
+        return frozenset(reach((var,), self.parents.__getitem__))
 
     def descendants(self, var: int) -> frozenset[int]:
-        seen: set[int] = set()
-        stack = list(self.children(var))
-        while stack:
-            u = stack.pop()
-            if u not in seen:
-                seen.add(u)
-                stack.extend(self.children(u))
-        return frozenset(seen)
+        return frozenset(reach((var,), self.children))
 
     def set_parents(self, xs: Iterable[int]) -> frozenset[int]:
         xs = set(xs)
@@ -194,6 +194,12 @@ class BayesianNetwork:
                 + ", ".join(self.name_of(v) for v in stuck)
             )
         return tuple(order)
+
+    def rank(self) -> dict[int, int]:
+        """Each variable's position in :meth:`topological_order`."""
+        if self._rank is None:
+            self._rank = {v: i for i, v in enumerate(self.topological_order())}
+        return self._rank
 
     def is_singly_connected(self) -> bool:
         """True iff each connected component has no undirected cycle."""

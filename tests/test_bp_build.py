@@ -1,11 +1,15 @@
 """Stage I (macro-node polytrees) and Stage II (border polytrees)."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from bordertree.bp_build import (
     Border,
     BorderPolytree,
+    MacroPolytree,
     aggregation_closure,
     border_polytree_from_chain,
     build_border_polytree,
@@ -17,9 +21,13 @@ from bordertree.bp_build import (
 from bordertree.bnformat import parse_evidence
 from bordertree.bp_infer import BorderSession, preload_priors
 from bordertree.border_chain import build_chain, chain_rows
+from bordertree.bnformat import parse_network
+from bordertree.messaging import UnionFind
 from bordertree.network import EvidenceSet
 from bordertree.randgen import random_dag, random_polytree
 from bordertree import zoo
+
+from conftest import fixture_path
 
 
 def group_names(bn, mp):
@@ -45,6 +53,150 @@ def fixpoint_closure(bn, seed):
         if not add:
             return frozenset(members)
         members |= add
+
+
+def reference_stage1(bn):
+    """Stage I as first written: the quotient adjacency rebuilt from every
+    active edge, a BFS for the loop's path in it, and a DFS of the whole
+    quotient for the cycles left after each merge."""
+    macro_of, members, active, fresh = {}, {}, set(), itertools.count()
+
+    def merge(mids):
+        keep = min(mids)
+        for m in set(mids) - {keep}:
+            for v in members[m]:
+                macro_of[v] = keep
+            members[keep] |= members.pop(m)
+        return keep
+
+    def adjacency():
+        adj = {m: set() for m in members}
+        for p, c in active:
+            a, b = macro_of[p], macro_of[c]
+            if a != b:
+                adj[a].add(b)
+                adj[b].add(a)
+        return adj
+
+    def path(start, goal):
+        adj, prev, queue = adjacency(), {start: start}, [start]
+        while queue:
+            v = queue.pop(0)
+            for u in sorted(adj[v]):
+                if u in prev:
+                    continue
+                prev[u] = v
+                if u == goal:
+                    out = [goal]
+                    while out[-1] != start:
+                        out.append(prev[out[-1]])
+                    return out[::-1]
+                queue.append(u)
+        return None
+
+    def find_cycle():
+        directed = set()
+        for p, c in active:
+            a, b = macro_of[p], macro_of[c]
+            if a != b:
+                if (b, a) in directed:
+                    return [a, b]
+                directed.add((a, b))
+        adj, seen = adjacency(), set()
+        for start in sorted(adj):
+            if start in seen:
+                continue
+            stack, prev = [(start, None)], {start: None}
+            while stack:
+                v, came = stack.pop()
+                seen.add(v)
+                for u in sorted(adj[v]):
+                    if u == came:
+                        continue
+                    if u in prev:
+                        av, au, x = [v], [u], v
+                        while prev[x] is not None:
+                            x = prev[x]
+                            av.append(x)
+                        x = u
+                        while x not in av:
+                            x = prev[x]
+                            au.append(x)
+                        return av[: av.index(au[-1]) + 1] + au[-2::-1]
+                    prev[u] = v
+                    stack.append((u, v))
+        return None
+
+    def state_space(vars):
+        return math.prod(bn.card(v) for v in vars)
+
+    def absorb(blob, tau):
+        blob = merge(blob)
+        while True:
+            touched = {macro_of[v] for v in aggregation_closure(bn, members[blob])}
+            if touched != {blob}:
+                blob = merge(touched)
+                continue
+            cycle = find_cycle()
+            if cycle is None:
+                return
+            assert blob in cycle
+            cands = [m for m in cycle if m not in (blob, macro_of[tau])]
+            cands = cands or [m for m in cycle if m != blob]
+
+            def score(m):
+                trial = aggregation_closure(bn, members[blob] | members[m])
+                return (state_space(trial), min(members[m]))
+
+            blob = merge({blob, min(cands, key=score)})
+
+    linked = UnionFind()
+    for tau in bn.topological_order():
+        macro_of[tau] = next(fresh)
+        members[macro_of[tau]] = {tau}
+        for p in sorted(bn.parents[tau]):
+            mp, mt = macro_of[p], macro_of[tau]
+            loop = not linked.union(p, tau) and mp != mt
+            route = path(mp, mt) if loop else None
+            active.add((p, tau))
+            if route is not None:
+                absorb({mp, route[-2]}, tau)
+    groups = [tuple(sorted(g)) for g in sorted(members.values(), key=min)]
+    membership = {v: i for i, g in enumerate(groups) for v in g}
+    edges = {
+        (membership[p], membership[v])
+        for v in bn.ids
+        for p in bn.parents[v]
+        if membership[p] != membership[v]
+    }
+    return MacroPolytree(groups, membership, frozenset(edges), bn)
+
+
+def structure(mp):
+    return mp.groups, sorted(mp.membership.items()), sorted(mp.edges)
+
+
+def windowed_dag(rng, n, window, max_parents):
+    """Binary DAG whose node i draws its parents from the ``window`` nodes
+    just before it: many undirected loops at a bounded width."""
+    spec = []
+    for i in range(n):
+        pool = list(range(max(0, i - window), i))
+        rng.shuffle(pool)
+        k = int(rng.integers(0, min(max_parents, len(pool)) + 1))
+        spec.append((f"v{i}", 2, [f"v{p}" for p in sorted(pool[:k])]))
+    return zoo.build_network(spec, rng)
+
+
+def grid(rows, cols):
+    """Binary grid, parents up and left."""
+    name = lambda r, c: f"g{r}_{c}"
+    spec = [
+        (name(r, c), 2, [name(r - 1, c)] * (r > 0) + [name(r, c - 1)] * (c > 0))
+        for r in range(rows)
+        for c in range(cols)
+    ]
+    return zoo.build_network(spec, np.random.default_rng(0))
 
 
 class TestAggregationClosure:
@@ -125,6 +277,40 @@ class TestStage1:
             bn = random_dag(rng, 3, 12, 3)
             mp = stage1(bn)
             assert verify_macro_polytree(mp) == []
+
+
+class TestStage1MatchesReference:
+    """Stage I's groups, membership and quotient edges equal the reference's
+    byte for byte."""
+
+    def check(self, bn):
+        mp = stage1(bn)
+        assert structure(mp) == structure(reference_stage1(bn))
+        assert verify_macro_polytree(mp) == []
+
+    def test_fixtures_and_zoo(self):
+        for name in ("bn_a", "polytree_b", "bn_c"):
+            with open(fixture_path(f"{name}.bn")) as fh:
+                self.check(parse_network(fh.read()))
+        for make in (zoo.bn_a, zoo.polytree_b, zoo.bn_c, zoo.dyspnoea_shaped, zoo.chain_ab):
+            self.check(make())
+
+    def test_random_dags(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(1500):
+            self.check(random_dag(rng, 3, 16, 2, max_parents=int(rng.integers(2, 5))))
+
+    def test_windowed_dags(self):
+        rng = np.random.default_rng(6)
+        for n in (20, 40, 80, 160):
+            for window in (3, 4, 6, 8):
+                for max_parents in (2, 3):
+                    self.check(windowed_dag(rng, n, window, max_parents))
+
+    def test_grids(self):
+        for rows in range(2, 13):
+            for cols in range(2, 13):
+                self.check(grid(rows, cols))
 
 
 class TestStage2:
@@ -382,6 +568,12 @@ class TestVerifyBp:
             assert verify_macro_polytree(mp) == []
             bp = stage2(mp)
             assert not errors(bp)
+            # The parents of a junction border share no variable, so
+            # marginalizing each parent's π on its own loses nothing.
+            for b in bp.borders:
+                if b.kind == "type2":
+                    held = [bp.borders[pid].members for pid in b.parents]
+                    assert sum(map(len, held)) == len(frozenset().union(*held))
 
 
 def test_chain_view_is_valid_bp(bn_a):

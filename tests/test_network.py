@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from bordertree.border_chain import bottom_ancestors
 from bordertree.errors import CycleError
 from bordertree.factor import Factor
 from bordertree.network import BayesianNetwork, EvidenceSet, validate
+from bordertree.randgen import random_dag
 from bordertree import zoo
 
 
@@ -32,6 +34,36 @@ class TestSetQueries:
 
     def test_root_has_no_ancestors(self, bn_a):
         assert bn_a.ancestors(bn_a.id_of("A")) == frozenset()
+
+    def test_walks_match_transitive_closure(self):
+        """ancestors, descendants and bottom_ancestors (one shared walk)
+        against boolean matrix closures: path[u, v] means u reaches v."""
+
+        def closure(adj):
+            path = adj.copy()
+            while True:
+                wider = path | ((path.astype(int) @ path.astype(int)) > 0)
+                if (wider == path).all():
+                    return path
+                path = wider
+
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            bn = random_dag(rng, 3, 14, 2)
+            n = len(bn)
+            adj = np.zeros((n, n), dtype=bool)
+            for v in bn.ids:
+                adj[list(bn.parents[v]), v] = True
+            path = closure(adj)
+            for v in bn.ids:
+                assert bn.ancestors(v) == frozenset(np.flatnonzero(path[:, v]).tolist())
+                assert bn.descendants(v) == frozenset(np.flatnonzero(path[v]).tolist())
+            bottom = frozenset(int(v) for v in np.flatnonzero(rng.random(n) < 0.6))
+            seeds = [int(v) for v in rng.choice(n, size=2, replace=False)]
+            # Every node of such a path but the seed it ends at is bottom.
+            inside = closure(adj & np.isin(np.arange(n), list(bottom))[:, None])
+            want = frozenset(np.flatnonzero(inside[:, seeds].any(axis=1)).tolist())
+            assert bottom_ancestors(bn, seeds, bottom) == want
 
     def test_children_and_leaves(self, bn_a):
         assert bn_a.names(bn_a.children(bn_a.id_of("D"))) == ("H", "I")
