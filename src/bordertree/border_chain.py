@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import BordertreeError
-from .factor import Factor, contract, indicator, normalize, restrict
+from .factor import Factor, contract, contract_setup, indicator, normalize, restrict
 from .network import NO_EVIDENCE, BayesianNetwork, reach
 
 
@@ -207,7 +207,7 @@ def cohort_table(bn: BayesianNetwork, cohort: frozenset[int], border: frozenset[
         raise BordertreeError(
             f"cohort parents {bn.names(hc - border)} escape the border"
         )
-    return contract([bn.cpts[v] for v in sorted(cohort)], cohort | hc)
+    return contract_setup([bn.cpts[v] for v in sorted(cohort)], cohort | hc)
 
 
 def build_chain(
@@ -220,7 +220,7 @@ def build_chain(
     variable of each step.
     """
     b0 = initial_border(bn)
-    phi0 = contract([bn.cpts[v] for v in sorted(b0)], b0)
+    phi0 = contract_setup([bn.cpts[v] for v in sorted(b0)], b0)
     steps = [ChainStep(0, None, frozenset(b0), frozenset(b0), phi0, None)]
     border = frozenset(b0)
     bottom = frozenset(bn.ids) - border

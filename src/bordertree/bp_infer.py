@@ -33,16 +33,20 @@ from typing import Callable, Iterable, Optional
 
 from .bp_build import Border, BorderPolytree
 from .errors import BordertreeError
-from .factor import Factor, contract, restrict
+from .factor import Factor, contract, contract_setup, restrict
 from .messaging import EdgeSides, TreeSession, collection_schedule, distribution_schedule
 from .network import NO_EVIDENCE
 
 
 def border_pi(
-    b: Border, phi: Optional[Factor], parent_pi: Callable[[int], Factor]
+    b: Border,
+    phi: Optional[Factor],
+    parent_pi: Callable[[int], Factor],
+    table: Callable[..., Factor] = contract,
 ) -> Factor:
     """π of border ``b`` from its cohort table ``phi`` (type 1 only) and the
-    π message ``parent_pi(pid)`` each parent border sends it.
+    π message ``parent_pi(pid)`` each parent border sends it, computed by
+    ``table`` (``contract``, or ``contract_setup`` at set-up).
 
     With no evidence this is the prior Pr{b}.  Type 1: the cohort table
     times the parent's π, with the promoted variable summed out.  Type 2:
@@ -62,16 +66,16 @@ def border_pi(
     if b.kind == "type1":
         if not b.parents:
             return phi
-        return contract([phi, parent_pi(b.parents[0])], b.members)
-    marginals = [contract([parent_pi(pid)], kept) for pid, kept in zip(b.parents, b.carried)]
-    return contract(marginals, b.members)
+        return table([phi, parent_pi(b.parents[0])], b.members)
+    marginals = [table([parent_pi(pid)], kept) for pid, kept in zip(b.parents, b.carried)]
+    return table(marginals, b.members)
 
 
 def preload_priors(bp: BorderPolytree) -> dict[int, Factor]:
     """Pr{border} for every border, by the evidence-free π recursion."""
     priors: dict[int, Factor] = {}
     for b in bp.borders:
-        f = border_pi(b, b.cohort_table, priors.__getitem__)
+        f = border_pi(b, b.cohort_table, priors.__getitem__, contract_setup)
         expected = tuple(sorted(b.members))
         if f.scope != expected:  # pragma: no cover - structural guarantee
             raise BordertreeError(f"prior scope {f.scope} != border {expected}")

@@ -116,7 +116,9 @@ def cmd_build_bp(args, out):
         else:
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(text)
-    return 0
+    # A broken border polytree is a domain error: the exit code says what
+    # the error lines say.
+    return 1 if problems else 0
 
 
 def _dot(bp) -> str:

@@ -20,13 +20,40 @@ copied.
 
 Every table the program computes is a product of factors followed by a
 marginalization: messages, passes and readouts, and also priors, cohort
-tables and row sums.  :func:`contract` computes that in one ``np.einsum``
-call, without building the product table when something is summed out.  Its
-einsum subscripts name each variable by its rank within the operands'
-union.  They depend only on the operands' scopes and cards and on the kept
-set, so they are planned once per layout and kept in a bounded LRU cache.  A
-node or border with more incoming messages than one einsum call takes is
-contracted in groups, so fan-out is unbounded.
+tables and row sums.  :func:`contract` computes that in one numpy call,
+without building the product table when something is summed out.  The
+call's plan depends only on the operands' scopes and cards and on the kept
+set, so it is made once per layout and kept in a bounded LRU cache, keyed
+by the layout and the kept set (a tuple when it holds one variable).
+Set-up tables go through :func:`contract_setup`, which keeps its plans in
+a cache of its own, so their one-off layouts never evict the plans that
+queries reuse.  A node or border with more incoming messages than one
+einsum call takes is contracted in groups, so fan-out is unbounded.
+
+The plan also picks the call.  By default it is ``np.einsum``, with
+subscripts that name each variable by its rank within the operands' union.
+Plain einsum runs one inner loop over the innermost run of variables that
+lie in the same operands and are kept or summed alike, so it is slow when
+that run is short: ``ajk,bcdefghijk->abcdefghij`` (3^3 x 3^10) takes over
+ten times as long as ``aef,bcdefghijk->abcdeghijk``, which does the same
+work.  A two-factor layout with at least 4,096 union entries that sums out
+a shared variable, and no variable of one operand only, can instead run as
+one batched matrix product: each operand is transposed and reshaped into a
+stack of matrices (the shared kept variables are the stack, the shared
+summed ones the inner axis), ``np.matmul`` multiplies them, and the output
+is reshaped and, if needed, transposed back to scope order.  The plan
+takes that route when a cost model, in units of one union entry of plain
+einsum, finds it cheaper:
+
+* einsum: ``|union| * (1 + 10 / run)``, ``run`` the size of that
+  innermost run;
+* matmul: 2 per entry of an operand that must be copied before BLAS can
+  read it, 1 per output entry if the output must be permuted, 1 per entry
+  of the larger operand, and 2,000 per call.
+
+The constants were fitted to every two-factor layout of the benchmark's
+grid-wide round (two 10x10 grids at card 3, BLAS on one thread).  The
+choice is a pure function of the layout: nothing is timed at run time.
 
 :func:`multiply`, :func:`product_all`, :func:`sum_out` and
 :func:`marginal_to` are short forms of :func:`contract` (a product onto the
@@ -37,8 +64,9 @@ library's users.  The program itself calls :func:`contract`.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -124,19 +152,44 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # np.einsum takes fewer than NPY_MAXARGS operands: 32 on numpy 1.x, 64 on 2.x.
 _MAX_OPERANDS = 31
 
+# The route cost model (see the module docstring and _route), in units of
+# one union entry of plain einsum.
+_MATMUL_FLOOR = 4096  # union entries below which einsum is always taken
+_EINSUM_LOOP = 10.0  # einsum: per pass of its innermost loop
+_MATMUL_COPY = 2.0  # matmul: per entry of an operand it has to copy
+_MATMUL_PERMUTE = 1.0  # per entry of an output it has to permute
+_MATMUL_OPERAND = 1.0  # per entry of the larger operand
+_MATMUL_CALL = 2000.0  # per call
+
 
 def contract(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
-    """Marginal onto ``keep`` of the product of ``factors``, in one einsum.
+    """Marginal onto ``keep`` of the product of ``factors``, in one call.
 
     Variables in ``keep`` outside every operand's scope are ignored, scalar
     operands fold into a multiplier, and a lone operand with nothing to sum
     out is returned as is.  More operands than one einsum call takes are
     folded in groups: each group is contracted onto the variables that
-    ``keep`` or a later operand still needs.
+    ``keep`` or a later operand still needs.  The call is ``np.einsum``, or
+    ``np.matmul`` where the layout's plan chose that route (see ``_plan``).
     """
+    return _contract(factors, keep, _plan)
+
+
+def contract_setup(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
+    """:func:`contract` for a table computed at set-up.
+
+    Its plans go to a cache of their own, so the one-off layouts of priors,
+    cohort tables and row sums never evict the plans that queries reuse.
+    Set-up still reuses them where layouts repeat, as they do across
+    networks of one structure.
+    """
+    return _contract(factors, keep, _setup_plan)
+
+
+def _contract(factors, keep, plan) -> Factor:
     factors = list(factors)
-    keep = frozenset(keep)
-    if len(factors) == 1 and keep.issuperset(factors[0].scope):
+    keep = _keep_key(keep)
+    if len(factors) == 1 and all([v in keep for v in factors[0].scope]):
         return factors[0]
     scale = 1.0
     ops: list[Factor] = []
@@ -147,25 +200,81 @@ def contract(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
             scale *= float(f.values)
     while len(ops) > _MAX_OPERANDS:
         head, ops = ops[:_MAX_OPERANDS], ops[_MAX_OPERANDS:]
-        ops.insert(0, _einsum(head, keep.union(*(f.scope for f in ops)), 1.0))
-    return _einsum(ops, keep, scale)
+        needed = _keep_key(frozenset(keep).union(*(f.scope for f in ops)))
+        ops.insert(0, _einsum(head, needed, 1.0, plan))
+    return _einsum(ops, keep, scale, plan)
 
 
-def _einsum(ops: list[Factor], keep: frozenset[int], scale: float) -> Factor:
+def _keep_key(keep) -> tuple[int, ...] | frozenset[int]:
+    """``keep`` as it enters a plan key: a tuple when it holds at most one
+    variable (48 bytes, where a one-element frozenset takes 216), else a
+    frozenset.  The engines pass border member sets as frozensets, which
+    the key then shares: no copy, and a hash computed once."""
+    if type(keep) is tuple and len(keep) < 2:
+        return keep
+    keep = frozenset(keep)
+    return tuple(keep) if len(keep) < 2 else keep
+
+
+def _einsum(ops: list[Factor], keep, scale: float, plan) -> Factor:
     """``scale`` times the marginal onto ``keep`` of the product of ``ops``."""
-    subscripts, scope, cards = _plan(tuple([(f.scope, f.cards) for f in ops]), keep)
-    vals = np.einsum(subscripts, *[f.values for f in ops]) if ops else np.asarray(1.0)
+    subscripts, scope, cards, route = plan(tuple([(f.scope, f.cards) for f in ops]), keep)
+    if route is not None:
+        vals = _matmul(route, cards, *[f.values for f in ops])
+    elif ops:
+        vals = np.einsum(subscripts, *[f.values for f in ops])
+    else:
+        vals = np.asarray(1.0)
     if scale != 1.0:
         vals = vals * scale
     return Factor(scope, cards, _fresh(vals))
 
 
+def _matmul(route: "_Route", cards: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Run a matmul route: transpose, reshape, matmul, reshape, transpose.
+
+    An output already in scope order is written into a fresh array of the
+    output's shape, which ``Factor`` takes without a copy.
+    """
+    if route.swap:
+        a, b = b, a
+    x, y = _stack(a, route.left), _stack(b, route.right)
+    if route.perm_out is None:
+        out = np.empty(cards)
+        np.matmul(x, y, out=out.reshape(route.mm_shape))
+        return out
+    return np.ascontiguousarray(np.matmul(x, y).reshape(route.grouped).transpose(route.perm_out))
+
+
+def _stack(vals: np.ndarray, operand: tuple) -> np.ndarray:
+    """``vals`` as the stack of matrices that ``operand`` plans."""
+    perm, shape, copy = operand
+    vals = vals.transpose(perm)
+    return (vals.copy() if copy else vals).reshape(shape)
+
+
 # The least recently used plan goes first.  A plan with its key takes about
-# 0.6 kB, so the cache stays within a few MB in a long-lived process.
+# 0.6 kB (0.9 kB with a matmul route), so the cache stays within a few MB
+# in a long-lived process.
 @functools.lru_cache(maxsize=4096)
-def _plan(layout: tuple, keep: frozenset[int]) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
-    """Einsum subscripts, output scope and output cards for operands laid
-    out as ``layout``, one ``(scope, cards)`` pair each, summed onto ``keep``.
+def _plan(layout: tuple, keep) -> tuple:
+    """Einsum subscripts, output scope, output cards and matmul route for
+    operands laid out as ``layout``, one ``(scope, cards)`` pair each,
+    summed onto ``keep`` (see ``_keep_key``).
+
+    The route is None (plain einsum) unless the layout has two operands,
+    at least ``_MATMUL_FLOOR`` union entries, a shared summed variable and
+    no summed variable of one operand only, and the matmul route costs
+    less.  Costs, in units of one union entry of plain einsum:
+
+    * einsum: ``|union| * (1 + _EINSUM_LOOP / run)``, where ``run`` is the
+      size of the innermost run of variables (in scope order) that lie in
+      the same operands and are all kept or all summed.  einsum's inner
+      loop covers that run, so a short run means many passes.
+    * matmul: ``_MATMUL_COPY`` per entry of each operand it has to copy
+      (see ``_reads_in_place``), ``_MATMUL_PERMUTE`` per output entry if
+      the output needs permuting, ``_MATMUL_OPERAND`` per entry of the
+      larger operand and ``_MATMUL_CALL`` per call.
 
     Raises on a variable whose cards differ between operands; the cache
     stores no exception, so every call with such a layout raises.
@@ -175,14 +284,104 @@ def _plan(layout: tuple, keep: frozenset[int]) -> tuple[str, tuple[int, ...], tu
         for v, c in zip(scope, cs):
             if cards.setdefault(v, c) != c:
                 raise ValueError(f"cardinality mismatch for variable {v}: {cards[v]} vs {c}")
+    kept = set(keep)
     rank = {v: _LETTERS[r] for r, v in enumerate(sorted(cards))}
-    out = tuple(v for v in rank if v in keep)
+    out = tuple(v for v in rank if v in kept)
     subscripts = (
         ",".join("".join([rank[v] for v in scope]) for scope, _ in layout)
         + "->"
         + "".join([rank[v] for v in out])
     )
-    return subscripts, out, tuple(cards[v] for v in out)
+    out_cards = tuple(cards[v] for v in out)
+    return subscripts, out, out_cards, _route(layout, cards, kept, out)
+
+
+# The plans of set-up tables, bounded like the query plans.
+_setup_plan = functools.lru_cache(maxsize=4096)(_plan.__wrapped__)
+
+
+class _Route(NamedTuple):
+    """A matmul route: which operand goes left, each operand's matrix stack,
+    matmul's output shape and, when that output is not in scope order, its
+    shape with one axis per variable and the permutation to scope order."""
+
+    swap: bool  # the second operand goes left
+    left: tuple  # (axis permutation, stack shape, copy first)
+    right: tuple
+    mm_shape: tuple[int, ...]
+    grouped: Optional[tuple[int, ...]]
+    perm_out: Optional[tuple[int, ...]]
+
+
+def _route(layout: tuple, cards: dict[int, int], kept: set[int], out: tuple[int, ...]):
+    """``_plan``'s matmul route for ``layout``, or None for einsum.
+
+    The shared kept variables are matmul's batch axes, the shared summed
+    ones its inner axis, and each operand's own kept variables its rows or
+    columns.
+    """
+    union = math.prod(cards.values())
+    if len(layout) != 2 or union < _MATMUL_FLOOR:
+        return None
+    (sa, _), (sb, _) = layout
+    a, b = set(sa), set(sb)
+    con = [v for v in sorted(cards) if v in a and v in b and v not in kept]
+    if not con or not (a ^ b) <= kept:
+        return None
+    batch = [v for v in out if v in a and v in b]
+    own_a = [v for v in out if v not in b]
+    own_b = [v for v in out if v not in a]
+    # matmul's output holds the batch, then the left operand's own
+    # variables, then the right one's.  The operand whose own variables
+    # come first goes left, so that this is the scope order when any is.
+    first = lambda vs: next((v for v in vs if cards[v] > 1), math.inf)
+    swap = first(own_b) < first(own_a)
+    sl, sr, m, n = (sb, sa, own_b, own_a) if swap else (sa, sb, own_a, own_b)
+    order = batch + m + n
+    permuted = [v for v in order if cards[v] > 1] != [v for v in out if cards[v] > 1]
+    size = lambda vs: math.prod([cards[v] for v in vs])
+    lead = tuple(cards[v] for v in batch)
+
+    def stack(scope, rows, cols):
+        perm = tuple(scope.index(v) for v in batch + rows + cols)
+        copy = not _reads_in_place(scope, cards, rows, cols)
+        return perm, lead + (size(rows), size(cols)), copy
+
+    left, right = stack(sl, m, con), stack(sr, con, n)
+    run, sig = 1, None
+    for v in sorted(cards, reverse=True):
+        if cards[v] == 1:
+            continue
+        s = (v in a, v in b, v in kept)
+        if sig is not None and s != sig:
+            break
+        sig, run = s, run * cards[v]
+    einsum_cost = union * (1.0 + _EINSUM_LOOP / run)
+    matmul_cost = (
+        _MATMUL_COPY * (size(sl) * left[2] + size(sr) * right[2])
+        + _MATMUL_PERMUTE * (size(out) if permuted else 0)
+        + _MATMUL_OPERAND * max(size(sa), size(sb))
+        + _MATMUL_CALL
+    )
+    if matmul_cost >= einsum_cost:
+        return None
+    mm_shape = lead + (size(m), size(n))
+    if not permuted:
+        return _Route(swap, left, right, mm_shape, None, None)
+    grouped = tuple(cards[v] for v in order)
+    return _Route(swap, left, right, mm_shape, grouped, tuple(order.index(v) for v in out))
+
+
+def _reads_in_place(scope, cards: dict[int, int], rows: list[int], cols: list[int]) -> bool:
+    """Whether an operand over ``scope`` (in memory order) is a stack of
+    ``rows`` x ``cols`` matrices that BLAS can read in place: the row
+    variables lie in one unbroken run, so do the column variables, and
+    the innermost variable is one of them, so one matrix axis has unit
+    stride.  Card-1 variables have no extent and are ignored.
+    """
+    seq = ["row" if v in rows else "col" if v in cols else "batch" for v in scope if cards[v] > 1]
+    runs = [group for group, _ in itertools.groupby(seq)]
+    return not runs or (runs[-1] != "batch" and runs.count("row") <= 1 and runs.count("col") <= 1)
 
 
 def multiply(f: Factor, g: Factor) -> Factor:

@@ -9,7 +9,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CycleError, NotSinglyConnectedError
-from .factor import Factor, contract
+from .factor import Factor, contract_setup
 from .messaging import Tree
 
 
@@ -232,7 +232,7 @@ def validate(bn: BayesianNetwork, tol: float = 1e-9) -> list[Diagnostic]:
         out.append(Diagnostic("error", "cycle", str(e)))
     for v in bn.ids:
         f = bn.cpts[v]
-        rows = contract([f], bn.parents[v])
+        rows = contract_setup([f], bn.parents[v])
         vals = np.atleast_1d(rows.values)
         bad = np.argwhere(np.abs(vals - 1.0) > tol)
         if len(bad):

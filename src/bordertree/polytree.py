@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import NotSinglyConnectedError
-from .factor import Factor, contract, restrict
+from .factor import Factor, contract, contract_setup, restrict
 from .messaging import (
     HubIndex,
     Tree,
@@ -42,7 +42,7 @@ def node_priors(bn: BayesianNetwork) -> dict[int, Factor]:
     mutually independent, so one topological sweep suffices."""
     priors: dict[int, Factor] = {}
     for v in bn.topological_order():
-        priors[v] = contract([bn.cpts[v], *[priors[p] for p in bn.parents[v]]], (v,))
+        priors[v] = contract_setup([bn.cpts[v], *[priors[p] for p in bn.parents[v]]], (v,))
     return priors
 
 

@@ -510,6 +510,41 @@ def test_grid_engines_vs_oracle():
                 np.testing.assert_allclose(posts[q].values, want[q], atol=1e-9, err_msg=name)
 
 
+def test_wide_grid_same_answers_on_either_route(monkeypatch):
+    # A 7x7 grid at card 3 has contractions over 3^8 entries, past the
+    # matmul route's floor.  The oracle cannot enumerate it, so each
+    # engine's answers with the route are checked against its answers
+    # with plain einsum only.
+    bn = _grid(7, 7, 3, np.random.default_rng(33))
+    bp = build_border_polytree(bn)
+    preload_priors(bp)
+    chain = build_chain(bn)
+    evs = [random_evidence(np.random.default_rng(34 + k), bn, max_vars=5) for k in range(2)]
+    calls = []
+    matmul = factor._matmul
+    monkeypatch.setattr(factor, "_matmul", lambda *args: calls.append(1) or matmul(*args))
+
+    def answers():
+        factor._plan.cache_clear()
+        out = []
+        for ev in evs:
+            out.append(bp_query(bp, ev))
+            passes = run_passes(chain, ev)
+            rows = {q: chain_posterior(chain, ev, q, passes=passes) for q in bn.ids}
+            out.append(({q: r[1] for q, r in rows.items()}, rows[0][2]))
+        return out
+
+    routed = answers()
+    assert calls
+    monkeypatch.setattr(factor, "_MATMUL_CALL", float("inf"))
+    plain = answers()
+    factor._plan.cache_clear()
+    for (posts, pe), (want, want_pe) in zip(routed, plain):
+        assert pe == pytest.approx(want_pe, rel=1e-12)
+        for q in bn.ids:
+            np.testing.assert_allclose(posts[q].values, want[q].values, rtol=0.0, atol=1e-12)
+
+
 def _star(children, rng):
     """Naive-Bayes star: one card-3 root, binary children."""
     spec = [("R", 3, [])] + [(f"c{i}", 2, ["R"]) for i in range(children)]

@@ -189,6 +189,22 @@ class TestOtherCommands:
         text = dot.read_text()
         assert text.startswith("digraph") and "->" in text
 
+    def test_build_bp_exits_1_on_a_structural_error(self, monkeypatch):
+        from bordertree import cli
+        from bordertree.bp_build import BpDiagnostic
+
+        def one_error(bp):
+            return [
+                BpDiagnostic("note", "width", "ignored"),
+                BpDiagnostic("error", "running-intersection", "B split"),
+            ]
+
+        monkeypatch.setattr(cli, "verify_bp", one_error)
+        code, out = run("build-bp", BN_C)
+        assert code == 1
+        errors = [line for line in out.splitlines() if line.startswith("error")]
+        assert errors == ["error\trunning-intersection\tB split"]
+
     def test_gen_deterministic_and_parseable(self):
         a = run("gen", "--seed", "5", "--nodes", "6")[1]
         b = run("gen", "--seed", "5", "--nodes", "6")[1]

@@ -1,6 +1,7 @@
 """Factor algebra against scalar-loop oracles and algebraic properties."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -342,6 +343,210 @@ class TestPlanCache:
     def test_cache_is_bounded(self):
         maxsize = factor_mod._plan.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
+
+    def test_set_up_plans_stay_out_of_the_query_cache(self):
+        # Parsing (row sums), stage II (cohort tables), border and node
+        # priors and the chain's first table are set-up tables: planning
+        # them into the query cache would only evict the plans queries reuse.
+        from bordertree.bnformat import parse_evidence, parse_network
+        from bordertree.border_chain import build_chain
+        from bordertree.bp_build import build_border_polytree
+        from bordertree.bp_infer import bp_query, preload_priors
+        from bordertree.polytree import PolytreeEngine
+        from conftest import fixture_path
+
+        factor_mod._plan.cache_clear()
+        factor_mod._setup_plan.cache_clear()
+        nets = []
+        for name in ("bn_a.bn", "bn_c.bn", "polytree_b.bn"):
+            with open(fixture_path(name), encoding="utf-8") as fh:
+                nets.append(parse_network(fh.read()))
+            bp = build_border_polytree(nets[-1])
+            preload_priors(bp)
+            build_chain(nets[-1])
+        PolytreeEngine(nets[-1])
+        assert factor_mod._plan.cache_info().currsize == 0
+        assert factor_mod._setup_plan.cache_info().currsize > 0
+        bp_query(bp, parse_evidence("B=b0,C=c1", nets[-1]))
+        assert factor_mod._plan.cache_info().currsize > 0
+
+    def test_keep_keys_are_compact(self):
+        # A one-variable keep is keyed as a 48-byte tuple, not a 216-byte
+        # frozenset; a border's member set is shared, not copied.
+        members = frozenset({1, 4, 7})
+        one = (4,)
+        assert factor_mod._keep_key(members) is members
+        assert factor_mod._keep_key(one) is one
+        assert factor_mod._keep_key(frozenset(one)) == one
+        assert factor_mod._keep_key([]) == ()
+        assert factor_mod._keep_key([7, 1, 7]) == frozenset({1, 7})
+
+    def test_contract_setup_matches_contract(self):
+        rng = np.random.default_rng(5)
+        fs = [
+            Factor((0, 2), (2, 3), rng.random((2, 3))),
+            Factor((2, 4), (3, 2), rng.random((3, 2))),
+        ]
+        for keep in ((), (0,), (4, 0), (0, 2, 4)):
+            want = contract(fs, keep)
+            got = factor_mod.contract_setup(fs, keep)
+            assert got.scope == want.scope
+            np.testing.assert_array_equal(got.values, want.values)
+
+
+def _wide(scopes, cards, seed=0):
+    """Random factors over ``scopes``, with ``cards`` giving each variable's card."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for scope in scopes:
+        cs = tuple(cards.get(v, 2) for v in scope)
+        out.append(Factor(scope, cs, rng.random(cs)))
+    return out
+
+
+@pytest.fixture
+def matmul_whenever_allowed(monkeypatch):
+    """Plans made inside the test take the matmul route wherever it is allowed."""
+    monkeypatch.setattr(factor_mod, "_MATMUL_CALL", -math.inf)
+    for plans in (factor_mod._plan, factor_mod._setup_plan):
+        plans.cache_clear()
+    yield
+    for plans in (factor_mod._plan, factor_mod._setup_plan):
+        plans.cache_clear()
+
+
+# Twelve variables of card 2 make a union of 4,096 entries, the route floor.
+# Each layout: (scope of the first operand, of the second, summed variables,
+# cards other than 2).
+_ROUTE_LAYOUTS = {
+    "batch, permuted output": ((0, 10, 11), tuple(range(1, 12)), {11}, {}),
+    "no batch, output in scope order": ((0, 1, 2), tuple(range(2, 12)), {2}, {}),
+    "second operand first in the output": ((2, 3, 11), (0, 1, 4, 5, 6, 7, 8, 9, 10, 11), {11}, {}),
+    "batch splits an operand: copied": ((0, 5, 11), tuple(range(1, 12)), {11}, {}),
+    "innermost batch: both copied": ((0, 10, 11), tuple(range(1, 12)), {10}, {}),
+    "no own kept variable on the left": ((10, 11), tuple(range(12)), {10, 11}, {}),
+    "inner product": (tuple(range(12)), tuple(range(12)), set(range(12)), {}),
+    "inner product kept to one variable": (
+        tuple(range(12)), tuple(range(12)), set(range(12)) - {5}, {}
+    ),
+    "card-1 batch, summed and own variables": (
+        (0, 3, 10, 11, 12),
+        tuple(range(1, 14)),
+        {11, 12},
+        {3: 1, 12: 1, 13: 1, 0: 4},
+    ),
+    "card-1 variable between the groups": ((0, 1, 6, 11), tuple(range(1, 12)), {11}, {6: 1, 0: 4}),
+    "mixed cards": (
+        (0, 4, 7), tuple(range(1, 8)), {7}, {0: 3, 1: 5, 2: 4, 3: 3, 4: 3, 5: 2, 6: 2, 7: 3}
+    ),
+}
+
+
+class TestRoutes:
+    """Every route the planner can choose gives the loop reference's table."""
+
+    @pytest.mark.parametrize("name", sorted(_ROUTE_LAYOUTS))
+    def test_matmul_route_matches_loop_reference(self, name, matmul_whenever_allowed):
+        sa, sb, summed, cards = _ROUTE_LAYOUTS[name]
+        fs = _wide([sa, sb], cards)
+        keep = sorted((set(sa) | set(sb)) - summed)
+        want = loop_marginal(loop_product(fs), keep)
+        for ops in (fs, fs[::-1]):  # both operand orders
+            layout = tuple((f.scope, f.cards) for f in ops)
+            assert factor_mod._plan(layout, tuple(keep))[3] is not None
+            got = contract(ops, keep)
+            assert got.scope == want.scope and got.cards == want.cards
+            np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "name", ["batch, permuted output", "no batch, output in scope order"]
+    )
+    def test_matmul_output_is_owned(self, name, matmul_whenever_allowed):
+        # An owned, C-contiguous result is what Factor takes without a copy.
+        sa, sb, summed, cards = _ROUTE_LAYOUTS[name]
+        fs = _wide([sa, sb], cards)
+        keep = tuple(sorted((set(sa) | set(sb)) - summed))
+        _, _, out_cards, route = factor_mod._plan(((sa, fs[0].cards), (sb, fs[1].cards)), keep)
+        vals = factor_mod._matmul(route, out_cards, fs[0].values, fs[1].values)
+        assert vals.base is None and vals.flags.c_contiguous and vals.shape == out_cards
+
+    @pytest.mark.parametrize(
+        "sa, sb, keep",
+        [
+            (tuple(range(7)), tuple(range(6, 12)), tuple(range(12))),  # nothing summed
+            ((0, 1, 11), tuple(range(1, 12)), tuple(range(1, 11))),  # 0 summed in one operand
+            ((0, 1), tuple(range(2, 12)), tuple(range(1, 12))),  # no shared variable either
+        ],
+    )
+    def test_layouts_without_a_matmul_route(self, sa, sb, keep, matmul_whenever_allowed):
+        fs = _wide([sa, sb], {})
+        for ops in (fs, fs[::-1]):
+            layout = tuple((f.scope, f.cards) for f in ops)
+            assert factor_mod._plan(layout, keep)[3] is None
+            got = contract(ops, keep)
+            want = loop_marginal(loop_product(ops), keep)
+            assert got.scope == want.scope
+            np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0.0)
+
+    def test_seeded_layouts_on_both_routes(self, monkeypatch, matmul_whenever_allowed):
+        for k, (sa, sb, keep, cards) in enumerate(_seeded_matmul_layouts(16)):
+            fs = _wide([sa, sb], cards, seed=k)
+            want = loop_marginal(loop_product(fs), keep)
+            for call in (math.inf, -math.inf):  # matmul never, and wherever allowed
+                monkeypatch.setattr(factor_mod, "_MATMUL_CALL", call)
+                factor_mod._plan.cache_clear()
+                for ops in (fs, fs[::-1]):
+                    layout = tuple((f.scope, f.cards) for f in ops)
+                    assert (factor_mod._plan(layout, keep)[3] is None) == (call > 0)
+                    got = contract(ops, keep)
+                    assert got.scope == want.scope
+                    np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0.0)
+
+
+def _seeded_matmul_layouts(count, seed=11):
+    """Two-factor layouts over the route floor that the matmul route takes:
+    every variable of one operand only is kept, some shared one summed."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        cards = {v: int(rng.choice([1, 2, 2, 2, 3])) for v in range(13)}
+        side = rng.integers(0, 3, 13)  # 0: first operand only, 1: second only, 2: both
+        summed = {v for v in range(13) if side[v] == 2 and rng.random() < 0.5}
+        if not summed or not 4096 <= math.prod(cards.values()) <= 20000:
+            continue
+        sa = tuple(v for v in range(13) if side[v] != 1)
+        sb = tuple(v for v in range(13) if side[v] != 0)
+        out.append((sa, sb, tuple(v for v in range(13) if v not in summed), cards))
+    return out
+
+
+class TestRouteChoice:
+    """The cost model's choice on pinned layouts; a change to it shows here."""
+
+    @staticmethod
+    def route(subscripts, card):
+        inputs, out = subscripts.split("->")
+        ids = {c: k for k, c in enumerate("abcdefghijk")}
+        layout = tuple(
+            (tuple(ids[c] for c in term), (card,) * len(term)) for term in inputs.split(",")
+        )
+        keep = tuple(ids[c] for c in out)
+        plan = factor_mod._plan.__wrapped__(layout, keep)
+        assert plan[0] == subscripts
+        return plan[3]
+
+    def test_trailing_shared_axes_take_matmul(self):
+        assert self.route("ajk,bcdefghijk->abcdefghij", 3) is not None
+
+    def test_long_inner_run_takes_einsum(self):
+        assert self.route("aef,bcdefghijk->abcdeghijk", 3) is None
+
+    @pytest.mark.parametrize(
+        "subscripts, card",
+        [("ajk,bcdefghijk->abcdefghij", 2), ("ab,bc->ac", 3), ("abc,bcd->ad", 3)],
+    )
+    def test_under_the_floor_takes_einsum(self, subscripts, card):
+        assert self.route(subscripts, card) is None
 
 
 class TestShortForms:
