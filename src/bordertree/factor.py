@@ -188,8 +188,8 @@ def contract_setup(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
 
 def _contract(factors, keep, plan) -> Factor:
     factors = list(factors)
-    keep = _keep_key(keep)
-    if len(factors) == 1 and all([v in keep for v in factors[0].scope]):
+    keep = frozenset(keep)
+    if len(factors) == 1 and keep.issuperset(factors[0].scope):
         return factors[0]
     scale = 1.0
     ops: list[Factor] = []
@@ -200,25 +200,19 @@ def _contract(factors, keep, plan) -> Factor:
             scale *= float(f.values)
     while len(ops) > _MAX_OPERANDS:
         head, ops = ops[:_MAX_OPERANDS], ops[_MAX_OPERANDS:]
-        needed = _keep_key(frozenset(keep).union(*(f.scope for f in ops)))
-        ops.insert(0, _einsum(head, needed, 1.0, plan))
+        ops.insert(0, _einsum(head, keep.union(*(f.scope for f in ops)), 1.0, plan))
     return _einsum(ops, keep, scale, plan)
 
 
-def _keep_key(keep) -> tuple[int, ...] | frozenset[int]:
-    """``keep`` as it enters a plan key: a tuple when it holds at most one
-    variable (48 bytes, where a one-element frozenset takes 216), else a
-    frozenset.  The engines pass border member sets as frozensets, which
-    the key then shares: no copy, and a hash computed once."""
-    if type(keep) is tuple and len(keep) < 2:
-        return keep
-    keep = frozenset(keep)
-    return tuple(keep) if len(keep) < 2 else keep
+def _einsum(ops: list[Factor], keep: frozenset[int], scale: float, plan) -> Factor:
+    """``scale`` times the marginal onto ``keep`` of the product of ``ops``.
 
-
-def _einsum(ops: list[Factor], keep, scale: float, plan) -> Factor:
-    """``scale`` times the marginal onto ``keep`` of the product of ``ops``."""
-    subscripts, scope, cards, route = plan(tuple([(f.scope, f.cards) for f in ops]), keep)
+    A kept set of one variable enters the plan key as a tuple (48 bytes,
+    where a one-element frozenset takes 216); a larger one as the
+    frozenset itself, which shares the border member sets the engines pass.
+    """
+    key = keep if len(keep) > 1 else tuple(keep)
+    subscripts, scope, cards, route = plan(tuple([(f.scope, f.cards) for f in ops]), key)
     if route is not None:
         vals = _matmul(route, cards, *[f.values for f in ops])
     elif ops:
@@ -260,7 +254,7 @@ def _stack(vals: np.ndarray, operand: tuple) -> np.ndarray:
 def _plan(layout: tuple, keep) -> tuple:
     """Einsum subscripts, output scope, output cards and matmul route for
     operands laid out as ``layout``, one ``(scope, cards)`` pair each,
-    summed onto ``keep`` (see ``_keep_key``).
+    summed onto ``keep`` (a tuple or a frozenset, see ``_einsum``).
 
     The route is None (plain einsum) unless the layout has two operands,
     at least ``_MATMUL_FLOOR`` union entries, a shared summed variable and

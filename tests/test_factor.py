@@ -370,16 +370,18 @@ class TestPlanCache:
         bp_query(bp, parse_evidence("B=b0,C=c1", nets[-1]))
         assert factor_mod._plan.cache_info().currsize > 0
 
-    def test_keep_keys_are_compact(self):
+    def test_keep_keys_are_compact(self, monkeypatch):
         # A one-variable keep is keyed as a 48-byte tuple, not a 216-byte
         # frozenset; a border's member set is shared, not copied.
-        members = frozenset({1, 4, 7})
-        one = (4,)
-        assert factor_mod._keep_key(members) is members
-        assert factor_mod._keep_key(one) is one
-        assert factor_mod._keep_key(frozenset(one)) == one
-        assert factor_mod._keep_key([]) == ()
-        assert factor_mod._keep_key([7, 1, 7]) == frozenset({1, 7})
+        keys = []
+        plan = factor_mod._plan
+        monkeypatch.setattr(factor_mod, "_plan", lambda layout, keep: keys.append(keep) or plan(layout, keep))
+        fs = [Factor((1, 4), (2, 2), np.ones((2, 2))), Factor((4, 7), (2, 2), np.ones((2, 2)))]
+        members = frozenset({1, 4, 9})
+        for keep in (members, (4,), frozenset({4}), [4, 4], ()):
+            contract(fs, keep)
+        assert keys[0] is members
+        assert keys[1:] == [(4,), (4,), (4,), ()]
 
     def test_contract_setup_matches_contract(self):
         rng = np.random.default_rng(5)
