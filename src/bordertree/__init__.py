@@ -3,7 +3,7 @@
 Three exact engines over one dense factor algebra:
 
 * a border-chain engine that stretches any DAG into a chain of borders and
-  runs a downward and an upward evidential pass,
+  reads the π and λ of every border from a border-polytree session on it,
 * a polytree engine with directional edge messages for networks that are
   already singly connected,
 * a border-polytree engine that first converts the DAG into a polytree of
@@ -26,10 +26,8 @@ from .border_chain import (
     build_chain,
     chain_posterior,
     choose_next,
-    downward_pass,
     initial_border,
     run_passes,
-    upward_pass,
 )
 from .bp_build import (
     BorderPolytree,

@@ -1,11 +1,16 @@
-"""Border chains: grow a parentless set, then run two evidential passes.
+"""Border chains: grow a parentless set, then read π and λ of every border.
 
 A chain step promotes one border variable (or a fictitious placeholder)
 and recruits its cohort of bottom variables; the cohort table is the
-product of the recruited CPTs.  The downward pass pushes evidence-weighted
-mass border by border toward the last border, the upward pass pulls
-likelihoods back toward the first, and any border containing the query
-yields the same posterior.
+product of the recruited CPTs.  A chain is a border polytree with one
+macro-node, so its evidential passes are the messages of one
+:class:`~bordertree.bp_infer.BorderSession` on that view
+(:attr:`BorderChain.view`), anchored at border 0: λ messages collect from
+the last evidence border back to the first border, π messages distribute
+down the whole chain.  π(j) carries the evidence recruited at or before
+step j and λ(j) the evidence recruited after it, so λ is 1 past the last
+evidence step, and any border containing the query yields the same
+posterior.
 
 The promotion engine here (rules 1-6, the initial-border search and the
 state-space tie-break) is the only copy of the plain border algorithm:
@@ -16,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import BordertreeError
-from .factor import Factor, contract, contract_setup, indicator, normalize, restrict
+from .factor import Factor, contract, contract_setup, normalize
 from .network import NO_EVIDENCE, BayesianNetwork, reach
 
 
@@ -46,20 +52,18 @@ class BorderChain:
     def border(self, j: int) -> frozenset[int]:
         return self.steps[j].border
 
-    def home_step(self, var: int) -> int:
-        """Lowest j with var in border j."""
-        for step in self.steps:
-            if var in step.border:
-                return step.index
-        raise KeyError(var)
+    @cached_property
+    def view(self):
+        """The chain as a one-macro border polytree, built on first use."""
+        from .bp_build import border_polytree_from_chain  # bp_build imports this module
+
+        return border_polytree_from_chain(self)
 
 
 @dataclass
 class PassResult:
-    pi: list[Factor]
-    lam: list[Factor]
-    alpha: Optional[int]  # first step recruiting an evidence variable
-    beta: Optional[int]  # last such step
+    pi: list[Factor]  # pi[j]: Pr{border j, evidence recruited at or before j}
+    lam: list[Factor]  # lam[j]: Pr{evidence recruited after j | border j}
 
 
 # -- the promotion engine -------------------------------------------------
@@ -253,43 +257,18 @@ def build_chain(
 # -- evidential passes ----------------------------------------------------
 
 
-def evidence_steps(chain: BorderChain, ev) -> tuple[Optional[int], Optional[int]]:
-    hits = [s.index for s in chain.steps if s.cohort & set(ev.vars)]
-    if not hits:
-        return None, None
-    return min(hits), max(hits)
-
-
-def downward_pass(chain: BorderChain, ev=NO_EVIDENCE) -> list[Factor]:
-    """pi[j] has scope border(j); with no evidence it is the prior Pr{border}."""
-    steps = chain.steps
-    pi = [restrict(steps[0].cohort_table, ev)]
-    for step in steps[1:]:
-        pi.append(contract([restrict(step.cohort_table, ev), pi[-1]], step.border))
-    return pi
-
-
-def upward_pass(chain: BorderChain, ev=NO_EVIDENCE) -> list[Factor]:
-    """lam[j] has scope within border(j); all-ones tails are kept trimmed."""
-    bn = chain.source
-    steps = chain.steps
-    gamma = chain.gamma
-    lam: list[Factor] = [Factor.scalar(1.0)] * (gamma + 1)
-    lam[gamma] = indicator(
-        sorted(steps[gamma].border), {v: bn.card(v) for v in steps[gamma].border}, ev
-    )
-    for j in range(gamma, 0, -1):
-        step = steps[j]
-        if step.cohort:
-            lam[j - 1] = contract([restrict(step.cohort_table, ev), lam[j]], steps[j - 1].border)
-        else:
-            lam[j - 1] = lam[j]
-    return lam
-
-
 def run_passes(chain: BorderChain, ev=NO_EVIDENCE) -> PassResult:
-    alpha, beta = evidence_steps(chain, ev)
-    return PassResult(downward_pass(chain, ev), upward_pass(chain, ev), alpha, beta)
+    """π and λ of every border, from one border session on the chain's view
+    anchored at border 0.  The view is a path from border 0, so informing
+    the last border informs every border."""
+    from .bp_infer import BorderSession  # bp_infer imports this module
+
+    session = BorderSession(chain.view, ev, pivot=0)
+    session.ensure_informed(chain.gamma)
+    borders = range(chain.gamma + 1)
+    return PassResult(
+        [session.pi_border(j) for j in borders], [session.lambda_border(j) for j in borders]
+    )
 
 
 def chain_posterior(
@@ -307,7 +286,7 @@ def chain_posterior(
     if passes is None:
         passes = run_passes(chain, ev)
     if j is None:
-        j = chain.home_step(q)
+        j = chain.view.home_border(q)
     elif q not in chain.border(j):
         raise KeyError(f"variable {q} not in border {j}")
     unnorm = contract([passes.pi[j], passes.lam[j]], (q,))

@@ -1,10 +1,15 @@
 """Inference on a border polytree.
 
 Prior marginals of every border are computed once, off line, in creation
-order (parents always precede children).  A query session restricts those
-priors and the stored cohort tables by the session's evidence, prunes the
-polytree to its border evidential core, collects to a pivot border, and
-answers each query by distributing from the informed set through a gate.
+order (parents always precede children), the first time a session needs
+one.  A query session restricts those priors and the stored cohort tables
+by the session's evidence, prunes the polytree to its border evidential
+core, collects to a pivot border, and answers each query by distributing
+from the informed set through a gate.  The restricted tables are where the
+evidence enters: π of a border carries the evidence of its members and of
+its parent side, λ only the evidence on its child sides.  The border
+chain engine is a reader of this session on the chain's one-macro view
+(:func:`~bordertree.border_chain.run_passes`).
 Messages are memoized by edge, direction and the evidence fingerprint of
 the subtree behind them, so incremental evidence only recomputes the
 messages whose side actually changed.
@@ -23,8 +28,8 @@ entry time.  The variables on one side of an edge are then one or two
 ``bisect``-found slices, plus the few shared by the edge's two borders.
 Each (edge, direction) key is built once per session, as the exact
 fingerprint tuple, so REPL store hits stay exact; so are the restricted
-priors, cohort tables and indicators.  Per-message bookkeeping therefore
-does not grow with the number of evidence variables.
+priors and cohort tables.  Per-message bookkeeping therefore does not grow
+with the number of evidence variables.
 """
 
 from __future__ import annotations
@@ -85,7 +90,12 @@ def preload_priors(bp: BorderPolytree) -> dict[int, Factor]:
 
 
 class BorderSession(TreeSession):
-    """One evidence set against a preloaded border polytree.
+    """One evidence set against a border polytree.
+
+    Border priors are read only where an outside parent border sends one,
+    and preloaded then if ``bp`` has none yet.  On a chain's view, a
+    session anchored at border 0 (``pivot=0``) reads none: every edge's
+    parent side holds a core border.
 
     ``store`` may be shared across sessions (the REPL does); it maps
     (parent, child, direction, fingerprint-of-the-side-behind-the-message)
@@ -100,8 +110,6 @@ class BorderSession(TreeSession):
         pivot: Optional[int] = None,
         store: Optional[dict] = None,
     ):
-        if bp.priors is None:
-            preload_priors(bp)
         self.bp = bp
         self.bn = bp.source
         tree = bp.tree()
@@ -138,6 +146,8 @@ class BorderSession(TreeSession):
     def _prior_r(self, bid: int) -> Factor:
         f = self._prior_cache.get(bid)
         if f is None:
+            if self.bp.priors is None:
+                preload_priors(self.bp)
             f = self._prior_cache[bid] = restrict(self.bp.priors[bid], self.ev)
         return f
 
@@ -146,9 +156,6 @@ class BorderSession(TreeSession):
         if f is None:
             f = self._phi_cache[b.id] = restrict(b.cohort_table, self.ev)
         return f
-
-    def _scope(self, bid: int) -> list[int]:
-        return sorted(self.bp.borders[bid].members)
 
     # Boundary: an outside parent contributes its restricted prior; any
     # evidence on that side is confined to the shared variables.
@@ -171,7 +178,7 @@ class BorderSession(TreeSession):
         if f is not None:
             return f
         lams = [self.get_lambda_edge(bid, c) for c in self.tree.children[bid]]
-        f = contract([self._indicator(bid), *lams], self.bp.borders[bid].members)
+        f = contract(lams, self.bp.borders[bid].members)
         self._lambda_cache[bid] = f
         return f
 

@@ -33,6 +33,7 @@ from .errors import (
     ImpossibleEvidenceError,
     NotSinglyConnectedError,
 )
+from .factor import contract
 from .messaging import evidential_core
 from .network import NO_EVIDENCE, BayesianNetwork, validate
 from .oracle import oracle_event_prob, oracle_posterior
@@ -201,11 +202,8 @@ def cmd_query(args, out):
             for q in queries
         }
         passes = run_passes(chain, ev)
-        posteriors = {}
-        evidence_prob = 1.0
-        for q in queries:
-            _, post, evidence_prob = chain_posterior(chain, ev, q, passes=passes)
-            posteriors[q] = post.values
+        posteriors = {q: chain_posterior(chain, ev, q, passes=passes)[1].values for q in queries}
+        evidence_prob = contract([passes.pi[0], passes.lam[0]], ()).total()
     elif args.engine == "polytree":
         engine = PolytreeEngine(bn)
         priors = {q: engine.priors[q].values for q in queries}

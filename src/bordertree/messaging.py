@@ -28,9 +28,18 @@ the target to the first informed node, or to the set's top node.
 :class:`TreeSession` is the session skeleton of both tree engines (the
 polytree engine's nodes, the border polytree's borders): cores and pivots,
 collection, the informed set and distribution, the message store and
-``_send``, the boundary fallbacks, indicators, counters and the read-out.
-Each engine supplies only its message algebra, its boundary prior, its
-belief factors, ``posterior`` and a store key.
+``_send``, the boundary fallbacks, counters and the read-out.  Each engine
+supplies only its message algebra, its boundary prior, its belief factors,
+``posterior`` and a store key.
+
+Evidence enters a session in one place: the engine's restricted tables
+(CPTs, cohort tables and priors, with entries off the evidence zeroed).  A
+node's table holds the node's own variables, so π of a node carries the
+evidence of its variables and of its parent side, and λ carries only the
+evidence on its child sides.  In a border chain that reads: π(j) carries
+the evidence recruited at or before step j, and λ(j) the evidence
+recruited after step j.  An evidence-free child side therefore sends the
+scalar 1 upward.
 """
 
 from __future__ import annotations
@@ -43,9 +52,12 @@ from functools import cached_property
 from typing import Hashable, Iterable, Optional, Sequence
 
 from .errors import BordertreeError, NotSinglyConnectedError
-from .factor import Factor, contract, indicator, normalize
+from .factor import Factor, contract, normalize
 
 Node = Hashable
+
+# The upward message of a side with no evidence.
+_VACUOUS = Factor.scalar(1.0)
 
 
 class UnionFind:
@@ -541,7 +553,8 @@ class TreeSession:
 
     * per component, the evidential core of the evidence groups and its
       pivot (a requested pivot joins its component's core as one more
-      group), and the collection of every core message toward the pivot;
+      group, and alone seeds a core of itself in a component with no
+      evidence), and the collection of every core message toward the pivot;
     * the informed set and distribution: a query walks from the set's gate
       out to its node, and the set's top node is kept as nodes join;
     * ``_send`` and the message ``store``, which ``_send`` reads before it
@@ -550,15 +563,14 @@ class TreeSession:
     * the boundary fallbacks of ``get_pi_edge``/``get_lambda_edge``: a
       message absent from the store must come from a side without core
       nodes (``_side_has_core``, O(1)), and is the prior an outside parent
-      sends, or the receiver's own indicator;
-    * indicators, and the read-out of posteriors and ``evidence_prob``.
+      sends, or the scalar 1 an outside child sends;
+    * the read-out of posteriors and ``evidence_prob``.
 
-    An engine sets ``bn`` (the network) and supplies its edge messages
-    (``compute_pi_edge(p, c)``, the message parent p sends child c, and
-    ``compute_lambda_edge(p, c)``, the one c sends p), ``_outside_prior(p)``,
-    ``_belief_factors(v)`` (the factors whose product is v's belief),
-    ``_scope(v)`` (v's variables), ``posterior``, ``ensure_informed`` and
-    ``_store_key(p, c, direction)``.  The engine passes in the schedule
+    An engine supplies its edge messages (``compute_pi_edge(p, c)``, the
+    message parent p sends child c, and ``compute_lambda_edge(p, c)``, the
+    one c sends p), ``_outside_prior(p)``, ``_belief_factors(v)`` (the
+    factors whose product is v's belief), ``posterior``, ``ensure_informed``
+    and ``_store_key(p, c, direction)``.  The engine passes in the schedule
     functions, so each engine calls them through its own module, where the
     benchmark's tracer finds them.
     """
@@ -571,7 +583,6 @@ class TreeSession:
         self.ev = ev
         self.store = store if store is not None else {}
         self.sent = self.collected = self.distributed = 0
-        self._indicator_cache: dict[Node, Factor] = {}
         self.core_nodes: set[Node] = set()
         self.cores: dict[Node, EvidentialCore] = {}
         self.pivots: dict[Node, Node] = {}
@@ -580,9 +591,9 @@ class TreeSession:
         by_comp: dict[Node, list[set]] = {}
         for g in groups:
             by_comp.setdefault(index.comp[next(iter(g))], []).append(g)
+        if pivot in index.comp:
+            by_comp.setdefault(index.comp[pivot], []).append({pivot})
         for comp, gs in sorted(by_comp.items()):
-            if pivot is not None and index.comp.get(pivot) == comp:
-                gs = gs + [{pivot}]
             core = smallest_hitting_core(tree, gs)
             if pivot in core.nodes:
                 pv = pivot
@@ -615,14 +626,6 @@ class TreeSession:
             return True
         return b not in core.nodes and self.index.on_side(a, b, self.pivots[comp])
 
-    def _indicator(self, v: Node) -> Factor:
-        f = self._indicator_cache.get(v)
-        if f is None:
-            scope = self._scope(v)
-            f = indicator(scope, [self.bn.card(x) for x in scope], self.ev)
-            self._indicator_cache[v] = f
-        return f
-
     # -- edge messages ----------------------------------------------------------
 
     def get_pi_edge(self, p: Node, c: Node) -> Factor:
@@ -637,7 +640,11 @@ class TreeSession:
         return self._outside_prior(p)
 
     def get_lambda_edge(self, p: Node, c: Node) -> Factor:
-        """Upward message along edge p->c, sent by child c."""
+        """Upward message along edge p->c, sent by child c.
+
+        A child side with no core node holds no evidence, except perhaps on
+        variables it shares with p, and p's π carries those; so the side
+        sends the scalar 1."""
         msg = self.store.get(self._store_key(p, c, "lambda"))
         if msg is not None:
             return msg
@@ -645,7 +652,7 @@ class TreeSession:
             raise BordertreeError(
                 f"missing prerequisite upward message {c}->{p}"
             )  # pragma: no cover
-        return self._indicator(p)
+        return _VACUOUS
 
     def _send(self, src: Node, dst: Node):
         down = self.tree.has_edge(src, dst)
@@ -659,7 +666,7 @@ class TreeSession:
 
     def _inform(self, v: Node, distribution):
         """Distribute to v from its component's gate (``distribution`` is
-        the distribution schedule); a no-op in an evidence-free component,
+        the distribution schedule); a no-op in a component with no core,
         whose messages are all vacuous."""
         comp = self.index.comp[v]
         informed = self.informed_in.get(comp)

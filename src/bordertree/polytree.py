@@ -6,7 +6,8 @@ message a child sends its parent summarizes the child side.  Collection
 pulls messages through the evidential core to a pivot; distribution walks
 from the informed set out to each query.  Messages from outside the core
 are never computed: an outside parent contributes its preloaded prior and
-an outside child an indicator.
+an outside child the scalar 1.  Evidence enters through the restricted
+CPTs only: a node's CPT holds the node, so its π carries its own evidence.
 
 :class:`PolytreeSession` is a :class:`~bordertree.messaging.TreeSession`,
 which owns cores, pivots, the schedules, the store and the boundary
@@ -15,7 +16,7 @@ outside parent sends, and the store key.  That key is ``(parent, child,
 direction)``, with no evidence fingerprint: the store never outlives its
 session, whose evidence is fixed, so a fingerprint would tell no two
 messages apart and would only add its cost to every lookup.  Restricted
-tables and indicators are built once per session.
+tables are built once per session.
 """
 
 from __future__ import annotations
@@ -95,9 +96,6 @@ class PolytreeSession(TreeSession):
         # fixed, so the edge and direction name a message.
         return (x, y, direction)
 
-    def _scope(self, v: int) -> tuple[int]:
-        return (v,)
-
     def _outside_prior(self, x: int) -> Factor:
         return self.e.priors[x]
 
@@ -113,8 +111,7 @@ class PolytreeSession(TreeSession):
         return [self._pr_r(v), *(self.get_pi_edge(p, v) for p in self.bn.parents[v])]
 
     def _lambda_factors(self, v: int) -> list[Factor]:
-        lams = [self.get_lambda_edge(v, c) for c in self.bn.children(v)]
-        return [self._indicator(v), *lams]
+        return [self.get_lambda_edge(v, c) for c in self.bn.children(v)]
 
     def _belief_factors(self, v: int) -> list[Factor]:
         return [*self._pi_factors(v), *self._lambda_factors(v)]

@@ -4,17 +4,15 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import reference_passes
 
 from bordertree.border_chain import (
     build_chain,
     chain_posterior,
     chain_rows,
     choose_next,
-    downward_pass,
-    evidence_steps,
     initial_border,
     run_passes,
-    upward_pass,
 )
 from bordertree.errors import BordertreeError, ImpossibleEvidenceError
 from bordertree.factor import multiply
@@ -204,19 +202,17 @@ class TestBuildChain:
 class TestPasses:
     def test_no_evidence_gives_prior_marginals(self, bn_a):
         chain = build_chain(bn_a, forced_order=forced_table_order(bn_a))
-        pi = downward_pass(chain)
-        lam = upward_pass(chain)
-        for j, step in enumerate(chain.steps):
-            np.testing.assert_allclose(
-                pi[j].values, oracle_marginal(bn_a, step.border), atol=1e-9
-            )
-            np.testing.assert_allclose(lam[j].values, 1.0)  # all-ones, trimmed
+        for passes in (run_passes(chain), reference_passes(chain)):
+            for j, step in enumerate(chain.steps):
+                np.testing.assert_allclose(
+                    passes.pi[j].values, oracle_marginal(bn_a, step.border), atol=1e-9
+                )
+                np.testing.assert_allclose(passes.lam[j].values, 1.0)  # all-ones, trimmed
 
     def test_worked_trace(self, bn_a, ev_hk):
         chain = build_chain(bn_a, forced_order=forced_table_order(bn_a))
         passes = run_passes(chain, ev_hk)
         h, k = bn_a.id_of("H"), bn_a.id_of("K")
-        assert (passes.alpha, passes.beta) == (3, 6)
 
         # Pi(B5) lives on {H, I}, is zero off H=h0, and carries only the
         # evidence recruited so far (H, not K).
@@ -228,18 +224,17 @@ class TestPasses:
             pi5.values, oracle_marginal(bn_a, pi5.scope, ev_h), atol=1e-12
         )
 
-        # Upward tail: lambda on borders 6..8 equals the indicator of K=k1
-        # (constant along any other axis its recursion support kept).
+        # Tail: K is recruited at step 6, so no evidence is recruited after
+        # it.  Lambda on borders 6..8 is all ones, and Pi there carries both
+        # H and K: zero off K=k1 and equal to the oracle's evidential joint.
         for j in (6, 7, 8):
-            lam = passes.lam[j]
-            assert set(lam.scope) <= chain.border(j) and k in lam.scope
-            axis = lam.scope.index(k)
-            shape = [1] * len(lam.scope)
-            shape[axis] = 2
-            expected = np.broadcast_to(
-                np.array([0.0, 1.0]).reshape(shape), lam.values.shape
+            assert np.all(passes.lam[j].values == 1.0)
+            pi = passes.pi[j]
+            assert pi.scope == tuple(sorted(chain.border(j))) and k in pi.scope
+            assert np.all(np.take(pi.values, 0, axis=pi.scope.index(k)) == 0.0)
+            np.testing.assert_allclose(
+                pi.values, oracle_marginal(bn_a, pi.scope, ev_hk), atol=1e-12
             )
-            np.testing.assert_allclose(lam.values, expected, atol=0)
 
         # Lambda(B0) equals the conditional Pr{h,k | A,B} (positive CPTs).
         b0 = sorted(chain.border(0))
@@ -260,9 +255,45 @@ class TestPasses:
                 m.values, oracle_marginal(bn_a, step.border, ev_hk), atol=1e-9
             )
 
-    def test_evidence_steps_empty(self, bn_a):
+    def test_passes_equal_reference_passes(self):
+        # The session's pi and pi * lambda agree with the plain two-pass
+        # loops on criterion-1-style DAGs with hard and soft evidence, and
+        # on a 7x7 grid at card 3, whose borders pass the matmul floor.
+        rng = np.random.default_rng(12)
+        cases = []
+        for _ in range(30):
+            bn = random_dag(rng, 4, 12, 4)
+            cases += [(bn, random_evidence(rng, bn)) for _ in range(2)]
+        grid = zoo.build_network(
+            [
+                (f"g{r}_{c}", 3, [f"g{r - 1}_{c}"] * (r > 0) + [f"g{r}_{c - 1}"] * (c > 0))
+                for r in range(7)
+                for c in range(7)
+            ],
+            rng,
+        )
+        cases.append((grid, random_evidence(rng, grid, max_vars=5)))
+        for bn, ev in cases:
+            chain = build_chain(bn)
+            got, want = run_passes(chain, ev), reference_passes(chain, ev)
+            for j in range(chain.gamma + 1):
+                assert got.pi[j].scope == want.pi[j].scope
+                np.testing.assert_allclose(got.pi[j].values, want.pi[j].values, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    multiply(got.pi[j], got.lam[j]).values,
+                    multiply(want.pi[j], want.lam[j]).values,
+                    rtol=0,
+                    atol=1e-12,
+                )
+
+    def test_passes_read_no_priors(self, bn_a, ev_hk):
+        # Anchored at border 0, the chain's session has a core border on
+        # every edge's parent side, with or without evidence, so it never
+        # needs the view's border priors.
         chain = build_chain(bn_a)
-        assert evidence_steps(chain, EvidenceSet(bn_a)) == (None, None)
+        for ev in (EvidenceSet(bn_a), ev_hk):
+            run_passes(chain, ev)
+            assert chain.view.priors is None
 
 
 class TestChainPosterior:

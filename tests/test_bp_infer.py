@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from conftest import reference_passes
 
-from bordertree.border_chain import build_chain, chain_posterior, downward_pass, run_passes
+from bordertree.border_chain import build_chain, chain_posterior, run_passes
 from bordertree.bnformat import parse_evidence
 from bordertree.bp_build import border_polytree_from_chain, build_border_polytree
 from bordertree.bp_infer import (
@@ -65,7 +66,7 @@ class TestPreload:
         chain = build_chain(bn_a)
         bp = border_polytree_from_chain(chain)
         priors = preload_priors(bp)
-        pi = downward_pass(chain)
+        pi = reference_passes(chain).pi
         for j in range(chain.gamma + 1):
             assert priors[j].scope == pi[j].scope
             np.testing.assert_allclose(priors[j].values, pi[j].values, atol=1e-12)
@@ -244,13 +245,12 @@ class TestQueries:
             )
 
     def test_chain_consistency(self, bn_a, ev_hk):
-        # A BP whose polytree is one chain reproduces the chain engine.
-        from bordertree.border_chain import chain_posterior, run_passes
-
+        # A BP whose polytree is one chain reproduces the chain's two
+        # reference passes.
         chain = build_chain(bn_a)
         bp = border_polytree_from_chain(chain)
         preload_priors(bp)
-        passes = run_passes(chain, ev_hk)
+        passes = reference_passes(chain, ev_hk)
         posts, pe = bp_query(bp, ev_hk)
         for q in bn_a.ids:
             _, want, want_pe = chain_posterior(chain, ev_hk, q, passes=passes)

@@ -112,6 +112,19 @@ class TestQuery:
         code, _ = run("query", str(net), "--evidence", "B=t", "--q", "A")
         assert code == 1
 
+    @pytest.mark.parametrize("engine", ["bp", "chain", "oracle"])
+    def test_evidence_prob_with_no_queries(self, engine):
+        # An empty query list still reports Pr(e), whatever the engine.
+        code, out = run(
+            "query", BN_A, "--evidence", "H=h0,K=k1", "--q", ",", "--engine", engine, "--json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["posteriors"] == []
+        bn = load(BN_A)
+        want = oracle_event_prob(bn, parse_evidence("H=h0,K=k1", bn))
+        assert doc["evidence_prob"] == pytest.approx(want, rel=1e-12)
+
     def test_json_schema(self):
         code, out = run(
             "query", BN_A, "--evidence", "H=h0", "--q", "A,B", "--json"

@@ -43,14 +43,15 @@ class TestBoundaries:
         msg = s.get_pi_edge(p, i)
         np.testing.assert_allclose(msg.values, eng.priors[p].values)
 
-    def test_outside_child_supplies_indicator(self, poly_b):
+    def test_outside_child_sends_one(self, poly_b):
         eng = PolytreeEngine(poly_b)
         d = poly_b.id_of("D")
         ev = EvidenceSet(poly_b, {d: {0}})
         s = eng.session(ev)
-        # N is an outside child of D; its message is D's own indicator.
+        # N is an outside child of D; its side holds no evidence, and D's
+        # own evidence is carried by D's pi, so N sends the scalar 1.
         msg = s.get_lambda_edge(d, poly_b.id_of("N"))
-        np.testing.assert_allclose(msg.values, [1.0, 0.0])
+        assert msg.scope == () and float(msg.values) == 1.0
 
     def test_no_evidence_posterior_is_prior(self, poly_b):
         eng = PolytreeEngine(poly_b)
@@ -110,6 +111,27 @@ class TestSessions:
                 assert s.evidence_prob() == pytest.approx(pe, rel=1e-9)
                 for q in bn.ids:
                     np.testing.assert_allclose(s.posterior(q)[1].values, want[q], atol=1e-9)
+
+    def test_pivot_without_evidence_seeds_its_core(self, poly_b, bn_c, bp_c):
+        # A requested pivot alone makes a core of itself in a component
+        # with no evidence; nothing is collected and the answers are those
+        # of the session with no pivot.
+        engine = PolytreeEngine(poly_b)
+        sessions = [
+            (lambda pv: engine.session(EvidenceSet(poly_b), pivot=pv), poly_b.ids, poly_b.ids),
+            (lambda pv: BorderSession(bp_c, EvidenceSet(bn_c), pivot=pv), range(len(bp_c)), bn_c.ids),
+        ]
+        for session, pivots, queries in sessions:
+            plain = session(None)
+            assert not plain.cores
+            want = {q: plain.posterior(q)[1].values for q in queries}
+            for pv in pivots:
+                s = session(pv)
+                assert [c.nodes for c in s.cores.values()] == [frozenset({pv})]
+                assert list(s.pivots.values()) == [pv] and s.collected == 0
+                assert s.evidence_prob() == pytest.approx(plain.evidence_prob(), rel=1e-12)
+                for q in queries:
+                    np.testing.assert_allclose(s.posterior(q)[1].values, want[q], rtol=0, atol=1e-12)
 
     def test_private_store_computes_each_scheduled_message_once(self, rng):
         for _ in range(20):
