@@ -25,16 +25,15 @@ from .border_chain import (
     PassResult,
     build_chain,
     chain_posterior,
-    choose_next,
-    initial_border,
     run_passes,
 )
 from .bp_build import (
     BorderPolytree,
     MacroPolytree,
     aggregation_closure,
-    border_polytree_from_chain,
     build_border_polytree,
+    choose_next,
+    initial_border,
     stage1,
     stage2,
     verify_bp,

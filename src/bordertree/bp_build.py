@@ -13,14 +13,17 @@ through one known macro: the recruited node's after its loop-closing edge,
 the growing blob during repair.  One search from that macro
 (:func:`_cycle_through`) finds each cycle.
 
-Stage II stretches each macro-node into a border chain by calling the
-chain's promotion engine (:func:`~bordertree.border_chain.choose_next` and
-:func:`~bordertree.border_chain.initial_border`), and adds only the
-cross-macro rules: stretching follows the macro topological order, cohorts
-never leave their macro, parent-side interface sets are kept co-located and
+Stage II stretches each macro-node with the border algorithm's promotion
+engine (rules 1-6, the initial-border search and the state-space
+tie-break; :func:`choose_next`, :func:`initial_border`), in the macro
+topological order, and adds only the cross-macro rules: cohorts never
+leave their macro, parent-side interface sets are kept co-located and
 recorded (their variables are blocked from promotion until then), and
 foreign parents are pulled in through one junction border per macro pair
-(whose interface counts toward a candidate's border size).
+(whose interface counts toward a candidate's border size).  A border chain
+is stage II on one parentless macro-node holding the whole network
+(:func:`~bordertree.border_chain.build_chain`); the stretch loop also
+replays a forced promotion order there.
 """
 
 from __future__ import annotations
@@ -29,11 +32,11 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from itertools import combinations
+from typing import Optional, Sequence
 
 from .errors import BordertreeError, NotSinglyConnectedError
-from .border_chain import choose_next, cohort_table, initial_border, next_border
-from .factor import Factor
+from .factor import Factor, contract_setup
 from .messaging import Tree, UnionFind
 from .network import BayesianNetwork, reach
 
@@ -88,7 +91,7 @@ class MacroPolytree:
         """Macro indices parents first, least min-member first among the
         ready; raises BordertreeError if the quotient has a directed cycle."""
         indeg = [len(ps) for ps in self._parents]
-        ready = [(self.groups[g][0], g) for g, d in enumerate(indeg) if d == 0]
+        ready = [(self.groups[g][:1], g) for g, d in enumerate(indeg) if d == 0]
         heapq.heapify(ready)
         order = []
         while ready:
@@ -97,7 +100,7 @@ class MacroPolytree:
             for gc in self._children[g]:
                 indeg[gc] -= 1
                 if indeg[gc] == 0:
-                    heapq.heappush(ready, (self.groups[gc][0], gc))
+                    heapq.heappush(ready, (self.groups[gc][:1], gc))
         if len(order) != len(self.groups):
             raise BordertreeError("macro quotient graph is cyclic")
         return order
@@ -284,6 +287,155 @@ def verify_macro_polytree(mp: MacroPolytree) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+# The promotion engine.  Stage II's hooks: ``members`` restricts the
+# initial-border search to a parentless macro, ``blocked`` names interface
+# variables that may not be promoted yet, and ``result`` sizes a
+# candidate's resulting border (including any foreign interface a junction
+# would pull in).
+
+
+def _co_parents(bn: BayesianNetwork, xs, members) -> frozenset[int]:
+    """``bn.set_co_parents(xs)`` in the subgraph induced by ``members``."""
+    h = {p for v in xs for p in bn.parents[v] if p in members} - xs
+    kids = {c for v in xs for c in bn.children(v) if c in members} - xs - h
+    return frozenset({p for c in kids for p in bn.parents[c] if p in members} - xs - kids)
+
+
+def initial_border(bn: BayesianNetwork, members=None) -> frozenset[int]:
+    """A set of roots to start a chain, co-parentless whenever one exists.
+
+    Climbs from each root in turn: absorb root co-parents, jump to the
+    ancestral roots of a non-root co-parent, stop when co-parentless.  If
+    every climb cycles, small root sets are searched exhaustively; some DAGs
+    have no co-parentless set of roots at all, and then the full root set is
+    returned (any set of roots is parentless, so the chain still works, the
+    early promotions just fall to the fictitious rules).  ``members`` limits
+    the search to the subgraph it induces (a parentless macro-node).
+    """
+    members = frozenset(bn.ids if members is None else members)
+    roots = frozenset(v for v in members if not bn.parents[v])
+    if not roots:
+        bn.topological_order()  # raises CycleError with a useful message
+    for start in sorted(roots):
+        current = frozenset({start})
+        seen: set[frozenset[int]] = set()
+        while current not in seen:
+            seen.add(current)
+            cops = _co_parents(bn, current, members)
+            if not cops:
+                return current
+            root_cops = cops & roots
+            if root_cops:
+                current = current | root_cops
+                continue
+            k = min(cops)
+            current = (bn.ancestors(k) & roots) or frozenset({k})
+    if len(roots) <= 16:
+        for k in range(1, len(roots) + 1):
+            for combo in combinations(sorted(roots), k):
+                if not _co_parents(bn, frozenset(combo), members):
+                    return frozenset(combo)
+    return roots
+
+
+def bottom_ancestors(bn: BayesianNetwork, seeds, bottom) -> frozenset[int]:
+    return frozenset(reach(seeds, lambda v: bottom.intersection(bn.parents[v])))
+
+
+def rule_candidates(bn, border, bottom, rule, blocked=frozenset()):
+    """(promoted, cohort) candidates for one rule; empty list if inapplicable.
+    Variables in ``blocked`` are never promoted."""
+    out = []
+    if rule in (1, 2, 3, 6):
+        for v in border:
+            if v in blocked:
+                continue
+            kids = set(bn.children(v)) & bottom
+            if rule == 1:
+                if not kids:
+                    out.append((v, frozenset()))
+            elif not kids:
+                continue
+            elif rule == 6:
+                out.append((v, frozenset(kids) | bottom_ancestors(bn, kids, bottom)))
+            else:
+                cops = bn.co_parents(v) & bottom
+                if rule == 2 and not cops:
+                    out.append((v, frozenset(kids)))
+                elif rule == 3 and cops and all(not (set(bn.parents[k]) & bottom) for k in cops):
+                    out.append((v, frozenset(kids | cops)))
+    elif rule == 4:
+        for v in bottom:
+            if bn.parents[v] and not (set(bn.parents[v]) & bottom):
+                out.append((None, frozenset({v})))
+    elif rule == 5:
+        for v in bottom:
+            if not bn.parents[v]:
+                out.append((None, frozenset({v})))
+    return out
+
+
+def next_border(border, promoted, cohort) -> frozenset[int]:
+    return (border - ({promoted} if promoted is not None else frozenset())) | cohort
+
+
+def choose_next(
+    bn: BayesianNetwork,
+    border: frozenset[int],
+    bottom,
+    blocked=frozenset(),
+    result=next_border,
+) -> tuple[Optional[int], frozenset[int], int]:
+    """First applicable rule in order 1..5; ties broken by the state-space
+    size of the resulting border, ``result(border, promoted, cohort)``, then
+    by lowest variable id.  A non-empty bottom part has a variable with no
+    bottom parent (the network is acyclic), and that variable satisfies
+    rule 4 or rule 5, so some rule always applies and rules 6 and 7 are
+    never reached here (forced-order replay still uses rule 6)."""
+    if not bottom:
+        raise ValueError("bottom part is empty; chain is complete")
+    for rule in range(1, 6):
+        cands = rule_candidates(bn, border, bottom, rule, blocked)
+        if not cands:
+            continue
+
+        def key(cand):
+            promoted, cohort = cand
+            size = math.prod(bn.card(v) for v in result(border, promoted, cohort))
+            return (size, promoted if promoted is not None else min(cohort))
+
+        promoted, cohort = min(cands, key=key)
+        return promoted, cohort, rule
+    raise BordertreeError("no applicable promotion rule")  # pragma: no cover
+
+
+def _rule_for_forced(bn, border, bottom, promoted):
+    """(cohort, rule) of the first rule among 1, 2, 3 and 6 that admits
+    promoting ``promoted`` (forced-order replay)."""
+    if promoted not in border:
+        raise BordertreeError(
+            f"illegal forced promotion: {bn.name_of(promoted)} not in the border"
+        )
+    for rule in (1, 2, 3, 6):
+        for cand_promoted, cohort in rule_candidates(bn, border, bottom, rule):
+            if cand_promoted == promoted:
+                return cohort, rule
+    raise BordertreeError(
+        f"illegal forced promotion: no rule admits {bn.name_of(promoted)}"
+    )  # pragma: no cover
+
+
+def cohort_table(bn: BayesianNetwork, cohort: frozenset[int], border: frozenset[int]) -> Factor:
+    if not cohort:
+        return Factor.scalar(1.0)
+    hc = bn.set_parents(cohort)
+    if not hc <= border:
+        raise BordertreeError(
+            f"cohort parents {bn.names(hc - border)} escape the border"
+        )
+    return contract_setup([bn.cpts[v] for v in sorted(cohort)], cohort | hc)
+
+
 @dataclass(frozen=True)
 class Border:
     id: int
@@ -294,6 +446,7 @@ class Border:
     promoted: Optional[int] = None  # type1 only
     cohort: frozenset[int] = frozenset()  # type1 only
     cohort_table: Optional[Factor] = None  # type1 only
+    rule: Optional[int] = None  # type1 only; None at a macro's start
     carried: tuple[frozenset[int], ...] = ()  # type2: per-parent kept subset
 
 
@@ -354,8 +507,8 @@ class BorderPolytree:
 
 
 class _MacroStretcher:
-    """Stretches one macro-node into borders: the chain's promotion engine
-    (:func:`~bordertree.border_chain.choose_next`) plus rules 9-13."""
+    """Stretches one macro-node into borders: the promotion engine
+    (:func:`choose_next`) plus rules 9-13."""
 
     def __init__(self, builder: "_Stage2Builder", g: int):
         self.b = builder
@@ -456,7 +609,7 @@ class _MacroStretcher:
             )
         )
 
-    def _emit_type1(self, promoted, cohort):
+    def _emit_type1(self, promoted, cohort, rule=None):
         self._emit(
             Border(
                 id=len(self.b.borders),
@@ -467,6 +620,7 @@ class _MacroStretcher:
                 promoted=promoted,
                 cohort=frozenset(cohort),
                 cohort_table=cohort_table(self.bn, cohort, self.vars),
+                rule=rule,
             )
         )
         self.bottom -= set(cohort)
@@ -474,6 +628,10 @@ class _MacroStretcher:
     # -- main loop ---------------------------------------------------------
 
     def _start(self):
+        if not self.mp.group_parents(self.g):
+            # Also the start of an empty network's chain: one empty border.
+            self._emit_type1(None, initial_border(self.bn, self.members))
+            return
         internal_roots = sorted(
             v for v in self.members if not (set(self.bn.parents[v]) & self.members)
         )
@@ -481,25 +639,40 @@ class _MacroStretcher:
             raise BordertreeError(
                 f"macro {self.g} has no internal root"
             )  # pragma: no cover - induced graph of a DAG
-        if not self.mp.group_parents(self.g):
-            b0 = initial_border(self.bn, self.members)
-            self._emit_type1(None, b0)
-            return
         starter = internal_roots[0]
         if self.bn.parents[starter]:
             self._junction(self._foreign_needed({starter}))
         # starter itself is recruited by the regular rule loop
 
-    def run(self):
+    def run(self, forced: Optional[Sequence[Optional[int]]] = None):
+        """Stretch the macro.  ``forced`` replays a promotion order instead
+        of choosing one: entry 0 must be None (the macro's start) and entry
+        j names the variable promoted at step j."""
         self._start()
+        if forced is not None and (not forced or forced[0] is not None):
+            raise BordertreeError("forced order must start with the fictitious step")
+        # A macro with no parent macro has no foreign interface to pull in.
+        result = self._result_vars if self.mp.group_parents(self.g) else next_border
+        j = 0
         while self.bottom:
-            promoted, cohort, _rule = choose_next(
-                self.bn, self.vars, self.bottom, self._blocked(), self._result_vars
-            )
+            j += 1
+            if forced is None:
+                promoted, cohort, rule = choose_next(
+                    self.bn, self.vars, self.bottom, self._blocked(), result
+                )
+            else:
+                if j >= len(forced):
+                    raise BordertreeError("forced order ended before the chain completed")
+                promoted = forced[j]
+                if promoted is None:
+                    raise BordertreeError("fictitious steps beyond step 0 are not replayable")
+                cohort, rule = _rule_for_forced(self.bn, self.vars, self.bottom, promoted)
             gps = self._foreign_needed(cohort)
             if gps:
                 self._junction(gps)
-            self._emit_type1(promoted, cohort)
+            self._emit_type1(promoted, cohort, rule)
+        if forced is not None and j + 1 != len(forced):
+            raise BordertreeError("forced order longer than the completed chain")
 
 
 class _Stage2Builder:
@@ -510,9 +683,11 @@ class _Stage2Builder:
         self.recorded: dict[tuple[int, int], int] = {}
         self.junctioned: set[tuple[int, int]] = set()
 
-    def run(self) -> BorderPolytree:
+    def run(self, forced: Optional[dict[int, Sequence[Optional[int]]]] = None) -> BorderPolytree:
+        """Stretch every macro; ``forced`` maps a macro index to the
+        promotion order to replay there."""
         for g in self.mp.topological_order():
-            _MacroStretcher(self, g).run()
+            _MacroStretcher(self, g).run(forced.get(g) if forced else None)
         return BorderPolytree(self.borders, self.bn, self.mp)
 
 
@@ -522,26 +697,6 @@ def stage2(mp: MacroPolytree) -> BorderPolytree:
 
 def build_border_polytree(bn: BayesianNetwork) -> BorderPolytree:
     return stage2(stage1(bn))
-
-
-def border_polytree_from_chain(chain) -> BorderPolytree:
-    """View a border chain as a degenerate one-macro border polytree."""
-    bn = chain.source
-    borders = []
-    for step in chain.steps:
-        borders.append(
-            Border(
-                id=step.index,
-                members=step.border,
-                kind="type1",
-                owner=0,
-                parents=(step.index - 1,) if step.index else (),
-                promoted=step.promoted,
-                cohort=step.cohort,
-                cohort_table=step.cohort_table,
-            )
-        )
-    return BorderPolytree(borders, bn)
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,9 @@ def _posterior_rows(bn, queries, priors, posteriors):
 
 
 def cmd_query(args, out):
+    if args.pivot is not None and args.engine != "bp":
+        print("usage error: --pivot applies to --engine bp only", file=sys.stderr)
+        return 2
     bn = _load(args.network)
     ev = _evidence(args, bn)
     queries = _parse_queries(args, bn)
@@ -266,6 +269,14 @@ def cmd_core(args, out):
 
 
 def cmd_gen(args, out):
+    for flag, value, least in (
+        ("--seed", args.seed, 0),
+        ("--nodes", args.nodes, 0),
+        ("--max-card", args.max_card, 2),
+    ):
+        if value < least:
+            print(f"usage error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return 2
     rng = np.random.default_rng(args.seed)
     if args.polytree:
         bn = random_polytree(rng, args.nodes, args.nodes, args.max_card)
@@ -442,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--engine", choices=["bp", "chain", "polytree", "oracle"], default="bp"
     )
-    p.add_argument("--pivot", type=int, help="border id overriding the pivot")
+    p.add_argument("--pivot", type=int, help="border id overriding the pivot (--engine bp only)")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("repl", help="interactive incremental-evidence session")

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Optional, Sequence
 
@@ -454,38 +454,18 @@ def smallest_hitting_core(tree: Tree, groups: Sequence[Iterable[Node]]) -> Evide
     return _core_from_nodes(tree, nodes)
 
 
-@dataclass(frozen=True)
-class Message:
-    source: Node
-    target: Node
-    direction: str  # "downward" if source is the tree parent, else "upward"
-
-
-@dataclass
-class Schedule:
-    messages: list[Message] = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.messages)
-
-    def __iter__(self):
-        return iter(self.messages)
-
-
-def _directed(tree: Tree, src: Node, dst: Node) -> Message:
-    return Message(src, dst, "downward" if tree.has_edge(src, dst) else "upward")
-
-
-def collection_schedule(tree: Tree, core: EvidentialCore, pivot: Node) -> Schedule:
-    """Post-order toward the pivot: one message per core edge, prerequisites
-    (messages further from the pivot) always first."""
+def collection_schedule(
+    tree: Tree, core: EvidentialCore, pivot: Node
+) -> list[tuple[Node, Node]]:
+    """Post-order toward the pivot: one (source, target) message per core
+    edge, prerequisites (messages further from the pivot) always first."""
     if pivot not in core.nodes:
         raise BordertreeError(f"pivot {pivot!r} is outside the evidential core")
     adj: dict[Node, list[Node]] = {v: [] for v in core.nodes}
     for p, c in sorted(core.edges, key=lambda e: (str(e[0]), str(e[1]))):
         adj[p].append(c)
         adj[c].append(p)
-    sched = Schedule()
+    sched = []
     seen = {pivot}
     # Iterative DFS: a message leaves a node once all its subtrees are done.
     stack = [(pivot, iter(adj[pivot]))]
@@ -499,13 +479,13 @@ def collection_schedule(tree: Tree, core: EvidentialCore, pivot: Node) -> Schedu
         else:
             stack.pop()
             if stack:
-                sched.messages.append(_directed(tree, v, stack[-1][0]))
+                sched.append((v, stack[-1][0]))
     return sched
 
 
 def distribution_schedule(
     tree: Tree, informed: set[Node], target: Node, top: Node
-) -> tuple[Node, Schedule]:
+) -> tuple[Node, list[tuple[Node, Node]]]:
     """Walk from the unique gate of the connected informed set out to the
     target; the returned schedule informs every node along the way.
 
@@ -515,7 +495,7 @@ def distribution_schedule(
     is outside that subtree, and then the gate is ``top`` itself.  The
     cost is the length of the walk, not the size of the informed set."""
     if target in informed:
-        return target, Schedule()
+        return target, []
     index = tree.index
     parent, depth = index.parent, index.depth
     limit = depth[top]
@@ -529,10 +509,7 @@ def distribution_schedule(
     else:
         path = index.path(target, top)
     out_path = path[::-1]  # gate ... target
-    sched = Schedule()
-    for a, b in zip(out_path, out_path[1:]):
-        sched.messages.append(_directed(tree, a, b))
-    return out_path[0], sched
+    return out_path[0], list(zip(out_path, out_path[1:]))
 
 
 def default_pivot(core: EvidentialCore, holding: Optional[Iterable[Node]] = None) -> Node:
@@ -554,7 +531,8 @@ class TreeSession:
     * per component, the evidential core of the evidence groups and its
       pivot (a requested pivot joins its component's core as one more
       group, and alone seeds a core of itself in a component with no
-      evidence), and the collection of every core message toward the pivot;
+      evidence; a pivot that is not a node raises KeyError), and the
+      collection of every core message toward the pivot;
     * the informed set and distribution: a query walks from the set's gate
       out to its node, and the set's top node is kept as nodes join;
     * ``_send`` and the message ``store``, which ``_send`` reads before it
@@ -591,7 +569,9 @@ class TreeSession:
         by_comp: dict[Node, list[set]] = {}
         for g in groups:
             by_comp.setdefault(index.comp[next(iter(g))], []).append(g)
-        if pivot in index.comp:
+        if pivot is not None:
+            if pivot not in index.comp:
+                raise KeyError(f"pivot {pivot!r} is not a node of the tree")
             by_comp.setdefault(index.comp[pivot], []).append({pivot})
         for comp, gs in sorted(by_comp.items()):
             core = smallest_hitting_core(tree, gs)
@@ -602,8 +582,8 @@ class TreeSession:
             self.cores[comp] = core
             self.core_nodes |= core.nodes
             self.pivots[comp] = pv
-            for msg in collection(tree, core, pv):
-                self._send(msg.source, msg.target)
+            for src, dst in collection(tree, core, pv):
+                self._send(src, dst)
                 self.collected += 1
             self.informed_in[comp] = {pv}
             self._top[comp] = pv
@@ -675,12 +655,12 @@ class TreeSession:
         depth = self.index.depth
         top = self._top[comp]
         _gate, sched = distribution(self.tree, informed, v, top)
-        for msg in sched:
-            self._send(msg.source, msg.target)
+        for src, dst in sched:
+            self._send(src, dst)
             self.distributed += 1
-            informed.add(msg.target)
-            if depth[msg.target] < depth[top]:
-                top = msg.target
+            informed.add(dst)
+            if depth[dst] < depth[top]:
+                top = dst
         self._top[comp] = top
 
     def _readout(self, v: Node, var: int) -> tuple[Factor, Factor]:

@@ -5,11 +5,19 @@ import numpy as np
 import pytest
 
 from bordertree import zoo
-from bordertree.border_chain import PassResult, build_chain, chain_posterior
+from bordertree.border_chain import ChainStep, PassResult, build_chain, chain_posterior
 from bordertree.bnformat import parse_evidence
-from bordertree.bp_build import build_border_polytree
+from bordertree.bp_build import (
+    _rule_for_forced,
+    build_border_polytree,
+    choose_next,
+    cohort_table,
+    initial_border,
+    next_border,
+)
 from bordertree.bp_infer import preload_priors
-from bordertree.factor import Factor, contract, indicator, restrict
+from bordertree.errors import BordertreeError
+from bordertree.factor import Factor, contract, contract_setup, indicator, restrict
 from bordertree.network import NO_EVIDENCE, EvidenceSet
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -47,6 +55,46 @@ def reference_passes(chain, ev=NO_EVIDENCE) -> PassResult:
         else:
             lam[j - 1] = lam[j]
     return PassResult(pi, lam)
+
+
+def reference_chain(bn, forced_order=None) -> list[ChainStep]:
+    """The chain's own promotion loop, as it ran before a chain became
+    stage II on one macro-node, kept as a reference for
+    :func:`bordertree.border_chain.build_chain`; returns the steps.
+
+    ``forced_order`` replays a specific promotion sequence: entry 0 must be
+    None (the initial fictitious step) and later entries name the promoted
+    variable of each step.
+    """
+    b0 = initial_border(bn)
+    phi0 = contract_setup([bn.cpts[v] for v in sorted(b0)], b0)
+    steps = [ChainStep(0, None, frozenset(b0), frozenset(b0), phi0, None)]
+    border = frozenset(b0)
+    bottom = frozenset(bn.ids) - border
+
+    if forced_order is not None:
+        if not forced_order or forced_order[0] is not None:
+            raise BordertreeError("forced order must start with the fictitious step")
+
+    j = 0
+    while bottom:
+        j += 1
+        if forced_order is not None:
+            if j >= len(forced_order):
+                raise BordertreeError("forced order ended before the chain completed")
+            promoted = forced_order[j]
+            if promoted is None:
+                raise BordertreeError("fictitious steps beyond step 0 are not replayable")
+            cohort, rule = _rule_for_forced(bn, border, bottom, promoted)
+        else:
+            promoted, cohort, rule = choose_next(bn, border, bottom)
+        table = cohort_table(bn, cohort, border)
+        border = next_border(border, promoted, cohort)
+        bottom = bottom - cohort
+        steps.append(ChainStep(j, promoted, cohort, border, table, rule))
+    if forced_order is not None and j + 1 != len(forced_order):
+        raise BordertreeError("forced order longer than the completed chain")
+    return steps
 
 
 @pytest.fixture(scope="session")

@@ -4,21 +4,20 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import reference_passes
+from conftest import reference_chain, reference_passes
 
 from bordertree.border_chain import (
     build_chain,
     chain_posterior,
     chain_rows,
-    choose_next,
-    initial_border,
     run_passes,
 )
+from bordertree.bp_build import choose_next, initial_border
 from bordertree.errors import BordertreeError, ImpossibleEvidenceError
 from bordertree.factor import multiply
 from bordertree.network import EvidenceSet
 from bordertree.oracle import oracle_event_prob, oracle_marginal, oracle_posterior
-from bordertree.randgen import random_dag, random_evidence
+from bordertree.randgen import random_dag, random_evidence, random_polytree
 from bordertree import zoo
 
 
@@ -197,6 +196,65 @@ class TestBuildChain:
                 seen |= step.cohort
                 prev = step
             assert seen == set(bn.ids)  # cohorts partition the variables
+
+
+def _chain_corpus():
+    """The four zoo networks, the empty network (one empty border) and 900
+    seeded random networks: small DAGs, 10-30-node binary DAGs with up to
+    three parents, and polytrees."""
+    yield from (zoo.bn_a(), zoo.polytree_b(), zoo.bn_c(), zoo.dyspnoea_shaped())
+    yield zoo.build_network([])
+    rng = np.random.default_rng(1204)
+    for _ in range(300):
+        yield random_dag(rng, 3, 14, 3)
+        yield random_dag(rng, 10, 30, 2, max_parents=3, statespace_cap=2**40)
+        yield random_polytree(rng, 5, 40, 3)
+
+
+def _outcome(build, bn, order=None):
+    """Every step's promoted variable, cohort, border, rule and cohort table,
+    or the error message when the build fails."""
+    try:
+        steps = build(bn, order)
+    except BordertreeError as e:
+        return str(e)
+    return [
+        (s.index, s.promoted, s.cohort, s.border, s.rule, s.cohort_table.scope,
+         s.cohort_table.values.tolist())
+        for s in steps
+    ]
+
+
+def _chain_steps(bn, order=None):
+    return build_chain(bn, forced_order=order).steps
+
+
+class TestStretchLoop:
+    def test_chain_equals_reference_loop(self):
+        # A chain is stage II on one macro-node: the same steps as the
+        # chain's own loop, every border of type 1 on one path; the same
+        # rows or the same error for replayed and illegal forced orders.
+        networks = replayed = failed = 0
+        for bn in _chain_corpus():
+            networks += 1
+            chain = build_chain(bn)
+            rows = _outcome(lambda *_: chain.steps, bn)
+            assert rows == _outcome(reference_chain, bn)
+            assert all(
+                b.kind == "type1" and b.owner == 0 and b.parents == ((b.id - 1,) if b.id else ())
+                for b in chain.view.borders
+            )
+            order = [s.promoted for s in chain.steps]
+            illegal = [order[:1] + order[:0:-1], order[:-1], order + order[-1:]]
+            if None not in order[1:]:
+                replayed += 1
+                assert _outcome(_chain_steps, bn, order) == rows
+            for forced in illegal:
+                got = _outcome(_chain_steps, bn, forced)
+                assert got == _outcome(reference_chain, bn, forced), (bn.names(order[1:]), forced)
+                failed += isinstance(got, str)
+        assert networks == 905
+        assert replayed >= 150 and failed > 0.95 * len(illegal) * networks
 
 
 class TestPasses:

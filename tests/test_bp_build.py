@@ -11,7 +11,6 @@ from bordertree.bp_build import (
     BorderPolytree,
     MacroPolytree,
     aggregation_closure,
-    border_polytree_from_chain,
     build_border_polytree,
     stage1,
     stage2,
@@ -541,7 +540,7 @@ class TestVerifyBp:
 
     def test_re_recruited_variable_flagged(self, bn_a):
         chain = build_chain(bn_a)
-        bp = border_polytree_from_chain(chain)
+        bp = chain.view
         assert not errors(bp)
         # Re-recruit variable 0 into a fresh border after its promotion.
         members = frozenset({0}) | bp.borders[-1].members
@@ -578,6 +577,6 @@ class TestVerifyBp:
 
 def test_chain_view_is_valid_bp(bn_a):
     chain = build_chain(bn_a)
-    bp = border_polytree_from_chain(chain)
+    bp = chain.view
     assert not errors(bp)
     assert len(bp.borders) == chain.gamma + 1

@@ -6,7 +6,7 @@ from conftest import reference_passes
 
 from bordertree.border_chain import build_chain, chain_posterior, run_passes
 from bordertree.bnformat import parse_evidence
-from bordertree.bp_build import border_polytree_from_chain, build_border_polytree
+from bordertree.bp_build import build_border_polytree
 from bordertree.bp_infer import (
     BorderSession,
     bp_query,
@@ -64,7 +64,7 @@ class TestPreload:
 
     def test_chain_view_priors_equal_downward_pass(self, bn_a):
         chain = build_chain(bn_a)
-        bp = border_polytree_from_chain(chain)
+        bp = chain.view
         priors = preload_priors(bp)
         pi = reference_passes(chain).pi
         for j in range(chain.gamma + 1):
@@ -248,7 +248,7 @@ class TestQueries:
         # A BP whose polytree is one chain reproduces the chain's two
         # reference passes.
         chain = build_chain(bn_a)
-        bp = border_polytree_from_chain(chain)
+        bp = chain.view
         preload_priors(bp)
         passes = reference_passes(chain, ev_hk)
         posts, pe = bp_query(bp, ev_hk)

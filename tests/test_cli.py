@@ -125,6 +125,17 @@ class TestQuery:
         want = oracle_event_prob(bn, parse_evidence("H=h0,K=k1", bn))
         assert doc["evidence_prob"] == pytest.approx(want, rel=1e-12)
 
+    def test_pivot_that_is_not_a_border_exit_2(self, capsys):
+        code, out = run("query", BN_C, "--evidence", "B=b0", "--pivot", "999")
+        assert code == 2 and out == ""
+        assert "pivot 999" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine", ["chain", "polytree", "oracle"])
+    def test_pivot_with_another_engine_exit_2(self, engine, capsys):
+        code, out = run("query", BN_C, "--evidence", "B=b0", "--engine", engine, "--pivot", "3")
+        assert code == 2 and out == ""
+        assert "--pivot" in capsys.readouterr().err
+
     def test_json_schema(self):
         code, out = run(
             "query", BN_A, "--evidence", "H=h0", "--q", "A,B", "--json"
@@ -233,6 +244,23 @@ class TestOtherCommands:
         code, out = run("gen", "--nodes", "21")
         assert code == 2 and out == ""
         assert "state-space cap 1048576" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", [[], ["--polytree"]])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--max-card", "1"), ("--max-card", "0"), ("--nodes", "-3"), ("--seed", "-1")],
+    )
+    def test_gen_rejects_bad_flags(self, shape, flag, value, capsys):
+        code, out = run("gen", *shape, flag, value)
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and flag in err
+
+    def test_gen_accepts_the_least_flags(self):
+        for shape in ([], ["--polytree"]):
+            assert run("gen", *shape, "--nodes", "0", "--max-card", "2")[0] == 0
+            code, out = run("gen", *shape, "--nodes", "1", "--max-card", "2")
+            assert code == 0 and len(parse_network(out)) == 1
 
 
 class TestRepl:

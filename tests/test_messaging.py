@@ -244,19 +244,16 @@ class TestCollectionSchedule:
         sched = collection_schedule(tree, core, d)
         assert len(sched) == len(core.edges) == 7
         hops = {
-            (poly_b.name_of(m.source), poly_b.name_of(m.target)) for m in sched
+            (poly_b.name_of(src), poly_b.name_of(dst)) for src, dst in sched
         }
         assert hops == {
             ("B", "A"), ("A", "D"),
             ("L4", "H"), ("H", "C"), ("C", "D"),
             ("K", "M"), ("M", "D"),
         }
-        # Directions follow the edge orientation.
-        for m in sched:
-            if tree.has_edge(m.source, m.target):
-                assert m.direction == "downward"
-            else:
-                assert m.direction == "upward"
+        # Each message runs along one tree edge, in one of its orientations.
+        for src, dst in sched:
+            assert tree.has_edge(src, dst) != tree.has_edge(dst, src)
 
     def test_pivot_is_sole_core_node(self, poly_b):
         tree = tree_of(poly_b)
@@ -275,12 +272,12 @@ class TestCollectionSchedule:
             sched = collection_schedule(tree, core, pivot)
             assert len(sched) == len(core.edges)
             done = set()
-            for m in sched:
+            for src, dst in sched:
                 # every other core neighbor of the source has already sent
-                for nb in tree.neighbors(m.source):
-                    if nb != m.target and nb in core.nodes:
-                        assert (nb, m.source) in done
-                done.add((m.source, m.target))
+                for nb in tree.neighbors(src):
+                    if nb != dst and nb in core.nodes:
+                        assert (nb, src) in done
+                done.add((src, dst))
 
     def test_pivot_outside_core_rejected(self, poly_b):
         tree = tree_of(poly_b)
@@ -301,7 +298,7 @@ class TestDistribution:
         target = poly_b.id_of("R8")
         gate, sched = distribution_schedule(tree, informed, target, top_of(tree, informed))
         assert poly_b.name_of(gate) == "C"
-        hops = [(poly_b.name_of(m.source), poly_b.name_of(m.target)) for m in sched]
+        hops = [(poly_b.name_of(src), poly_b.name_of(dst)) for src, dst in sched]
         assert hops == [("C", "L3"), ("L3", "R8")]
 
     def test_target_already_informed(self, poly_b):
@@ -319,9 +316,9 @@ class TestDistribution:
             for target in order:
                 gate, sched = distribution_schedule(tree, informed, int(target), top_of(tree, informed))
                 assert gate in informed or gate == target
-                for m in sched:
-                    informed.add(m.source)
-                    informed.add(m.target)
+                for src, dst in sched:
+                    informed.add(src)
+                    informed.add(dst)
                 informed.add(int(target))
                 # connectivity: BFS within informed reaches all of it
                 seen = {next(iter(informed))}
@@ -345,7 +342,7 @@ class TestDistribution:
             dist = {v: len(tree.bfs_path(target, v)) for v in informed}
             assert dist.get(gate, 1) == min(dist.values() or [1])
             path = tree.bfs_path(gate, target)
-            assert [(m.source, m.target) for m in sched] == list(zip(path, path[1:]))
+            assert [(src, dst) for src, dst in sched] == list(zip(path, path[1:]))
 
     def test_no_message_resent_per_direction(self, rng):
         for _ in range(20):
@@ -355,10 +352,10 @@ class TestDistribution:
             sent = set()
             for target in rng.permutation(n):
                 _, sched = distribution_schedule(tree, informed, int(target), top_of(tree, informed))
-                for m in sched:
-                    assert (m.source, m.target) not in sent
-                    sent.add((m.source, m.target))
-                    informed.add(m.target)
+                for src, dst in sched:
+                    assert (src, dst) not in sent
+                    sent.add((src, dst))
+                    informed.add(dst)
                 informed.add(int(target))
 
 

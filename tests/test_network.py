@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bordertree.border_chain import bottom_ancestors
+from bordertree.bp_build import bottom_ancestors
 from bordertree.errors import CycleError
 from bordertree.factor import Factor
 from bordertree.network import BayesianNetwork, EvidenceSet, validate

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bordertree.bp_build import build_border_polytree
-from bordertree.bp_infer import BorderSession
+from bordertree.bp_infer import BorderSession, bp_query
 from bordertree.errors import NotSinglyConnectedError
 from bordertree.factor import contract, multiply
 from bordertree.network import EvidenceSet
@@ -132,6 +132,17 @@ class TestSessions:
                 assert s.evidence_prob() == pytest.approx(plain.evidence_prob(), rel=1e-12)
                 for q in queries:
                     np.testing.assert_allclose(s.posterior(q)[1].values, want[q], rtol=0, atol=1e-12)
+
+    def test_pivot_outside_the_tree_raises_key_error(self, poly_b, bn_c, bp_c):
+        # A pivot that names no node is an error, not silently dropped.
+        ev = EvidenceSet(bn_c, {bn_c.id_of("B"): {0}})
+        for bad in (len(bp_c), 999, -1):
+            with pytest.raises(KeyError, match=f"pivot {bad} "):
+                bp_query(bp_c, ev, pivot=bad)
+        engine = PolytreeEngine(poly_b)
+        for bad in (len(poly_b), 999):
+            with pytest.raises(KeyError, match=f"pivot {bad} "):
+                engine.query(EvidenceSet(poly_b), pivot=bad)
 
     def test_private_store_computes_each_scheduled_message_once(self, rng):
         for _ in range(20):
