@@ -10,6 +10,10 @@ Network files are UTF-8, line oriented, ``#`` starts a comment:
 
 Evidence: ``X=label`` (hard) or ``X=label1|label2`` (soft); comma-separated
 on the command line, one per line in files.
+
+So that evidence can name every variable and value, a node name may not
+contain ``,`` or ``=``, and a value label may not contain ``,`` or ``|``;
+``parse_network`` rejects either with the line number.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ def parse_network(text: str) -> BayesianNetwork:
             name = tokens[1]
             if name in labels:
                 raise BnFormatError(f"duplicate node {name!r}", lineno)
+            if "," in name or "=" in name:
+                raise BnFormatError(f"node name {name!r} contains ',' or '='", lineno)
             try:
                 k = int(tokens[2])
             except ValueError:
@@ -53,6 +59,11 @@ def parse_network(text: str) -> BayesianNetwork:
                 )
             if len(set(vals)) != k:
                 raise BnFormatError(f"node {name!r}: duplicate value labels", lineno)
+            for label in vals:
+                if "," in label or "|" in label:
+                    raise BnFormatError(
+                        f"node {name!r}: value label {label!r} contains ',' or '|'", lineno
+                    )
             names.append(name)
             labels[name] = vals
         elif kind == "parents":
@@ -166,14 +177,14 @@ def parse_evidence_items(items: list[str], bn: BayesianNetwork) -> EvidenceSet:
         try:
             var = bn.id_of(name)
         except KeyError as e:
-            raise BnFormatError(str(e), lineno) from None
+            raise BnFormatError(e.args[0], lineno) from None
         parts = [p.strip() for p in rhs.split("|")]
         if not parts or any(not p for p in parts):
             raise BnFormatError(f"empty value in evidence for {name!r}", lineno)
         try:
             vals = {bn.label_index(var, p) for p in parts}
         except KeyError as e:
-            raise BnFormatError(str(e), lineno) from None
+            raise BnFormatError(e.args[0], lineno) from None
         if ev.allowed(var) is not None:
             raise BnFormatError(f"duplicate evidence for {name!r}", lineno)
         ev.set(var, vals)

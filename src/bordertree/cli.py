@@ -4,6 +4,13 @@ Subcommands: validate, chain, build-bp, prior, query, repl, paths, core,
 gen.  Exit codes: 0 success, 1 domain error (impossible evidence,
 non-polytree input for polytree-only commands), 2 usage or parse error.
 All output is deterministic for fixed inputs.
+
+``query`` reads each engine through one answer call, (posteriors, Pr(e)):
+once with no evidence for the prior column, once with the evidence.
+``prior`` and the REPL's ``priors`` print the border polytree's answer with
+no evidence through one helper, and ``core`` and the REPL's ``core`` print
+border sets through one formatter.  ``core`` on a polytree merges the cores
+of the session's components.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .bnformat import (
 )
 from .border_chain import build_chain, chain_posterior, chain_rows, run_passes
 from .bp_build import build_border_polytree, verify_bp
-from .bp_infer import BorderSession, preload_priors
+from .bp_infer import BorderSession, bp_query, preload_priors
 from .errors import (
     BnFormatError,
     BordertreeError,
@@ -34,7 +41,6 @@ from .errors import (
     NotSinglyConnectedError,
 )
 from .factor import contract
-from .messaging import evidential_core
 from .network import NO_EVIDENCE, BayesianNetwork, validate
 from .oracle import oracle_event_prob, oracle_posterior
 from .polytree import PolytreeEngine
@@ -122,31 +128,39 @@ def cmd_build_bp(args, out):
     return 1 if problems else 0
 
 
-def _dot(bp) -> str:
+def _border_sets(bp, ids) -> str:
+    """Borders as their member sets, e.g. ``{A,B};{B,C}``."""
     bn = bp.source
+    return ";".join("{" + ",".join(bn.names(bp.borders[i].members)) + "}" for i in ids)
+
+
+def _dot(bp) -> str:
     lines = ["digraph borders {"]
     for b in bp.borders:
-        label = "{" + ",".join(bn.names(b.members)) + "}"
         shape = "box" if b.kind == "type1" else "diamond"
-        lines.append(f'  b{b.id} [label="{label}" shape={shape}];')
+        lines.append(f'  b{b.id} [label="{_border_sets(bp, [b.id])}" shape={shape}];')
     for p, c in sorted(bp.edges):
         lines.append(f"  b{p} -> b{c};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
+def _prior_table(bp, queries, out, store=None) -> None:
+    """The prior marginals of ``queries``, as the border polytree answers
+    them with no evidence."""
+    bn = bp.source
+    priors, _ = bp_query(bp, NO_EVIDENCE, queries, store=store)
+    rows = [
+        {"variable": bn.name_of(q), "value": label, "prior": _fmt_prob(p)}
+        for q in queries
+        for label, p in zip(bn.variables[q].value_labels, priors[q].values)
+    ]
+    _tsv(rows, ["variable", "value", "prior"], out)
+
+
 def cmd_prior(args, out):
     bn = _load(args.network)
-    queries = _parse_queries(args, bn)
-    session = BorderSession(_bp_for(bn))
-    rows = []
-    for q in queries:
-        dist = session.posterior(q)[1].values
-        for k, label in enumerate(bn.variables[q].value_labels):
-            rows.append(
-                {"variable": bn.name_of(q), "value": label, "prior": _fmt_prob(dist[k])}
-            )
-    _tsv(rows, ["variable", "value", "prior"], out)
+    _prior_table(_bp_for(bn), _parse_queries(args, bn), out)
     return 0
 
 
@@ -160,6 +174,11 @@ def _bp_for(bn):
     bp = build_border_polytree(bn)
     preload_priors(bp)
     return bp
+
+
+def _tables(posteriors, evidence_prob):
+    """An engine's answer with each posterior factor read as its table."""
+    return {q: f.values for q, f in posteriors.items()}, evidence_prob
 
 
 def _posterior_rows(bn, queries, priors, posteriors):
@@ -192,34 +211,36 @@ def cmd_query(args, out):
     ev = _evidence(args, bn)
     queries = _parse_queries(args, bn)
 
-    # The prior column comes from the engine that answers the query.
+    # Each engine answers through one call, (posterior tables, Pr(e)); the
+    # prior column is its answer with no evidence.
     if args.engine == "oracle":
-        priors = {q: oracle_posterior(bn, NO_EVIDENCE, q) for q in queries}
-        posteriors = {q: oracle_posterior(bn, ev, q) for q in queries}
-        evidence_prob = oracle_event_prob(bn, ev)
+
+        def answer(evidence, pivot=None):
+            posts = {q: oracle_posterior(bn, evidence, q) for q in queries}
+            return posts, oracle_event_prob(bn, evidence)
+
     elif args.engine == "chain":
         chain = build_chain(bn)
-        prior_passes = run_passes(chain, NO_EVIDENCE)
-        priors = {
-            q: chain_posterior(chain, NO_EVIDENCE, q, passes=prior_passes)[1].values
-            for q in queries
-        }
-        passes = run_passes(chain, ev)
-        posteriors = {q: chain_posterior(chain, ev, q, passes=passes)[1].values for q in queries}
-        evidence_prob = contract([passes.pi[0], passes.lam[0]], ()).total()
+
+        def answer(evidence, pivot=None):
+            passes = run_passes(chain, evidence)
+            posts = {q: chain_posterior(chain, evidence, q, passes=passes)[1].values for q in queries}
+            return posts, contract([passes.pi[0], passes.lam[0]], ()).total()
+
     elif args.engine == "polytree":
         engine = PolytreeEngine(bn)
-        priors = {q: engine.priors[q].values for q in queries}
-        posts, evidence_prob = engine.query(ev, queries)
-        posteriors = {q: posts[q].values for q in queries}
+
+        def answer(evidence, pivot=None):
+            return _tables(*engine.query(evidence, queries))
+
     else:  # bp
         bp = _bp_for(bn)
-        prior_session = BorderSession(bp)
-        priors = {q: prior_session.posterior(q)[1].values for q in queries}
-        session = BorderSession(bp, ev, pivot=args.pivot)
-        posteriors = {q: session.posterior(q)[1].values for q in queries}
-        evidence_prob = session.evidence_prob()
 
+        def answer(evidence, pivot=None):
+            return _tables(*bp_query(bp, evidence, queries, pivot))
+
+    priors, _ = answer(NO_EVIDENCE)
+    posteriors, evidence_prob = answer(ev, args.pivot)
     rows = _posterior_rows(bn, queries, priors, posteriors)
     if args.json:
         json.dump(
@@ -252,19 +273,18 @@ def cmd_core(args, out):
         print("error: core needs evidence", file=sys.stderr)
         return 2
     if bn.is_singly_connected():
-        engine = PolytreeEngine(bn)
-        core = evidential_core(engine.tree, list(ev.vars))
+        # One core per component that holds evidence; print their union.
+        cores = PolytreeEngine(bn).session(ev).cores.values()
         print("kind\tnodes", file=out)
-        print("core\t" + ",".join(bn.names(core.nodes)), file=out)
-        print("roots\t" + ",".join(bn.names(core.roots)), file=out)
-        print("leaves\t" + ",".join(bn.names(core.leaves)), file=out)
+        for kind, field in (("core", "nodes"), ("roots", "roots"), ("leaves", "leaves")):
+            nodes = set().union(*(getattr(core, field) for core in cores))
+            print(f"{kind}\t" + ",".join(bn.names(nodes)), file=out)
     else:
         bp = _bp_for(bn)
         session = BorderSession(bp, ev)
         print("kind\tborders", file=out)
-        ids = sorted(session.core_nodes)
-        print("core\t" + ";".join("{" + ",".join(bn.names(bp.borders[i].members)) + "}" for i in ids), file=out)
-        print("pivot\t" + ";".join("{" + ",".join(bn.names(bp.borders[p].members)) + "}" for p in session.pivots.values()), file=out)
+        print("core\t" + _border_sets(bp, sorted(session.core_nodes)), file=out)
+        print("pivot\t" + _border_sets(bp, session.pivots.values()), file=out)
     return 0
 
 
@@ -309,18 +329,14 @@ class ReplSession:
     def __init__(self, bn: BayesianNetwork, out):
         self.bn = bn
         self.out = out
-        self.bp = build_border_polytree(bn)
-        preload_priors(self.bp)
+        self.bp = _bp_for(bn)
         self.store: dict = {}
         self.items: list[str] = []
         self.last_sent = 0
 
-    def _session(self, update_counter: bool = True) -> BorderSession:
+    def _session(self) -> BorderSession:
         ev = parse_evidence(",".join(self.items), self.bn) if self.items else NO_EVIDENCE
-        session = BorderSession(self.bp, ev, store=self.store)
-        if update_counter:
-            self.last_sent = session.sent
-        return session
+        return BorderSession(self.bp, ev, store=self.store)
 
     def handle(self, line: str) -> bool:
         tokens = line.strip().split(None, 1)
@@ -352,46 +368,27 @@ class ReplSession:
                     s for s in self.items if s.split("=", 1)[0].strip() != name
                 ]
                 session = self._session()
-                if self.items:
-                    print(f"evidence_prob\t{_fmt_prob(session.evidence_prob())}", file=out)
-                else:
-                    print("evidence_prob\t1", file=out)
+                self.last_sent = session.sent
+                print(f"evidence_prob\t{_fmt_prob(session.evidence_prob())}", file=out)
             elif verb == "query":
                 queries = [self.bn.id_of(t.strip()) for t in rest.split(",") if t.strip()]
                 if not queries:
                     print("usage: query X[,Y]", file=out)
                     return True
                 session = self._session()
-                prior_session = BorderSession(self.bp, store=self.store)
-                priors = {q: prior_session.posterior(q)[1].values for q in queries}
+                priors, _ = _tables(*bp_query(self.bp, NO_EVIDENCE, queries, store=self.store))
                 posts = {q: session.posterior(q)[1].values for q in queries}
                 self.last_sent = session.sent
                 rows = _posterior_rows(self.bn, queries, priors, posts)
                 _tsv(rows, ["variable", "value", "prior", "posterior", "log_ratio"], out)
             elif verb == "priors":
-                session = BorderSession(self.bp, store=self.store)
-                rows = []
-                for q in self.bn.ids:
-                    dist = session.posterior(q)[1].values
-                    for k, label in enumerate(self.bn.variables[q].value_labels):
-                        rows.append(
-                            {
-                                "variable": self.bn.name_of(q),
-                                "value": label,
-                                "prior": _fmt_prob(dist[k]),
-                            }
-                        )
-                _tsv(rows, ["variable", "value", "prior"], out)
+                _prior_table(self.bp, self.bn.ids, out, store=self.store)
             elif verb == "core":
                 session = self._session()
-                ids = sorted(session.core_nodes)
-                names = ";".join(
-                    "{" + ",".join(self.bn.names(self.bp.borders[i].members)) + "}"
-                    for i in ids
-                )
-                print(f"core\t{names or '-'}", file=out)
+                self.last_sent = session.sent
+                print(f"core\t{_border_sets(self.bp, sorted(session.core_nodes)) or '-'}", file=out)
             elif verb == "status":
-                session = self._session(update_counter=False)
+                session = self._session()
                 print(f"evidence\t{','.join(self.items) or '-'}", file=out)
                 print(f"core_borders\t{len(session.core_nodes)}", file=out)
                 pivots = ",".join(str(p) for p in session.pivots.values())
@@ -403,8 +400,10 @@ class ReplSession:
                 print("ok", file=out)
             else:
                 print(f"unknown command {verb!r}; try help", file=out)
-        except (BordertreeError, KeyError, ValueError) as e:
+        except (BordertreeError, ValueError) as e:
             print(f"error: {e}", file=out)
+        except KeyError as e:
+            print(f"error: {e.args[0] if e.args else e}", file=out)
         return True
 
 

@@ -315,11 +315,9 @@ def build_hub_index(tree: Tree, hubs: Optional[Sequence[Node]] = None) -> HubInd
             hub_paths[(a, b)] = p[1:-1]
             hub_paths[(b, a)] = p[-2:0:-1]
     nearest: dict[Node, tuple[Node, list[Node]]] = {}
-    dist: dict[Node, int] = {}
     queue = deque()
     for h in hubs:
         nearest[h] = (h, [h])
-        dist[h] = 0
         queue.append(h)
     while queue:
         v = queue.popleft()
@@ -327,7 +325,6 @@ def build_hub_index(tree: Tree, hubs: Optional[Sequence[Node]] = None) -> HubInd
         for u in tree.neighbors(v):
             if u not in nearest:
                 nearest[u] = (hub, [u, *path])
-                dist[u] = dist[v] + 1
                 queue.append(u)
     return HubIndex(hubs, hub_paths, nearest)
 

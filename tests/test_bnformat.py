@@ -62,6 +62,12 @@ def test_unnormalized_row_blames_its_own_cpt_line():
         ("node A 2 f t", "missing cpt"),
         ("node A 2 f t\ncpt A 0.5 x", "bad cpt number"),
         ("node A 2 f t\ncpt A -0.5 1.5", ">= 0"),
+        # Names and labels that the evidence syntax could not name.
+        ("node A 2 f t\nnode B, 2 f t", "line 2: node name 'B,'"),
+        ("node A 2 f t\nnode B= 2 f t", "line 2: node name 'B='"),
+        ("node A 2 f t\nnode X=1 2 f t", "line 2: node name 'X=1'"),
+        ("node A 2 f t\nnode B 2 x|y z", r"line 2: node 'B': value label 'x\|y'"),
+        ("node A 2 f t\nnode B 2 z,w y", "line 2: node 'B': value label 'z,w'"),
     ],
 )
 def test_parse_errors(text, match):
@@ -133,10 +139,12 @@ class TestEvidence:
         assert ev.allowed(bn_a.id_of("H")) is None
 
     def test_unknown_names(self, bn_a):
-        with pytest.raises(BnFormatError, match="unknown variable"):
+        with pytest.raises(BnFormatError, match="unknown variable") as exc:
             parse_evidence("Z=z0", bn_a)
-        with pytest.raises(BnFormatError, match="unknown value"):
+        assert str(exc.value) == "line 1: unknown variable name 'Z'"
+        with pytest.raises(BnFormatError, match="unknown value") as exc:
             parse_evidence("H=nope", bn_a)
+        assert str(exc.value) == "line 1: unknown value 'nope' for variable H"
 
     def test_malformed(self, bn_a):
         with pytest.raises(BnFormatError, match="X=label"):

@@ -96,10 +96,23 @@ class TestQuery:
             got = [float(r["prior"]) for r in rows if r["variable"] == bn.name_of(q)]
             np.testing.assert_allclose(got, oracle_posterior(bn, parse_evidence("", bn), q), atol=1e-9)
 
-    def test_no_evidence_posterior_equals_prior(self):
-        code, out = run("query", BN_A, "--q", "A")
-        for line in out.strip().splitlines()[1:3]:
-            cols = line.split("\t")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param([BN_A, "--q", "A"], id="bn_a-bp"),
+            *(
+                pytest.param([POLY_B, "--engine", engine], id=f"polytree_b-{engine}")
+                for engine in ("bp", "chain", "polytree", "oracle")
+            ),
+        ],
+    )
+    def test_no_evidence_posterior_equals_prior(self, argv):
+        # The prior column is the engine's own answer with no evidence.
+        code, out = run("query", *argv)
+        assert code == 0
+        rows = [line.split("\t") for line in out.strip().splitlines()[1:-1]]
+        assert rows
+        for cols in rows:
             assert cols[2] == cols[3] and cols[4] == "0"
 
     def test_impossible_evidence_exit_1(self, tmp_path):
@@ -192,6 +205,26 @@ class TestOtherCommands:
     def test_paths_rejects_loopy_network(self):
         code, _ = run("paths", BN_A, "--from", "A", "--to", "L")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "evidence,want",
+        [
+            ("B=b0,D=d1", ["core\tB,D", "roots\tB,D", "leaves\tB,D"]),
+            ("A=a0,B=b0,D=d1", ["core\tA,B,D", "roots\tA,D", "leaves\tB,D"]),
+        ],
+    )
+    def test_core_on_polytree_with_two_components(self, tmp_path, evidence, want):
+        # A->B and C->D: one core per component that holds evidence, merged.
+        net = tmp_path / "two.bn"
+        net.write_text(
+            "node A 2 a0 a1\nnode B 2 b0 b1\nnode C 2 c0 c1\nnode D 2 d0 d1\n"
+            "parents B A\nparents D C\n"
+            "cpt A 0.4 0.6\ncpt B 0.3 0.7 0.8 0.2\n"
+            "cpt C 0.5 0.5\ncpt D 0.1 0.9 0.6 0.4\n"
+        )
+        code, out = run("core", str(net), "--evidence", evidence)
+        assert code == 0
+        assert out.splitlines() == ["kind\tnodes", *want]
 
     def test_core_on_bp(self):
         code, out = run("core", BN_C, "--evidence", "B=b0,O=o1,Q=q0")
@@ -376,6 +409,14 @@ class TestRepl:
         assert session.items == []
         session.handle("query A")
         assert "A\tf\t1\t1" in out.getvalue()
+
+    def test_unknown_names_print_their_message(self):
+        _, out = self._drive(["query ZZ", "evidence A=nope", "retract ZZ"])
+        assert out.splitlines() == [
+            "error: unknown variable name 'ZZ'",
+            "error: line 1: unknown value 'nope' for variable A",
+            "error: unknown variable name 'ZZ'",
+        ]
 
     def test_unknown_command(self):
         _, out = self._drive(["frobnicate"])
