@@ -36,7 +36,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import BordertreeError, NotSinglyConnectedError
-from .factor import Factor, contract_setup
+from .factor import Factor, contract
 from .messaging import Tree, UnionFind
 from .network import BayesianNetwork, reach
 
@@ -433,7 +433,7 @@ def cohort_table(bn: BayesianNetwork, cohort: frozenset[int], border: frozenset[
         raise BordertreeError(
             f"cohort parents {bn.names(hc - border)} escape the border"
         )
-    return contract_setup([bn.cpts[v] for v in sorted(cohort)], cohort | hc)
+    return contract([bn.cpts[v] for v in sorted(cohort)], cohort | hc)
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,16 @@ All output is deterministic for fixed inputs.
 once with no evidence for the prior column, once with the evidence.
 ``prior`` and the REPL's ``priors`` print the border polytree's answer with
 no evidence through one helper, and ``core`` and the REPL's ``core`` print
-border sets through one formatter.  ``core`` on a polytree merges the cores
-of the session's components.
+border sets through one formatter.  ``core`` reads structure only
+(:func:`~bordertree.messaging.component_cores`): it computes no prior and no
+message, and on a polytree it merges the cores of the components that hold
+evidence.  ``--evidence`` and ``--evidence-file`` exclude each other.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -41,6 +44,7 @@ from .errors import (
     NotSinglyConnectedError,
 )
 from .factor import contract
+from .messaging import component_cores
 from .network import NO_EVIDENCE, BayesianNetwork, validate
 from .oracle import oracle_event_prob, oracle_posterior
 from .polytree import PolytreeEngine
@@ -272,19 +276,22 @@ def cmd_core(args, out):
     if not ev:
         print("error: core needs evidence", file=sys.stderr)
         return 2
+    # Cores and pivots read structure only: no prior or message is computed.
     if bn.is_singly_connected():
         # One core per component that holds evidence; print their union.
-        cores = PolytreeEngine(bn).session(ev).cores.values()
+        cores = [core for core, _ in component_cores(bn.tree(), [{v} for v in ev.vars]).values()]
         print("kind\tnodes", file=out)
         for kind, field in (("core", "nodes"), ("roots", "roots"), ("leaves", "leaves")):
             nodes = set().union(*(getattr(core, field) for core in cores))
             print(f"{kind}\t" + ",".join(bn.names(nodes)), file=out)
     else:
-        bp = _bp_for(bn)
-        session = BorderSession(bp, ev)
+        bp = build_border_polytree(bn)
+        groups = [set(bp.variable_home[v]) for v in ev.vars]
+        picked = component_cores(bp.tree(), groups).values()
+        core_nodes = set().union(*(core.nodes for core, _ in picked))
         print("kind\tborders", file=out)
-        print("core\t" + _border_sets(bp, sorted(session.core_nodes)), file=out)
-        print("pivot\t" + _border_sets(bp, session.pivots.values()), file=out)
+        print("core\t" + _border_sets(bp, sorted(core_nodes)), file=out)
+        print("pivot\t" + _border_sets(bp, [pivot for _, pivot in picked]), file=out)
     return 0
 
 
@@ -420,6 +427,8 @@ def cmd_repl(args, out):
 # -- argument parsing ----------------------------------------------------------
 
 
+# Built on the first call and reused: parsing leaves the parser unchanged.
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="bordertree",
@@ -446,8 +455,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query", help="posterior marginals given evidence")
     p.add_argument("network")
-    p.add_argument("--evidence", help="e.g. H=h1,K=k0 or X=a|b")
-    p.add_argument("--evidence-file")
+    ev = p.add_mutually_exclusive_group()
+    ev.add_argument("--evidence", help="e.g. H=h1,K=k0 or X=a|b")
+    ev.add_argument("--evidence-file")
     p.add_argument("--q", help="comma-separated variable names (default: all)")
     p.add_argument(
         "--engine", choices=["bp", "chain", "polytree", "oracle"], default="bp"
@@ -465,8 +475,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("core", help="evidential core for an evidence set")
     p.add_argument("network")
-    p.add_argument("--evidence")
-    p.add_argument("--evidence-file")
+    ev = p.add_mutually_exclusive_group()
+    ev.add_argument("--evidence")
+    ev.add_argument("--evidence-file")
 
     p = sub.add_parser("gen", help="emit a random network in .bn form")
     p.add_argument("--seed", type=int, default=0, help="generator seed (never affects inference)")

@@ -23,12 +23,12 @@ marginalization: messages, passes and readouts, and also priors, cohort
 tables and row sums.  :func:`contract` computes that in one numpy call,
 without building the product table when something is summed out.  The
 call's plan depends only on the operands' scopes and cards and on the kept
-set, so it is made once per layout and kept in a bounded LRU cache, keyed
-by the layout and the kept set (a tuple when it holds one variable).
-Set-up tables go through :func:`contract_setup`, which keeps its plans in
-a cache of its own, so their one-off layouts never evict the plans that
-queries reuse.  A node or border with more incoming messages than one
-einsum call takes is contracted in groups, so fan-out is unbounded.
+set, so it is made once per layout and kept in one bounded LRU cache,
+keyed by the layout and the kept set (a tuple when it holds one variable).
+Set-up tables and query tables share that cache: least-recently-used
+order evicts one-off set-up layouts before the query layouts that are
+reused.  A node or border with more incoming messages than one einsum call
+takes is contracted in groups, so fan-out is unbounded.
 
 The plan also picks the call.  By default it is ``np.einsum``, with
 subscripts that name each variable by its rank within the operands' union.
@@ -172,21 +172,6 @@ def contract(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
     ``keep`` or a later operand still needs.  The call is ``np.einsum``, or
     ``np.matmul`` where the layout's plan chose that route (see ``_plan``).
     """
-    return _contract(factors, keep, _plan)
-
-
-def contract_setup(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
-    """:func:`contract` for a table computed at set-up.
-
-    Its plans go to a cache of their own, so the one-off layouts of priors,
-    cohort tables and row sums never evict the plans that queries reuse.
-    Set-up still reuses them where layouts repeat, as they do across
-    networks of one structure.
-    """
-    return _contract(factors, keep, _setup_plan)
-
-
-def _contract(factors, keep, plan) -> Factor:
     factors = list(factors)
     keep = frozenset(keep)
     if len(factors) == 1 and keep.issuperset(factors[0].scope):
@@ -200,11 +185,11 @@ def _contract(factors, keep, plan) -> Factor:
             scale *= float(f.values)
     while len(ops) > _MAX_OPERANDS:
         head, ops = ops[:_MAX_OPERANDS], ops[_MAX_OPERANDS:]
-        ops.insert(0, _einsum(head, keep.union(*(f.scope for f in ops)), 1.0, plan))
-    return _einsum(ops, keep, scale, plan)
+        ops.insert(0, _einsum(head, keep.union(*(f.scope for f in ops)), 1.0))
+    return _einsum(ops, keep, scale)
 
 
-def _einsum(ops: list[Factor], keep: frozenset[int], scale: float, plan) -> Factor:
+def _einsum(ops: list[Factor], keep: frozenset[int], scale: float) -> Factor:
     """``scale`` times the marginal onto ``keep`` of the product of ``ops``.
 
     A kept set of one variable enters the plan key as a tuple (48 bytes,
@@ -212,7 +197,7 @@ def _einsum(ops: list[Factor], keep: frozenset[int], scale: float, plan) -> Fact
     frozenset itself, which shares the border member sets the engines pass.
     """
     key = keep if len(keep) > 1 else tuple(keep)
-    subscripts, scope, cards, route = plan(tuple([(f.scope, f.cards) for f in ops]), key)
+    subscripts, scope, cards, route = _plan(tuple([(f.scope, f.cards) for f in ops]), key)
     if route is not None:
         vals = _matmul(route, cards, *[f.values for f in ops])
     elif ops:
@@ -248,9 +233,10 @@ def _stack(vals: np.ndarray, operand: tuple) -> np.ndarray:
 
 
 # The least recently used plan goes first.  A plan with its key takes about
-# 0.6 kB (0.9 kB with a matmul route), so the cache stays within a few MB
-# in a long-lived process.
-@functools.lru_cache(maxsize=4096)
+# 0.6 kB (0.9 kB with a matmul route), so the full cache takes 5 to 7 MB
+# in a long-lived process.  No benchmark workload needs more than about
+# 4,000 plans for set-up and queries together.
+@functools.lru_cache(maxsize=8192)
 def _plan(layout: tuple, keep) -> tuple:
     """Einsum subscripts, output scope, output cards and matmul route for
     operands laid out as ``layout``, one ``(scope, cards)`` pair each,
@@ -288,10 +274,6 @@ def _plan(layout: tuple, keep) -> tuple:
     )
     out_cards = tuple(cards[v] for v in out)
     return subscripts, out, out_cards, _route(layout, cards, kept, out)
-
-
-# The plans of set-up tables, bounded like the query plans.
-_setup_plan = functools.lru_cache(maxsize=4096)(_plan.__wrapped__)
 
 
 class _Route(NamedTuple):

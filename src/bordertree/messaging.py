@@ -26,11 +26,12 @@ schedules walk from the gate of the informed set out to a target: up from
 the target to the first informed node, or to the set's top node.
 
 :class:`TreeSession` is the session skeleton of both tree engines (the
-polytree engine's nodes, the border polytree's borders): cores and pivots,
-collection, the informed set and distribution, the message store and
-``_send``, the boundary fallbacks, counters and the read-out.  Each engine
-supplies only its message algebra, its boundary prior, its belief factors,
-``posterior`` and a store key.
+polytree engine's nodes, the border polytree's borders): cores and pivots
+(:func:`component_cores`, which reads the tree only and so also serves the
+CLI's ``core``), collection, the informed set and distribution, the
+message store and ``_send``, the boundary fallbacks, counters and the
+read-out.  Each engine supplies only its message algebra, its boundary
+prior, its belief factors, ``posterior`` and a store key.
 
 Evidence enters a session in one place: the engine's restricted tables
 (CPTs, cohort tables and priors, with entries off the evidence zeroed).  A
@@ -520,16 +521,45 @@ def default_pivot(core: EvidentialCore, holding: Optional[Iterable[Node]] = None
     return rl[0]
 
 
+def component_cores(
+    tree: Tree, groups: Iterable[set], pivot: Optional[Node] = None
+) -> dict[Node, tuple[EvidentialCore, Node]]:
+    """Per component id, in ascending order, the evidential core of the
+    ``groups`` in that component and its pivot.
+
+    ``groups`` holds, per evidence variable, the connected set of nodes
+    that carry it.  A requested ``pivot`` joins its component's core as one
+    more group, and alone seeds a core of itself in a component with no
+    evidence; a pivot that is not a node raises KeyError.  Otherwise the
+    pivot is a core root or leaf (``default_pivot``).  This reads the tree
+    only: no message is computed.
+    """
+    index = tree.index
+    by_comp: dict[Node, list[set]] = {}
+    for g in groups:
+        by_comp.setdefault(index.comp[next(iter(g))], []).append(g)
+    if pivot is not None:
+        if pivot not in index.comp:
+            raise KeyError(f"pivot {pivot!r} is not a node of the tree")
+        by_comp.setdefault(index.comp[pivot], []).append({pivot})
+    out = {}
+    for comp, gs in sorted(by_comp.items()):
+        core = smallest_hitting_core(tree, gs)
+        if pivot in core.nodes:
+            out[comp] = core, pivot
+        else:
+            out[comp] = core, default_pivot(core, holding=gs[0] & core.nodes)
+    return out
+
+
 class TreeSession:
     """One evidence set against a tree of nodes or of borders.
 
     The session skeleton both tree engines share.  It owns:
 
     * per component, the evidential core of the evidence groups and its
-      pivot (a requested pivot joins its component's core as one more
-      group, and alone seeds a core of itself in a component with no
-      evidence; a pivot that is not a node raises KeyError), and the
-      collection of every core message toward the pivot;
+      pivot (:func:`component_cores`), and the collection of every core
+      message toward the pivot;
     * the informed set and distribution: a query walks from the set's gate
       out to its node, and the set's top node is kept as nodes join;
     * ``_send`` and the message ``store``, which ``_send`` reads before it
@@ -553,7 +583,7 @@ class TreeSession:
     def __init__(self, tree: Tree, ev, groups: Iterable[set], pivot, store, collection):
         """``groups`` holds, per evidence variable, the connected set of
         nodes that carry it; ``collection`` is the collection schedule."""
-        index = self.index = tree.index
+        self.index = tree.index
         self.tree = tree
         self.ev = ev
         self.store = store if store is not None else {}
@@ -563,19 +593,7 @@ class TreeSession:
         self.pivots: dict[Node, Node] = {}
         self.informed_in: dict[Node, set[Node]] = {}  # component id -> informed nodes
         self._top: dict[Node, Node] = {}  # component id -> its least-depth informed node
-        by_comp: dict[Node, list[set]] = {}
-        for g in groups:
-            by_comp.setdefault(index.comp[next(iter(g))], []).append(g)
-        if pivot is not None:
-            if pivot not in index.comp:
-                raise KeyError(f"pivot {pivot!r} is not a node of the tree")
-            by_comp.setdefault(index.comp[pivot], []).append({pivot})
-        for comp, gs in sorted(by_comp.items()):
-            core = smallest_hitting_core(tree, gs)
-            if pivot in core.nodes:
-                pv = pivot
-            else:
-                pv = default_pivot(core, holding=gs[0] & core.nodes)
+        for comp, (core, pv) in component_cores(tree, groups, pivot).items():
             self.cores[comp] = core
             self.core_nodes |= core.nodes
             self.pivots[comp] = pv

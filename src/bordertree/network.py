@@ -9,7 +9,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CycleError, NotSinglyConnectedError
-from .factor import Factor, contract_setup
+from .factor import Factor, contract
 from .messaging import Tree
 
 
@@ -201,10 +201,15 @@ class BayesianNetwork:
             self._rank = {v: i for i, v in enumerate(self.topological_order())}
         return self._rank
 
+    def tree(self) -> Tree:
+        """Nodes and arcs as a :class:`Tree`; raises NotSinglyConnectedError
+        on an undirected cycle."""
+        return Tree(self.ids, [(p, v) for v in self.ids for p in self.parents[v]])
+
     def is_singly_connected(self) -> bool:
         """True iff each connected component has no undirected cycle."""
         try:
-            Tree(self.ids, ((p, v) for v in self.ids for p in self.parents[v]))
+            self.tree()
         except NotSinglyConnectedError:
             return False
         return True
@@ -232,7 +237,7 @@ def validate(bn: BayesianNetwork, tol: float = 1e-9) -> list[Diagnostic]:
         out.append(Diagnostic("error", "cycle", str(e)))
     for v in bn.ids:
         f = bn.cpts[v]
-        rows = contract_setup([f], bn.parents[v])
+        rows = contract([f], bn.parents[v])
         vals = np.atleast_1d(rows.values)
         bad = np.argwhere(np.abs(vals - 1.0) > tol)
         if len(bad):

@@ -25,10 +25,9 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import NotSinglyConnectedError
-from .factor import Factor, contract, contract_setup, restrict
+from .factor import Factor, contract, restrict
 from .messaging import (
     HubIndex,
-    Tree,
     TreeSession,
     build_hub_index,
     collection_schedule,
@@ -43,14 +42,14 @@ def node_priors(bn: BayesianNetwork) -> dict[int, Factor]:
     mutually independent, so one topological sweep suffices."""
     priors: dict[int, Factor] = {}
     for v in bn.topological_order():
-        priors[v] = contract_setup([bn.cpts[v], *[priors[p] for p in bn.parents[v]]], (v,))
+        priors[v] = contract([bn.cpts[v], *[priors[p] for p in bn.parents[v]]], (v,))
     return priors
 
 
 class PolytreeEngine:
     def __init__(self, bn: BayesianNetwork, hubs: Optional[Iterable[int]] = None):
         try:
-            self.tree = Tree(bn.ids, [(p, v) for v in bn.ids for p in bn.parents[v]])
+            self.tree = bn.tree()
         except NotSinglyConnectedError:
             raise NotSinglyConnectedError(
                 "network has an undirected loop; use the border polytree engine"

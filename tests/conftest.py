@@ -17,7 +17,7 @@ from bordertree.bp_build import (
 )
 from bordertree.bp_infer import preload_priors
 from bordertree.errors import BordertreeError
-from bordertree.factor import Factor, contract, contract_setup, indicator, restrict
+from bordertree.factor import Factor, contract, indicator, restrict
 from bordertree.network import NO_EVIDENCE, EvidenceSet
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -67,7 +67,7 @@ def reference_chain(bn, forced_order=None) -> list[ChainStep]:
     variable of each step.
     """
     b0 = initial_border(bn)
-    phi0 = contract_setup([bn.cpts[v] for v in sorted(b0)], b0)
+    phi0 = contract([bn.cpts[v] for v in sorted(b0)], b0)
     steps = [ChainStep(0, None, frozenset(b0), frozenset(b0), phi0, None)]
     border = frozenset(b0)
     bottom = frozenset(bn.ids) - border

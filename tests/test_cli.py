@@ -238,6 +238,34 @@ class TestOtherCommands:
         assert set(lines["roots"].split(",")) == {"A", "C", "K"}
         assert set(lines["leaves"].split(",")) == {"B", "L4", "M"}
 
+    @pytest.mark.parametrize(
+        "path,evidence",
+        [(POLY_B, "B=b0,C=c1,K=k0,L4=l40"), (BN_C, "B=b0,O=o1,Q=q0")],
+        ids=["polytree", "borders"],
+    )
+    def test_core_computes_no_message_or_prior(self, monkeypatch, path, evidence):
+        # Cores and pivots are structure: `core` must not depend on table
+        # sizes it never prints.
+        from bordertree import bp_infer, cli
+        from bordertree.messaging import TreeSession
+
+        calls = []
+        send, preload = TreeSession._send, bp_infer.preload_priors
+        monkeypatch.setattr(TreeSession, "_send", lambda *a: calls.append("_send") or send(*a))
+        spy = lambda bp: calls.append("preload_priors") or preload(bp)
+        monkeypatch.setattr(bp_infer, "preload_priors", spy)
+        monkeypatch.setattr(cli, "preload_priors", spy)
+        code, out = run("core", path, "--evidence", evidence)
+        assert code == 0 and out.startswith("kind\t")
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["query", "core"])
+    def test_both_evidence_flags_are_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run(command, BN_A, "--evidence", "H=h0", "--evidence-file", BN_A)
+        assert exit_.value.code == 2
+        assert "not allowed with argument --evidence" in capsys.readouterr().err
+
     def test_build_bp_lists_and_dot(self, tmp_path):
         dot = tmp_path / "bp.dot"
         code, out = run("build-bp", BN_C, "--dot", str(dot))

@@ -344,31 +344,27 @@ class TestPlanCache:
         maxsize = factor_mod._plan.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
 
-    def test_set_up_plans_stay_out_of_the_query_cache(self):
-        # Parsing (row sums), stage II (cohort tables), border and node
-        # priors and the chain's first table are set-up tables: planning
-        # them into the query cache would only evict the plans queries reuse.
-        from bordertree.bnformat import parse_evidence, parse_network
-        from bordertree.border_chain import build_chain
+    def test_set_up_plans_serve_the_session(self):
+        # Set-up and queries share one plan cache: once the cohort tables
+        # and border priors are computed, a session recomputing every
+        # border's π with no evidence plans nothing new.
+        from bordertree.bnformat import parse_network
         from bordertree.bp_build import build_border_polytree
-        from bordertree.bp_infer import bp_query, preload_priors
-        from bordertree.polytree import PolytreeEngine
+        from bordertree.bp_infer import BorderSession, preload_priors
+        from bordertree.network import NO_EVIDENCE
         from conftest import fixture_path
 
-        factor_mod._plan.cache_clear()
-        factor_mod._setup_plan.cache_clear()
-        nets = []
-        for name in ("bn_a.bn", "bn_c.bn", "polytree_b.bn"):
+        for name, set_up_plans in (("bn_a.bn", 13), ("bn_c.bn", 28), ("polytree_b.bn", 21)):
             with open(fixture_path(name), encoding="utf-8") as fh:
-                nets.append(parse_network(fh.read()))
-            bp = build_border_polytree(nets[-1])
+                bn = parse_network(fh.read())
+            factor_mod._plan.cache_clear()
+            bp = build_border_polytree(bn)
             preload_priors(bp)
-            build_chain(nets[-1])
-        PolytreeEngine(nets[-1])
-        assert factor_mod._plan.cache_info().currsize == 0
-        assert factor_mod._setup_plan.cache_info().currsize > 0
-        bp_query(bp, parse_evidence("B=b0,C=c1", nets[-1]))
-        assert factor_mod._plan.cache_info().currsize > 0
+            assert factor_mod._plan.cache_info().misses == set_up_plans, name
+            session = BorderSession(bp, NO_EVIDENCE)
+            for b in bp.borders:
+                np.testing.assert_array_equal(session.pi_border(b.id).values, bp.priors[b.id].values)
+            assert factor_mod._plan.cache_info().misses == set_up_plans, name
 
     def test_keep_keys_are_compact(self, monkeypatch):
         # A one-variable keep is keyed as a 48-byte tuple, not a 216-byte
@@ -382,18 +378,6 @@ class TestPlanCache:
             contract(fs, keep)
         assert keys[0] is members
         assert keys[1:] == [(4,), (4,), (4,), ()]
-
-    def test_contract_setup_matches_contract(self):
-        rng = np.random.default_rng(5)
-        fs = [
-            Factor((0, 2), (2, 3), rng.random((2, 3))),
-            Factor((2, 4), (3, 2), rng.random((3, 2))),
-        ]
-        for keep in ((), (0,), (4, 0), (0, 2, 4)):
-            want = contract(fs, keep)
-            got = factor_mod.contract_setup(fs, keep)
-            assert got.scope == want.scope
-            np.testing.assert_array_equal(got.values, want.values)
 
 
 def _wide(scopes, cards, seed=0):
@@ -410,11 +394,9 @@ def _wide(scopes, cards, seed=0):
 def matmul_whenever_allowed(monkeypatch):
     """Plans made inside the test take the matmul route wherever it is allowed."""
     monkeypatch.setattr(factor_mod, "_MATMUL_CALL", -math.inf)
-    for plans in (factor_mod._plan, factor_mod._setup_plan):
-        plans.cache_clear()
+    factor_mod._plan.cache_clear()
     yield
-    for plans in (factor_mod._plan, factor_mod._setup_plan):
-        plans.cache_clear()
+    factor_mod._plan.cache_clear()
 
 
 # Twelve variables of card 2 make a union of 4,096 entries, the route floor.
