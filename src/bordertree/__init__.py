@@ -47,6 +47,7 @@ from .errors import (
     EnumerationCapError,
     ImpossibleEvidenceError,
     NotSinglyConnectedError,
+    TableCapError,
 )
 from .factor import Factor, indicator, marginal_to, multiply, normalize, restrict, sum_out
 from .kernels import BACKEND as KERNEL_BACKEND

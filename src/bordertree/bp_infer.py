@@ -10,9 +10,6 @@ evidence enters: π of a border carries the evidence of its members and of
 its parent side, λ only the evidence on its child sides.  The border
 chain engine is a reader of this session on the chain's one-macro view
 (:func:`~bordertree.border_chain.run_passes`).
-Messages are memoized by edge, direction and the evidence fingerprint of
-the subtree behind them, so incremental evidence only recomputes the
-messages whose side actually changed.
 
 :class:`BorderSession` is a :class:`~bordertree.messaging.TreeSession`,
 which owns cores, pivots, the schedules, the store and the boundary
@@ -21,15 +18,24 @@ cohort tables and junction splices, and the edge messages), the restricted
 prior an outside parent border sends, and the fingerprinted store key,
 which lets a store outlive its session.
 
-Store keys cost no scan of the evidence.  At session start each evidence
-variable is anchored at the top (least-depth) border of its home set, and
-a :class:`~bordertree.messaging.EdgeSides` index sorts them by Euler-tour
-entry time.  The variables on one side of an edge are then one or two
-``bisect``-found slices, plus the few shared by the edge's two borders.
-Each (edge, direction) key is built once per session, as the exact
-fingerprint tuple, so REPL store hits stay exact; so are the restricted
-priors and cohort tables.  Per-message bookkeeping therefore does not grow
-with the number of evidence variables.
+A session given no store (``bp_query``, the chain's passes, the CLI's
+``query`` and ``prior``) keeps a private one that dies with it.  Its
+evidence is fixed, so it keys messages by edge and direction alone
+(:func:`~bordertree.messaging.edge_key`) and builds no fingerprint.  Only a
+store passed in, which outlives the session (the REPL's), is keyed by edge,
+direction and the evidence fingerprint of the subtree behind the message,
+so incremental evidence only recomputes the messages whose side actually
+changed.
+
+Those fingerprinted keys cost no scan of the evidence.  At session start
+each evidence variable is anchored at the top (least-depth) border of its
+home set, and a :class:`~bordertree.messaging.EdgeSides` index sorts them
+by Euler-tour entry time.  The variables on one side of an edge are then
+one or two ``bisect``-found slices, plus the few shared by the edge's two
+borders.  Each (edge, direction) key is built once per session, as the
+exact fingerprint tuple, so REPL store hits stay exact.  The restricted
+priors and cohort tables are also built once per session.  Per-message
+bookkeeping therefore does not grow with the number of evidence variables.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from typing import Callable, Iterable, Optional
 from .bp_build import Border, BorderPolytree
 from .errors import BordertreeError
 from .factor import Factor, contract, restrict
-from .messaging import EdgeSides, TreeSession, collection_schedule, distribution_schedule
+from .messaging import EdgeSides, TreeSession, collection_schedule, distribution_schedule, edge_key
 from .network import NO_EVIDENCE
 
 
@@ -95,7 +101,9 @@ class BorderSession(TreeSession):
     ``store`` may be shared across sessions (the REPL does); it maps
     (parent, child, direction, fingerprint-of-the-side-behind-the-message)
     to factors, which realizes the incremental behavior: a message is
-    recomputed only when the evidence on its side changed.
+    recomputed only when the evidence on its side changed.  Without a
+    ``store`` the session keeps a private one, keyed by
+    :func:`~bordertree.messaging.edge_key` alone, and builds no fingerprint.
     """
 
     def __init__(
@@ -112,15 +120,21 @@ class BorderSession(TreeSession):
         self._lambda_cache: dict[int, Factor] = {}
         self._prior_cache: dict[int, Factor] = {}
         self._phi_cache: dict[int, Factor] = {}
-        self._key_cache: dict[tuple, tuple] = {}
-        # Evidence items (variable, allowed values), as fingerprints hold
-        # them; each variable is anchored at the top border of its home set.
-        self._ev_items = {v: (v, vals) for v, vals in ev.fingerprint()}
-        depth = tree.index.depth
-        self._sides = EdgeSides(
-            tree.index,
-            ((min(bp.variable_home[v], key=depth.__getitem__), v) for v in self._ev_items),
-        )
+        if store is None:
+            # A private store dies with the session, whose evidence is
+            # fixed: the edge and direction name a message.
+            self._store_key = edge_key
+        else:
+            self._key_cache: dict[tuple, tuple] = {}
+            # Evidence items (variable, allowed values), as fingerprints
+            # hold them; each variable is anchored at the top border of its
+            # home set.
+            self._ev_items = {v: (v, vals) for v, vals in ev.fingerprint()}
+            depth = tree.index.depth
+            self._sides = EdgeSides(
+                tree.index,
+                ((min(bp.variable_home[v], key=depth.__getitem__), v) for v in self._ev_items),
+            )
         groups = [set(bp.variable_home[v]) for v in ev.vars]
         super().__init__(tree, ev, groups, pivot, store, collection_schedule)
 
@@ -183,6 +197,9 @@ class BorderSession(TreeSession):
     # -- edge messages ----------------------------------------------------------
 
     def _store_key(self, p: int, c: int, direction: str):
+        """Key of a message in a store passed in, which may outlive the
+        session: the edge, the direction and the evidence fingerprint of
+        the side behind the message.  A private store uses ``edge_key``."""
         key = self._key_cache.get((p, c, direction))
         if key is not None:
             return key

@@ -27,5 +27,9 @@ class EnumerationCapError(BordertreeError):
     """The brute-force joint table would exceed the configured cap."""
 
 
+class TableCapError(BordertreeError):
+    """A computed table would exceed ``factor.MAX_TABLE_ENTRIES`` entries."""
+
+
 class NotSinglyConnectedError(BordertreeError):
     """A polytree-only operation was applied to a multiply connected graph."""

@@ -28,7 +28,10 @@ keyed by the layout and the kept set (a tuple when it holds one variable).
 Set-up tables and query tables share that cache: least-recently-used
 order evicts one-off set-up layouts before the query layouts that are
 reused.  A node or border with more incoming messages than one einsum call
-takes is contracted in groups, so fan-out is unbounded.
+takes is contracted in groups, so fan-out is unbounded.  A plan whose
+output would hold more than ``MAX_TABLE_ENTRIES`` entries raises
+:class:`~bordertree.errors.TableCapError` (a domain error) instead, before
+anything is allocated.
 
 The plan also picks the call.  By default it is ``np.einsum``, with
 subscripts that name each variable by its rank within the operands' union.
@@ -66,11 +69,17 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ImpossibleEvidenceError
+from .errors import ImpossibleEvidenceError, TableCapError
+
+# ``Factor.__init__``'s checks, bound once: the ufuncs' own reductions skip
+# the Python-level wrappers of ``ndarray.min``/``max``.
+_MIN = np.minimum.reduce
+_MAX = np.maximum.reduce
 
 
 class Factor:
@@ -81,23 +90,28 @@ class Factor:
     entry makes the minimum negative.  ``values`` is copied unless it is a
     read-only, C-contiguous array that owns its data, the form in which
     ``contract``, ``restrict`` and ``normalize`` hand over their results.
+    ``cards`` is kept as the table's shape, so it holds plain ints whatever
+    integer type the caller passed; a tuple ``scope`` is kept as is.
     """
 
     __slots__ = ("scope", "cards", "values")
 
     def __init__(self, scope: Iterable[int], cards: Iterable[int], values):
-        scope = tuple(scope)
-        cards = tuple(map(int, cards))
+        if scope.__class__ is not tuple:
+            scope = tuple(scope)
+        if cards.__class__ is not tuple:
+            cards = tuple(cards)
         if len(scope) != len(cards):
             raise ValueError("scope and cards length mismatch")
-        if any(a >= b for a, b in zip(scope, scope[1:])):
+        if not all(map(operator.lt, scope, scope[1:])):
             raise ValueError("scope must be strictly ascending variable ids")
         vals = np.asarray(values, dtype=np.float64)
-        lo = float(vals.min(initial=0.0))
-        hi = float(vals.max(initial=0.0))
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("factor entries must be finite")
-        if lo < 0.0:
+        lo = _MIN(vals, axis=None, initial=0.0)
+        hi = _MAX(vals, axis=None, initial=0.0)
+        # A NaN fails both comparisons; only a failure tells the two apart.
+        if not (lo >= 0.0 and hi < math.inf):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("factor entries must be finite")
             raise ValueError("factor entries must be non-negative")
         if vals.shape != cards:
             vals = vals.reshape(cards)
@@ -105,7 +119,7 @@ class Factor:
             vals = np.array(vals, order="C")
             vals.setflags(write=False)
         self.scope = scope
-        self.cards = cards
+        self.cards = vals.shape  # plain ints, whatever type ``cards`` held
         self.values = vals
 
     # -- constructors ---------------------------------------------------
@@ -149,6 +163,9 @@ def _fresh(vals) -> np.ndarray:
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+# The most entries a computed table may hold (128 MiB of float64); a larger
+# output raises TableCapError before anything is allocated.
+MAX_TABLE_ENTRIES = 2**24
 # np.einsum takes fewer than NPY_MAXARGS operands: 32 on numpy 1.x, 64 on 2.x.
 _MAX_OPERANDS = 31
 
@@ -256,8 +273,10 @@ def _plan(layout: tuple, keep) -> tuple:
       the output needs permuting, ``_MATMUL_OPERAND`` per entry of the
       larger operand and ``_MATMUL_CALL`` per call.
 
-    Raises on a variable whose cards differ between operands; the cache
-    stores no exception, so every call with such a layout raises.
+    Raises ValueError on a variable whose cards differ between operands,
+    and TableCapError on an output of more than ``MAX_TABLE_ENTRIES``
+    entries; the cache stores no exception, so every call with such a
+    layout raises.
     """
     cards: dict[int, int] = {}
     for scope, cs in layout:
@@ -273,6 +292,9 @@ def _plan(layout: tuple, keep) -> tuple:
         + "".join([rank[v] for v in out])
     )
     out_cards = tuple(cards[v] for v in out)
+    size = math.prod(out_cards)
+    if size > MAX_TABLE_ENTRIES:
+        raise TableCapError(f"table of {size} entries exceeds cap {MAX_TABLE_ENTRIES}")
     return subscripts, out, out_cards, _route(layout, cards, kept, out)
 
 

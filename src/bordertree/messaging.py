@@ -31,7 +31,10 @@ polytree engine's nodes, the border polytree's borders): cores and pivots
 CLI's ``core``), collection, the informed set and distribution, the
 message store and ``_send``, the boundary fallbacks, counters and the
 read-out.  Each engine supplies only its message algebra, its boundary
-prior, its belief factors, ``posterior`` and a store key.
+prior, its belief factors and ``posterior``.  A store that dies with its
+session is keyed by :func:`edge_key`, ``(parent, child, direction)``; an
+engine that accepts a store which outlives the session (the border
+engine, for the REPL) keys that one by evidence as well.
 
 Evidence enters a session in one place: the engine's restricted tables
 (CPTs, cohort tables and priors, with entries off the evidence zeroed).  A
@@ -552,6 +555,15 @@ def component_cores(
     return out
 
 
+def edge_key(p: Node, c: Node, direction: str) -> tuple:
+    """Store key of the message on edge p->c in ``direction``.
+
+    Enough for a store that lives and dies with its session: the session's
+    evidence is fixed, so an evidence fingerprint would tell no two of its
+    messages apart and would only add its cost to every lookup."""
+    return (p, c, direction)
+
+
 class TreeSession:
     """One evidence set against a tree of nodes or of borders.
 
@@ -574,11 +586,17 @@ class TreeSession:
     An engine supplies its edge messages (``compute_pi_edge(p, c)``, the
     message parent p sends child c, and ``compute_lambda_edge(p, c)``, the
     one c sends p), ``_outside_prior(p)``, ``_belief_factors(v)`` (the
-    factors whose product is v's belief), ``posterior``, ``ensure_informed``
-    and ``_store_key(p, c, direction)``.  The engine passes in the schedule
-    functions, so each engine calls them through its own module, where the
-    benchmark's tracer finds them.
+    factors whose product is v's belief), ``posterior`` and
+    ``ensure_informed``.  The engine passes in the schedule functions, so
+    each engine calls them through its own module, where the benchmark's
+    tracer finds them.
+
+    Messages are keyed by ``_store_key(p, c, direction)``: :func:`edge_key`
+    unless an engine overrides it.  An engine that accepts a store which
+    outlives the session (the border engine) keys by evidence as well.
     """
+
+    _store_key = staticmethod(edge_key)
 
     def __init__(self, tree: Tree, ev, groups: Iterable[set], pivot, store, collection):
         """``groups`` holds, per evidence variable, the connected set of

@@ -11,12 +11,13 @@ CPTs only: a node's CPT holds the node, so its π carries its own evidence.
 
 :class:`PolytreeSession` is a :class:`~bordertree.messaging.TreeSession`,
 which owns cores, pivots, the schedules, the store and the boundary
-fallbacks; this module supplies the node messages, the node priors an
-outside parent sends, and the store key.  That key is ``(parent, child,
-direction)``, with no evidence fingerprint: the store never outlives its
-session, whose evidence is fixed, so a fingerprint would tell no two
-messages apart and would only add its cost to every lookup.  Restricted
-tables are built once per session.
+fallbacks; this module supplies the node messages and the node priors an
+outside parent sends.  Messages are keyed by the skeleton's
+:func:`~bordertree.messaging.edge_key`, ``(parent, child, direction)``,
+with no evidence fingerprint: the store never outlives its session, whose
+evidence is fixed, so a fingerprint would tell no two messages apart and
+would only add its cost to every lookup.  Restricted tables are built once
+per session.
 """
 
 from __future__ import annotations
@@ -88,12 +89,6 @@ class PolytreeSession(TreeSession):
         self._cpt_cache: dict[int, Factor] = {}
         groups = [{v} for v in ev.vars]
         super().__init__(engine.tree, ev, groups, pivot, None, collection_schedule)
-
-    @staticmethod
-    def _store_key(x: int, y: int, direction: str) -> tuple[int, int, str]:
-        # The store lives and dies with the session, whose evidence is
-        # fixed, so the edge and direction name a message.
-        return (x, y, direction)
 
     def _outside_prior(self, x: int) -> Factor:
         return self.e.priors[x]

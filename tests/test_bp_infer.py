@@ -313,7 +313,8 @@ class TestSideIndex:
             for _ in range(4):
                 ev = random_evidence(rng, bn, max_vars=20)
                 sizes.add(len(ev))
-                s = BorderSession(bp, ev)
+                # Only a store passed in is keyed by fingerprint.
+                s = BorderSession(bp, ev, store={})
                 for p, c in bp.edges:
                     for a, b in ((p, c), (c, p)):
                         assert sorted(s._side_evidence(a, b)) == sorted(side_vars(s, a, b))
@@ -334,7 +335,7 @@ class TestSideIndex:
         preload_priors(bp)
         assert len(set(bp.tree().index.comp.values())) >= 2
         for _ in range(10):
-            s = BorderSession(bp, random_evidence(rng, bn, max_vars=12))
+            s = BorderSession(bp, random_evidence(rng, bn, max_vars=12), store={})
             for p, c in bp.edges:
                 for direction in ("pi", "lambda"):
                     assert s._store_key(p, c, direction) == reference_key(s, p, c, direction)
@@ -362,6 +363,43 @@ class TestSideIndex:
                     for a, b in ((p, c), (c, p)):
                         want = any(on_side(a, b, v) for v in ev.vars)
                         assert s._side_has_core(a, b) == want
+
+
+class TestPrivateStore:
+    def test_private_and_shared_stores_answer_alike(self, rng, monkeypatch):
+        # A session without a store keys its private one by edge and
+        # direction, and builds no fingerprint; a store passed in is keyed
+        # by fingerprint.  Both compute the same messages.
+        calls = []
+        fingerprint = EvidenceSet.fingerprint
+        monkeypatch.setattr(
+            EvidenceSet, "fingerprint", lambda ev, *a: calls.append(1) or fingerprint(ev, *a)
+        )
+        soft = 0
+        for k in range(12):
+            bn = random_dag(rng, 6, 14, 4) if k % 2 else random_polytree(rng, 10, 30, 4)
+            bp = build_border_polytree(bn)
+            preload_priors(bp)
+            edges = set(bp.edges)
+            for _ in range(3):
+                ev = random_evidence(rng, bn, max_vars=6)
+                soft += any(len(vals) > 1 for _, vals in ev.items())
+                del calls[:]
+                private = BorderSession(bp, ev)
+                assert not calls
+                shared = BorderSession(bp, ev, store={})
+                assert calls
+                for q in bn.ids:
+                    assert np.array_equal(private.posterior(q)[1].values, shared.posterior(q)[1].values)
+                assert private.evidence_prob() == shared.evidence_prob()
+                for counter in ("sent", "collected", "distributed"):
+                    assert getattr(private, counter) == getattr(shared, counter)
+                assert {key[:3] for key in shared.store} == set(private.store)
+                for key, msg in shared.store.items():
+                    assert np.array_equal(private.store[key[:3]].values, msg.values)
+                for p, c, direction in private.store:
+                    assert (p, c) in edges and direction in ("pi", "lambda")
+        assert soft
 
 
 class TestIncrementalStore:

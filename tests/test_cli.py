@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -475,3 +476,38 @@ def test_cli_entrypoint_subprocess():
     )
     assert proc.returncode == 0
     assert "no diagnostics" in proc.stdout
+
+
+def test_prior_over_the_table_cap_exits_1_without_a_traceback(tmp_path):
+    # The seeded 400-node binary DAG of the benchmark's generator: its
+    # widest border holds 84 variables, so some prior is over the cap.
+    import importlib.util
+    import resource
+    import subprocess
+    import sys
+
+    from conftest import FIXTURES
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", os.path.join(FIXTURES, "..", "perfbench", "gen.py")
+    )
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    path = tmp_path / "wide.bn"
+    rng = np.random.default_rng
+    path.write_text(gen.random_dag_text(rng(0), rng(1), 400, card_max=2, max_parents=3))
+
+    def limit_memory():
+        # Without the cap, the run would try to allocate 2 GiB or more.
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "bordertree.cli", "prior", str(path)],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error: table of ")
+    assert "exceeds cap" in proc.stderr

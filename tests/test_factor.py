@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bordertree.errors import ImpossibleEvidenceError
+from bordertree.errors import ImpossibleEvidenceError, TableCapError
 from bordertree import factor as factor_mod
 from bordertree.factor import (
     Factor,
@@ -85,6 +86,23 @@ class TestConstructor:
         with pytest.raises(ValueError, match=message):
             Factor(scope, cards, values)
 
+    @pytest.mark.parametrize("scope", [[1, 0], [1, 1], [0, 2, 1], [np.int64(3), np.int64(3)]])
+    def test_rejects_unordered_list_scopes(self, scope):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            Factor(scope, [2] * len(scope), np.ones((2,) * len(scope)))
+
+    @pytest.mark.parametrize(
+        "cards",
+        [np.array([2, 3]), (np.int64(2), np.int64(3)), [np.int32(2), 3], range(2, 4)],
+        ids=["array", "numpy-tuple", "list", "range"],
+    )
+    @pytest.mark.parametrize("values", [np.ones((2, 3)), np.ones(6)], ids=["shaped", "flat"])
+    def test_stores_plain_int_tuples(self, cards, values):
+        f = Factor([0, 2], cards, values)
+        assert type(f.scope) is tuple and f.scope == (0, 2)
+        assert type(f.cards) is tuple and f.cards == (2, 3)
+        assert all(type(c) is int for c in f.cards)
+
     def test_accepts_finite_entries_whose_sum_overflows(self):
         f = Factor((0,), (2,), [1e308, 1e308])
         np.testing.assert_array_equal(f.values, [1e308, 1e308])
@@ -138,6 +156,27 @@ class TestConstructor:
         g = Factor((0,), (2,), [1e200, 1.0])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
             contract([f, g], (0,))
+
+
+class TestTableCap:
+    def test_contract_raises_before_allocating(self):
+        fs = [Factor((v,), (2,), [0.5, 0.5]) for v in range(28)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(TableCapError, match=f"table of {2**28} entries exceeds cap"):
+                contract(fs, range(28))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_a_table_at_the_cap_is_computed(self, monkeypatch):
+        monkeypatch.setattr(factor_mod, "MAX_TABLE_ENTRIES", 2**10)
+        factor_mod._plan.cache_clear()  # plans made under the real cap
+        fs = [Factor((v,), (2,), [0.5, 0.5]) for v in range(11)]
+        assert contract(fs, range(10)).values.size == 2**10
+        with pytest.raises(TableCapError):
+            contract(fs, range(11))
 
 
 class TestMultiply:
