@@ -14,28 +14,19 @@ chain engine is a reader of this session on the chain's one-macro view
 :class:`BorderSession` is a :class:`~bordertree.messaging.TreeSession`,
 which owns cores, pivots, the schedules, the store and the boundary
 fallbacks.  This module supplies the border algebra (border beliefs from
-cohort tables and junction splices, and the edge messages), the restricted
-prior an outside parent border sends, and the fingerprinted store key,
-which lets a store outlive its session.
+cohort tables and junction splices, and the edge messages) and the
+restricted prior an outside parent border sends.  The restricted priors
+and cohort tables are built once per session.
 
-A session given no store (``bp_query``, the chain's passes, the CLI's
-``query`` and ``prior``) keeps a private one that dies with it.  Its
-evidence is fixed, so it keys messages by edge and direction alone
-(:func:`~bordertree.messaging.edge_key`) and builds no fingerprint.  Only a
-store passed in, which outlives the session (the REPL's), is keyed by edge,
-direction and the evidence fingerprint of the subtree behind the message,
-so incremental evidence only recomputes the messages whose side actually
-changed.
-
-Those fingerprinted keys cost no scan of the evidence.  At session start
-each evidence variable is anchored at the top (least-depth) border of its
-home set, and a :class:`~bordertree.messaging.EdgeSides` index sorts them
-by Euler-tour entry time.  The variables on one side of an edge are then
-one or two ``bisect``-found slices, plus the few shared by the edge's two
-borders.  Each (edge, direction) key is built once per session, as the
-exact fingerprint tuple, so REPL store hits stay exact.  The restricted
-priors and cohort tables are also built once per session.  Per-message
-bookkeeping therefore does not grow with the number of evidence variables.
+Every session keys its store by ``(parent, child, direction)``: its
+evidence is fixed, so an edge and a direction name a message.  Evidence
+that changes (the REPL's) moves to a new session through
+:meth:`BorderSession.with_evidence`, which starts with a copy of the old
+session's messages minus the stale ones: those whose side behind the
+message holds a home border of a variable whose allowed set changed, and
+upward messages into a border that holds such a variable.  Only the
+messages on the changed variables' side of each edge are recomputed, and
+the store never holds more than two messages per border edge.
 """
 
 from __future__ import annotations
@@ -45,7 +36,7 @@ from typing import Callable, Iterable, Optional
 from .bp_build import Border, BorderPolytree
 from .errors import BordertreeError
 from .factor import Factor, contract, restrict
-from .messaging import EdgeSides, TreeSession, collection_schedule, distribution_schedule, edge_key
+from .messaging import TreeSession, collection_schedule, distribution_schedule
 from .network import NO_EVIDENCE
 
 
@@ -98,12 +89,8 @@ class BorderSession(TreeSession):
     session anchored at border 0 (``pivot=0``) reads none: every edge's
     parent side holds a core border.
 
-    ``store`` may be shared across sessions (the REPL does); it maps
-    (parent, child, direction, fingerprint-of-the-side-behind-the-message)
-    to factors, which realizes the incremental behavior: a message is
-    recomputed only when the evidence on its side changed.  Without a
-    ``store`` the session keeps a private one, keyed by
-    :func:`~bordertree.messaging.edge_key` alone, and builds no fingerprint.
+    Messages carry over to a session for other evidence only through
+    :meth:`with_evidence`.
     """
 
     def __init__(
@@ -111,44 +98,53 @@ class BorderSession(TreeSession):
         bp: BorderPolytree,
         ev=NO_EVIDENCE,
         pivot: Optional[int] = None,
-        store: Optional[dict] = None,
+        _carried: Optional[dict] = None,
     ):
+        """``_carried`` holds the messages :meth:`with_evidence` hands over."""
         self.bp = bp
         self.bn = bp.source
-        tree = bp.tree()
         self._pi_cache: dict[int, Factor] = {}
         self._lambda_cache: dict[int, Factor] = {}
         self._prior_cache: dict[int, Factor] = {}
         self._phi_cache: dict[int, Factor] = {}
-        if store is None:
-            # A private store dies with the session, whose evidence is
-            # fixed: the edge and direction name a message.
-            self._store_key = edge_key
-        else:
-            self._key_cache: dict[tuple, tuple] = {}
-            # Evidence items (variable, allowed values), as fingerprints
-            # hold them; each variable is anchored at the top border of its
-            # home set.
-            self._ev_items = {v: (v, vals) for v, vals in ev.fingerprint()}
-            depth = tree.index.depth
-            self._sides = EdgeSides(
-                tree.index,
-                ((min(bp.variable_home[v], key=depth.__getitem__), v) for v in self._ev_items),
-            )
         groups = [set(bp.variable_home[v]) for v in ev.vars]
-        super().__init__(tree, ev, groups, pivot, store, collection_schedule)
+        super().__init__(bp.tree(), ev, groups, pivot, collection_schedule, _carried)
 
-    def _side_evidence(self, a: int, b: int) -> list[int]:
-        """Evidence variables with a home border on a's side of edge (a, b).
+    def with_evidence(self, ev) -> "BorderSession":
+        """A session for ``ev`` that starts with this session's messages,
+        minus those the change from this session's evidence made stale.
 
-        A variable's home borders are connected (running intersection), so
-        they meet a's side iff their top lies there, unless they hold both
-        a and its index parent b; those variables are shared by a and b."""
-        out = self._sides.side(a, b)
-        if self.index.parent[a] == b:
-            shared = self.bp.borders[a].members & self.bp.borders[b].members
-            out += [v for v in shared if v in self._ev_items]
-        return out
+        A variable has changed when its allowed set differs between the two
+        evidence sets: an observation added, altered or retracted.  A
+        downward message p->c depends on the evidence on p's side of the
+        edge; an upward one c->p on the evidence on c's side and on p's
+        variables, which restrict the cohort table it sums over.  A message
+        is stale when a changed variable has a home border on that side, or,
+        for an upward one, is a member of p.  Home sets are connected
+        (running intersection), so unless they hold either end of the edge
+        they lie wholly on one side, and any one of them tells which.  The
+        new session picks its pivot as a fresh one would.
+        """
+        old = self.ev
+        changed = [v for v in {*old.vars, *ev.vars} if old.allowed(v) != ev.allowed(v)]
+        homes = [self.bp.variable_home[v] for v in changed]
+        on_side = self.index.on_side
+        borders = self.bp.borders
+
+        def behind(a: int, b: int) -> bool:
+            """Does a changed variable have a home border on a's side of edge (a, b)?"""
+            return any(a in h or (b not in h and on_side(a, b, h[0])) for h in homes)
+
+        kept = {}
+        for key, msg in self.store.items():
+            p, c, direction = key
+            if direction == "pi":
+                stale = behind(p, c)
+            else:
+                stale = behind(c, p) or any(v in borders[p].members for v in changed)
+            if not stale:
+                kept[key] = msg
+        return BorderSession(self.bp, ev, _carried=kept)
 
     # -- restricted tables ------------------------------------------------------
 
@@ -195,30 +191,6 @@ class BorderSession(TreeSession):
         return [self.pi_border(bid), self.lambda_border(bid)]
 
     # -- edge messages ----------------------------------------------------------
-
-    def _store_key(self, p: int, c: int, direction: str):
-        """Key of a message in a store passed in, which may outlive the
-        session: the edge, the direction and the evidence fingerprint of
-        the side behind the message.  A private store uses ``edge_key``."""
-        key = self._key_cache.get((p, c, direction))
-        if key is not None:
-            return key
-        if direction == "pi":
-            # A downward message depends only on evidence over the parent
-            # side (the parent border belongs to its own side).
-            side = self._side_evidence(p, c)
-        else:
-            # An upward message additionally restricts the reduced cohort
-            # table over the receiving border's variables, so evidence on
-            # them is part of the message even when they sit outside the
-            # child side.  Their home sets hold p, so those of them that
-            # reach the child side do so through c and are counted there.
-            only_p = self.bp.borders[p].members - self.bp.borders[c].members
-            side = self._side_evidence(c, p)
-            side += [v for v in only_p if v in self._ev_items]
-        fingerprint = tuple(map(self._ev_items.__getitem__, sorted(side)))
-        key = self._key_cache[(p, c, direction)] = (p, c, direction, fingerprint)
-        return key
 
     def compute_pi_edge(self, p: int, c: int) -> Factor:
         lams = [self.get_lambda_edge(p, w) for w in self.tree.children[p] if w != c]
@@ -267,10 +239,9 @@ def bp_query(
     ev=NO_EVIDENCE,
     queries: Optional[Iterable[int]] = None,
     pivot: Optional[int] = None,
-    store: Optional[dict] = None,
 ) -> tuple[dict[int, Factor], float]:
     """Posterior marginals (normalized factors) and the evidence probability."""
-    session = BorderSession(bp, ev, pivot=pivot, store=store)
+    session = BorderSession(bp, ev, pivot=pivot)
     if queries is None:
         queries = list(bp.source.ids)
     posteriors = {q: session.posterior(q)[1] for q in queries}

@@ -149,11 +149,11 @@ def _dot(bp) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _prior_table(bp, queries, out, store=None) -> None:
+def _prior_table(bp, queries, out) -> None:
     """The prior marginals of ``queries``, as the border polytree answers
     them with no evidence."""
     bn = bp.source
-    priors, _ = bp_query(bp, NO_EVIDENCE, queries, store=store)
+    priors, _ = bp_query(bp, NO_EVIDENCE, queries)
     rows = [
         {"variable": bn.name_of(q), "value": label, "prior": _fmt_prob(p)}
         for q in queries
@@ -326,24 +326,32 @@ REPL_HELP = """commands:
   query X[,Y]            prior and posterior side by side
   priors                 prior marginals of every variable
   core                   borders of the current evidential core
-  status                 evidence, pivot, cache and message counters
+  status                 evidence, pivot, messages held and last sent
   reset                  drop all evidence
   quit                   leave
 """
 
 
 class ReplSession:
+    """One network and the session of its current evidence.
+
+    ``evidence``, ``retract`` and ``reset`` move to a session for the new
+    evidence through :meth:`~bordertree.bp_infer.BorderSession.with_evidence`,
+    which keeps the messages the change left valid; ``query``, ``core`` and
+    ``status`` read the current session.  ``last_sent`` counts the messages
+    the last ``evidence``, ``retract``, ``query`` or ``core`` computed.
+    """
+
     def __init__(self, bn: BayesianNetwork, out):
         self.bn = bn
         self.out = out
         self.bp = _bp_for(bn)
-        self.store: dict = {}
         self.items: list[str] = []
+        self.session = BorderSession(self.bp)
         self.last_sent = 0
 
-    def _session(self) -> BorderSession:
-        ev = parse_evidence(",".join(self.items), self.bn) if self.items else NO_EVIDENCE
-        return BorderSession(self.bp, ev, store=self.store)
+    def _evidence(self, items: list[str]):
+        return parse_evidence(",".join(items), self.bn) if items else NO_EVIDENCE
 
     def handle(self, line: str) -> bool:
         tokens = line.strip().split(None, 1)
@@ -358,23 +366,24 @@ class ReplSession:
                 out.write(REPL_HELP)
             elif verb == "evidence":
                 candidate = self.items + [s for s in rest.split(",") if s.strip()]
-                ev = parse_evidence(",".join(candidate), self.bn)
-                session = BorderSession(self.bp, ev, store=self.store)
+                # The candidate session copies the messages it keeps, so a
+                # rejected one leaves the current session as it was.
+                session = self.session.with_evidence(self._evidence(candidate))
                 pe = session.evidence_prob()
                 if pe <= 0.0:
                     raise ImpossibleEvidenceError(
                         "evidence has probability 0; session unchanged"
                     )
                 self.items = candidate
+                self.session = session
                 self.last_sent = session.sent
                 print(f"evidence_prob\t{_fmt_prob(pe)}", file=out)
             elif verb == "retract":
                 name = rest.strip()
                 self.bn.id_of(name)
-                self.items = [
-                    s for s in self.items if s.split("=", 1)[0].strip() != name
-                ]
-                session = self._session()
+                items = [s for s in self.items if s.split("=", 1)[0].strip() != name]
+                session = self.session.with_evidence(self._evidence(items))
+                self.items, self.session = items, session
                 self.last_sent = session.sent
                 print(f"evidence_prob\t{_fmt_prob(session.evidence_prob())}", file=out)
             elif verb == "query":
@@ -382,28 +391,29 @@ class ReplSession:
                 if not queries:
                     print("usage: query X[,Y]", file=out)
                     return True
-                session = self._session()
-                priors, _ = _tables(*bp_query(self.bp, NO_EVIDENCE, queries, store=self.store))
+                session = self.session
+                priors, _ = _tables(*bp_query(self.bp, NO_EVIDENCE, queries))
+                sent = session.sent
                 posts = {q: session.posterior(q)[1].values for q in queries}
-                self.last_sent = session.sent
+                self.last_sent = session.sent - sent
                 rows = _posterior_rows(self.bn, queries, priors, posts)
                 _tsv(rows, ["variable", "value", "prior", "posterior", "log_ratio"], out)
             elif verb == "priors":
-                _prior_table(self.bp, self.bn.ids, out, store=self.store)
+                _prior_table(self.bp, self.bn.ids, out)
             elif verb == "core":
-                session = self._session()
-                self.last_sent = session.sent
-                print(f"core\t{_border_sets(self.bp, sorted(session.core_nodes)) or '-'}", file=out)
+                self.last_sent = 0  # the core is read, not computed
+                print(f"core\t{_border_sets(self.bp, sorted(self.session.core_nodes)) or '-'}", file=out)
             elif verb == "status":
-                session = self._session()
+                session = self.session
                 print(f"evidence\t{','.join(self.items) or '-'}", file=out)
                 print(f"core_borders\t{len(session.core_nodes)}", file=out)
                 pivots = ",".join(str(p) for p in session.pivots.values())
                 print(f"pivot\t{pivots or '-'}", file=out)
                 print(f"messages_sent_last\t{self.last_sent}", file=out)
-                print(f"cache_entries\t{len(self.store)}", file=out)
+                print(f"cache_entries\t{len(session.store)}", file=out)
             elif verb == "reset":
                 self.items = []
+                self.session = self.session.with_evidence(NO_EVIDENCE)
                 print("ok", file=out)
             else:
                 print(f"unknown command {verb!r}; try help", file=out)

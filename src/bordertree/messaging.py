@@ -7,8 +7,6 @@ component, and Euler-tour entry/exit times (Tarjan & Vishkin 1985).  With
 it, the component of a node and the side test "is x on a's side of edge
 (a, b)?" cost O(1), and the path between two nodes costs O(path length), so
 per-message and per-query geometry no longer searches the whole tree.
-:class:`EdgeSides` sorts items anchored at nodes (evidence variables) by
-entry time, so the items on one side of an edge are one or two slices.
 
 Path finding also offers the hub method (pre-loaded hub-to-hub and
 node-to-hub paths, loops erased), with the index path as its fallback;
@@ -31,10 +29,11 @@ polytree engine's nodes, the border polytree's borders): cores and pivots
 CLI's ``core``), collection, the informed set and distribution, the
 message store and ``_send``, the boundary fallbacks, counters and the
 read-out.  Each engine supplies only its message algebra, its boundary
-prior, its belief factors and ``posterior``.  A store that dies with its
-session is keyed by :func:`edge_key`, ``(parent, child, direction)``; an
-engine that accepts a store which outlives the session (the border
-engine, for the REPL) keys that one by evidence as well.
+prior, its belief factors and ``posterior``.  Every session keys its own
+store by ``(parent, child, direction)``: a session's evidence is fixed, so
+an edge and a direction name a message.  Messages outlive a session only
+when the border engine hands the ones its next evidence leaves unchanged
+to a new session (``BorderSession.with_evidence``).
 
 Evidence enters a session in one place: the engine's restricted tables
 (CPTs, cohort tables and priors, with entries off the evidence zeroed).  A
@@ -49,7 +48,6 @@ scalar 1 upward.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -235,44 +233,6 @@ class TreeIndex:
             return tin[a] <= tin[x] <= tout[a]
         # b is a's child: a's side is the component minus b's subtree
         return self.comp[x] == self.comp[a] and not tin[b] <= tin[x] <= tout[b]
-
-
-class EdgeSides:
-    """Items anchored at tree nodes, found per side of an edge by slicing.
-
-    Each item is anchored at one node; items are kept sorted by their
-    anchor's Euler-tour entry time, so the items on a's side of edge
-    (a, b) are one or two contiguous runs, found by ``bisect``:
-
-    * if a is b's parent in the index, a's side is the component minus
-      subtree(b): the component's tin range with b's range cut out;
-    * if b is a's parent, a's side is subtree(a): one tin range.
-
-    Build costs O(k log k) for k items; a side then costs O(log k) plus
-    its own length, whatever k is.  A connected node set anchored at its
-    top (its least-depth node) is on a's side exactly when it meets that
-    side, except for a set holding both a and its parent b: its top lies
-    above a, so the caller adds such sets itself.  A single node is its
-    own top and has no exception.
-    """
-
-    def __init__(self, index: TreeIndex, anchored: Iterable[tuple[Node, object]]):
-        tin = index.tin
-        pairs = sorted(((tin[node], item) for node, item in anchored), key=lambda p: p[0])
-        self.index = index
-        self.tins = [t for t, _ in pairs]
-        self.items = [item for _, item in pairs]
-
-    def side(self, a: Node, b: Node) -> list:
-        """Items anchored on a's side of the tree edge (a, b), in tin order."""
-        index, tins, items = self.index, self.tins, self.items
-        tin, tout = index.tin, index.tout
-        if index.parent[a] == b:
-            return items[bisect_left(tins, tin[a]) : bisect_right(tins, tout[a])]
-        root = index.comp[a]
-        i, j = bisect_left(tins, tin[root]), bisect_right(tins, tout[root])
-        cut_i, cut_j = bisect_left(tins, tin[b], i, j), bisect_right(tins, tout[b], i, j)
-        return items[i:cut_i] + items[cut_j:j]
 
 
 @dataclass
@@ -555,15 +515,6 @@ def component_cores(
     return out
 
 
-def edge_key(p: Node, c: Node, direction: str) -> tuple:
-    """Store key of the message on edge p->c in ``direction``.
-
-    Enough for a store that lives and dies with its session: the session's
-    evidence is fixed, so an evidence fingerprint would tell no two of its
-    messages apart and would only add its cost to every lookup."""
-    return (p, c, direction)
-
-
 class TreeSession:
     """One evidence set against a tree of nodes or of borders.
 
@@ -591,20 +542,19 @@ class TreeSession:
     each engine calls them through its own module, where the benchmark's
     tracer finds them.
 
-    Messages are keyed by ``_store_key(p, c, direction)``: :func:`edge_key`
-    unless an engine overrides it.  An engine that accepts a store which
-    outlives the session (the border engine) keys by evidence as well.
+    Messages are keyed by ``(p, c, direction)``, for the edge p->c and
+    ``"pi"`` (down) or ``"lambda"`` (up).
     """
 
-    _store_key = staticmethod(edge_key)
-
-    def __init__(self, tree: Tree, ev, groups: Iterable[set], pivot, store, collection):
+    def __init__(self, tree: Tree, ev, groups: Iterable[set], pivot, collection, carried=None):
         """``groups`` holds, per evidence variable, the connected set of
-        nodes that carry it; ``collection`` is the collection schedule."""
+        nodes that carry it; ``collection`` is the collection schedule.
+        ``carried`` holds messages of an earlier session that are still
+        valid under ``ev``; the session adds its own to that dict."""
         self.index = tree.index
         self.tree = tree
         self.ev = ev
-        self.store = store if store is not None else {}
+        self.store = {} if carried is None else carried
         self.sent = self.collected = self.distributed = 0
         self.core_nodes: set[Node] = set()
         self.cores: dict[Node, EvidentialCore] = {}
@@ -643,7 +593,7 @@ class TreeSession:
 
     def get_pi_edge(self, p: Node, c: Node) -> Factor:
         """Downward message along edge p->c."""
-        msg = self.store.get(self._store_key(p, c, "pi"))
+        msg = self.store.get((p, c, "pi"))
         if msg is not None:
             return msg
         if self._side_has_core(p, c):
@@ -658,7 +608,7 @@ class TreeSession:
         A child side with no core node holds no evidence, except perhaps on
         variables it shares with p, and p's π carries those; so the side
         sends the scalar 1."""
-        msg = self.store.get(self._store_key(p, c, "lambda"))
+        msg = self.store.get((p, c, "lambda"))
         if msg is not None:
             return msg
         if self._side_has_core(c, p):
@@ -669,7 +619,7 @@ class TreeSession:
 
     def _send(self, src: Node, dst: Node):
         down = self.tree.has_edge(src, dst)
-        key = self._store_key(src, dst, "pi") if down else self._store_key(dst, src, "lambda")
+        key = (src, dst, "pi") if down else (dst, src, "lambda")
         if key in self.store:
             return
         self.store[key] = self.compute_pi_edge(src, dst) if down else self.compute_lambda_edge(dst, src)

@@ -12,12 +12,9 @@ CPTs only: a node's CPT holds the node, so its π carries its own evidence.
 :class:`PolytreeSession` is a :class:`~bordertree.messaging.TreeSession`,
 which owns cores, pivots, the schedules, the store and the boundary
 fallbacks; this module supplies the node messages and the node priors an
-outside parent sends.  Messages are keyed by the skeleton's
-:func:`~bordertree.messaging.edge_key`, ``(parent, child, direction)``,
-with no evidence fingerprint: the store never outlives its session, whose
-evidence is fixed, so a fingerprint would tell no two messages apart and
-would only add its cost to every lookup.  Restricted tables are built once
-per session.
+outside parent sends.  Messages are keyed as the skeleton keys them,
+``(parent, child, direction)``: the store dies with its session, whose
+evidence is fixed.  Restricted tables are built once per session.
 """
 
 from __future__ import annotations
@@ -88,7 +85,7 @@ class PolytreeSession(TreeSession):
         self.bn = engine.bn
         self._cpt_cache: dict[int, Factor] = {}
         groups = [{v} for v in ev.vars]
-        super().__init__(engine.tree, ev, groups, pivot, None, collection_schedule)
+        super().__init__(engine.tree, ev, groups, pivot, collection_schedule)
 
     def _outside_prior(self, x: int) -> Factor:
         return self.e.priors[x]

@@ -258,29 +258,46 @@ class TestQueries:
             assert pe == pytest.approx(want_pe, rel=1e-12)
 
 
-def side_vars(session, a, b):
-    """Reference side scan: the evidence variables with a home border on
-    a's side of edge (a, b), by one side test per evidence variable.
+def side_vars(bp, variables, a, b):
+    """Reference side scan: the variables among ``variables`` with a home
+    border on a's side of edge (a, b), by one side test per variable.
 
     A variable's home borders are connected (running intersection), so
     unless they hold a or b they lie wholly on one side, and any one of
     them tells which."""
-    on_side = session.index.on_side
+    on_side = bp.tree().index.on_side
     out = []
-    for v in session.ev.vars:
-        homes = session.bp.variable_home[v]
+    for v in variables:
+        homes = bp.variable_home[v]
         if a in homes or (b not in homes and on_side(a, b, homes[0])):
             out.append(v)
     return out
 
 
-def reference_key(session, p, c, direction):
-    """The message-store key, built from the reference side scan."""
+def reference_key(bp, ev, p, c, direction):
+    """A message's edge, direction and the evidence fingerprint of the
+    variables it depends on, built from the reference side scan: the
+    parent side for a downward message; the child side and the parent
+    border's members for an upward one."""
     if direction == "pi":
-        side = side_vars(session, p, c)
+        side = side_vars(bp, ev.vars, p, c)
     else:
-        side = [*side_vars(session, c, p), *session.bp.borders[p].members]
-    return (p, c, direction, session.ev.fingerprint(side))
+        side = [*side_vars(bp, ev.vars, c, p), *bp.borders[p].members]
+    return (p, c, direction, ev.fingerprint(side))
+
+
+def next_evidence(rng, bn, ev):
+    """A copy of ``ev`` with one observation added, altered (hard or soft)
+    or retracted."""
+    out = ev.copy()
+    if ev and rng.random() < 0.3:
+        out.retract(ev.vars[int(rng.integers(0, len(ev)))])
+        return out
+    var = int(rng.integers(0, len(bn)))
+    card = bn.card(var)
+    size = int(rng.integers(1, card))
+    out.set(var, {int(x) for x in rng.choice(card, size=size, replace=False)})
+    return out
 
 
 def windowed_dag(rng, n, window, max_parents=3, card_max=3):
@@ -297,48 +314,54 @@ def windowed_dag(rng, n, window, max_parents=3, card_max=3):
 
 
 class TestSideIndex:
-    """Store keys built from Euler-tour slices equal the side-scan keys."""
+    """Side tests and the messages ``with_evidence`` keeps, against the
+    reference side scan."""
 
     def networks(self, rng):
         for _ in range(6):
             yield windowed_dag(rng, int(rng.integers(20, 36)), int(rng.integers(2, 5)))
         for _ in range(4):
             yield random_polytree(rng, 20, 35, 3)
-
-    def test_keys_equal_side_scan_keys_on_every_edge(self, rng):
-        sizes = set()
-        for bn in self.networks(rng):
-            bp = build_border_polytree(bn)
-            preload_priors(bp)
-            for _ in range(4):
-                ev = random_evidence(rng, bn, max_vars=20)
-                sizes.add(len(ev))
-                # Only a store passed in is keyed by fingerprint.
-                s = BorderSession(bp, ev, store={})
-                for p, c in bp.edges:
-                    for a, b in ((p, c), (c, p)):
-                        assert sorted(s._side_evidence(a, b)) == sorted(side_vars(s, a, b))
-                    for direction in ("pi", "lambda"):
-                        assert s._store_key(p, c, direction) == reference_key(s, p, c, direction)
-        assert min(sizes) == 1 and max(sizes) >= 15
-
-    def test_keys_in_a_forest_of_borders(self, rng):
-        # Two disconnected windowed DAGs side by side: each key slices only
-        # its own component's tin range.
+        # Two disconnected windowed DAGs side by side: a forest of borders.
         spec = []
         for base in (0, 12):
             for i in range(12):
                 ps = [f"v{base + j}" for j in range(max(0, i - 2), i) if rng.random() < 0.7]
                 spec.append((f"v{base + i}", int(rng.integers(2, 4)), ps))
-        bn = zoo.build_network(spec, rng)
-        bp = build_border_polytree(bn)
-        preload_priors(bp)
-        assert len(set(bp.tree().index.comp.values())) >= 2
-        for _ in range(10):
-            s = BorderSession(bp, random_evidence(rng, bn, max_vars=12), store={})
-            for p, c in bp.edges:
-                for direction in ("pi", "lambda"):
-                    assert s._store_key(p, c, direction) == reference_key(s, p, c, direction)
+        yield zoo.build_network(spec, rng)
+
+    def test_with_evidence_keeps_the_messages_whose_side_is_unchanged(self, rng, monkeypatch):
+        # A message is kept exactly when the evidence fingerprint of the
+        # variables it depends on is the same under both evidence sets.
+        # With collection switched off, a new session's store holds just
+        # the messages it was handed.
+        from bordertree import bp_infer
+
+        kept_any = dropped_any = 0
+        for bn in self.networks(rng):
+            bp = build_border_polytree(bn)
+            preload_priors(bp)
+            for k in range(6):
+                ev = random_evidence(rng, bn, max_vars=12)
+                old = BorderSession(bp, ev)
+                for bid in range(len(bp.borders)):
+                    old.ensure_informed(bid)
+                for _ in range(int(rng.integers(1, 4))):
+                    ev = next_evidence(rng, bn, ev)
+                if k == 5:
+                    ev = random_evidence(rng, bn, max_vars=12)
+                with monkeypatch.context() as m:
+                    m.setattr(bp_infer, "collection_schedule", lambda tree, core, pivot: [])
+                    kept = set(old.with_evidence(ev).store)
+                want = {
+                    key
+                    for key in old.store
+                    if reference_key(bp, old.ev, *key) == reference_key(bp, ev, *key)
+                }
+                assert kept == want
+                kept_any += len(kept)
+                dropped_any += len(old.store) - len(kept)
+        assert kept_any and dropped_any
 
     def test_polytree_side_test_equals_scan(self, rng):
         # With no pivot requested, the node engine's core is the span of
@@ -365,72 +388,35 @@ class TestSideIndex:
                         assert s._side_has_core(a, b) == want
 
 
-class TestPrivateStore:
-    def test_private_and_shared_stores_answer_alike(self, rng, monkeypatch):
-        # A session without a store keys its private one by edge and
-        # direction, and builds no fingerprint; a store passed in is keyed
-        # by fingerprint.  Both compute the same messages.
-        calls = []
-        fingerprint = EvidenceSet.fingerprint
-        monkeypatch.setattr(
-            EvidenceSet, "fingerprint", lambda ev, *a: calls.append(1) or fingerprint(ev, *a)
-        )
-        soft = 0
-        for k in range(12):
-            bn = random_dag(rng, 6, 14, 4) if k % 2 else random_polytree(rng, 10, 30, 4)
-            bp = build_border_polytree(bn)
-            preload_priors(bp)
-            edges = set(bp.edges)
-            for _ in range(3):
-                ev = random_evidence(rng, bn, max_vars=6)
-                soft += any(len(vals) > 1 for _, vals in ev.items())
-                del calls[:]
-                private = BorderSession(bp, ev)
-                assert not calls
-                shared = BorderSession(bp, ev, store={})
-                assert calls
-                for q in bn.ids:
-                    assert np.array_equal(private.posterior(q)[1].values, shared.posterior(q)[1].values)
-                assert private.evidence_prob() == shared.evidence_prob()
-                for counter in ("sent", "collected", "distributed"):
-                    assert getattr(private, counter) == getattr(shared, counter)
-                assert {key[:3] for key in shared.store} == set(private.store)
-                for key, msg in shared.store.items():
-                    assert np.array_equal(private.store[key[:3]].values, msg.values)
-                for p, c, direction in private.store:
-                    assert (p, c) in edges and direction in ("pi", "lambda")
-        assert soft
-
-
 class TestIncrementalStore:
     def test_shared_store_reuses_messages(self, bn_c, bp_c):
-        store: dict = {}
-        ev1 = parse_evidence("Q=q0", bn_c)
-        s1 = BorderSession(bp_c, ev1, store=store)
-        first = s1.sent
-        # Same evidence again: all scheduled messages hit the cache.
-        s2 = BorderSession(bp_c, ev1, store=store)
-        assert s2.sent == 0
-        # Adding evidence away from Q's side recomputes only new-side
-        # messages.
-        ev2 = parse_evidence("Q=q0,B=b0", bn_c)
-        s3 = BorderSession(bp_c, ev2, store=store)
-        assert 0 < s3.sent
-        total = len(store)
-        s4 = BorderSession(bp_c, ev2, store=store)
-        assert s4.sent == 0 and len(store) == total
+        ev1 = parse_evidence("O=o1,Q=q0", bn_c)
+        s1 = BorderSession(bp_c, ev1)
+        first = dict(s1.store)
+        # Same evidence again: every scheduled message is carried over.
+        s2 = s1.with_evidence(ev1)
+        assert s1.sent == 3 and s2.sent == 0 and s2.store == s1.store
+        # Adding evidence upstream recomputes only the message whose side
+        # now holds it; a fresh session sends all three.
+        ev2 = parse_evidence("O=o1,Q=q0,B=b0", bn_c)
+        s3 = s2.with_evidence(ev2)
+        assert s3.sent == 1 and BorderSession(bp_c, ev2).sent == 3
+        s4 = s3.with_evidence(ev2)
+        assert s4.sent == 0 and s4.store == s3.store
+        # Each session owns its store: the first one kept its messages.
+        assert s1.store == first and s1.store is not s2.store
 
     def test_store_keys_cover_shared_variable_evidence(self, rng):
         # Upward messages restrict the cohort table over the receiving
-        # border's variables; evidence there must be part of the cache key
-        # (a chain v0 -> v1 -> v2 exposed this: evidence on v1 changed the
-        # v2->v1 message even though v1 is not on the child side).
+        # border's variables, so evidence there makes them stale (a chain
+        # v0 -> v1 -> v2 exposed this: evidence on v1 changed the v2->v1
+        # message even though v1 is not on the child side).
         bn = zoo.build_network(
             [("v0", 2, []), ("v1", 2, ["v0"]), ("v2", 3, ["v1"])], rng
         )
         bp = build_border_polytree(bn)
         preload_priors(bp)
-        store: dict = {}
+        session = BorderSession(bp)
         sequences = [
             "v0=v00,v1=v10,v2=v22",
             "v0=v00,v2=v20|v22",
@@ -439,27 +425,41 @@ class TestIncrementalStore:
         ]
         for text in sequences:
             ev = parse_evidence(text, bn)
-            posts, pe = bp_query(bp, ev, store=store)
-            assert pe == pytest.approx(oracle_event_prob(bn, ev), rel=1e-9)
+            session = session.with_evidence(ev)
+            assert session.evidence_prob() == pytest.approx(oracle_event_prob(bn, ev), rel=1e-9)
             for q in bn.ids:
                 np.testing.assert_allclose(
-                    posts[q].values, oracle_posterior(bn, ev, q), atol=1e-9
+                    session.posterior(q)[1].values, oracle_posterior(bn, ev, q), atol=1e-9
                 )
 
     def test_shared_store_random_evidence_sequences(self, rng):
-        for _ in range(8):
-            bn = random_dag(rng, 3, 9, 3)
+        # Observations added, altered (soft ones included) and retracted one
+        # step at a time: each carried-over session answers as a fresh one.
+        soft = retracted = 0
+        for k in range(10):
+            bn = random_dag(rng, 3, 9, 3) if k % 2 else random_polytree(rng, 6, 12, 3)
             bp = build_border_polytree(bn)
             preload_priors(bp)
-            store: dict = {}
-            for _ in range(5):
-                ev = random_evidence(rng, bn, max_vars=4)
-                posts, pe = bp_query(bp, ev, store=store)
+            ev = EvidenceSet(bn)
+            session = BorderSession(bp)
+            for _ in range(8):
+                before = ev
+                ev = next_evidence(rng, bn, ev)
+                soft += any(len(vals) > 1 for _, vals in ev.items())
+                retracted += len(ev) < len(before)
+                session = session.with_evidence(ev)
+                fresh = BorderSession(bp, ev)
+                pe = session.evidence_prob()
+                assert pe == pytest.approx(fresh.evidence_prob(), rel=1e-12)
                 assert pe == pytest.approx(oracle_event_prob(bn, ev), rel=1e-9)
-                for q in bn.ids:
-                    np.testing.assert_allclose(
-                        posts[q].values, oracle_posterior(bn, ev, q), atol=1e-9
-                    )
+                # Query a few variables, so later steps carry distribution
+                # messages too.
+                picks = rng.choice(len(bn), size=min(3, len(bn)), replace=False)
+                for q in (int(x) for x in picks):
+                    got = session.posterior(q)[1].values
+                    np.testing.assert_allclose(got, fresh.posterior(q)[1].values, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(got, oracle_posterior(bn, ev, q), atol=1e-9)
+        assert soft and retracted
 
     def test_impossible_evidence_detected(self):
         bn = zoo.build_network(

@@ -368,52 +368,67 @@ class TestRepl:
         assert second == 1  # only the edge whose upstream side now holds B
 
     def test_shared_store_hits_and_sends_per_step(self):
-        # Per step: the messages sent by its last session, the store lookups
-        # that found a message, and the store size after it.  Recorded with
-        # the per-message side scan that the Euler-tour side index replaced;
-        # the keys are the same tuples, so every count is unchanged.
-        class CountingStore(dict):
-            hits = 0
-
-            def __contains__(self, key):
-                found = dict.__contains__(self, key)
-                self.hits += found
-                return found
-
-            def get(self, key, default=None):
-                self.hits += dict.__contains__(self, key)
-                return dict.get(self, key, default)
-
+        # Per step: the messages the step computed and the messages the
+        # current session holds after it.  ``query Y,I`` sends 14: the
+        # downward message 16->17 ({B,C,G,N,P} to {B,C,G,P,O}) depends on
+        # Q alone again once B is retracted, but it went stale when B was
+        # added, and a session keeps no message of an earlier evidence set.
         steps = [
-            ("evidence Q=q0", 0, 0, 0),
-            ("query A,O", 6, 7, 6),
-            ("evidence B=b0", 2, 3, 8),
-            ("query Z", 7, 10, 15),
-            ("evidence O=o1", 3, 4, 18),
-            ("query A", 2, 9, 20),
-            ("retract B", 3, 4, 23),
-            ("query Y,I", 13, 21, 36),
-            ("evidence S=s0,T=t1", 8, 8, 44),
-            ("query J", 4, 13, 48),
-            ("evidence B=b1", 1, 9, 49),
-            ("query Q", 4, 13, 53),
-            ("retract Q", 4, 9, 57),
-            ("query A,B,C", 2, 13, 59),
-            ("status", 2, 8, 59),
-            ("reset", 2, 0, 59),
-            ("query A", 0, 0, 59),
-            ("evidence I=i0", 0, 0, 59),
-            ("query A,Z", 19, 19, 78),
-            ("priors", 19, 0, 78),
+            ("evidence Q=q0", 0, 0),
+            ("query A,O", 6, 6),
+            ("evidence B=b0", 2, 5),
+            ("query Z", 7, 12),
+            ("evidence O=o1", 3, 6),
+            ("query A", 2, 8),
+            ("retract B", 3, 6),
+            ("query Y,I", 14, 20),
+            ("evidence S=s0,T=t1", 8, 14),
+            ("query J", 4, 18),
+            ("evidence B=b1", 1, 8),
+            ("query Q", 4, 12),
+            ("retract Q", 4, 10),
+            ("query A,B,C", 2, 12),
+            ("status", 2, 12),
+            ("reset", 2, 0),
+            ("query A", 0, 0),
+            ("evidence I=i0", 0, 0),
+            ("query A,Z", 19, 19),
+            ("priors", 19, 19),
         ]
         session = ReplSession(load(BN_C), io.StringIO())
-        session.store = CountingStore()
         got = []
         for line, *_ in steps:
-            before = session.store.hits
             session.handle(line)
-            got.append((line, session.last_sent, session.store.hits - before, len(session.store)))
+            got.append((line, session.last_sent, len(session.session.store)))
         assert got == steps
+
+    def test_store_stays_within_two_messages_per_edge(self):
+        # A seeded script of observations, retracts, queries and resets:
+        # the current session holds at most one message per edge and
+        # direction, however long the script runs.
+        rng = np.random.default_rng(7)
+        bn = load(BN_C)
+        names = [bn.name_of(v) for v in bn.ids]
+        session = ReplSession(bn, io.StringIO())
+        sizes = []
+        for _ in range(300):
+            observed = [item.split("=", 1)[0] for item in session.items]
+            roll = rng.random()
+            if observed and roll < 0.25:
+                session.handle(f"retract {observed[int(rng.integers(0, len(observed)))]}")
+            elif roll < 0.55:
+                free = [n for n in names if n not in observed]
+                name = free[int(rng.integers(0, len(free)))]
+                labels = bn.variables[bn.id_of(name)].value_labels
+                session.handle(f"evidence {name}={labels[int(rng.integers(0, len(labels)))]}")
+            elif roll < 0.95:
+                picks = rng.choice(len(names), size=3, replace=False)
+                session.handle("query " + ",".join(names[int(i)] for i in picks))
+            else:
+                session.handle("reset")
+            sizes.append(len(session.session.store))
+        assert max(sizes) <= 2 * len(session.bp.edges)
+        assert max(sizes) > len(session.bp.edges)
 
     def test_query_on_evidence_variable(self):
         _, out = self._drive(["evidence D=d0|d1", "query D"])

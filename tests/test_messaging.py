@@ -6,7 +6,6 @@ import pytest
 
 from bordertree.errors import BordertreeError, NotSinglyConnectedError
 from bordertree.messaging import (
-    EdgeSides,
     Tree,
     UnionFind,
     build_hub_index,
@@ -141,18 +140,6 @@ class TestTreeIndex:
         for x, y in ((0, 5), (7, 3), (4, 8)):
             with pytest.raises(BordertreeError, match="disconnected"):
                 tree.path(x, y)
-
-    def test_edge_sides_equal_dfs_sides(self, rng):
-        # Items anchored at random nodes, several per node and none on some.
-        for tree in self.trees(rng):
-            n = len(tree.nodes)
-            anchored = [(tree.nodes[int(i)], k) for k, i in enumerate(rng.choice(n, size=n))]
-            sides = EdgeSides(tree.index, anchored)
-            for p, c in tree.edges:
-                for a, b in ((p, c), (c, p)):
-                    side = side_by_dfs(tree, a, b)
-                    want = sorted(k for v, k in anchored if v in side)
-                    assert sorted(sides.side(a, b)) == want
 
     def test_border_polytree_shares_one_tree_and_index(self, bp_c):
         tree = bp_c.tree()
