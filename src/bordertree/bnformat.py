@@ -18,6 +18,8 @@ contain ``,`` or ``=``, and a value label may not contain ``,`` or ``|``;
 
 from __future__ import annotations
 
+from typing import Iterable, Optional
+
 import numpy as np
 
 from .errors import BnFormatError, CycleError
@@ -164,9 +166,16 @@ def emit_network(bn: BayesianNetwork) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_evidence_items(items: list[str], bn: BayesianNetwork) -> EvidenceSet:
+def parse_evidence_items(
+    items: Iterable[tuple[Optional[int], str]], bn: BayesianNetwork
+) -> EvidenceSet:
+    """Evidence from ``(line, item)`` pairs; ``line`` is the item's 1-based
+    line number in an evidence file, or None.  Blank items are skipped, and
+    a variable named twice is rejected even if one item allows its full
+    range."""
     ev = EvidenceSet(bn)
-    for lineno, item in enumerate(items, start=1):
+    seen: set[int] = set()
+    for lineno, item in items:
         item = item.strip()
         if not item:
             continue
@@ -185,18 +194,21 @@ def parse_evidence_items(items: list[str], bn: BayesianNetwork) -> EvidenceSet:
             vals = {bn.label_index(var, p) for p in parts}
         except KeyError as e:
             raise BnFormatError(e.args[0], lineno) from None
-        if ev.allowed(var) is not None:
+        if var in seen:
             raise BnFormatError(f"duplicate evidence for {name!r}", lineno)
+        seen.add(var)
         ev.set(var, vals)
     return ev
 
 
 def parse_evidence(text: str, bn: BayesianNetwork) -> EvidenceSet:
-    """Comma-separated evidence string, e.g. ``H=h,K=k`` or ``X=a|b``."""
-    items = [s for s in text.split(",") if s.strip()]
-    return parse_evidence_items(items, bn)
+    """Comma-separated evidence string, e.g. ``H=h,K=k`` or ``X=a|b``; its
+    errors name no line."""
+    return parse_evidence_items(((None, s) for s in text.split(",")), bn)
 
 
 def parse_evidence_file(text: str, bn: BayesianNetwork) -> EvidenceSet:
-    items = [line.split("#", 1)[0] for line in text.splitlines()]
-    return parse_evidence_items(items, bn)
+    """One item per line; errors name the line, blank and comment lines
+    counted."""
+    lines = (line.split("#", 1)[0] for line in text.splitlines())
+    return parse_evidence_items(enumerate(lines, start=1), bn)

@@ -28,7 +28,6 @@ replays a forced promotion order there.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ from typing import Optional, Sequence
 from .errors import BordertreeError, NotSinglyConnectedError
 from .factor import Factor, contract
 from .messaging import Tree, UnionFind
-from .network import BayesianNetwork, reach
+from .network import BayesianNetwork, _kahn_order, reach
 
 
 # ---------------------------------------------------------------------------
@@ -89,18 +88,9 @@ class MacroPolytree:
 
     def topological_order(self) -> list[int]:
         """Macro indices parents first, least min-member first among the
-        ready; raises BordertreeError if the quotient has a directed cycle."""
-        indeg = [len(ps) for ps in self._parents]
-        ready = [(self.groups[g][:1], g) for g, d in enumerate(indeg) if d == 0]
-        heapq.heapify(ready)
-        order = []
-        while ready:
-            g = heapq.heappop(ready)[1]
-            order.append(g)
-            for gc in self._children[g]:
-                indeg[gc] -= 1
-                if indeg[gc] == 0:
-                    heapq.heappush(ready, (self.groups[gc][:1], gc))
+        ready (groups are ordered by min member, so least index first);
+        raises BordertreeError if the quotient has a directed cycle."""
+        order = _kahn_order(len(self.groups), self.group_parents, self.group_children)
         if len(order) != len(self.groups):
             raise BordertreeError("macro quotient graph is cyclic")
         return order

@@ -7,9 +7,12 @@ All output is deterministic for fixed inputs.
 
 ``query`` reads each engine through one answer call, (posteriors, Pr(e)):
 once with no evidence for the prior column, once with the evidence.
-``prior`` and the REPL's ``priors`` print the border polytree's answer with
-no evidence through one helper, and ``core`` and the REPL's ``core`` print
-border sets through one formatter.  ``core`` reads structure only
+``prior`` and the REPL's ``priors`` print an evidence-free border polytree
+session's posteriors through one helper, and ``core`` and the REPL's
+``core`` print border sets through one formatter.  The REPL is a thin
+shell over library objects: its evidence is its current session's
+``EvidenceSet``, which ``bnformat`` alone parses, and one evidence-free
+session answers its priors.  ``core`` reads structure only
 (:func:`~bordertree.messaging.component_cores`): it computes no prior and no
 message, and on a polytree it merges the cores of the components that hold
 evidence.  ``--evidence`` and ``--evidence-file`` exclude each other.
@@ -45,7 +48,7 @@ from .errors import (
 )
 from .factor import contract
 from .messaging import component_cores
-from .network import NO_EVIDENCE, BayesianNetwork, validate
+from .network import NO_EVIDENCE, BayesianNetwork, EvidenceSet, validate
 from .oracle import oracle_event_prob, oracle_posterior
 from .polytree import PolytreeEngine
 from .randgen import random_dag, random_polytree
@@ -149,22 +152,21 @@ def _dot(bp) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _prior_table(bp, queries, out) -> None:
-    """The prior marginals of ``queries``, as the border polytree answers
-    them with no evidence."""
-    bn = bp.source
-    priors, _ = bp_query(bp, NO_EVIDENCE, queries)
+def _prior_table(session, queries, out) -> None:
+    """The prior marginals of ``queries``, as an evidence-free border
+    polytree session answers them."""
+    bn = session.bn
     rows = [
         {"variable": bn.name_of(q), "value": label, "prior": _fmt_prob(p)}
         for q in queries
-        for label, p in zip(bn.variables[q].value_labels, priors[q].values)
+        for label, p in zip(bn.variables[q].value_labels, session.posterior(q)[1].values)
     ]
     _tsv(rows, ["variable", "value", "prior"], out)
 
 
 def cmd_prior(args, out):
     bn = _load(args.network)
-    _prior_table(_bp_for(bn), _parse_queries(args, bn), out)
+    _prior_table(BorderSession(_bp_for(bn)), _parse_queries(args, bn), out)
     return 0
 
 
@@ -333,25 +335,40 @@ REPL_HELP = """commands:
 
 
 class ReplSession:
-    """One network and the session of its current evidence.
+    """One network, the session of its current evidence, and one
+    evidence-free session.
 
-    ``evidence``, ``retract`` and ``reset`` move to a session for the new
-    evidence through :meth:`~bordertree.bp_infer.BorderSession.with_evidence`,
-    which keeps the messages the change left valid; ``query``, ``core`` and
-    ``status`` read the current session.  ``last_sent`` counts the messages
-    the last ``evidence``, ``retract``, ``query`` or ``core`` computed.
+    The current evidence is the current session's own
+    :class:`~bordertree.network.EvidenceSet`: ``evidence`` parses its
+    canonical form (``describe``) plus the new text, ``retract`` drops one
+    variable from a copy, and ``status`` prints it.  Each change moves to a
+    session for the new evidence through
+    :meth:`~bordertree.bp_infer.BorderSession.with_evidence`, which keeps
+    the messages the change left valid; ``reset`` returns to the
+    evidence-free session.  That session, built once, also answers every
+    prior (``query``'s prior column and ``priors``) and keeps its border
+    beliefs between steps.  ``last_sent`` counts the messages the last
+    ``evidence``, ``retract``, ``query`` or ``core`` computed.
     """
 
     def __init__(self, bn: BayesianNetwork, out):
         self.bn = bn
         self.out = out
         self.bp = _bp_for(bn)
-        self.items: list[str] = []
-        self.session = BorderSession(self.bp)
+        self.prior = self.session = BorderSession(self.bp, EvidenceSet(bn))
         self.last_sent = 0
 
-    def _evidence(self, items: list[str]):
-        return parse_evidence(",".join(items), self.bn) if items else NO_EVIDENCE
+    def _move_to(self, ev) -> None:
+        """Make the session for ``ev`` current, unless ``ev`` is impossible.
+        The candidate copies the messages it keeps, so a rejected one
+        leaves the current session as it was."""
+        session = self.session.with_evidence(ev)
+        pe = session.evidence_prob()
+        if pe <= 0.0:
+            raise ImpossibleEvidenceError("evidence has probability 0; session unchanged")
+        self.session = session
+        self.last_sent = session.sent
+        print(f"evidence_prob\t{_fmt_prob(pe)}", file=self.out)
 
     def handle(self, line: str) -> bool:
         tokens = line.strip().split(None, 1)
@@ -365,55 +382,38 @@ class ReplSession:
             elif verb == "help":
                 out.write(REPL_HELP)
             elif verb == "evidence":
-                candidate = self.items + [s for s in rest.split(",") if s.strip()]
-                # The candidate session copies the messages it keeps, so a
-                # rejected one leaves the current session as it was.
-                session = self.session.with_evidence(self._evidence(candidate))
-                pe = session.evidence_prob()
-                if pe <= 0.0:
-                    raise ImpossibleEvidenceError(
-                        "evidence has probability 0; session unchanged"
-                    )
-                self.items = candidate
-                self.session = session
-                self.last_sent = session.sent
-                print(f"evidence_prob\t{_fmt_prob(pe)}", file=out)
+                self._move_to(parse_evidence(f"{self.session.ev.describe()},{rest}", self.bn))
             elif verb == "retract":
-                name = rest.strip()
-                self.bn.id_of(name)
-                items = [s for s in self.items if s.split("=", 1)[0].strip() != name]
-                session = self.session.with_evidence(self._evidence(items))
-                self.items, self.session = items, session
-                self.last_sent = session.sent
-                print(f"evidence_prob\t{_fmt_prob(session.evidence_prob())}", file=out)
+                ev = self.session.ev.copy()
+                ev.retract(self.bn.id_of(rest.strip()))
+                self._move_to(ev)
             elif verb == "query":
                 queries = [self.bn.id_of(t.strip()) for t in rest.split(",") if t.strip()]
                 if not queries:
                     print("usage: query X[,Y]", file=out)
                     return True
                 session = self.session
-                priors, _ = _tables(*bp_query(self.bp, NO_EVIDENCE, queries))
+                priors = {q: self.prior.posterior(q)[1].values for q in queries}
                 sent = session.sent
                 posts = {q: session.posterior(q)[1].values for q in queries}
                 self.last_sent = session.sent - sent
                 rows = _posterior_rows(self.bn, queries, priors, posts)
                 _tsv(rows, ["variable", "value", "prior", "posterior", "log_ratio"], out)
             elif verb == "priors":
-                _prior_table(self.bp, self.bn.ids, out)
+                _prior_table(self.prior, self.bn.ids, out)
             elif verb == "core":
                 self.last_sent = 0  # the core is read, not computed
                 print(f"core\t{_border_sets(self.bp, sorted(self.session.core_nodes)) or '-'}", file=out)
             elif verb == "status":
                 session = self.session
-                print(f"evidence\t{','.join(self.items) or '-'}", file=out)
+                print(f"evidence\t{session.ev.describe() or '-'}", file=out)
                 print(f"core_borders\t{len(session.core_nodes)}", file=out)
                 pivots = ",".join(str(p) for p in session.pivots.values())
                 print(f"pivot\t{pivots or '-'}", file=out)
                 print(f"messages_sent_last\t{self.last_sent}", file=out)
                 print(f"cache_entries\t{len(session.store)}", file=out)
             elif verb == "reset":
-                self.items = []
-                self.session = self.session.with_evidence(NO_EVIDENCE)
+                self.session = self.prior
                 print("ok", file=out)
             else:
                 print(f"unknown command {verb!r}; try help", file=out)

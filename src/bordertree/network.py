@@ -26,6 +26,25 @@ def reach(seeds: Iterable[int], step: Callable[[int], Iterable[int]]) -> set[int
     return seen
 
 
+def _kahn_order(
+    n: int, parents: Callable[[int], Sequence[int]], children: Callable[[int], Iterable[int]]
+) -> list[int]:
+    """Nodes ``0..n-1`` parents first, the least first among the ready
+    (Kahn's algorithm with a min-heap).  On a directed cycle the order
+    stops short: the nodes left out are those on a cycle or below one."""
+    indeg = [len(parents(v)) for v in range(n)]
+    ready = [v for v in range(n) if indeg[v] == 0]  # ascending, so a heap
+    order: list[int] = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for c in children(v):
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                heapq.heappush(ready, c)
+    return order
+
+
 @dataclass(frozen=True)
 class Variable:
     id: int
@@ -175,24 +194,11 @@ class BayesianNetwork:
         return frozenset(out - xs - l)
 
     def topological_order(self) -> tuple[int, ...]:
-        """Kahn's algorithm with a min-heap: lowest id first among ready nodes."""
-        indeg = {v: len(self.parents[v]) for v in self.ids}
-        ready = [v for v in self.ids if indeg[v] == 0]
-        heapq.heapify(ready)
-        order: list[int] = []
-        while ready:
-            v = heapq.heappop(ready)
-            order.append(v)
-            for c in self.children(v):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    heapq.heappush(ready, c)
-        if len(order) != len(self.variables):
-            stuck = sorted(v for v in self.ids if indeg[v] > 0)
-            raise CycleError(
-                "directed cycle through "
-                + ", ".join(self.name_of(v) for v in stuck)
-            )
+        """Parents first, lowest id first among the ready nodes."""
+        order = _kahn_order(len(self), self.parents.__getitem__, self.children)
+        if len(order) != len(self):
+            stuck = sorted(set(self.ids).difference(order))
+            raise CycleError("directed cycle through " + ", ".join(self.name_of(v) for v in stuck))
         return tuple(order)
 
     def rank(self) -> dict[int, int]:

@@ -26,12 +26,12 @@ _joint_cache: "weakref.WeakKeyDictionary[BayesianNetwork, np.ndarray]" = (
 )
 
 
-def joint(bn: BayesianNetwork, cap: int = DEFAULT_CAP) -> np.ndarray:
+def joint(bn: BayesianNetwork) -> np.ndarray:
     """Full joint table, shape ``bn.cards``, axis i = variable i."""
     cards = bn.cards
     size = math.prod(cards)
-    if size > cap:
-        raise EnumerationCapError(f"joint table of {size} entries exceeds cap {cap}")
+    if size > DEFAULT_CAP:
+        raise EnumerationCapError(f"joint table of {size} entries exceeds cap {DEFAULT_CAP}")
     cached = _joint_cache.get(bn)
     if cached is not None:
         return cached
@@ -67,8 +67,8 @@ _restricted_cache: "weakref.WeakKeyDictionary[BayesianNetwork, dict]" = (
 )
 
 
-def restricted_joint(bn: BayesianNetwork, ev, cap: int = DEFAULT_CAP) -> np.ndarray:
-    table = joint(bn, cap)
+def restricted_joint(bn: BayesianNetwork, ev) -> np.ndarray:
+    table = joint(bn)
     m = _mask(bn, ev)
     if m is None:
         return table
@@ -83,25 +83,21 @@ def restricted_joint(bn: BayesianNetwork, ev, cap: int = DEFAULT_CAP) -> np.ndar
     return per_bn[key]
 
 
-def oracle_event_prob(bn: BayesianNetwork, ev, cap: int = DEFAULT_CAP) -> float:
-    return float(restricted_joint(bn, ev, cap).sum())
+def oracle_event_prob(bn: BayesianNetwork, ev) -> float:
+    return float(restricted_joint(bn, ev).sum())
 
 
-def oracle_marginal(
-    bn: BayesianNetwork, vars, ev=None, cap: int = DEFAULT_CAP
-) -> np.ndarray:
+def oracle_marginal(bn: BayesianNetwork, vars, ev=None) -> np.ndarray:
     """Unnormalized table over ``vars`` (sorted order): Pr{vars, [evidence]}."""
     keep = sorted(set(vars))
-    table = joint(bn, cap) if ev is None else restricted_joint(bn, ev, cap)
+    table = joint(bn) if ev is None else restricted_joint(bn, ev)
     drop = tuple(v for v in bn.ids if v not in keep)
     return table.sum(axis=drop) if drop else table
 
 
-def oracle_posterior(
-    bn: BayesianNetwork, ev, q: int, cap: int = DEFAULT_CAP
-) -> np.ndarray:
+def oracle_posterior(bn: BayesianNetwork, ev, q: int) -> np.ndarray:
     """Normalized Pr{q | [evidence]} as a 1-d array over q's values."""
-    dist = oracle_marginal(bn, [q], ev, cap)
+    dist = oracle_marginal(bn, [q], ev)
     s = dist.sum()
     if s <= 0.0:
         raise ImpossibleEvidenceError("evidence has probability 0")

@@ -1,7 +1,8 @@
-"""Built-in example networks used by the test-suite, docs and CLI demos.
+"""Networks from (name, cardinality, parent names) triples.
 
-Structures are fixed; conditional tables are sampled strictly positive from
-a seeded generator unless explicit tables are supplied.
+Conditional tables are sampled strictly positive from a seeded generator
+unless explicit tables are supplied; the random generators and the tests
+build their networks here.
 """
 
 from __future__ import annotations
@@ -58,111 +59,3 @@ def build_network(
             arr = positive_cpt(rng, cards, v, parents[v])
         tables[v] = Factor(scope, [cards[u] for u in scope], arr)
     return BayesianNetwork(variables, parents, tables)
-
-
-BN_A_SPEC: Spec = [
-    ("A", 2, []),
-    ("B", 2, []),
-    ("C", 2, ["A", "B"]),
-    ("D", 3, ["A", "B"]),
-    ("F", 2, ["A", "B"]),
-    ("G", 3, []),
-    ("H", 2, ["C", "D"]),
-    ("I", 2, ["D", "F"]),
-    ("J", 2, ["G", "H"]),
-    ("K", 2, ["H", "I"]),
-    ("L", 3, ["I"]),
-]
-
-
-def bn_a(seed: int = 7) -> BayesianNetwork:
-    """Eleven-node multiply connected example (three root couples feeding a
-    diamond of colliders)."""
-    return build_network(BN_A_SPEC, np.random.default_rng(seed))
-
-
-POLYTREE_B_SPEC: Spec = [
-    ("A", 2, []),
-    ("B", 3, ["A"]),
-    ("C", 2, ["L3"]),
-    ("D", 2, ["A", "C"]),
-    ("H", 3, ["C"]),
-    ("I", 2, ["M", "P"]),
-    ("J", 2, ["I"]),
-    ("K", 2, []),
-    ("L1", 2, ["J"]),
-    ("L3", 2, []),
-    ("L4", 2, ["H"]),
-    ("L9", 2, ["N"]),
-    ("L10", 3, ["N"]),
-    ("M", 2, ["D", "K"]),
-    ("N", 2, ["D", "R12"]),
-    ("P", 2, []),
-    ("R8", 3, ["L3"]),
-    ("R12", 2, []),
-]
-
-
-def polytree_b(seed: int = 11) -> BayesianNetwork:
-    """Eighteen-node polytree with two natural hubs (J and H)."""
-    return build_network(POLYTREE_B_SPEC, np.random.default_rng(seed))
-
-
-BN_C_SPEC: Spec = [
-    ("A", 2, []),
-    ("B", 2, ["A"]),
-    ("C", 2, ["A"]),
-    ("G", 2, []),
-    ("K", 2, []),
-    ("L", 2, ["K"]),
-    ("M", 2, ["S"]),
-    ("N", 2, ["L"]),
-    ("P", 2, ["M", "N", "Q"]),
-    ("Q", 2, ["M", "U"]),
-    ("D", 2, ["B"]),
-    ("F", 2, ["B", "C"]),
-    ("H", 2, ["D", "F"]),
-    ("O", 2, ["C", "G", "N"]),
-    ("R", 2, []),
-    ("S", 2, ["L", "R", "T"]),
-    ("T", 2, []),
-    ("U", 2, ["R"]),
-    ("V", 2, ["T"]),
-    ("X", 2, ["U", "V"]),
-    ("Y", 2, ["V"]),
-    ("Z", 2, ["X", "Y"]),
-    ("I", 2, ["F", "H"]),
-    ("J", 2, ["F", "O", "P"]),
-]
-
-
-def bn_c(seed: int = 13) -> BayesianNetwork:
-    """Twenty-four-node network with interlocking loops; its border polytree
-    exercises junction borders, cross-macro chain starts, and mid-chain
-    interface recording."""
-    return build_network(BN_C_SPEC, np.random.default_rng(seed))
-
-
-DYSPNOEA_SPEC: Spec = [
-    ("visit", 2, []),
-    ("smoking", 2, []),
-    ("tub", 2, ["visit"]),
-    ("lung", 2, ["smoking"]),
-    ("bronc", 2, ["smoking"]),
-    ("either", 2, ["tub", "lung"]),
-    ("xray", 2, ["either"]),
-    ("dysp", 2, ["either", "bronc"]),
-]
-
-
-def dyspnoea_shaped(seed: int = 17) -> BayesianNetwork:
-    """The classic eight-node chest-clinic shape with random tables."""
-    return build_network(DYSPNOEA_SPEC, np.random.default_rng(seed))
-
-
-def chain_ab() -> BayesianNetwork:
-    """Two-node chain with pinned numbers, handy for arithmetic checks."""
-    return build_network(
-        [("A", 2, []), ("B", 2, ["A"])],
-        cpts={"A": np.array([0.4, 0.6]), "B": np.array([[0.5, 0.5], [0.1, 0.9]])},
-    )

@@ -6,7 +6,7 @@ import pytest
 
 from bordertree import zoo
 from bordertree.border_chain import ChainStep, PassResult, build_chain, chain_posterior
-from bordertree.bnformat import parse_evidence
+from bordertree.bnformat import parse_evidence, parse_network
 from bordertree.bp_build import (
     _rule_for_forced,
     build_border_polytree,
@@ -97,19 +97,48 @@ def reference_chain(bn, forced_order=None) -> list[ChainStep]:
     return steps
 
 
+def load_fixture(name: str):
+    """The network in ``fixtures/<name>.bn``."""
+    with open(fixture_path(f"{name}.bn"), encoding="utf-8") as fh:
+        return parse_network(fh.read())
+
+
+def dyspnoea_shaped(seed: int = 17):
+    """The classic eight-node chest-clinic shape with random tables."""
+    spec = [
+        ("visit", 2, []),
+        ("smoking", 2, []),
+        ("tub", 2, ["visit"]),
+        ("lung", 2, ["smoking"]),
+        ("bronc", 2, ["smoking"]),
+        ("either", 2, ["tub", "lung"]),
+        ("xray", 2, ["either"]),
+        ("dysp", 2, ["either", "bronc"]),
+    ]
+    return zoo.build_network(spec, np.random.default_rng(seed))
+
+
+def chain_ab():
+    """Two-node chain with pinned numbers, handy for arithmetic checks."""
+    return zoo.build_network(
+        [("A", 2, []), ("B", 2, ["A"])],
+        cpts={"A": np.array([0.4, 0.6]), "B": np.array([[0.5, 0.5], [0.1, 0.9]])},
+    )
+
+
 @pytest.fixture(scope="session")
 def bn_a():
-    return zoo.bn_a()
+    return load_fixture("bn_a")
 
 
 @pytest.fixture(scope="session")
 def bn_c():
-    return zoo.bn_c()
+    return load_fixture("bn_c")
 
 
 @pytest.fixture(scope="session")
 def poly_b():
-    return zoo.polytree_b()
+    return load_fixture("polytree_b")
 
 
 @pytest.fixture(scope="session")

@@ -141,10 +141,10 @@ class TestEvidence:
     def test_unknown_names(self, bn_a):
         with pytest.raises(BnFormatError, match="unknown variable") as exc:
             parse_evidence("Z=z0", bn_a)
-        assert str(exc.value) == "line 1: unknown variable name 'Z'"
+        assert str(exc.value) == "unknown variable name 'Z'"
         with pytest.raises(BnFormatError, match="unknown value") as exc:
             parse_evidence("H=nope", bn_a)
-        assert str(exc.value) == "line 1: unknown value 'nope' for variable H"
+        assert str(exc.value) == "unknown value 'nope' for variable H"
 
     def test_malformed(self, bn_a):
         with pytest.raises(BnFormatError, match="X=label"):
@@ -153,6 +153,25 @@ class TestEvidence:
             parse_evidence("H=", bn_a)
         with pytest.raises(BnFormatError, match="duplicate evidence"):
             parse_evidence("H=h0,H=h1", bn_a)
+
+    def test_comma_form_names_no_line(self, bn_a):
+        with pytest.raises(BnFormatError) as exc:
+            parse_evidence("K=k1,H=h0,H=h1", bn_a)
+        assert str(exc.value) == "duplicate evidence for 'H'"
+        assert exc.value.line is None
+
+    def test_repeat_after_full_range_is_a_duplicate(self, bn_a):
+        # H=h0|h1 allows H's full range, which is not stored as evidence;
+        # naming H again is still a repeat.
+        with pytest.raises(BnFormatError, match="duplicate evidence for 'H'"):
+            parse_evidence("H=h0|h1,H=h0", bn_a)
+        with pytest.raises(BnFormatError, match="line 3: duplicate evidence for 'H'"):
+            parse_evidence_file("H=h0|h1\n\nH=h0\n", bn_a)
+
+    def test_file_errors_count_blank_and_comment_lines(self, bn_a):
+        with pytest.raises(BnFormatError) as exc:
+            parse_evidence_file("# obs\nH=h0\n\nK=nope\n", bn_a)
+        assert str(exc.value) == "line 4: unknown value 'nope' for variable K"
 
     def test_file_form_with_comments(self, bn_a):
         ev = parse_evidence_file("# obs\nH=h0\n\nK=k1  # second\n", bn_a)

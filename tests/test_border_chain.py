@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import reference_chain, reference_passes
+from conftest import dyspnoea_shaped, load_fixture, reference_chain, reference_passes
 
 from bordertree.border_chain import (
     build_chain,
@@ -199,10 +199,11 @@ class TestBuildChain:
 
 
 def _chain_corpus():
-    """The four zoo networks, the empty network (one empty border) and 900
-    seeded random networks: small DAGs, 10-30-node binary DAGs with up to
-    three parents, and polytrees."""
-    yield from (zoo.bn_a(), zoo.polytree_b(), zoo.bn_c(), zoo.dyspnoea_shaped())
+    """The three fixtures, the chest-clinic shape, the empty network (one
+    empty border) and 900 seeded random networks: small DAGs, 10-30-node
+    binary DAGs with up to three parents, and polytrees."""
+    yield from (load_fixture(name) for name in ("bn_a", "polytree_b", "bn_c"))
+    yield dyspnoea_shaped()
     yield zoo.build_network([])
     rng = np.random.default_rng(1204)
     for _ in range(300):

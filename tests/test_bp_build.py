@@ -20,13 +20,12 @@ from bordertree.bp_build import (
 from bordertree.bnformat import parse_evidence
 from bordertree.bp_infer import BorderSession, preload_priors
 from bordertree.border_chain import build_chain, chain_rows
-from bordertree.bnformat import parse_network
 from bordertree.messaging import UnionFind
 from bordertree.network import EvidenceSet
 from bordertree.randgen import random_dag, random_polytree
 from bordertree import zoo
 
-from conftest import fixture_path
+from conftest import chain_ab, dyspnoea_shaped, load_fixture
 
 
 def group_names(bn, mp):
@@ -289,9 +288,8 @@ class TestStage1MatchesReference:
 
     def test_fixtures_and_zoo(self):
         for name in ("bn_a", "polytree_b", "bn_c"):
-            with open(fixture_path(f"{name}.bn")) as fh:
-                self.check(parse_network(fh.read()))
-        for make in (zoo.bn_a, zoo.polytree_b, zoo.bn_c, zoo.dyspnoea_shaped, zoo.chain_ab):
+            self.check(load_fixture(name))
+        for make in (dyspnoea_shaped, chain_ab):
             self.check(make())
 
     def test_random_dags(self):
@@ -502,7 +500,7 @@ PINNED = {
 class TestPinnedFixtures:
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_border_rows_and_default_pivots(self, name):
-        bn = getattr(zoo, name)()
+        bn = load_fixture(name)
         bp = build_border_polytree(bn)
         preload_priors(bp)
         rows, pivots = PINNED[name]
@@ -519,7 +517,7 @@ class TestPinnedFixtures:
             ("bn_a", "H=h0,K=k1", 9, [9, 10]),
             ("bn_c", "B=b0,O=o1,Q=q0", 17, [14, 15, 16, 17]),
         ]:
-            bn = getattr(zoo, name)()
+            bn = load_fixture(name)
             bp = build_border_polytree(bn)
             preload_priors(bp)
             session = BorderSession(bp, parse_evidence(ev, bn))
@@ -532,7 +530,7 @@ class TestVerifyBp:
         assert not errors(bp_c)
 
     def test_dyspnoea_shape(self):
-        bn = zoo.dyspnoea_shaped()
+        bn = dyspnoea_shaped()
         bp = build_border_polytree(bn)
         assert verify_macro_polytree(bp.macro) == []
         assert not errors(bp)

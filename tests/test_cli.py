@@ -165,6 +165,12 @@ class TestQuery:
         _, inline = run("query", BN_A, "--evidence", "H=h0,K=k1", "--q", "A")
         assert via_file == inline
 
+    def test_repeated_evidence_names_no_line(self, capsys):
+        code, _ = run("query", BN_A, "--evidence", "H=h0,H=h1")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "parse error: duplicate evidence for 'H'\n"
+
     def test_soft_evidence_accepted(self):
         code, out = run("query", BN_A, "--evidence", "D=d0|d2", "--q", "L")
         assert code == 0
@@ -412,7 +418,7 @@ class TestRepl:
         session = ReplSession(bn, io.StringIO())
         sizes = []
         for _ in range(300):
-            observed = [item.split("=", 1)[0] for item in session.items]
+            observed = [bn.name_of(v) for v in session.session.ev.vars]
             roll = rng.random()
             if observed and roll < 0.25:
                 session.handle(f"retract {observed[int(rng.integers(0, len(observed)))]}")
@@ -450,7 +456,7 @@ class TestRepl:
         session = ReplSession(bn, out)
         session.handle("evidence B=t")
         assert "error" in out.getvalue()
-        assert session.items == []
+        assert not session.session.ev
         session.handle("query A")
         assert "A\tf\t1\t1" in out.getvalue()
 
@@ -458,9 +464,39 @@ class TestRepl:
         _, out = self._drive(["query ZZ", "evidence A=nope", "retract ZZ"])
         assert out.splitlines() == [
             "error: unknown variable name 'ZZ'",
-            "error: line 1: unknown value 'nope' for variable A",
+            "error: unknown value 'nope' for variable A",
             "error: unknown variable name 'ZZ'",
         ]
+
+    def test_repeated_observation_is_rejected_and_leaves_state(self):
+        session, out = self._drive(["evidence B=b0", "status", "evidence B=b1", "status"])
+        lines = out.splitlines()
+        assert lines[6] == "error: duplicate evidence for 'B'"
+        assert lines[1:6] == lines[7:12]  # the same status before and after
+        assert lines[1] == "evidence\tB=b0"
+
+    def test_status_prints_canonical_evidence(self):
+        session, out = self._drive(["evidence D=d2|d0, H = h1", "status"])
+        assert "evidence\tD=d0|d2,H=h1" in out.splitlines()
+
+    def test_priors_come_from_one_evidence_free_session(self, monkeypatch):
+        import bordertree.cli as cli
+
+        session = ReplSession(load(BN_C), io.StringIO())
+        prior = session.prior
+        built = []
+        real = cli.BorderSession.__init__
+
+        def spy(self, bp, ev=cli.NO_EVIDENCE, *args, **kwargs):
+            built.append(bool(ev))
+            real(self, bp, ev, *args, **kwargs)
+
+        monkeypatch.setattr(cli.BorderSession, "__init__", spy)
+        for line in ["query A", "evidence B=b0", "query A,O", "priors", "reset", "query Z"]:
+            session.handle(line)
+        assert built == [True]  # the one session for B=b0; no prior session
+        assert session.session is prior
+        assert not prior.store
 
     def test_unknown_command(self):
         _, out = self._drive(["frobnicate"])

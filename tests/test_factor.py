@@ -23,7 +23,6 @@ from bordertree.factor import (
     sum_out,
 )
 from bordertree.network import EvidenceSet
-from bordertree import zoo
 
 
 def loop_multiply(f: Factor, g: Factor) -> Factor:
@@ -598,11 +597,10 @@ class TestRestrict:
         f = bn_a.cpts[6]
         assert restrict(f, ev) is f
 
-    def test_soft_evidence_zeroes_rows(self):
-        bn = zoo.bn_a()
-        d = bn.id_of("D")  # cardinality 3
-        ev = EvidenceSet(bn, {d: {0, 1}})
-        f = bn.cpts[d]
+    def test_soft_evidence_zeroes_rows(self, bn_a):
+        d = bn_a.id_of("D")  # cardinality 3
+        ev = EvidenceSet(bn_a, {d: {0, 1}})
+        f = bn_a.cpts[d]
         r = restrict(f, ev)
         axis = f.scope.index(d)
         sl = [slice(None)] * len(f.scope)

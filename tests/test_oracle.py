@@ -15,6 +15,8 @@ from bordertree.oracle import (
 )
 from bordertree import zoo
 
+from conftest import chain_ab
+
 
 def test_single_root_joint_is_its_cpt():
     bn = zoo.build_network([("A", 3, [])], cpts={"A": np.array([0.2, 0.3, 0.5])})
@@ -22,7 +24,7 @@ def test_single_root_joint_is_its_cpt():
 
 
 def test_two_node_chain_joint():
-    bn = zoo.chain_ab()
+    bn = chain_ab()
     np.testing.assert_allclose(
         joint(bn), [[0.2, 0.2], [0.06, 0.54]], atol=1e-15
     )
@@ -107,4 +109,4 @@ def test_cap_enforced():
     with pytest.raises(EnumerationCapError):
         joint(bn)  # 4**13 > 2**24
     with pytest.raises(EnumerationCapError):
-        restricted_joint(bn, EvidenceSet(bn), cap=2**10)
+        restricted_joint(bn, EvidenceSet(bn))

@@ -15,8 +15,8 @@ from bordertree import zoo
 
 
 @pytest.fixture(scope="module")
-def engine(poly_b=None):
-    return PolytreeEngine(zoo.polytree_b())
+def engine(poly_b):
+    return PolytreeEngine(poly_b)
 
 
 def test_rejects_multiply_connected(bn_a):
