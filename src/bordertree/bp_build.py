@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 from .errors import BordertreeError, NotSinglyConnectedError
 from .factor import Factor, contract
 from .messaging import Tree, UnionFind
-from .network import BayesianNetwork, _kahn_order, reach
+from .network import BayesianNetwork, Diagnostic, _kahn_order, reach
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +263,7 @@ def verify_macro_polytree(mp: MacroPolytree) -> list[str]:
     except BordertreeError:
         problems.append("quotient digraph has a directed cycle")
     try:
-        Tree(range(len(mp.groups)), sorted(mp.edges))
+        Tree(len(mp.groups), sorted(mp.edges))
     except NotSinglyConnectedError:
         problems.append("quotient undirected graph has a cycle")
     for g, members in enumerate(mp.groups):
@@ -469,7 +469,7 @@ class BorderPolytree:
         then shared (with its structural index) by every session.  Raises
         NotSinglyConnectedError if the borders form an undirected loop."""
         if self._tree is None:
-            self._tree = Tree(range(len(self.borders)), self.edges)
+            self._tree = Tree(len(self.borders), self.edges)
         return self._tree
 
     def home_border(self, var: int) -> int:
@@ -694,21 +694,14 @@ def build_border_polytree(bn: BayesianNetwork) -> BorderPolytree:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BpDiagnostic:
-    severity: str  # "error" | "note"
-    code: str
-    message: str
-
-
-def verify_bp(bp: BorderPolytree) -> list[BpDiagnostic]:
-    out: list[BpDiagnostic] = []
+def verify_bp(bp: BorderPolytree) -> list[Diagnostic]:
+    out: list[Diagnostic] = []
     bn = bp.source
 
     try:
         tree = bp.tree()
     except NotSinglyConnectedError as e:
-        out.append(BpDiagnostic("error", "polytree", str(e)))
+        out.append(Diagnostic("error", "polytree", str(e)))
         tree = None
 
     # Running intersection: each variable's home borders form a connected
@@ -724,12 +717,12 @@ def verify_bp(bp: BorderPolytree) -> list[BpDiagnostic]:
             homes = bp.variable_home[v]
             if not homes:
                 out.append(
-                    BpDiagnostic("error", "coverage", f"{bn.name_of(v)} is in no border")
+                    Diagnostic("error", "coverage", f"{bn.name_of(v)} is in no border")
                 )
                 continue
             if inner[v] != len(homes) - 1:
                 out.append(
-                    BpDiagnostic(
+                    Diagnostic(
                         "error",
                         "running-intersection",
                         f"borders holding {bn.name_of(v)} are not connected",
@@ -746,7 +739,7 @@ def verify_bp(bp: BorderPolytree) -> list[BpDiagnostic]:
                 )
                 if not hc <= parent_members:
                     out.append(
-                        BpDiagnostic(
+                        Diagnostic(
                             "error",
                             "cohort-parents",
                             f"border {b.id}: cohort parents escape its parent border",
@@ -755,14 +748,14 @@ def verify_bp(bp: BorderPolytree) -> list[BpDiagnostic]:
         else:
             if frozenset().union(*b.carried) != b.members:
                 out.append(
-                    BpDiagnostic(
+                    Diagnostic(
                         "error", "junction", f"border {b.id}: members != union of carried sets"
                     )
                 )
             for pid, kept in zip(b.parents, b.carried):
                 if not kept <= bp.borders[pid].members:
                     out.append(
-                        BpDiagnostic(
+                        Diagnostic(
                             "error",
                             "junction",
                             f"border {b.id}: carried set escapes parent {pid}",
@@ -776,7 +769,7 @@ def verify_bp(bp: BorderPolytree) -> list[BpDiagnostic]:
             s = mp.interface(gp, gc)
             if not any(s <= b.members for b in bp.borders if b.owner == gp):
                 out.append(
-                    BpDiagnostic(
+                    Diagnostic(
                         "error",
                         "rule-11",
                         f"interface {bn.names(s)} of macros {gp}->{gc} never co-located",
@@ -792,7 +785,7 @@ def verify_bp(bp: BorderPolytree) -> list[BpDiagnostic]:
         for key, count in cross.items():
             if count > 1:
                 out.append(
-                    BpDiagnostic(
+                    Diagnostic(
                         "error",
                         "single-edge",
                         f"macros {sorted(key)} joined by {count} border edges",
@@ -806,7 +799,7 @@ def verify_bp(bp: BorderPolytree) -> list[BpDiagnostic]:
                     local = set(b.cohort) & set(members)
                     if local & recruited:
                         out.append(
-                            BpDiagnostic(
+                            Diagnostic(
                                 "error",
                                 "re-recruit",
                                 f"macro {g} recruits {bn.names(local & recruited)} twice",
@@ -817,7 +810,7 @@ def verify_bp(bp: BorderPolytree) -> list[BpDiagnostic]:
                 missing = set(members) - recruited
                 if missing:
                     out.append(
-                        BpDiagnostic(
+                        Diagnostic(
                             "error",
                             "coverage",
                             f"macro {g} never recruits {bn.names(missing)}",
@@ -825,7 +818,7 @@ def verify_bp(bp: BorderPolytree) -> list[BpDiagnostic]:
                     )
 
     out.append(
-        BpDiagnostic(
+        Diagnostic(
             "note",
             "family-preservation",
             "a border polytree need not keep a variable and all its parents in one border",

@@ -128,7 +128,7 @@ class BorderSession(TreeSession):
         old = self.ev
         changed = [v for v in {*old.vars, *ev.vars} if old.allowed(v) != ev.allowed(v)]
         homes = [self.bp.variable_home[v] for v in changed]
-        on_side = self.index.on_side
+        on_side = self.tree.on_side
         borders = self.bp.borders
 
         def behind(a: int, b: int) -> bool:

@@ -2,7 +2,8 @@
 
 Subcommands: validate, chain, build-bp, prior, query, repl, paths, core,
 gen.  Exit codes: 0 success, 1 domain error (impossible evidence,
-non-polytree input for polytree-only commands), 2 usage or parse error.
+non-polytree input for polytree-only commands), 2 usage or parse error, or
+a file that cannot be read or written.
 All output is deterministic for fixed inputs.
 
 ``query`` reads each engine through one answer call, (posteriors, Pr(e)):
@@ -54,17 +55,25 @@ from .polytree import PolytreeEngine
 from .randgen import random_dag, random_polytree
 
 
+def _read(path: str) -> str:
+    """The text of a network or evidence file; bytes that are not UTF-8
+    are a parse error that names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise BnFormatError(f"{path}: not UTF-8 text (byte {e.start})") from None
+
+
 def _load(path: str) -> BayesianNetwork:
-    with open(path, encoding="utf-8") as fh:
-        return parse_network(fh.read())
+    return parse_network(_read(path))
 
 
 def _evidence(args, bn):
     if getattr(args, "evidence", None):
         return parse_evidence(args.evidence, bn)
     if getattr(args, "evidence_file", None):
-        with open(args.evidence_file, encoding="utf-8") as fh:
-            return parse_evidence_file(fh.read(), bn)
+        return parse_evidence_file(_read(args.evidence_file), bn)
     return NO_EVIDENCE
 
 
@@ -218,12 +227,13 @@ def cmd_query(args, out):
     queries = _parse_queries(args, bn)
 
     # Each engine answers through one call, (posterior tables, Pr(e)); the
-    # prior column is its answer with no evidence.
+    # prior column is its answer with no evidence, whose probability is 1,
+    # so the oracle and the chain compute Pr(e) only for evidence.
     if args.engine == "oracle":
 
         def answer(evidence, pivot=None):
             posts = {q: oracle_posterior(bn, evidence, q) for q in queries}
-            return posts, oracle_event_prob(bn, evidence)
+            return posts, oracle_event_prob(bn, evidence) if evidence else 1.0
 
     elif args.engine == "chain":
         chain = build_chain(bn)
@@ -231,7 +241,7 @@ def cmd_query(args, out):
         def answer(evidence, pivot=None):
             passes = run_passes(chain, evidence)
             posts = {q: chain_posterior(chain, evidence, q, passes=passes)[1].values for q in queries}
-            return posts, contract([passes.pi[0], passes.lam[0]], ()).total()
+            return posts, contract([passes.pi[0], passes.lam[0]], ()).total() if evidence else 1.0
 
     elif args.engine == "polytree":
         engine = PolytreeEngine(bn)
@@ -263,6 +273,8 @@ def cmd_paths(args, out):
     bn = _load(args.network)
     engine = PolytreeEngine(bn)
     x, y = bn.id_of(args.frm), bn.id_of(args.to)
+    if engine.tree.comp[x] != engine.tree.comp[y]:
+        raise BordertreeError(f"{args.frm} and {args.to} are in different components: no path")
     path = engine.path(x, y)
     print("from\tto\tpath", file=out)
     print(
@@ -526,7 +538,7 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
     except (BnFormatError, CycleError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:  # a missing file, a directory, an unwritable --dot
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ImpossibleEvidenceError, NotSinglyConnectedError, BordertreeError) as e:

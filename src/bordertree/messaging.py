@@ -1,12 +1,14 @@
 """Singly connected tree machinery shared by the node and border engines.
 
-Every tree carries one structural index, built once by a single DFS the
-first time it is needed (a tree never changes after construction):
+A :class:`Tree` is built once per structure (a network, a border
+polytree), on nodes ``0..n-1``.  One iterative DFS in its constructor both
+checks that the undirected form is acyclic and builds the structural index:
 component ids, a parent pointer and depth per node of a rooted copy of each
 component, and Euler-tour entry/exit times (Tarjan & Vishkin 1985).  With
 it, the component of a node and the side test "is x on a's side of edge
 (a, b)?" cost O(1), and the path between two nodes costs O(path length), so
 per-message and per-query geometry no longer searches the whole tree.
+Every walk below reads the tree's own neighbour lists.
 
 Path finding also offers the hub method (pre-loaded hub-to-hub and
 node-to-hub paths, loops erased), with the index path as its fallback;
@@ -50,13 +52,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import BordertreeError, NotSinglyConnectedError
 from .factor import Factor, contract, normalize
 
-Node = Hashable
+Node = int  # trees number their nodes 0..n-1
 
 # The upward message of a side with no evidence.
 _VACUOUS = Factor.scalar(1.0)
@@ -86,34 +87,66 @@ class UnionFind:
 
 
 class Tree:
-    """Directed polytree: parent->child edges whose undirected form is acyclic."""
+    """Directed polytree on nodes ``0..n-1``: parent->child edges whose
+    undirected form is acyclic, with its structural index.
 
-    def __init__(self, nodes: Iterable[Node], edges: Iterable[tuple[Node, Node]]):
-        self.nodes = tuple(nodes)
+    ``parents``, ``children`` and ``neighbors`` (parents, then children)
+    are lists indexed by node.  The constructor's one DFS roots each
+    component at its least node, which is also its id, and fills, per
+    node, ``comp``, ``up`` (the rooted parent, None at a root), ``depth``
+    and the Euler-tour times ``tin``/``tout``, and ``members`` (component
+    id -> its nodes in DFS order).  ``tin`` numbers the nodes of the whole
+    forest in DFS pre-order, so the subtree of ``v`` is exactly the nodes
+    ``x`` with ``tin[v] <= tin[x] <= tout[v]``.  A tree never changes
+    after construction.
+    """
+
+    def __init__(self, n: int, edges: Iterable[tuple[Node, Node]]):
+        self.nodes = range(n)
         self.edges = tuple(edges)
-        node_set = set(self.nodes)
-        self.parents: dict[Node, list[Node]] = {n: [] for n in self.nodes}
-        self.children: dict[Node, list[Node]] = {n: [] for n in self.nodes}
-        seen = set()
+        parents: list[list[Node]] = [[] for _ in self.nodes]
+        children: list[list[Node]] = [[] for _ in self.nodes]
         for p, c in self.edges:
-            if p not in node_set or c not in node_set:
+            if p not in self.nodes or c not in self.nodes:
                 raise ValueError(f"edge ({p}, {c}) references unknown node")
-            key = frozenset((p, c))
-            if key in seen or p == c:
-                raise NotSinglyConnectedError("parallel edge or self-loop")
-            seen.add(key)
-            self.parents[c].append(p)
-            self.children[p].append(c)
-        self._check_acyclic()
-
-    def _check_acyclic(self):
-        linked = UnionFind()
-        for p, c in self.edges:
-            if not linked.union(p, c):
-                raise NotSinglyConnectedError(f"undirected cycle through {p!r}")
-
-    def neighbors(self, v: Node) -> list[Node]:
-        return [*self.parents[v], *self.children[v]]
+            parents[c].append(p)
+            children[p].append(c)
+        nbrs = [[*ps, *cs] for ps, cs in zip(parents, children)]
+        comp: list[Node] = [-1] * n
+        up: list[Optional[Node]] = [None] * n
+        depth = [0] * n
+        tin = [0] * n
+        members: dict[Node, tuple[Node, ...]] = {}
+        order: list[Node] = []
+        for root in self.nodes:
+            if comp[root] >= 0:
+                continue
+            start = len(order)
+            comp[root] = root
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                tin[v] = len(order)
+                order.append(v)
+                skip = up[v]
+                for u in nbrs[v]:
+                    if u == skip:  # the edge v was reached by, passed over once
+                        skip = None
+                    elif comp[u] >= 0:
+                        # A second way to reach u closes a cycle through v
+                        # (so do a parallel edge and a self-loop).
+                        raise NotSinglyConnectedError(f"undirected cycle through {v!r}")
+                    else:
+                        comp[u], up[u], depth[u] = root, v, depth[v] + 1
+                        stack.append(u)
+            members[root] = tuple(order[start:])
+        size = [1] * n
+        for v in reversed(order):
+            if up[v] is not None:
+                size[up[v]] += size[v]
+        self.parents, self.children, self.neighbors = parents, children, nbrs
+        self.comp, self.up, self.depth, self.members = comp, up, depth, members
+        self.tin, self.tout = tin, [t + s - 1 for t, s in zip(tin, size)]
 
     def has_edge(self, p: Node, c: Node) -> bool:
         return c in self.children[p]
@@ -126,7 +159,7 @@ class Tree:
         queue = deque([x])
         while queue:
             v = queue.popleft()
-            for u in self.neighbors(v):
+            for u in self.neighbors[v]:
                 if u in prev:
                     continue
                 prev[u] = v
@@ -143,82 +176,31 @@ class Tree:
         queue = deque([x])
         while queue:
             v = queue.popleft()
-            for u in self.neighbors(v):
+            for u in self.neighbors[v]:
                 if u not in out:
                     out.add(u)
                     queue.append(u)
         return out
 
-    @cached_property
-    def index(self) -> "TreeIndex":
-        """The structural index, built on first use and kept for the tree's life."""
-        return TreeIndex(self)
-
     def path(self, x: Node, y: Node) -> list[Node]:
-        """The unique undirected path, in O(path length); raises if x and y
-        are disconnected.  Same answer as :meth:`bfs_path`."""
-        return self.index.path(x, y)
-
-
-class TreeIndex:
-    """Component ids, rooted parent pointers, depths and Euler-tour times.
-
-    Each component is rooted at its least node, which is also its id.
-    ``tin`` numbers the nodes of the whole forest in DFS pre-order, so the
-    subtree of ``v`` is exactly the nodes ``x`` with
-    ``tin[v] <= tin[x] <= tout[v]``.
-    """
-
-    def __init__(self, tree: Tree):
-        comp: dict[Node, Node] = {}
-        parent: dict[Node, Optional[Node]] = {}
-        depth: dict[Node, int] = {}
-        tin: dict[Node, int] = {}
-        members: dict[Node, tuple[Node, ...]] = {}
-        order: list[Node] = []
-        for root in sorted(tree.nodes):
-            if root in comp:
-                continue
-            start = len(order)
-            comp[root], parent[root], depth[root] = root, None, 0
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                tin[v] = len(order)
-                order.append(v)
-                for u in tree.neighbors(v):
-                    if u not in comp:
-                        comp[u], parent[u], depth[u] = root, v, depth[v] + 1
-                        stack.append(u)
-            members[root] = tuple(order[start:])
-        size = dict.fromkeys(order, 1)
-        for v in reversed(order):
-            if parent[v] is not None:
-                size[parent[v]] += size[v]
-        self.comp = comp
-        self.parent = parent
-        self.depth = depth
-        self.tin = tin
-        self.tout = {v: tin[v] + size[v] - 1 for v in order}
-        self.members = members  # component id -> its nodes
-
-    def path(self, x: Node, y: Node) -> list[Node]:
-        """x ... y, by walking parent pointers up to the meeting point."""
+        """The unique undirected path x ... y, by walking ``up`` pointers to
+        the meeting point in O(path length); raises if x and y are
+        disconnected.  Same answer as :meth:`bfs_path`."""
         if self.comp[x] != self.comp[y]:
             raise BordertreeError(f"nodes {x!r} and {y!r} are disconnected")
-        parent, depth = self.parent, self.depth
+        up, depth = self.up, self.depth
         head: list[Node] = []
         tail: list[Node] = []
         while depth[x] > depth[y]:
             head.append(x)
-            x = parent[x]
+            x = up[x]
         while depth[y] > depth[x]:
             tail.append(y)
-            y = parent[y]
+            y = up[y]
         while x != y:
             head.append(x)
             tail.append(y)
-            x, y = parent[x], parent[y]
+            x, y = up[x], up[y]
         head.append(x)
         head.extend(reversed(tail))
         return head
@@ -229,7 +211,7 @@ class TreeIndex:
         ``(a, b)`` must be a tree edge, in either orientation.
         """
         tin, tout = self.tin, self.tout
-        if self.parent[a] == b:  # a's side is a's subtree
+        if self.up[a] == b:  # a's side is a's subtree
             return tin[a] <= tin[x] <= tout[a]
         # b is a's child: a's side is the component minus b's subtree
         return self.comp[x] == self.comp[a] and not tin[b] <= tin[x] <= tout[b]
@@ -248,17 +230,18 @@ def build_hub_index(tree: Tree, hubs: Optional[Sequence[Node]] = None) -> HubInd
     if hubs is None:
         chosen: list[Node] = []
         remaining = set(tree.nodes)
+        # Ordered by str, not by id: the fixtures' pinned hubs depend on it.
         while remaining:
             first = min(remaining, key=str)
-            comp = sorted(tree.index.members[tree.index.comp[first]], key=str)
+            comp = sorted(tree.members[tree.comp[first]], key=str)
             remaining -= set(comp)
             want = max(1, math.isqrt(len(comp)))
-            ranked = sorted(comp, key=lambda v: (-len(tree.neighbors(v)), str(v)))
+            ranked = sorted(comp, key=lambda v: (-len(tree.neighbors[v]), str(v)))
             picked: list[Node] = []
             for v in ranked:
                 if len(picked) >= want:
                     break
-                if any(v in tree.neighbors(h) for h in picked):
+                if any(v in tree.neighbors[h] for h in picked):
                     continue
                 picked.append(v)
             for v in ranked:  # fill if the spread constraint starved us
@@ -286,7 +269,7 @@ def build_hub_index(tree: Tree, hubs: Optional[Sequence[Node]] = None) -> HubInd
     while queue:
         v = queue.popleft()
         hub, path = nearest[v]
-        for u in tree.neighbors(v):
+        for u in tree.neighbors[v]:
             if u not in nearest:
                 nearest[u] = (hub, [u, *path])
                 queue.append(u)
@@ -373,31 +356,24 @@ def smallest_hitting_core(tree: Tree, groups: Sequence[Iterable[Node]]) -> Evide
     groups = [set(g) for g in groups if g]
     if not groups:
         raise ValueError("need at least one non-empty group")
-    index = tree.index
-    comp = index.comp[next(iter(groups[0]))]
-    for g in groups:
-        if any(index.comp[v] != comp for v in g):
-            raise BordertreeError("groups span multiple components")
+    comp = tree.comp
+    if len({comp[v] for g in groups for v in g}) > 1:
+        raise BordertreeError("groups span multiple components")
     common = set.intersection(*groups)
     if common:
         return _core_from_nodes(tree, {min(common)})
     anchor = next(iter(groups[0]))
     nodes = {anchor}
     for g in groups[1:]:
-        nodes.update(index.path(anchor, next(iter(g))))
-    adj: dict[Node, list[Node]] = {v: [] for v in nodes}
-    for v in nodes:
-        p = index.parent[v]
-        if p in nodes:
-            adj[v].append(p)
-            adj[p].append(v)
+        nodes.update(tree.path(anchor, next(iter(g))))
+    nbrs = tree.neighbors
     left = [0] * len(groups)  # nodes of each group still in the subtree
     holds: dict[Node, list[int]] = {}  # node -> the groups it belongs to
     for i, g in enumerate(groups):
         for v in g & nodes:
             left[i] += 1
             holds.setdefault(v, []).append(i)
-    deg = {v: len(adj[v]) for v in nodes}
+    deg = {v: sum(u in nodes for u in nbrs[v]) for v in nodes}
     queue = deque(v for v in nodes if deg[v] == 1)
     while queue:
         v = queue.popleft()
@@ -407,7 +383,7 @@ def smallest_hitting_core(tree: Tree, groups: Sequence[Iterable[Node]]) -> Evide
         nodes.discard(v)
         for i in mine:
             left[i] -= 1
-        for u in adj[v]:
+        for u in nbrs[v]:
             if u in nodes:
                 deg[u] -= 1
                 if deg[u] == 1:
@@ -422,20 +398,18 @@ def collection_schedule(
     edge, prerequisites (messages further from the pivot) always first."""
     if pivot not in core.nodes:
         raise BordertreeError(f"pivot {pivot!r} is outside the evidential core")
-    adj: dict[Node, list[Node]] = {v: [] for v in core.nodes}
-    for p, c in sorted(core.edges, key=lambda e: (str(e[0]), str(e[1]))):
-        adj[p].append(c)
-        adj[c].append(p)
+    nodes, nbrs = core.nodes, tree.neighbors
     sched = []
     seen = {pivot}
-    # Iterative DFS: a message leaves a node once all its subtrees are done.
-    stack = [(pivot, iter(adj[pivot]))]
+    # Iterative DFS over the core: a message leaves a node once all its
+    # subtrees are done.
+    stack = [(pivot, iter(nbrs[pivot]))]
     while stack:
         v, rest = stack[-1]
         for u in rest:
-            if u not in seen:
+            if u in nodes and u not in seen:
                 seen.add(u)
-                stack.append((u, iter(adj[u])))
+                stack.append((u, iter(nbrs[u])))
                 break
         else:
             stack.pop()
@@ -450,25 +424,24 @@ def distribution_schedule(
     """Walk from the unique gate of the connected informed set out to the
     target; the returned schedule informs every node along the way.
 
-    ``top`` is the informed node of least index depth, so the informed set
+    ``top`` is the informed node of least depth, so the informed set
     lies in its subtree.  Going up from the target, the first informed node
     is the gate.  A walk that reaches ``top``'s depth without meeting one
     is outside that subtree, and then the gate is ``top`` itself.  The
     cost is the length of the walk, not the size of the informed set."""
     if target in informed:
         return target, []
-    index = tree.index
-    parent, depth = index.parent, index.depth
+    up, depth = tree.up, tree.depth
     limit = depth[top]
     path = [target]  # target ... gate
     v = target
     while depth[v] > limit:
-        v = parent[v]
+        v = up[v]
         path.append(v)
         if v in informed:
             break
     else:
-        path = index.path(target, top)
+        path = tree.path(target, top)
     out_path = path[::-1]  # gate ... target
     return out_path[0], list(zip(out_path, out_path[1:]))
 
@@ -476,6 +449,7 @@ def distribution_schedule(
 def default_pivot(core: EvidentialCore, holding: Optional[Iterable[Node]] = None) -> Node:
     """Core root or leaf, preferring one that holds the first-listed
     evidence variable (``holding`` = the core nodes that contain it)."""
+    # Ordered by str, not by id: the fixtures' pinned pivots depend on it.
     rl = sorted(core.roots | core.leaves, key=str)
     if holding is not None:
         hits = [v for v in rl if v in set(holding)]
@@ -497,14 +471,13 @@ def component_cores(
     pivot is a core root or leaf (``default_pivot``).  This reads the tree
     only: no message is computed.
     """
-    index = tree.index
     by_comp: dict[Node, list[set]] = {}
     for g in groups:
-        by_comp.setdefault(index.comp[next(iter(g))], []).append(g)
+        by_comp.setdefault(tree.comp[next(iter(g))], []).append(g)
     if pivot is not None:
-        if pivot not in index.comp:
+        if pivot not in tree.nodes:  # a range test: -1 would index a list
             raise KeyError(f"pivot {pivot!r} is not a node of the tree")
-        by_comp.setdefault(index.comp[pivot], []).append({pivot})
+        by_comp.setdefault(tree.comp[pivot], []).append({pivot})
     out = {}
     for comp, gs in sorted(by_comp.items()):
         core = smallest_hitting_core(tree, gs)
@@ -551,7 +524,6 @@ class TreeSession:
         nodes that carry it; ``collection`` is the collection schedule.
         ``carried`` holds messages of an earlier session that are still
         valid under ``ev``; the session adds its own to that dict."""
-        self.index = tree.index
         self.tree = tree
         self.ev = ev
         self.store = {} if carried is None else carried
@@ -581,13 +553,13 @@ class TreeSession:
 
         The core of a's component is connected, so unless it holds a or b
         it lies wholly on one side, and its pivot tells which."""
-        comp = self.index.comp[a]
+        comp = self.tree.comp[a]
         core = self.cores.get(comp)
         if core is None:
             return False
         if a in core.nodes:
             return True
-        return b not in core.nodes and self.index.on_side(a, b, self.pivots[comp])
+        return b not in core.nodes and self.tree.on_side(a, b, self.pivots[comp])
 
     # -- edge messages ----------------------------------------------------------
 
@@ -631,11 +603,11 @@ class TreeSession:
         """Distribute to v from its component's gate (``distribution`` is
         the distribution schedule); a no-op in a component with no core,
         whose messages are all vacuous."""
-        comp = self.index.comp[v]
+        comp = self.tree.comp[v]
         informed = self.informed_in.get(comp)
         if not informed or v in informed:
             return
-        depth = self.index.depth
+        depth = self.tree.depth
         top = self._top[comp]
         _gate, sched = distribution(self.tree, informed, v, top)
         for src, dst in sched:

@@ -104,6 +104,7 @@ class BayesianNetwork:
                     raise ValueError(f"cpt cardinality mismatch at {self.name_of(u)}")
         self._children: dict[int, tuple[int, ...]] | None = None
         self._rank: dict[int, int] | None = None
+        self._tree: Tree | None = None
         self._by_name = {v.name: v.id for v in self.variables}
 
     # -- basic lookups ----------------------------------------------------
@@ -208,9 +209,11 @@ class BayesianNetwork:
         return self._rank
 
     def tree(self) -> Tree:
-        """Nodes and arcs as a :class:`Tree`; raises NotSinglyConnectedError
-        on an undirected cycle."""
-        return Tree(self.ids, [(p, v) for v in self.ids for p in self.parents[v]])
+        """Nodes and arcs as a :class:`Tree`, built on first use and then
+        shared; raises NotSinglyConnectedError on an undirected cycle."""
+        if self._tree is None:
+            self._tree = Tree(len(self), [(p, v) for v in self.ids for p in self.parents[v]])
+        return self._tree
 
     def is_singly_connected(self) -> bool:
         """True iff each connected component has no undirected cycle."""
@@ -226,7 +229,7 @@ class BayesianNetwork:
 
 @dataclass
 class Diagnostic:
-    severity: str  # "error" | "warning"
+    severity: str  # "error" | "warning" | "note"
     code: str
     message: str
     var: int | None = None  # the variable whose cpt it is about, if any

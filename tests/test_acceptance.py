@@ -227,7 +227,7 @@ def test_criterion_9_hub_path_oracle(poly_b):
         for i in range(1, n):
             other = int(rng.integers(0, i))
             edges.append((other, i) if rng.random() < 0.5 else (i, other))
-        tree = Tree(range(n), edges)
+        tree = Tree(n, edges)
         k = int(rng.integers(1, n + 1))
         hubs = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
         index = build_hub_index(tree, hubs=hubs)

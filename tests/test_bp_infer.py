@@ -265,7 +265,7 @@ def side_vars(bp, variables, a, b):
     A variable's home borders are connected (running intersection), so
     unless they hold a or b they lie wholly on one side, and any one of
     them tells which."""
-    on_side = bp.tree().index.on_side
+    on_side = bp.tree().on_side
     out = []
     for v in variables:
         homes = bp.variable_home[v]
@@ -378,7 +378,7 @@ class TestSideIndex:
         for k in range(12):
             bn = random_polytree(rng, 15, 30, 3) if k % 2 else forest(rng)
             engine = PolytreeEngine(bn)
-            on_side = engine.tree.index.on_side
+            on_side = engine.tree.on_side
             for _ in range(4):
                 ev = random_evidence(rng, bn, max_vars=20)
                 s = engine.session(ev)

@@ -16,6 +16,13 @@ from conftest import fixture_path
 BN_A = fixture_path("bn_a.bn")
 BN_C = fixture_path("bn_c.bn")
 POLY_B = fixture_path("polytree_b.bn")
+# A polytree in two components: A->B and C->D.
+TWO_COMPONENTS = (
+    "node A 2 a0 a1\nnode B 2 b0 b1\nnode C 2 c0 c1\nnode D 2 d0 d1\n"
+    "parents B A\nparents D C\n"
+    "cpt A 0.4 0.6\ncpt B 0.3 0.7 0.8 0.2\n"
+    "cpt C 0.5 0.5\ncpt D 0.1 0.9 0.6 0.4\n"
+)
 
 
 def run(*argv):
@@ -144,11 +151,33 @@ class TestQuery:
         assert code == 2 and out == ""
         assert "pivot 999" in capsys.readouterr().err
 
+    def test_negative_pivot_exit_2(self, capsys):
+        code, out = run("query", BN_C, "--evidence", "B=b0", "--pivot", "-1")
+        assert code == 2 and out == ""
+        assert "pivot -1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("engine", ["chain", "polytree", "oracle"])
     def test_pivot_with_another_engine_exit_2(self, engine, capsys):
         code, out = run("query", BN_C, "--evidence", "B=b0", "--engine", engine, "--pivot", "3")
         assert code == 2 and out == ""
         assert "--pivot" in capsys.readouterr().err
+
+    def test_oracle_sums_the_joint_for_the_evidence_only(self, monkeypatch):
+        # The prior column's Pr(e) is 1: no second pass over the joint.
+        import bordertree.cli as cli
+
+        calls = []
+
+        def spy(bn, ev):
+            calls.append(ev)
+            return oracle_event_prob(bn, ev)
+
+        monkeypatch.setattr(cli, "oracle_event_prob", spy)
+        code, _ = run("query", BN_A, "--evidence", "H=h0", "--q", "A", "--engine", "oracle")
+        assert code == 0 and len(calls) == 1
+        code, out = run("query", BN_A, "--q", "A", "--engine", "oracle")
+        assert code == 0 and len(calls) == 1
+        assert out.splitlines()[-1] == "evidence_prob\t1"
 
     def test_json_schema(self):
         code, out = run(
@@ -196,6 +225,30 @@ class TestOtherCommands:
         code, _ = run("validate", "no-such-file.bn")
         assert code == 2
 
+    def test_directory_as_network_exit_2(self, capsys):
+        code, _ = run("validate", os.path.dirname(BN_A))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_network_not_utf8_exit_2(self, tmp_path, capsys):
+        net = tmp_path / "latin.bn"
+        net.write_bytes(b"node A 2 a0 a1\n# \xff\ncpt A 0.5 0.5\n")
+        code, _ = run("validate", str(net))
+        assert code == 2
+        assert capsys.readouterr().err == f"parse error: {net}: not UTF-8 text (byte 17)\n"
+
+    def test_evidence_file_not_utf8_exit_2(self, tmp_path, capsys):
+        evf = tmp_path / "obs.txt"
+        evf.write_bytes(b"H=h0\n\xff\n")
+        code, out = run("query", BN_A, "--evidence-file", str(evf))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"parse error: {evf}: not UTF-8 text (byte 5)\n"
+
+    def test_dot_into_directory_exit_2(self, tmp_path, capsys):
+        code, _ = run("build-bp", BN_A, "--dot", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_prior_matches_oracle(self):
         bn = load(BN_A)
         code, out = run("prior", BN_A, "--q", "D")
@@ -209,6 +262,13 @@ class TestOtherCommands:
         assert code == 0
         assert out.strip().splitlines()[1].split("\t")[2] == "P-I-M-D-A"
 
+    def test_paths_between_components_names_both(self, tmp_path, capsys):
+        net = tmp_path / "two.bn"
+        net.write_text(TWO_COMPONENTS)
+        code, out = run("paths", str(net), "--from", "A", "--to", "C")
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == "error: A and C are in different components: no path\n"
+
     def test_paths_rejects_loopy_network(self):
         code, _ = run("paths", BN_A, "--from", "A", "--to", "L")
         assert code == 1
@@ -221,14 +281,9 @@ class TestOtherCommands:
         ],
     )
     def test_core_on_polytree_with_two_components(self, tmp_path, evidence, want):
-        # A->B and C->D: one core per component that holds evidence, merged.
+        # One core per component that holds evidence, merged.
         net = tmp_path / "two.bn"
-        net.write_text(
-            "node A 2 a0 a1\nnode B 2 b0 b1\nnode C 2 c0 c1\nnode D 2 d0 d1\n"
-            "parents B A\nparents D C\n"
-            "cpt A 0.4 0.6\ncpt B 0.3 0.7 0.8 0.2\n"
-            "cpt C 0.5 0.5\ncpt D 0.1 0.9 0.6 0.4\n"
-        )
+        net.write_text(TWO_COMPONENTS)
         code, out = run("core", str(net), "--evidence", evidence)
         assert code == 0
         assert out.splitlines() == ["kind\tnodes", *want]
@@ -283,12 +338,12 @@ class TestOtherCommands:
 
     def test_build_bp_exits_1_on_a_structural_error(self, monkeypatch):
         from bordertree import cli
-        from bordertree.bp_build import BpDiagnostic
+        from bordertree.network import Diagnostic
 
         def one_error(bp):
             return [
-                BpDiagnostic("note", "width", "ignored"),
-                BpDiagnostic("error", "running-intersection", "B split"),
+                Diagnostic("note", "width", "ignored"),
+                Diagnostic("error", "running-intersection", "B split"),
             ]
 
         monkeypatch.setattr(cli, "verify_bp", one_error)

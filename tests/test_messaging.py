@@ -22,7 +22,7 @@ from bordertree.randgen import random_polytree
 
 
 def tree_of(bn):
-    return Tree(bn.ids, [(p, v) for v in bn.ids for p in bn.parents[v]])
+    return Tree(len(bn), [(p, v) for v in bn.ids for p in bn.parents[v]])
 
 
 def random_tree(rng, n):
@@ -30,14 +30,14 @@ def random_tree(rng, n):
     for i in range(1, n):
         other = int(rng.integers(0, i))
         edges.append((other, i) if rng.random() < 0.5 else (i, other))
-    return Tree(range(n), edges)
+    return Tree(n, edges)
 
 
 def random_group(rng, tree, size):
     """A connected node set of up to ``size`` nodes, grown from a random node."""
     group = {int(rng.integers(0, len(tree.nodes)))}
     while len(group) < size:
-        rim = sorted({u for v in group for u in tree.neighbors(v)} - group)
+        rim = sorted({u for v in group for u in tree.neighbors[v]} - group)
         if not rim:
             break
         group.add(int(rng.choice(rim)))
@@ -70,11 +70,26 @@ def enumeration_core(tree, groups):
 class TestTree:
     def test_rejects_undirected_cycle(self):
         with pytest.raises(NotSinglyConnectedError):
-            Tree([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
+            Tree(3, [(0, 1), (1, 2), (0, 2)])
 
     def test_rejects_parallel_edge(self):
         with pytest.raises(NotSinglyConnectedError):
-            Tree([0, 1], [(0, 1), (1, 0)])
+            Tree(2, [(0, 1), (1, 0)])
+
+    @pytest.mark.parametrize("edges", [[(1, 1)], [(0, 1), (0, 1)]], ids=["self-loop", "repeated-edge"])
+    def test_rejects_self_loop_and_repeated_edge(self, edges):
+        with pytest.raises(NotSinglyConnectedError):
+            Tree(2, edges)
+
+    def test_cycle_error_names_a_node_on_the_cycle(self):
+        # 1-2-3-1 is the cycle; 0 and 4 hang off it.
+        with pytest.raises(NotSinglyConnectedError, match=r"through [123]$"):
+            Tree(5, [(0, 1), (1, 2), (2, 3), (3, 1), (4, 0)])
+
+    @pytest.mark.parametrize("edge", [(0, 2), (-1, 0), ("a", 0)])
+    def test_unknown_node_is_a_value_error(self, edge):
+        with pytest.raises(ValueError, match="unknown node"):
+            Tree(2, [edge])
 
     def test_union_find_reports_first_join_only(self):
         linked = UnionFind()
@@ -83,7 +98,7 @@ class TestTree:
         assert linked.find(0) == linked.find(3) != linked.find(4)
 
     def test_disconnected_pair(self):
-        t = Tree([0, 1, 2, 3], [(0, 1), (2, 3)])
+        t = Tree(4, [(0, 1), (2, 3)])
         with pytest.raises(BordertreeError, match="disconnected"):
             t.bfs_path(0, 3)
         assert t.component_of(0) == {0, 1}
@@ -91,7 +106,7 @@ class TestTree:
 
 def two_component_forest():
     # 0-1-2-3 with 1-4, and 5-6-7 with 6-8, as a directed forest
-    return Tree(range(9), [(1, 0), (1, 2), (3, 2), (4, 1), (5, 6), (6, 7), (8, 6)])
+    return Tree(9, [(1, 0), (1, 2), (3, 2), (4, 1), (5, 6), (6, 7), (8, 6)])
 
 
 def side_by_dfs(tree, a, b):
@@ -100,7 +115,7 @@ def side_by_dfs(tree, a, b):
     stack = [a]
     while stack:
         v = stack.pop()
-        for u in tree.neighbors(v):
+        for u in tree.neighbors[v]:
             if {v, u} != {a, b} and u not in seen:
                 seen.add(u)
                 stack.append(u)
@@ -117,7 +132,7 @@ class TestTreeIndex:
         for tree in self.trees(rng):
             for x in tree.nodes:
                 for y in tree.nodes:
-                    if tree.index.comp[x] == tree.index.comp[y]:
+                    if tree.comp[x] == tree.comp[y]:
                         assert tree.path(x, y) == tree.bfs_path(x, y)
 
     def test_side_test_equals_dfs(self, rng):
@@ -126,14 +141,21 @@ class TestTreeIndex:
                 for a, b in ((p, c), (c, p)):
                     side = side_by_dfs(tree, a, b)
                     for x in tree.nodes:
-                        assert tree.index.on_side(a, b, x) == (x in side)
+                        assert tree.on_side(a, b, x) == (x in side)
 
     def test_component_id_is_least_node(self, rng):
         for tree in self.trees(rng):
             for v in tree.nodes:
                 comp = tree.component_of(v)
-                assert tree.index.comp[v] == min(comp)
-                assert set(tree.index.members[min(comp)]) == comp
+                assert tree.comp[v] == min(comp)
+                assert set(tree.members[min(comp)]) == comp
+
+    def test_rooted_parent_and_depth_follow_bfs(self, rng):
+        for tree in self.trees(rng):
+            for v in tree.nodes:
+                path = tree.bfs_path(tree.comp[v], v)  # root ... v
+                assert tree.depth[v] == len(path) - 1
+                assert tree.up[v] == (path[-2] if len(path) > 1 else None)
 
     def test_disconnected_pair_raises(self):
         tree = two_component_forest()
@@ -143,7 +165,7 @@ class TestTreeIndex:
 
     def test_border_polytree_shares_one_tree_and_index(self, bp_c):
         tree = bp_c.tree()
-        assert bp_c.tree() is tree and tree.index is tree.index
+        assert bp_c.tree() is tree
 
 
 class TestHubPaths:
@@ -261,7 +283,7 @@ class TestCollectionSchedule:
             done = set()
             for src, dst in sched:
                 # every other core neighbor of the source has already sent
-                for nb in tree.neighbors(src):
+                for nb in tree.neighbors[src]:
                     if nb != dst and nb in core.nodes:
                         assert (nb, src) in done
                 done.add((src, dst))
@@ -274,8 +296,8 @@ class TestCollectionSchedule:
 
 
 def top_of(tree, informed):
-    """The informed node of least index depth."""
-    return min(informed, key=tree.index.depth.__getitem__)
+    """The informed node of least depth."""
+    return min(informed, key=tree.depth.__getitem__)
 
 
 class TestDistribution:
@@ -312,7 +334,7 @@ class TestDistribution:
                 stack = list(seen)
                 while stack:
                     v = stack.pop()
-                    for u in tree.neighbors(v):
+                    for u in tree.neighbors[v]:
                         if u in informed and u not in seen:
                             seen.add(u)
                             stack.append(u)
@@ -364,7 +386,7 @@ class TestHittingCore:
                 for _ in range(reach):
                     nxt = []
                     for v in frontier:
-                        for u in tree.neighbors(v):
+                        for u in tree.neighbors[v]:
                             if u in comp and u not in grp:
                                 grp.add(u)
                                 nxt.append(u)
@@ -380,7 +402,7 @@ class TestHittingCore:
                     stack = [combo[0]]
                     while stack:
                         v = stack.pop()
-                        for u in tree.neighbors(v):
+                        for u in tree.neighbors[v]:
                             if u in nodes and u not in seen:
                                 seen.add(u)
                                 stack.append(u)
@@ -405,12 +427,12 @@ class TestHittingCore:
     def test_common_node_is_least_id_past_4096_combinations(self):
         # 11**4 choices of one member per group: the least node id wins, as
         # in the enumeration, at any number of combinations.
-        tree = Tree(range(11), [(i, i + 1) for i in range(10)])
+        tree = Tree(11, [(i, i + 1) for i in range(10)])
         core = smallest_hitting_core(tree, [set(range(11))] * 4)
         assert core.nodes == {0}
 
     def test_groups_in_two_components_rejected(self):
-        tree = Tree(range(4), [(0, 1), (2, 3)])
+        tree = Tree(4, [(0, 1), (2, 3)])
         with pytest.raises(BordertreeError, match="components"):
             smallest_hitting_core(tree, [{0}, {3}])
 

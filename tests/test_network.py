@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from bordertree.bp_build import bottom_ancestors
-from bordertree.errors import CycleError
+from bordertree.errors import CycleError, NotSinglyConnectedError
 from bordertree.factor import Factor
 from bordertree.network import BayesianNetwork, EvidenceSet, validate
+from bordertree.polytree import PolytreeEngine
 from bordertree.randgen import random_dag
 from bordertree import zoo
 
@@ -137,6 +138,13 @@ class TestEvidenceSet:
         ev = EvidenceSet(bn_a, {3: {0, 2}, 0: {1}})
         assert ev.fingerprint() == ((0, (1,)), (3, (0, 2)))
         assert ev.fingerprint([3]) == ((3, (0, 2)),)
+
+
+def test_tree_is_built_once(bn_a, poly_b):
+    assert poly_b.tree() is poly_b.tree() is PolytreeEngine(poly_b).tree
+    for _ in range(2):  # a failure is not kept
+        with pytest.raises(NotSinglyConnectedError):
+            bn_a.tree()
 
 
 def test_is_singly_connected(bn_a, poly_b):
