@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .bp_build import BorderPolytree, MacroPolytree, _Stage2Builder
+from .bp_build import Border, BorderPolytree, MacroPolytree, _MacroStretcher
 from .bp_infer import BorderSession
 from .factor import Factor, contract, normalize
 from .network import NO_EVIDENCE, BayesianNetwork
@@ -64,12 +64,14 @@ def build_chain(
 
     ``forced_order`` replays a specific promotion sequence: entry 0 must be
     None (the initial fictitious step) and later entries name the promoted
-    variable of each step.  Stage II is reached through its builder, not
-    ``stage2``, so the benchmark's tracer counts these borders as the
-    chain's.
+    variable of each step.  Only a one-macro stretch replays an order.  The
+    stretch runs here rather than through ``stage2``, so the benchmark's
+    tracer, which wraps ``stage2``, counts these borders as the chain's.
     """
     mp = MacroPolytree([tuple(bn.ids)], dict.fromkeys(bn.ids, 0), frozenset(), bn)
-    view = _Stage2Builder(mp).run({0: forced_order})
+    borders: list[Border] = []
+    _MacroStretcher(mp, borders, {}, 0).run(forced_order)
+    view = BorderPolytree(borders, bn, mp)
     steps = [
         ChainStep(b.id, b.promoted, b.cohort, b.members, b.cohort_table, b.rule)
         for b in view.borders

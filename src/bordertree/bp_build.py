@@ -20,10 +20,14 @@ topological order, and adds only the cross-macro rules: cohorts never
 leave their macro, parent-side interface sets are kept co-located and
 recorded (their variables are blocked from promotion until then), and
 foreign parents are pulled in through one junction border per macro pair
-(whose interface counts toward a candidate's border size).  A border chain
-is stage II on one parentless macro-node holding the whole network
-(:func:`~bordertree.border_chain.build_chain`); the stretch loop also
-replays a forced promotion order there.
+(whose interface counts toward a candidate's border size).  The
+:class:`MacroPolytree` computes each quotient edge's interface once, in
+its constructor.  :func:`stage2` is one loop over the macros: each
+stretch appends to one shared border list and records, per quotient
+edge, the border that co-locates its interface.  A border chain is one
+such stretch of a parentless macro-node holding the whole network
+(:func:`~bordertree.border_chain.build_chain`), which may also replay a
+forced promotion order.
 """
 
 from __future__ import annotations
@@ -72,36 +76,30 @@ class MacroPolytree:
     source: BayesianNetwork
 
     def __post_init__(self):
-        parents: list[list[int]] = [[] for _ in self.groups]
-        children: list[list[int]] = [[] for _ in self.groups]
+        """Quotient parents and children per group (ascending), and each
+        quotient edge's interface: the members of gp that parent some
+        member of gc, keyed ``(gp, gc)``."""
+        self.parents: list[list[int]] = [[] for _ in self.groups]
+        self.children: list[list[int]] = [[] for _ in self.groups]
         for a, b in sorted(self.edges):
-            children[a].append(b)
-            parents[b].append(a)
-        self._parents = [tuple(ps) for ps in parents]
-        self._children = [tuple(cs) for cs in children]
-
-    def group_parents(self, g: int) -> tuple[int, ...]:
-        return self._parents[g]
-
-    def group_children(self, g: int) -> tuple[int, ...]:
-        return self._children[g]
+            self.children[a].append(b)
+            self.parents[b].append(a)
+        interfaces: dict[tuple[int, int], set[int]] = {}
+        for v, gc in self.membership.items():
+            for p in self.source.parents[v]:
+                gp = self.membership[p]
+                if gp != gc:
+                    interfaces.setdefault((gp, gc), set()).add(p)
+        self.interfaces = {key: frozenset(s) for key, s in interfaces.items()}
 
     def topological_order(self) -> list[int]:
         """Macro indices parents first, least min-member first among the
         ready (groups are ordered by min member, so least index first);
         raises BordertreeError if the quotient has a directed cycle."""
-        order = _kahn_order(len(self.groups), self.group_parents, self.group_children)
+        order = _kahn_order(len(self.groups), self.parents.__getitem__, self.children.__getitem__)
         if len(order) != len(self.groups):
             raise BordertreeError("macro quotient graph is cyclic")
         return order
-
-    def interface(self, gp: int, gc: int) -> frozenset[int]:
-        """Members of gp that parent some member of gc."""
-        child_members = set(self.groups[gc])
-        out = set()
-        for v in child_members:
-            out.update(p for p in self.source.parents[v] if self.membership[p] == gp)
-        return frozenset(out)
 
 
 class _Partition:
@@ -441,12 +439,7 @@ class Border:
 
 
 class BorderPolytree:
-    def __init__(
-        self,
-        borders: list[Border],
-        source: BayesianNetwork,
-        macro: Optional[MacroPolytree] = None,
-    ):
+    def __init__(self, borders: list[Border], source: BayesianNetwork, macro: MacroPolytree):
         self.borders = borders
         self.source = source
         self.macro = macro
@@ -498,33 +491,38 @@ class BorderPolytree:
 
 class _MacroStretcher:
     """Stretches one macro-node into borders: the promotion engine
-    (:func:`choose_next`) plus rules 9-13."""
+    (:func:`choose_next`) plus rules 9-13.  It appends to the shared
+    ``borders`` list and records, per quotient edge ``(g, gc)``, the border
+    that co-locates its interface in ``recorded``."""
 
-    def __init__(self, builder: "_Stage2Builder", g: int):
-        self.b = builder
-        self.bn = builder.bn
-        self.mp = builder.mp
+    def __init__(
+        self,
+        mp: MacroPolytree,
+        borders: list[Border],
+        recorded: dict[tuple[int, int], int],
+        g: int,
+    ):
+        self.bn = mp.source
+        self.mp = mp
+        self.borders = borders
+        self.recorded = recorded
         self.g = g
-        self.members = set(self.mp.groups[g])
+        self.members = set(mp.groups[g])
         self.bottom = set(self.members)
         self.tip: Optional[int] = None  # border id the chain continues from
         self.vars: frozenset[int] = frozenset()  # current border variables
-        # Interface sets this macro must co-locate for its child macros.
-        self.own_ifaces = {
-            gc: self.mp.interface(g, gc) for gc in self.mp.group_children(g)
-        }
+        # Child macro -> its interface, until a border co-locates it; the
+        # variables waiting here may not be promoted.
+        self.waiting = {gc: mp.interfaces[(g, gc)] for gc in mp.children[g]}
+        self.junctioned: set[int] = set()  # parent macros already junctioned
 
     # -- helpers ---------------------------------------------------------
 
-    def _blocked(self) -> frozenset[int]:
-        """Interface variables not yet co-located for their child macro."""
-        waiting = [s for gc, s in self.own_ifaces.items() if (self.g, gc) not in self.b.recorded]
-        return frozenset().union(*waiting)
-
     def _record_interfaces(self):
-        for gc, s in self.own_ifaces.items():
-            if (self.g, gc) not in self.b.recorded and s <= self.vars:
-                self.b.recorded[(self.g, gc)] = self.tip
+        for gc, s in list(self.waiting.items()):
+            if s <= self.vars:
+                self.recorded[(self.g, gc)] = self.tip
+                del self.waiting[gc]
 
     def _foreign_needed(self, cohort) -> list[int]:
         """Parent macros whose interface must be junctioned for this cohort."""
@@ -539,13 +537,13 @@ class _MacroStretcher:
                         f"cohort parent {self.bn.name_of(p)} lost from macro {self.g}"
                     )  # pragma: no cover - promotions recruit all local children
                 gps.add(gp)
-        return sorted(gps, key=lambda gp: self.b.recorded[(gp, self.g)])
+        return sorted(gps, key=lambda gp: self.recorded[(gp, self.g)])
 
     def _result_vars(self, border, promoted, cohort) -> frozenset[int]:
         """The border a promotion leaves, with any junctioned interfaces."""
         vars = set(border)
         for gp in self._foreign_needed(cohort):
-            vars |= self.mp.interface(gp, self.g)
+            vars |= self.mp.interfaces[(gp, self.g)]
         if promoted is not None:
             vars.discard(promoted)
         return frozenset(vars | set(cohort))
@@ -553,7 +551,7 @@ class _MacroStretcher:
     # -- border emission ---------------------------------------------------
 
     def _emit(self, border: Border):
-        self.b.borders.append(border)
+        self.borders.append(border)
         self.tip = border.id
         self.vars = border.members
         self._record_interfaces()
@@ -571,18 +569,17 @@ class _MacroStretcher:
             parent_ids.append(self.tip)
             carried.append(self.vars)
         for gp in gps:
-            if (gp, self.g) in self.b.junctioned:
+            if gp in self.junctioned:
                 raise BordertreeError(
                     f"macro pair ({gp},{self.g}) junctioned twice"
                 )  # pragma: no cover - single-edge invariant
-            rec = self.b.recorded[(gp, self.g)]
-            parent_ids.append(rec)
-            carried.append(self.mp.interface(gp, self.g))
-            self.b.junctioned.add((gp, self.g))
+            parent_ids.append(self.recorded[(gp, self.g)])
+            carried.append(self.mp.interfaces[(gp, self.g)])
+            self.junctioned.add(gp)
         if (
             self.tip is None
             and len(parent_ids) == 1
-            and carried[0] == self.b.borders[parent_ids[0]].members
+            and carried[0] == self.borders[parent_ids[0]].members
         ):
             self.tip = parent_ids[0]
             self.vars = carried[0]
@@ -590,7 +587,7 @@ class _MacroStretcher:
         members = frozenset().union(*carried)
         self._emit(
             Border(
-                id=len(self.b.borders),
+                id=len(self.borders),
                 members=members,
                 kind="type2",
                 owner=self.g,
@@ -602,7 +599,7 @@ class _MacroStretcher:
     def _emit_type1(self, promoted, cohort, rule=None):
         self._emit(
             Border(
-                id=len(self.b.borders),
+                id=len(self.borders),
                 members=next_border(self.vars, promoted, cohort),
                 kind="type1",
                 owner=self.g,
@@ -618,7 +615,7 @@ class _MacroStretcher:
     # -- main loop ---------------------------------------------------------
 
     def _start(self):
-        if not self.mp.group_parents(self.g):
+        if not self.mp.parents[self.g]:
             # Also the start of an empty network's chain: one empty border.
             self._emit_type1(None, initial_border(self.bn, self.members))
             return
@@ -642,14 +639,13 @@ class _MacroStretcher:
         if forced is not None and (not forced or forced[0] is not None):
             raise BordertreeError("forced order must start with the fictitious step")
         # A macro with no parent macro has no foreign interface to pull in.
-        result = self._result_vars if self.mp.group_parents(self.g) else next_border
+        result = self._result_vars if self.mp.parents[self.g] else next_border
         j = 0
         while self.bottom:
             j += 1
             if forced is None:
-                promoted, cohort, rule = choose_next(
-                    self.bn, self.vars, self.bottom, self._blocked(), result
-                )
+                blocked = frozenset().union(*self.waiting.values())
+                promoted, cohort, rule = choose_next(self.bn, self.vars, self.bottom, blocked, result)
             else:
                 if j >= len(forced):
                     raise BordertreeError("forced order ended before the chain completed")
@@ -665,24 +661,13 @@ class _MacroStretcher:
             raise BordertreeError("forced order longer than the completed chain")
 
 
-class _Stage2Builder:
-    def __init__(self, mp: MacroPolytree):
-        self.mp = mp
-        self.bn = mp.source
-        self.borders: list[Border] = []
-        self.recorded: dict[tuple[int, int], int] = {}
-        self.junctioned: set[tuple[int, int]] = set()
-
-    def run(self, forced: Optional[dict[int, Sequence[Optional[int]]]] = None) -> BorderPolytree:
-        """Stretch every macro; ``forced`` maps a macro index to the
-        promotion order to replay there."""
-        for g in self.mp.topological_order():
-            _MacroStretcher(self, g).run(forced.get(g) if forced else None)
-        return BorderPolytree(self.borders, self.bn, self.mp)
-
-
 def stage2(mp: MacroPolytree) -> BorderPolytree:
-    return _Stage2Builder(mp).run()
+    """Stretch every macro in quotient topological order."""
+    borders: list[Border] = []
+    recorded: dict[tuple[int, int], int] = {}
+    for g in mp.topological_order():
+        _MacroStretcher(mp, borders, recorded, g).run()
+    return BorderPolytree(borders, mp.source, mp)
 
 
 def build_border_polytree(bn: BayesianNetwork) -> BorderPolytree:
@@ -762,60 +747,53 @@ def verify_bp(bp: BorderPolytree) -> list[Diagnostic]:
                         )
                     )
 
-    if bp.macro is not None:
-        mp = bp.macro
-        # Rule 11: each interface co-located in one border of the parent macro.
-        for (gp, gc) in mp.edges:
-            s = mp.interface(gp, gc)
-            if not any(s <= b.members for b in bp.borders if b.owner == gp):
-                out.append(
-                    Diagnostic(
-                        "error",
-                        "rule-11",
-                        f"interface {bn.names(s)} of macros {gp}->{gc} never co-located",
-                    )
+    mp = bp.macro
+    # Rule 11: each interface co-located in one border of the parent macro.
+    for (gp, gc), s in mp.interfaces.items():
+        if not any(s <= b.members for b in bp.borders if b.owner == gp):
+            out.append(
+                Diagnostic(
+                    "error",
+                    "rule-11",
+                    f"interface {bn.names(s)} of macros {gp}->{gc} never co-located",
                 )
-        # At most one border edge between any two macros.
-        cross: dict[frozenset[int], int] = {}
-        for p, c in bp.edges:
-            a, b_ = bp.borders[p].owner, bp.borders[c].owner
-            if a != b_:
-                key = frozenset((a, b_))
-                cross[key] = cross.get(key, 0) + 1
-        for key, count in cross.items():
-            if count > 1:
-                out.append(
-                    Diagnostic(
-                        "error",
-                        "single-edge",
-                        f"macros {sorted(key)} joined by {count} border edges",
-                    )
+            )
+    # At most one border edge between any two macros.
+    cross: dict[frozenset[int], int] = {}
+    for p, c in bp.edges:
+        a, b_ = bp.borders[p].owner, bp.borders[c].owner
+        if a != b_:
+            key = frozenset((a, b_))
+            cross[key] = cross.get(key, 0) + 1
+    for key, count in cross.items():
+        if count > 1:
+            out.append(
+                Diagnostic(
+                    "error",
+                    "single-edge",
+                    f"macros {sorted(key)} joined by {count} border edges",
                 )
-        # Cohorts inside a macro partition its variables.
-        for g, members in enumerate(mp.groups):
-            recruited: set[int] = set()
-            for b in bp.borders:
-                if b.owner == g and b.kind == "type1":
-                    local = set(b.cohort) & set(members)
-                    if local & recruited:
-                        out.append(
-                            Diagnostic(
-                                "error",
-                                "re-recruit",
-                                f"macro {g} recruits {bn.names(local & recruited)} twice",
-                            )
-                        )
-                    recruited |= local
-            if recruited != set(members):
-                missing = set(members) - recruited
-                if missing:
+            )
+    # Cohorts inside a macro partition its variables.
+    for g, members in enumerate(mp.groups):
+        recruited: set[int] = set()
+        for b in bp.borders:
+            if b.owner == g and b.kind == "type1":
+                local = set(b.cohort) & set(members)
+                if local & recruited:
                     out.append(
                         Diagnostic(
                             "error",
-                            "coverage",
-                            f"macro {g} never recruits {bn.names(missing)}",
+                            "re-recruit",
+                            f"macro {g} recruits {bn.names(local & recruited)} twice",
                         )
                     )
+                recruited |= local
+        missing = set(members) - recruited
+        if missing:
+            out.append(
+                Diagnostic("error", "coverage", f"macro {g} never recruits {bn.names(missing)}")
+            )
 
     out.append(
         Diagnostic(

@@ -16,7 +16,8 @@ shell over library objects: its evidence is its current session's
 session answers its priors.  ``core`` reads structure only
 (:func:`~bordertree.messaging.component_cores`): it computes no prior and no
 message, and on a polytree it merges the cores of the components that hold
-evidence.  ``--evidence`` and ``--evidence-file`` exclude each other.
+evidence.  ``paths`` reads structure only too: the network's tree and a hub
+index over it.  ``--evidence`` and ``--evidence-file`` exclude each other.
 """
 
 from __future__ import annotations
@@ -48,21 +49,23 @@ from .errors import (
     NotSinglyConnectedError,
 )
 from .factor import contract
-from .messaging import component_cores
+from .messaging import build_hub_index, component_cores, tree_path
 from .network import NO_EVIDENCE, BayesianNetwork, EvidenceSet, validate
 from .oracle import oracle_event_prob, oracle_posterior
-from .polytree import PolytreeEngine
+from .polytree import PolytreeEngine, _node_tree
 from .randgen import random_dag, random_polytree
 
 
 def _read(path: str) -> str:
-    """The text of a network or evidence file; bytes that are not UTF-8
-    are a parse error that names the file."""
+    """The text of a network or evidence file, without a leading
+    byte-order mark; bytes that are not UTF-8 are a parse error that names
+    the file and their offset in it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except UnicodeDecodeError as e:
         raise BnFormatError(f"{path}: not UTF-8 text (byte {e.start})") from None
+    return text.removeprefix("\ufeff")
 
 
 def _load(path: str) -> BayesianNetwork:
@@ -271,11 +274,12 @@ def cmd_query(args, out):
 
 def cmd_paths(args, out):
     bn = _load(args.network)
-    engine = PolytreeEngine(bn)
+    # Paths read structure only: no prior or message is computed.
+    tree = _node_tree(bn)
     x, y = bn.id_of(args.frm), bn.id_of(args.to)
-    if engine.tree.comp[x] != engine.tree.comp[y]:
+    if tree.comp[x] != tree.comp[y]:
         raise BordertreeError(f"{args.frm} and {args.to} are in different components: no path")
-    path = engine.path(x, y)
+    path = tree_path(tree, build_hub_index(tree), x, y)
     print("from\tto\tpath", file=out)
     print(
         f"{bn.name_of(x)}\t{bn.name_of(y)}\t" + "-".join(bn.name_of(v) for v in path),

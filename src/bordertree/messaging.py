@@ -16,9 +16,11 @@ plain BFS (:meth:`Tree.bfs_path`, :meth:`Tree.component_of`) stays as the
 reference the index is tested against.
 
 An evidential core is the smallest subtree meeting every group of nodes
-(:func:`smallest_hitting_core`): the home borders of each evidence
-variable for the border engine, one node per evidence variable for the
-node engine (:func:`evidential_core`).  Groups must be connected, as
+(:func:`smallest_hitting_core`, which both engines reach through
+:func:`component_cores`): the home borders of each evidence variable for
+the border engine, one node per evidence variable for the node engine.
+:func:`evidential_core`, the one-node-per-group form, serves the tests and
+the benchmark's tracer.  Groups must be connected, as
 running intersection makes home sets; then one linear leaf-pruning pass
 finds the unique minimum, or the least node common to every group.
 Collection schedules orient core edges toward a pivot, and distribution

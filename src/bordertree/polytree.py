@@ -19,19 +19,11 @@ evidence is fixed.  Restricted tables are built once per session.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import NotSinglyConnectedError
 from .factor import Factor, contract, restrict
-from .messaging import (
-    HubIndex,
-    TreeSession,
-    build_hub_index,
-    collection_schedule,
-    distribution_schedule,
-    tree_path,
-)
+from .messaging import Tree, TreeSession, collection_schedule, distribution_schedule
 from .network import NO_EVIDENCE, BayesianNetwork
 
 
@@ -44,25 +36,22 @@ def node_priors(bn: BayesianNetwork) -> dict[int, Factor]:
     return priors
 
 
+def _node_tree(bn: BayesianNetwork) -> Tree:
+    """``bn.tree()``, whose undirected-loop error points to the border
+    polytree engine."""
+    try:
+        return bn.tree()
+    except NotSinglyConnectedError:
+        raise NotSinglyConnectedError(
+            "network has an undirected loop; use the border polytree engine"
+        ) from None
+
+
 class PolytreeEngine:
-    def __init__(self, bn: BayesianNetwork, hubs: Optional[Iterable[int]] = None):
-        try:
-            self.tree = bn.tree()
-        except NotSinglyConnectedError:
-            raise NotSinglyConnectedError(
-                "network has an undirected loop; use the border polytree engine"
-            ) from None
+    def __init__(self, bn: BayesianNetwork):
+        self.tree = _node_tree(bn)
         self.bn = bn
-        self._hubs = None if hubs is None else tuple(hubs)
         self.priors = node_priors(bn)
-
-    @cached_property
-    def hub_index(self) -> HubIndex:
-        """Hub paths for :meth:`path`, built on first use: queries never read them."""
-        return build_hub_index(self.tree, self._hubs)
-
-    def path(self, x: int, y: int) -> list[int]:
-        return tree_path(self.tree, self.hub_index, x, y)
 
     def session(self, ev=NO_EVIDENCE, pivot: Optional[int] = None) -> "PolytreeSession":
         return PolytreeSession(self, ev, pivot)

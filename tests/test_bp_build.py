@@ -276,6 +276,23 @@ class TestStage1:
             mp = stage1(bn)
             assert verify_macro_polytree(mp) == []
 
+    def test_interface_table_matches_per_pair_scan(self):
+        def scan(mp, gp, gc):
+            """Members of gp that parent some member of gc."""
+            out = set()
+            for v in mp.groups[gc]:
+                out.update(p for p in mp.source.parents[v] if mp.membership[p] == gp)
+            return frozenset(out)
+
+        rng = np.random.default_rng(11)
+        nets = [load_fixture(name) for name in ("bn_a", "polytree_b", "bn_c")]
+        nets += [random_dag(rng, 3, 16, 3) for _ in range(200)]
+        for bn in nets:
+            mp = stage1(bn)
+            assert set(mp.interfaces) == mp.edges
+            for (gp, gc), s in mp.interfaces.items():
+                assert s == scan(mp, gp, gc)
+
 
 class TestStage1MatchesReference:
     """Stage I's groups, membership and quotient edges equal the reference's

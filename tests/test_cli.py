@@ -244,6 +244,22 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"parse error: {evf}: not UTF-8 text (byte 5)\n"
 
+    def test_network_with_byte_order_mark(self, tmp_path, capsys):
+        net = tmp_path / "bom.bn"
+        with open(BN_A, "rb") as fh:
+            net.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        assert run("query", str(net)) == run("query", BN_A)
+        # A bad byte is still reported at its offset in the file.
+        net.write_bytes(b"\xef\xbb\xbfnode A 2 a0 a1\n# \xff\ncpt A 0.5 0.5\n")
+        assert run("validate", str(net)) == (2, "")
+        assert capsys.readouterr().err == f"parse error: {net}: not UTF-8 text (byte 20)\n"
+
+    def test_evidence_file_with_byte_order_mark(self, tmp_path):
+        evf = tmp_path / "obs.txt"
+        evf.write_bytes(b"\xef\xbb\xbfH=h0\nK=k1\n")
+        via_file = run("query", BN_A, "--evidence-file", str(evf))
+        assert via_file == run("query", BN_A, "--evidence", "H=h0,K=k1")
+
     def test_dot_into_directory_exit_2(self, tmp_path, capsys):
         code, _ = run("build-bp", BN_A, "--dot", str(tmp_path))
         assert code == 2
@@ -269,9 +285,21 @@ class TestOtherCommands:
         assert code == 1 and out == ""
         assert capsys.readouterr().err == "error: A and C are in different components: no path\n"
 
-    def test_paths_rejects_loopy_network(self):
+    def test_paths_rejects_loopy_network(self, capsys):
         code, _ = run("paths", BN_A, "--from", "A", "--to", "L")
         assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: network has an undirected loop; use the border polytree engine\n"
+
+    def test_paths_computes_no_prior(self, monkeypatch):
+        # A path is structure: `paths` must not depend on table sizes.
+        from bordertree import polytree
+
+        calls = []
+        monkeypatch.setattr(polytree, "node_priors", lambda bn: calls.append(bn))
+        code, out = run("paths", POLY_B, "--from", "P", "--to", "A")
+        assert code == 0 and out.startswith("from\t")
+        assert calls == []
 
     @pytest.mark.parametrize(
         "evidence,want",

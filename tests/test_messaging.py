@@ -16,8 +16,6 @@ from bordertree.messaging import (
     smallest_hitting_core,
     tree_path,
 )
-from bordertree.network import EvidenceSet
-from bordertree.polytree import PolytreeEngine
 from bordertree.randgen import random_polytree
 
 
@@ -170,8 +168,9 @@ class TestTreeIndex:
 
 class TestHubPaths:
     def test_fixture_path(self, poly_b):
-        eng = PolytreeEngine(poly_b, hubs=[poly_b.id_of("J"), poly_b.id_of("H")])
-        path = eng.path(poly_b.id_of("P"), poly_b.id_of("A"))
+        tree = tree_of(poly_b)
+        index = build_hub_index(tree, hubs=[poly_b.id_of("J"), poly_b.id_of("H")])
+        path = tree_path(tree, index, poly_b.id_of("P"), poly_b.id_of("A"))
         assert [poly_b.name_of(v) for v in path] == ["P", "I", "M", "D", "A"]
 
     def test_hub_to_hub_preload(self, poly_b):
@@ -181,17 +180,10 @@ class TestHubPaths:
         between = index.hub_paths[(j, h)]
         assert [poly_b.name_of(v) for v in between] == ["I", "M", "D", "C"]
 
-    def test_index_is_built_on_first_path(self, poly_b):
-        eng = PolytreeEngine(poly_b, hubs=[poly_b.id_of("J"), poly_b.id_of("H")])
-        eng.query(EvidenceSet(poly_b, {poly_b.id_of("B"): {1}}))
-        assert "hub_index" not in vars(eng)
-        eng.path(poly_b.id_of("P"), poly_b.id_of("A"))
-        assert eng.hub_index.hubs == (poly_b.id_of("J"), poly_b.id_of("H"))
-
     def test_path_to_self(self, poly_b):
-        eng = PolytreeEngine(poly_b)
+        tree = tree_of(poly_b)
         x = poly_b.id_of("D")
-        assert eng.path(x, x) == [x]
+        assert tree_path(tree, build_hub_index(tree), x, x) == [x]
 
     def test_random_polytrees_match_bfs(self, rng):
         for _ in range(60):
