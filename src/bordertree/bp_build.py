@@ -16,7 +16,10 @@ the growing blob during repair.  One search from that macro
 Stage II stretches each macro-node with the border algorithm's promotion
 engine (rules 1-6, the initial-border search and the state-space
 tie-break; :func:`choose_next`, :func:`initial_border`), in the macro
-topological order, and adds only the cross-macro rules: cohorts never
+topological order.  A promotion step finds each border variable's rule
+once (:func:`_promotion_rule`, shared by choosing and forced-order
+replay); only replay takes rule 6 and adds its bottom ancestors to the
+cohort.  Stage II adds only the cross-macro rules: cohorts never
 leave their macro, parent-side interface sets are kept co-located and
 recorded (their variables are blocked from promotion until then), and
 foreign parents are pulled in through one junction border per macro pair
@@ -282,13 +285,6 @@ def verify_macro_polytree(mp: MacroPolytree) -> list[str]:
 # would pull in).
 
 
-def _co_parents(bn: BayesianNetwork, xs, members) -> frozenset[int]:
-    """``bn.set_co_parents(xs)`` in the subgraph induced by ``members``."""
-    h = {p for v in xs for p in bn.parents[v] if p in members} - xs
-    kids = {c for v in xs for c in bn.children(v) if c in members} - xs - h
-    return frozenset({p for c in kids for p in bn.parents[c] if p in members} - xs - kids)
-
-
 def initial_border(bn: BayesianNetwork, members=None) -> frozenset[int]:
     """A set of roots to start a chain, co-parentless whenever one exists.
 
@@ -309,7 +305,7 @@ def initial_border(bn: BayesianNetwork, members=None) -> frozenset[int]:
         seen: set[frozenset[int]] = set()
         while current not in seen:
             seen.add(current)
-            cops = _co_parents(bn, current, members)
+            cops = bn.set_co_parents(current, members)
             if not cops:
                 return current
             root_cops = cops & roots
@@ -321,7 +317,7 @@ def initial_border(bn: BayesianNetwork, members=None) -> frozenset[int]:
     if len(roots) <= 16:
         for k in range(1, len(roots) + 1):
             for combo in combinations(sorted(roots), k):
-                if not _co_parents(bn, frozenset(combo), members):
+                if not bn.set_co_parents(combo, members):
                     return frozenset(combo)
     return roots
 
@@ -330,37 +326,23 @@ def bottom_ancestors(bn: BayesianNetwork, seeds, bottom) -> frozenset[int]:
     return frozenset(reach(seeds, lambda v: bottom.intersection(bn.parents[v])))
 
 
-def rule_candidates(bn, border, bottom, rule, blocked=frozenset()):
-    """(promoted, cohort) candidates for one rule; empty list if inapplicable.
-    Variables in ``blocked`` are never promoted."""
-    out = []
-    if rule in (1, 2, 3, 6):
-        for v in border:
-            if v in blocked:
-                continue
-            kids = set(bn.children(v)) & bottom
-            if rule == 1:
-                if not kids:
-                    out.append((v, frozenset()))
-            elif not kids:
-                continue
-            elif rule == 6:
-                out.append((v, frozenset(kids) | bottom_ancestors(bn, kids, bottom)))
-            else:
-                cops = bn.co_parents(v) & bottom
-                if rule == 2 and not cops:
-                    out.append((v, frozenset(kids)))
-                elif rule == 3 and cops and all(not (set(bn.parents[k]) & bottom) for k in cops):
-                    out.append((v, frozenset(kids | cops)))
-    elif rule == 4:
-        for v in bottom:
-            if bn.parents[v] and not (set(bn.parents[v]) & bottom):
-                out.append((None, frozenset({v})))
-    elif rule == 5:
-        for v in bottom:
-            if not bn.parents[v]:
-                out.append((None, frozenset({v})))
-    return out
+def _promotion_rule(bn: BayesianNetwork, v: int, bottom) -> tuple[int, frozenset[int]]:
+    """The rule that admits promoting border variable ``v``, and its cohort.
+
+    Rule 1 when ``v`` has no bottom child (empty cohort); rule 2 when it
+    has no bottom co-parent (its bottom children); rule 3 when no such
+    co-parent has a bottom parent (children and co-parents); otherwise rule
+    6 with the bottom children only, to which forced replay adds their
+    bottom ancestors.  Rules 1-3 exclude one another."""
+    kids = bottom.intersection(bn.children(v))
+    if not kids:
+        return 1, frozenset()
+    cops = bottom.intersection(bn.co_parents(v))
+    if not cops:
+        return 2, frozenset(kids)
+    if not any(bottom.intersection(bn.parents[k]) for k in cops):
+        return 3, frozenset(kids | cops)
+    return 6, frozenset(kids)
 
 
 def next_border(border, promoted, cohort) -> frozenset[int]:
@@ -374,43 +356,58 @@ def choose_next(
     blocked=frozenset(),
     result=next_border,
 ) -> tuple[Optional[int], frozenset[int], int]:
-    """First applicable rule in order 1..5; ties broken by the state-space
+    """The lowest applicable rule among 1..5; ties broken by the state-space
     size of the resulting border, ``result(border, promoted, cohort)``, then
-    by lowest variable id.  A non-empty bottom part has a variable with no
-    bottom parent (the network is acyclic), and that variable satisfies
-    rule 4 or rule 5, so some rule always applies and rules 6 and 7 are
-    never reached here (forced-order replay still uses rule 6)."""
+    by lowest variable id.
+
+    One pass classifies each unblocked border variable once
+    (:func:`_promotion_rule`); a variable that only rule 6 admits is not a
+    candidate.  If none falls under rules 1-3, one pass over the bottom
+    variables with no bottom parent finds rule 4 (such a variable with
+    parents) or rule 5 (without).  A non-empty bottom part has a variable
+    with no bottom parent (the network is acyclic), so some rule always
+    applies and rules 6 and 7 are never taken here (forced-order replay
+    still uses rule 6)."""
     if not bottom:
         raise ValueError("bottom part is empty; chain is complete")
-    for rule in range(1, 6):
-        cands = rule_candidates(bn, border, bottom, rule, blocked)
-        if not cands:
+    rule, cands = 4, []
+    for v in border:
+        if v in blocked:
             continue
+        r, cohort = _promotion_rule(bn, v, bottom)
+        if r < rule:
+            rule, cands = r, [(v, cohort)]
+        elif r == rule:
+            cands.append((v, cohort))
+    if not cands:
+        free = [v for v in bottom if not bottom.intersection(bn.parents[v])]
+        cands = [(None, frozenset({v})) for v in free if bn.parents[v]]
+        if not cands:
+            rule, cands = 5, [(None, frozenset({v})) for v in free]
+    if not cands:
+        raise BordertreeError("no applicable promotion rule")  # pragma: no cover
 
-        def key(cand):
-            promoted, cohort = cand
-            size = math.prod(bn.card(v) for v in result(border, promoted, cohort))
-            return (size, promoted if promoted is not None else min(cohort))
+    def key(cand):
+        promoted, cohort = cand
+        size = math.prod(bn.card(v) for v in result(border, promoted, cohort))
+        return (size, promoted if promoted is not None else min(cohort))
 
-        promoted, cohort = min(cands, key=key)
-        return promoted, cohort, rule
-    raise BordertreeError("no applicable promotion rule")  # pragma: no cover
+    promoted, cohort = min(cands, key=key)
+    return promoted, cohort, rule
 
 
 def _rule_for_forced(bn, border, bottom, promoted):
-    """(cohort, rule) of the first rule among 1, 2, 3 and 6 that admits
-    promoting ``promoted`` (forced-order replay)."""
+    """(cohort, rule) of promoting ``promoted`` (forced-order replay): its
+    :func:`_promotion_rule`, where rule 6 also recruits the bottom ancestors
+    of the bottom children.  Rule 1 or rule 6 admits every border variable."""
     if promoted not in border:
         raise BordertreeError(
             f"illegal forced promotion: {bn.name_of(promoted)} not in the border"
         )
-    for rule in (1, 2, 3, 6):
-        for cand_promoted, cohort in rule_candidates(bn, border, bottom, rule):
-            if cand_promoted == promoted:
-                return cohort, rule
-    raise BordertreeError(
-        f"illegal forced promotion: no rule admits {bn.name_of(promoted)}"
-    )  # pragma: no cover
+    rule, cohort = _promotion_rule(bn, promoted, bottom)
+    if rule == 6:
+        cohort |= bottom_ancestors(bn, cohort, bottom)
+    return cohort, rule
 
 
 def cohort_table(bn: BayesianNetwork, cohort: frozenset[int], border: frozenset[int]) -> Factor:

@@ -107,7 +107,7 @@ def cmd_validate(args, out):
 def cmd_chain(args, out):
     bn = _load(args.network)
     forced = None
-    if args.order:
+    if args.order is not None:
         tokens = [t.strip() for t in args.order.split(",")]
         forced = [None if t in ("-", "") else bn.id_of(t) for t in tokens]
     chain = build_chain(bn, forced_order=forced)

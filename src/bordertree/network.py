@@ -178,21 +178,19 @@ class BayesianNetwork:
             out.update(self.parents[v])
         return frozenset(out - xs)
 
-    def set_children(self, xs: Iterable[int]) -> frozenset[int]:
+    def set_children(self, xs: Iterable[int], members) -> frozenset[int]:
+        """L(C): the children of ``xs`` that are neither in ``xs`` nor
+        parents of it, in the subgraph that ``members`` induces."""
         xs = set(xs)
-        h = self.set_parents(xs)
-        out: set[int] = set()
-        for v in xs:
-            out.update(self.children(v))
-        return frozenset(out - xs - h)
+        h = {p for v in xs for p in self.parents[v] if p in members}
+        return frozenset({c for v in xs for c in self.children(v) if c in members} - xs - h)
 
-    def set_co_parents(self, xs: Iterable[int]) -> frozenset[int]:
+    def set_co_parents(self, xs: Iterable[int], members) -> frozenset[int]:
+        """K(C): the parents of L(C) outside ``xs`` and L(C), in the
+        subgraph that ``members`` induces (a container; it is not copied)."""
         xs = set(xs)
-        l = self.set_children(xs)
-        out: set[int] = set()
-        for c in l:
-            out.update(self.parents[c])
-        return frozenset(out - xs - l)
+        kids = self.set_children(xs, members)
+        return frozenset({p for c in kids for p in self.parents[c] if p in members} - xs - kids)
 
     def topological_order(self) -> tuple[int, ...]:
         """Parents first, lowest id first among the ready nodes."""

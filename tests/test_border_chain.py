@@ -52,12 +52,12 @@ class TestInitialBorder:
             got = initial_border(bn)
             roots = frozenset(bn.roots())
             assert got and got <= roots
-            if bn.set_co_parents(got):
+            if bn.set_co_parents(got, bn.ids):
                 # The climb gave up; check by enumeration that no set of
                 # roots is co-parentless in this DAG.
                 for k in range(1, len(roots) + 1):
                     for combo in itertools.combinations(sorted(roots), k):
-                        assert bn.set_co_parents(frozenset(combo))
+                        assert bn.set_co_parents(frozenset(combo), bn.ids)
 
 
 class TestChooseNext:
@@ -163,6 +163,16 @@ class TestBuildChain:
         )
         chain = build_chain(bn)
         assert [names(bn, s.border) for s in chain.steps] == [{"A"}, {"B"}, {"C"}]
+
+    def test_forced_rule6_recruits_bottom_ancestors(self):
+        # A's bottom co-parent C has a bottom parent B, so only rule 6
+        # promotes A: its bottom children B, D and their bottom ancestor C.
+        bn = zoo.build_network(
+            [("A", 2, []), ("B", 2, ["A"]), ("C", 2, ["B"]), ("D", 2, ["A", "C"])]
+        )
+        rows = [tuple(r.values()) for r in chain_rows(build_chain(bn, [None, bn.id_of("A")]))]
+        assert rows == [(0, "-", "A", "A", "A", "-"), (1, "A", "B,C,D", "B,C,D", "B,C,D|A", "6")]
+        assert [s.rule for s in build_chain(bn).steps[1:]] == [4, 2, 2]
 
     def test_illegal_forced_order(self, bn_a):
         bad = [None, bn_a.id_of("H")]  # H is not in the initial border {A,B}

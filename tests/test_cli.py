@@ -48,6 +48,14 @@ class TestChain:
         assert rows[6] == ["6", "H", "G,J,K", "G,I,J,K", "G,J,K|H,I", "3"]
         assert [r[5] for r in rows] == ["-", "2", "1", "2", "2", "1", "3", "1", "2"]
 
+    def test_empty_order_is_replayed(self, tmp_path, capsys):
+        # An explicit empty order is a forced order with no promotion.
+        assert run("chain", BN_A, "--order", "")[0] == 1
+        assert capsys.readouterr().err == "error: forced order ended before the chain completed\n"
+        empty = tmp_path / "empty.bn"
+        empty.write_text("")
+        assert run("chain", str(empty), "--order", "") == (0, "i\tV\tC\tB\tphi\trule\n0\t-\t-\t\t1\t-\n")
+
     def test_byte_stable(self):
         a = run("chain", BN_A)[1]
         b = run("chain", BN_A)[1]

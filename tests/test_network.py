@@ -23,10 +23,10 @@ class TestSetQueries:
     def test_set_children_of_a_h(self, bn_a):
         # D is a child of A but also a parent of H, so it sits in the parent
         # set; F stays a child (its parents A, B are outside the parent set).
-        assert bn_a.set_children(ids(bn_a, "A", "H")) == ids(bn_a, "F", "J", "K")
+        assert bn_a.set_children(ids(bn_a, "A", "H"), bn_a.ids) == ids(bn_a, "F", "J", "K")
 
     def test_set_co_parents_of_a_h(self, bn_a):
-        assert bn_a.set_co_parents(ids(bn_a, "A", "H")) == ids(bn_a, "B", "G", "I")
+        assert bn_a.set_co_parents(ids(bn_a, "A", "H"), bn_a.ids) == ids(bn_a, "B", "G", "I")
 
     def test_single_node_queries(self, bn_a):
         assert bn_a.co_parents(bn_a.id_of("D")) == ids(bn_a, "C", "F")
