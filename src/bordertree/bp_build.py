@@ -370,7 +370,7 @@ def choose_next(
     still uses rule 6)."""
     if not bottom:
         raise ValueError("bottom part is empty; chain is complete")
-    rule, cands = 4, []
+    rule, cands = 4, []  # the lowest of rules 1-3 found so far; 4 while none
     for v in border:
         if v in blocked:
             continue
