@@ -53,7 +53,7 @@ from .factor import Factor, indicator, marginal_to, multiply, normalize, restric
 from .kernels import BACKEND as KERNEL_BACKEND
 from .network import BayesianNetwork, EvidenceSet, NO_EVIDENCE, Variable, validate
 from .oracle import joint, oracle_event_prob, oracle_marginal, oracle_posterior
-from .polytree import PolytreeEngine, node_priors, polytree_query
+from .polytree import PolytreeEngine, node_priors
 
 __version__ = "0.1.0"
 

@@ -95,23 +95,15 @@ def run_passes(chain: BorderChain, ev=NO_EVIDENCE) -> PassResult:
 
 
 def chain_posterior(
-    chain: BorderChain,
-    ev,
-    q: int,
-    passes: Optional[PassResult] = None,
-    j: Optional[int] = None,
+    chain: BorderChain, ev, q: int, passes: Optional[PassResult] = None
 ) -> tuple[Factor, Factor, float]:
-    """(unnormalized Pr{q,[evidence]}, posterior, evidence probability).
-
-    Any border containing q gives the same answer; the lowest one is used
-    unless ``j`` overrides it.
+    """(unnormalized Pr{q,[evidence]}, posterior, evidence probability),
+    read at the lowest border containing q.  Any border containing q gives
+    the same answer.
     """
     if passes is None:
         passes = run_passes(chain, ev)
-    if j is None:
-        j = chain.view.home_border(q)
-    elif q not in chain.border(j):
-        raise KeyError(f"variable {q} not in border {j}")
+    j = chain.view.home_border(q)
     unnorm = contract([passes.pi[j], passes.lam[j]], (q,))
     posterior, evidence_prob = normalize(unnorm)
     return unnorm, posterior, evidence_prob

@@ -223,12 +223,10 @@ class BorderSession(TreeSession):
     def ensure_informed(self, bid: int):
         self._inform(bid, distribution_schedule)
 
-    def posterior(self, var: int, home: Optional[int] = None) -> tuple[Factor, Factor]:
-        if home is None:
-            home = self.bp.home_border(var)
-        elif var not in self.bp.borders[home].members:
-            raise KeyError(f"variable {var} not in border {home}")
-        return self._readout(home, var)
+    def posterior(self, var: int) -> tuple[Factor, Factor]:
+        """(unnormalized Pr{var, [evidence]}, normalized posterior), read
+        at var's home border."""
+        return self._readout(self.bp.home_border(var), var)
 
     # Bound here too, so that perfbench's tracer can wrap it per engine.
     evidence_prob = TreeSession.evidence_prob

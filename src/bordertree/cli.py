@@ -41,13 +41,7 @@ from .bnformat import (
 from .border_chain import build_chain, chain_posterior, chain_rows, run_passes
 from .bp_build import build_border_polytree, verify_bp
 from .bp_infer import BorderSession, bp_query, preload_priors
-from .errors import (
-    BnFormatError,
-    BordertreeError,
-    CycleError,
-    ImpossibleEvidenceError,
-    NotSinglyConnectedError,
-)
+from .errors import BnFormatError, BordertreeError, CycleError, ImpossibleEvidenceError
 from .factor import contract
 from .messaging import build_hub_index, component_cores, tree_path
 from .network import NO_EVIDENCE, BayesianNetwork, EvidenceSet, validate
@@ -182,9 +176,14 @@ def cmd_prior(args, out):
     return 0
 
 
+def _names(text: str, bn) -> list[int]:
+    """The variables of a comma-separated name list."""
+    return [bn.id_of(t.strip()) for t in text.split(",") if t.strip()]
+
+
 def _parse_queries(args, bn):
     if getattr(args, "q", None):
-        return [bn.id_of(t.strip()) for t in args.q.split(",") if t.strip()]
+        return _names(args.q, bn)
     return list(bn.ids)
 
 
@@ -404,7 +403,7 @@ class ReplSession:
                 ev.retract(self.bn.id_of(rest.strip()))
                 self._move_to(ev)
             elif verb == "query":
-                queries = [self.bn.id_of(t.strip()) for t in rest.split(",") if t.strip()]
+                queries = _names(rest, self.bn)
                 if not queries:
                     print("usage: query X[,Y]", file=out)
                     return True
@@ -545,7 +544,7 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
     except OSError as e:  # a missing file, a directory, an unwritable --dot
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ImpossibleEvidenceError, NotSinglyConnectedError, BordertreeError) as e:
+    except BordertreeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except KeyError as e:

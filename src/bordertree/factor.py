@@ -144,11 +144,6 @@ class Factor:
     def __repr__(self):
         return f"Factor(scope={self.scope}, cards={self.cards})"
 
-    def allclose(self, other: "Factor", atol: float = 1e-9) -> bool:
-        return self.scope == other.scope and np.allclose(
-            self.values, other.values, atol=atol, rtol=0.0
-        )
-
 
 def _fresh(vals) -> np.ndarray:
     """Freeze a newly computed result so ``Factor`` takes it without a copy.

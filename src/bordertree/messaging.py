@@ -292,15 +292,16 @@ def _erase_loops(walk: list[Node]) -> list[Node]:
     return stack
 
 
-def tree_path(tree: Tree, index: Optional[HubIndex], x: Node, y: Node) -> list[Node]:
+def tree_path(tree: Tree, index: HubIndex, x: Node, y: Node) -> list[Node]:
     """Hub-method path: x to its hub, hub to hub, hub to y, loops erased.
 
     Falls back to the tree's parent-pointer path when either endpoint has
-    no hub in its component.
+    no hub in its component, as with an explicit hub set that leaves a
+    component out.
     """
     if x == y:
         return [x]
-    if index is None or x not in index.nearest or y not in index.nearest:
+    if x not in index.nearest or y not in index.nearest:
         return tree.path(x, y)
     hx, px = index.nearest[x]
     hy, py = index.nearest[y]
@@ -319,17 +320,18 @@ def tree_path(tree: Tree, index: Optional[HubIndex], x: Node, y: Node) -> list[N
 
 @dataclass
 class EvidentialCore:
+    """A connected set of tree nodes; its edges are the tree edges between
+    two of its nodes."""
+
     nodes: frozenset[Node]
-    edges: frozenset[tuple[Node, Node]]  # directed, as in the tree
     roots: frozenset[Node]  # no parent inside the core
     leaves: frozenset[Node]  # no child inside the core
 
 
 def _core_from_nodes(tree: Tree, nodes: set[Node]) -> EvidentialCore:
-    edges = frozenset((p, c) for c in nodes for p in tree.parents[c] if p in nodes)
     roots = frozenset(v for v in nodes if not any(p in nodes for p in tree.parents[v]))
     leaves = frozenset(v for v in nodes if not any(c in nodes for c in tree.children[v]))
-    return EvidentialCore(frozenset(nodes), edges, roots, leaves)
+    return EvidentialCore(frozenset(nodes), roots, leaves)
 
 
 def evidential_core(tree: Tree, marked: Iterable[Node]) -> EvidentialCore:
@@ -448,16 +450,12 @@ def distribution_schedule(
     return out_path[0], list(zip(out_path, out_path[1:]))
 
 
-def default_pivot(core: EvidentialCore, holding: Optional[Iterable[Node]] = None) -> Node:
-    """Core root or leaf, preferring one that holds the first-listed
-    evidence variable (``holding`` = the core nodes that contain it)."""
+def default_pivot(core: EvidentialCore, holding: set[Node]) -> Node:
+    """The first core root or leaf in ``holding`` (the core nodes that hold
+    the first-listed evidence variable), else the first root or leaf."""
     # Ordered by str, not by id: the fixtures' pinned pivots depend on it.
     rl = sorted(core.roots | core.leaves, key=str)
-    if holding is not None:
-        hits = [v for v in rl if v in set(holding)]
-        if hits:
-            return hits[0]
-    return rl[0]
+    return next((v for v in rl if v in holding), rl[0])
 
 
 def component_cores(
@@ -486,7 +484,7 @@ def component_cores(
         if pivot in core.nodes:
             out[comp] = core, pivot
         else:
-            out[comp] = core, default_pivot(core, holding=gs[0] & core.nodes)
+            out[comp] = core, default_pivot(core, gs[0] & core.nodes)
     return out
 
 
@@ -544,11 +542,6 @@ class TreeSession:
                 self.collected += 1
             self.informed_in[comp] = {pv}
             self._top[comp] = pv
-
-    @property
-    def informed(self) -> set[Node]:
-        """Every node that holds its full message set so far."""
-        return set().union(*self.informed_in.values())
 
     def _side_has_core(self, a: Node, b: Node) -> bool:
         """Does a's side of edge (a, b) hold a node of the evidential core?

@@ -102,7 +102,11 @@ class BayesianNetwork:
             for u in f.scope:
                 if f.card_of(u) != self.variables[u].cardinality:
                     raise ValueError(f"cpt cardinality mismatch at {self.name_of(u)}")
-        self._children: dict[int, tuple[int, ...]] | None = None
+        kids: dict[int, list[int]] = {v: [] for v in ids}
+        for v in ids:  # ascending, so each list comes out sorted
+            for p in self.parents[v]:
+                kids[p].append(v)
+        self._children = {v: tuple(ks) for v, ks in kids.items()}
         self._rank: dict[int, int] | None = None
         self._tree: Tree | None = None
         self._by_name = {v.name: v.id for v in self.variables}
@@ -144,19 +148,10 @@ class BayesianNetwork:
     # -- structure queries --------------------------------------------------
 
     def children(self, var: int) -> tuple[int, ...]:
-        if self._children is None:
-            kids: dict[int, list[int]] = {v: [] for v in self.ids}
-            for v in self.ids:
-                for p in self.parents[v]:
-                    kids[p].append(v)
-            self._children = {v: tuple(sorted(ks)) for v, ks in kids.items()}
         return self._children[var]
 
     def roots(self) -> tuple[int, ...]:
         return tuple(v for v in self.ids if not self.parents[v])
-
-    def leaves(self) -> tuple[int, ...]:
-        return tuple(v for v in self.ids if not self.children(v))
 
     def co_parents(self, var: int) -> frozenset[int]:
         out: set[int] = set()
@@ -233,10 +228,14 @@ class Diagnostic:
     var: int | None = None  # the variable whose cpt it is about, if any
 
 
-def validate(bn: BayesianNetwork, tol: float = 1e-9) -> list[Diagnostic]:
-    """Report-only checks: acyclicity and normalization are hard errors,
-    strict positivity is a warning (the summation-form recursions never
-    divide by table entries)."""
+# How far a CPT row's sum may stray from 1 before validation reports it.
+_ROW_TOL = 1e-9
+
+
+def validate(bn: BayesianNetwork) -> list[Diagnostic]:
+    """Report-only checks: acyclicity and normalization (each CPT row sums
+    to 1 within 1e-9) are hard errors, strict positivity is a warning (the
+    summation-form recursions never divide by table entries)."""
     out: list[Diagnostic] = []
     try:
         bn.topological_order()
@@ -246,7 +245,7 @@ def validate(bn: BayesianNetwork, tol: float = 1e-9) -> list[Diagnostic]:
         f = bn.cpts[v]
         rows = contract([f], bn.parents[v])
         vals = np.atleast_1d(rows.values)
-        bad = np.argwhere(np.abs(vals - 1.0) > tol)
+        bad = np.argwhere(np.abs(vals - 1.0) > _ROW_TOL)
         if len(bad):
             idx = tuple(int(i) for i in bad[0][: len(rows.scope)])
             assign = ", ".join(
@@ -319,9 +318,6 @@ class EvidenceSet:
 
     def __len__(self):
         return len(self._allowed)
-
-    def items(self):
-        return self._allowed.items()
 
     def copy(self) -> "EvidenceSet":
         out = EvidenceSet(self._bn)

@@ -117,13 +117,3 @@ class PolytreeSession(TreeSession):
 
     # Bound here too, so that perfbench's tracer can wrap it per engine.
     evidence_prob = TreeSession.evidence_prob
-
-
-def polytree_query(
-    bn: BayesianNetwork,
-    ev=NO_EVIDENCE,
-    queries: Optional[Iterable[int]] = None,
-    pivot: Optional[int] = None,
-) -> tuple[dict[int, Factor], float]:
-    """Posterior marginals and the evidence probability for a polytree."""
-    return PolytreeEngine(bn).query(ev, queries, pivot)

@@ -68,7 +68,6 @@ class TestSetQueries:
 
     def test_children_and_leaves(self, bn_a):
         assert bn_a.names(bn_a.children(bn_a.id_of("D"))) == ("H", "I")
-        assert bn_a.names(bn_a.leaves()) == ("J", "K", "L")
 
 
 def test_topological_order_lowest_id_first(bn_a):
