@@ -33,9 +33,9 @@ output would hold more than ``MAX_TABLE_ENTRIES`` entries raises
 :class:`~bordertree.errors.TableCapError` (a domain error) instead, before
 anything is allocated.
 
-The plan also picks the call.  By default it is ``np.einsum``, with
-subscripts that name each variable by its rank within the operands' union.
-Plain einsum runs one inner loop over the innermost run of variables that
+The plan also picks the call.  By default it is einsum, with subscripts
+that name each variable by its rank within the operands' union.  Plain
+einsum runs one inner loop over the innermost run of variables that
 lie in the same operands and are kept or summed alike, so it is slow when
 that run is short: ``ajk,bcdefghijk->abcdefghij`` (3^3 x 3^10) takes over
 ten times as long as ``aef,bcdefghijk->abcdeghijk``, which does the same
@@ -58,6 +58,13 @@ The constants were fitted to every two-factor layout of the benchmark's
 grid-wide round (two 10x10 grids at card 3, BLAS on one thread).  The
 choice is a pure function of the layout: nothing is timed at run time.
 
+The einsum call is numpy's C ``c_einsum``, which ``np.einsum`` itself calls
+when ``optimize`` is off (its default): the results are the same, without
+the wrapper's 1 to 2 us of dispatch and argument handling per call.  It is
+picked once, at import, by numpy's major version (from
+``numpy._core._multiarray_umath`` on 2.x, ``numpy.core.multiarray`` on
+1.x), and is ``np.einsum`` itself where that module has no ``c_einsum``.
+
 :func:`multiply`, :func:`product_all`, :func:`sum_out` and
 :func:`marginal_to` are short forms of :func:`contract` (a product onto the
 union scope, or a marginal of one factor), kept for the tests and the
@@ -77,21 +84,38 @@ import numpy as np
 from .errors import ImpossibleEvidenceError, TableCapError
 
 # ``Factor.__init__``'s checks, bound once: the ufuncs' own reductions skip
-# the Python-level wrappers of ``ndarray.min``/``max``.
+# the Python-level wrappers of ``ndarray.min``/``max``, and a uint64 bound
+# compares faster than a Python int.
 _MIN = np.minimum.reduce
 _MAX = np.maximum.reduce
+_BITS = np.uint64
+_INF_BITS = np.uint64(0x7FF0000000000000)
+
+
+# The C einsum behind ``np.einsum`` (see the module docstring).
+try:
+    if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+        from numpy._core._multiarray_umath import c_einsum as _EINSUM
+    else:
+        from numpy.core.multiarray import c_einsum as _EINSUM
+except ImportError:
+    _EINSUM = np.einsum
 
 
 class Factor:
     """A checked, read-only table over an ascending scope.
 
-    Every construction checks the entries with two reductions: a NaN or an
-    infinity makes the minimum or the maximum non-finite, and a negative
-    entry makes the minimum negative.  ``values`` is copied unless it is a
-    read-only, C-contiguous array that owns its data, the form in which
-    ``contract``, ``restrict`` and ``normalize`` hand over their results.
-    ``cards`` is kept as the table's shape, so it holds plain ints whatever
-    integer type the caller passed; a tuple ``scope`` is kept as is.
+    Every construction checks the entries with one reduction: the largest
+    of their bit patterns, read as ``uint64``, lies below +inf's exactly
+    when every entry is +0.0 through the largest finite double.  A table
+    that fails it gets two more, a minimum and a maximum: a NaN or an
+    infinity makes one of them non-finite, a negative entry makes the
+    minimum negative, and a table whose only sign bits are -0.0's passes.
+    ``values`` is copied unless it is a read-only, C-contiguous array that
+    owns its data, the form in which ``contract``, ``restrict`` and
+    ``normalize`` hand over their results.  ``cards`` is kept as the
+    table's shape, so it holds plain ints whatever integer type the caller
+    passed; a tuple ``scope`` is kept as is.
     """
 
     __slots__ = ("scope", "cards", "values")
@@ -106,13 +130,16 @@ class Factor:
         if not all(map(operator.lt, scope, scope[1:])):
             raise ValueError("scope must be strictly ascending variable ids")
         vals = np.asarray(values, dtype=np.float64)
-        lo = _MIN(vals, axis=None, initial=0.0)
-        hi = _MAX(vals, axis=None, initial=0.0)
-        # A NaN fails both comparisons; only a failure tells the two apart.
-        if not (lo >= 0.0 and hi < math.inf):
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError("factor entries must be finite")
-            raise ValueError("factor entries must be non-negative")
+        if not _MAX(vals.view(_BITS), axis=None, initial=0) < _INF_BITS:
+            # A sign bit, a NaN or an infinity: the min/max pair names the
+            # fault, or accepts the table if its only sign bits are -0.0's.
+            lo = _MIN(vals, axis=None, initial=0.0)
+            hi = _MAX(vals, axis=None, initial=0.0)
+            # A NaN fails both comparisons; only a failure tells the two apart.
+            if not (lo >= 0.0 and hi < math.inf):
+                if not (math.isfinite(lo) and math.isfinite(hi)):
+                    raise ValueError("factor entries must be finite")
+                raise ValueError("factor entries must be non-negative")
         if vals.shape != cards:
             vals = vals.reshape(cards)
         if vals.flags.writeable or vals.base is not None or not vals.flags.c_contiguous:
@@ -181,8 +208,8 @@ def contract(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
     operands fold into a multiplier, and a lone operand with nothing to sum
     out is returned as is.  More operands than one einsum call takes are
     folded in groups: each group is contracted onto the variables that
-    ``keep`` or a later operand still needs.  The call is ``np.einsum``, or
-    ``np.matmul`` where the layout's plan chose that route (see ``_plan``).
+    ``keep`` or a later operand still needs.  The call is numpy's C einsum,
+    or ``np.matmul`` where the layout's plan chose that route (see ``_plan``).
     """
     factors = list(factors)
     keep = frozenset(keep)
@@ -213,7 +240,7 @@ def _einsum(ops: list[Factor], keep: frozenset[int], scale: float) -> Factor:
     if route is not None:
         vals = _matmul(route, cards, *[f.values for f in ops])
     elif ops:
-        vals = np.einsum(subscripts, *[f.values for f in ops])
+        vals = _EINSUM(subscripts, *[f.values for f in ops])
     else:
         vals = np.asarray(1.0)
     if scale != 1.0:

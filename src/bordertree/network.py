@@ -85,6 +85,11 @@ class BayesianNetwork:
             raise ValueError("variable names must be unique")
         self.parents = {v.id: tuple(parents.get(v.id, ())) for v in self.variables}
         for v, ps in self.parents.items():
+            bad = [p for p in ps if not 0 <= p < len(ids)]
+            if bad:
+                raise ValueError(
+                    f"parent id {bad[0]} of variable {self.name_of(v)} is outside 0..{len(ids) - 1}"
+                )
             if len(set(ps)) != len(ps):
                 raise ValueError(f"duplicate parent for variable {self.name_of(v)}")
             if v in ps:

@@ -1,5 +1,6 @@
 """Factor algebra against scalar-loop oracles and algebraic properties."""
 
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -155,6 +156,107 @@ class TestConstructor:
         g = Factor((0,), (2,), [1e200, 1.0])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
             contract([f, g], (0,))
+
+
+def reference_entry_check(vals):
+    """The message the min/max pair gives ``vals``, or None if it accepts them."""
+    lo, hi = np.min(vals, initial=0.0), np.max(vals, initial=0.0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        return "factor entries must be finite"
+    if lo < 0.0:
+        return "factor entries must be non-negative"
+    return None
+
+
+_NEG_ZERO, _NEG_NAN = 0x8000000000000000, 0xFFF8000000000000
+# Bit patterns at the edges of the entry check: ±0.0, NaNs of either sign
+# (quiet, signalling and with a payload), ±inf, the smallest and largest
+# subnormals, the largest finite double and its negation, and 1.0.
+_EDGE_BITS = [
+    0x0000000000000000, _NEG_ZERO,
+    0x7FF8000000000000, _NEG_NAN, 0x7FF0000000000001, 0xFFF0000000000001, 0x7FFFFFFFFFFFFFFF,
+    0x7FF0000000000000, 0xFFF0000000000000,
+    0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x000FFFFFFFFFFFFF,
+    0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF,
+    0x3FF0000000000000,
+]
+_BIT_PATTERNS = st.one_of(
+    st.sampled_from(_EDGE_BITS),
+    st.integers(0, 0x7FEFFFFFFFFFFFFF),  # +0.0 through the largest finite double
+    st.integers(0, 2**64 - 1),
+)
+
+
+def from_bits(bits, shape):
+    return np.array(bits, dtype=np.uint64).view(np.float64).reshape(shape)
+
+
+@st.composite
+def entry_tables(draw):
+    """A float64 table drawn bit by bit, in C order, Fortran order or as a
+    strided view; returns (table, its entries in C order as bits)."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(0, 4)))
+    bits = draw(st.lists(_BIT_PATTERNS, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    vals = from_bits(bits, shape)
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        vals = np.asfortranarray(vals)
+    elif layout == "strided":
+        wide = np.ones((shape[0], 2 * shape[1]))
+        wide[:, ::2] = vals
+        vals = wide[:, ::2]
+    if draw(st.booleans()):
+        vals.setflags(write=False)
+    return vals, bits
+
+
+class TestEntryCheck:
+    """``Factor`` accepts exactly the tables the min/max pair accepts, and
+    rejects the others with its message, whatever their layout."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(entry_tables())
+    def test_matches_the_min_max_pair(self, table):
+        vals, bits = table
+        want = reference_entry_check(vals)
+        if want is None:
+            f = Factor((0, 1), vals.shape, vals)
+            assert f.values.flags.c_contiguous
+            assert f.values.view(np.uint64).ravel().tolist() == bits
+        else:
+            with pytest.raises(ValueError, match=f"^{want}$"):
+                Factor((0, 1), vals.shape, vals)
+
+    def test_accepts_negative_zero(self):
+        f = Factor((0,), (3,), from_bits([_NEG_ZERO, 0, _NEG_ZERO], (3,)))
+        assert np.signbit(f.values).tolist() == [True, False, True]
+        assert Factor((), (), np.asarray(-0.0)).values.view(np.uint64) == _NEG_ZERO
+
+    def test_rejects_negative_nan_as_not_finite(self):
+        for bits in ([_NEG_NAN], [_NEG_ZERO, _NEG_NAN], [0x3FF0000000000000, _NEG_NAN]):
+            with pytest.raises(ValueError, match="^factor entries must be finite$"):
+                Factor((0,), (len(bits),), from_bits(bits, (len(bits),)))
+
+    @pytest.mark.parametrize("layout", ["F", "strided"])
+    def test_other_layouts_take_the_same_checks(self, layout):
+        def laid_out(vals):
+            if layout == "F":
+                return np.asfortranarray(vals.reshape(2, 3))
+            wide = np.ones(12)
+            wide[::2] = vals
+            return wide[::2].reshape(2, 3)
+
+        base = np.arange(6.0)
+        for entry, message in ((np.nan, "finite"), (-np.inf, "finite"), (-1e-300, "non-negative")):
+            vals = base.copy()
+            vals[4] = entry
+            with pytest.raises(ValueError, match=f"^factor entries must be {message}$"):
+                Factor((0, 1), (2, 3), laid_out(vals))
+        vals = base.copy()
+        vals[4] = -0.0
+        f = Factor((0, 1), (2, 3), laid_out(vals))
+        assert f.values.flags.c_contiguous and np.signbit(f.values).sum() == 1
+        np.testing.assert_array_equal(f.values, vals.reshape(2, 3))
 
 
 class TestTableCap:
@@ -422,6 +524,89 @@ class TestPlanCache:
             contract(fs, keep)
         assert keys[0] is members
         assert keys[1:] == [(4,), (4,), (4,), ()]
+
+
+def _bits(f: Factor):
+    return f.scope, f.cards, f.values.tobytes()
+
+
+def _through_np_einsum(monkeypatch):
+    """Run ``contract``'s einsum route through ``np.einsum``; returns the
+    list of its calls' subscripts."""
+    calls = []
+
+    def einsum(*args):
+        calls.append(args[0])
+        return np.einsum(*args)
+
+    monkeypatch.setattr(factor_mod, "_EINSUM", einsum)
+    return calls
+
+
+def _contract_layouts():
+    """``contract`` on the fixed layouts of ``TestContract`` and ``TestPlanCache``."""
+    rng = np.random.default_rng(3)
+    star = [Factor((0,), (3,), rng.random(3)) for _ in range(70)]
+    star[10:10] = [Factor((0, k), (3, 2), rng.random((3, 2))) for k in (1, 2, 3)]
+    f = Factor((0, 1), (2, 3), np.arange(6.0))
+    g = Factor((1,), (3,), [1.0, 2.0, 3.0])
+    rng = np.random.default_rng(7)
+    chain = [
+        Factor((0, 2), (2, 2), rng.random((2, 2))),
+        Factor((2, 3), (2, 4), rng.random((2, 4))),
+        Factor((3,), (4,), rng.random(4)),
+    ]
+    pair = [Factor((1, 4), (2, 2), np.ones((2, 2))), Factor((4, 7), (2, 2), np.ones((2, 2)))]
+    runs = [([Factor.scalar(2.0), Factor.scalar(3.0)], {4}), ([f], {9}), ([f, g], {0}), ([], ())]
+    runs += [(star, keep) for keep in ((0,), (), (0, 2))]
+    runs += [(chain, keep) for keep in ((), (0,), (2, 3), (0, 2, 3), (3, 5), (9,), (0, 2, 3, 9))]
+    runs += [(pair, keep) for keep in (frozenset({1, 4, 9}), (4,), [4, 4], ())]
+    return [_bits(contract(fs, keep)) for fs, keep in runs]
+
+
+def _polytree_answers(seed):
+    """Every posterior and Pr(e) of ``bp_query`` on a seeded 400-node polytree."""
+    from bordertree.bp_build import build_border_polytree
+    from bordertree.bp_infer import bp_query, preload_priors
+    from bordertree.randgen import random_evidence, random_polytree
+
+    rng = np.random.default_rng(seed)
+    bn = random_polytree(rng, 400, 400, 3)
+    bp = build_border_polytree(bn)
+    preload_priors(bp)
+    posts, pe = bp_query(bp, random_evidence(rng, bn, max_vars=5))
+    return [_bits(posts[v]) for v in sorted(posts)], pe.hex()
+
+
+class TestEinsumCall:
+    """``contract`` calls numpy's C einsum where numpy has one, and
+    ``np.einsum``, which wraps it, gives the same bits."""
+
+    def test_picks_the_function_np_einsum_calls(self):
+        # With ``optimize`` off, its default, ``np.einsum`` passes its
+        # arguments on to ``c_einsum`` from its own module.
+        wrapped = inspect.unwrap(np.einsum).__globals__.get("c_einsum")
+        assert factor_mod._EINSUM is (np.einsum if wrapped is None else wrapped)
+
+    def test_fixed_layouts(self, monkeypatch):
+        want = _contract_layouts()
+        calls = _through_np_einsum(monkeypatch)
+        assert _contract_layouts() == want
+        assert len(calls) > len(want) / 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(factors(max_vars=3), min_size=1, max_size=5), _KEEP)
+    def test_drawn_layouts(self, fs, keep):
+        want = _bits(contract(fs, keep))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _through_np_einsum(monkeypatch)
+            assert _bits(contract(fs, keep)) == want
+
+    def test_seeded_polytree_query(self, monkeypatch):
+        want = _polytree_answers(11)
+        calls = _through_np_einsum(monkeypatch)
+        assert _polytree_answers(11) == want
+        assert len(calls) > 1000
 
 
 def _wide(scopes, cards, seed=0):

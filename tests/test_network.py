@@ -6,7 +6,7 @@ import pytest
 from bordertree.bp_build import bottom_ancestors
 from bordertree.errors import CycleError, NotSinglyConnectedError
 from bordertree.factor import Factor
-from bordertree.network import BayesianNetwork, EvidenceSet, validate
+from bordertree.network import BayesianNetwork, EvidenceSet, Variable, validate
 from bordertree.polytree import PolytreeEngine
 from bordertree.randgen import random_dag
 from bordertree import zoo
@@ -116,6 +116,16 @@ class TestValidate:
         # build_network accepts it; the validator reports it.
         diags = validate(bn)
         assert any(d.code == "normalization" for d in diags)
+
+
+@pytest.mark.parametrize("parent", [2, -1])
+def test_parent_id_out_of_range_is_rejected_by_name(parent):
+    # Built directly, not parsed: the parser resolves parents by name.
+    variables = [Variable(0, "A", 2, ("a0", "a1")), Variable(1, "B", 2, ("b0", "b1"))]
+    scope = tuple(sorted((1, parent)))
+    cpts = {0: Factor((0,), (2,), [0.5, 0.5]), 1: Factor(scope, (2, 2), np.full((2, 2), 0.5))}
+    with pytest.raises(ValueError, match=rf"^parent id {parent} of variable B is outside 0\.\.1$"):
+        BayesianNetwork(variables, {1: (parent,)}, cpts)
 
 
 class TestEvidenceSet:
