@@ -177,14 +177,29 @@ def cmd_prior(args, out):
 
 
 def _names(text: str, bn) -> list[int]:
-    """The variables of a comma-separated name list."""
-    return [bn.id_of(t.strip()) for t in text.split(",") if t.strip()]
+    """The variables of a comma-separated name list; blank items are
+    skipped, and a variable named twice is rejected."""
+    out: list[int] = []
+    for t in text.split(","):
+        t = t.strip()
+        if t:
+            var = bn.id_of(t)
+            if var in out:
+                raise BnFormatError(f"duplicate query for {t!r}")
+            out.append(var)
+    return out
 
 
 def _parse_queries(args, bn):
-    if getattr(args, "q", None):
-        return _names(args.q, bn)
-    return list(bn.ids)
+    """``--q``'s variables, or every variable when it is absent; a list
+    that names none is an error."""
+    q = getattr(args, "q", None)
+    if q is None:
+        return list(bn.ids)
+    queries = _names(q, bn)
+    if not queries:
+        raise BnFormatError("--q names no variable")
+    return queries
 
 
 def _bp_for(bn):

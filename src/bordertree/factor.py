@@ -21,10 +21,16 @@ copied.
 Every table the program computes is a product of factors followed by a
 marginalization: messages, passes and readouts, and also priors, cohort
 tables and row sums.  :func:`contract` computes that in one numpy call,
-without building the product table when something is summed out.  The
-call's plan depends only on the operands' scopes and cards and on the kept
-set, so it is made once per layout and kept in one bounded LRU cache,
-keyed by the layout and the kept set (a tuple when it holds one variable).
+without building the product table when something is summed out.  It
+folds scalar operands into a multiplier first, and a contraction that then
+computes nothing calls no einsum: a product of scalars alone is that
+multiplier, and one operand with nothing to sum out is returned as is (or
+scaled once).  Such calls are common: a leaf border's λ is the product of
+no messages, and a readout at a one-variable border multiplies its π by a
+scalar λ.  The call's plan depends only on the operands' scopes and cards
+and on the kept set, so it is made once per layout and kept in one
+bounded LRU cache, keyed by the layout and the kept set (a tuple when it
+holds one variable).
 Set-up tables and query tables share that cache: least-recently-used
 order evicts one-off set-up layouts before the query layouts that are
 reused.  A node or border with more incoming messages than one einsum call
@@ -176,8 +182,9 @@ def _fresh(vals) -> np.ndarray:
     """Freeze a newly computed result so ``Factor`` takes it without a copy.
 
     Only the operation that computed ``vals`` holds it, so no writable
-    reference remains.  A view that einsum hands back is frozen too, but
-    ``Factor`` still copies it, as it does not own its data.
+    reference remains.  einsum hands back a view only for a lone operand
+    with nothing to sum out, which ``contract`` returns before it calls
+    einsum; ``Factor`` would copy such a view, as it does not own its data.
     """
     vals = np.asarray(vals)
     vals.setflags(write=False)
@@ -204,17 +211,16 @@ _MATMUL_CALL = 2000.0  # per call
 def contract(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
     """Marginal onto ``keep`` of the product of ``factors``, in one call.
 
-    Variables in ``keep`` outside every operand's scope are ignored, scalar
-    operands fold into a multiplier, and a lone operand with nothing to sum
-    out is returned as is.  More operands than one einsum call takes are
-    folded in groups: each group is contracted onto the variables that
+    Variables in ``keep`` outside every operand's scope are ignored.
+    Scalar operands fold first into a multiplier.  Two cases then compute
+    nothing and call no einsum: with no operand left, the result is the
+    multiplier (the shared ``_ONE`` when it is 1); with one operand left and
+    nothing to sum out, it is that operand itself, or one ``values * scale``
+    when the multiplier is not 1.  More operands than one einsum call takes
+    are folded in groups: each group is contracted onto the variables that
     ``keep`` or a later operand still needs.  The call is numpy's C einsum,
     or ``np.matmul`` where the layout's plan chose that route (see ``_plan``).
     """
-    factors = list(factors)
-    keep = frozenset(keep)
-    if len(factors) == 1 and keep.issuperset(factors[0].scope):
-        return factors[0]
     scale = 1.0
     ops: list[Factor] = []
     for f in factors:
@@ -222,6 +228,12 @@ def contract(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
             ops.append(f)
         else:
             scale *= float(f.values)
+    if not ops:
+        return _ONE if scale == 1.0 else Factor.scalar(scale)
+    keep = frozenset(keep)
+    if len(ops) == 1 and keep.issuperset(ops[0].scope):
+        f = ops[0]
+        return f if scale == 1.0 else Factor(f.scope, f.cards, _fresh(f.values * scale))
     while len(ops) > _MAX_OPERANDS:
         head, ops = ops[:_MAX_OPERANDS], ops[_MAX_OPERANDS:]
         ops.insert(0, _einsum(head, keep.union(*(f.scope for f in ops)), 1.0))
@@ -239,10 +251,8 @@ def _einsum(ops: list[Factor], keep: frozenset[int], scale: float) -> Factor:
     subscripts, scope, cards, route = _plan(tuple([(f.scope, f.cards) for f in ops]), key)
     if route is not None:
         vals = _matmul(route, cards, *[f.values for f in ops])
-    elif ops:
-        vals = _EINSUM(subscripts, *[f.values for f in ops])
     else:
-        vals = np.asarray(1.0)
+        vals = _EINSUM(subscripts, *[f.values for f in ops])
     if scale != 1.0:
         vals = vals * scale
     return Factor(scope, cards, _fresh(vals))
@@ -458,7 +468,8 @@ def _axis_masks(f: Factor, ev) -> list[tuple[int, np.ndarray]]:
     return out
 
 
-# Factors are immutable, so every evidence-free indicator is this one.
+# Factors are immutable, so every evidence-free indicator, and every
+# contraction of scalars whose product is 1, is this one.
 _ONE = Factor.scalar(1.0)
 
 

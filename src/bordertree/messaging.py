@@ -621,6 +621,11 @@ class TreeSession:
         return unnorm, post
 
     def evidence_prob(self) -> float:
+        """Pr(evidence): the product over cores of the belief's total at
+        the pivot.  It is exactly 1 with no evidence, where a pivot the
+        caller picked would still read a total that rounds."""
+        if not self.ev:
+            return 1.0
         out = 1.0
         for pv in self.pivots.values():
             out *= contract(self._belief_factors(pv), ()).total()

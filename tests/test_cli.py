@@ -142,17 +142,25 @@ class TestQuery:
         assert code == 1
 
     @pytest.mark.parametrize("engine", ["bp", "chain", "oracle"])
-    def test_evidence_prob_with_no_queries(self, engine):
-        # An empty query list still reports Pr(e), whatever the engine.
-        code, out = run(
-            "query", BN_A, "--evidence", "H=h0,K=k1", "--q", ",", "--engine", engine, "--json"
-        )
+    def test_empty_query_list_exit_2(self, engine, capsys):
+        # A --q list that names no variable is a usage error, as the REPL's
+        # `query ,` is, whatever the engine.
+        for names in (",", "", " , "):
+            code, out = run("query", BN_A, "--evidence", "H=h0,K=k1", "--q", names, "--engine", engine)
+            assert code == 2 and out == ""
+            assert capsys.readouterr().err == "parse error: --q names no variable\n"
+
+    @pytest.mark.parametrize("command", ["query", "prior"])
+    def test_repeated_query_name_exit_2(self, command, capsys):
+        code, out = run(command, BN_A, "--q", "H, K,H")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "parse error: duplicate query for 'H'\n"
+
+    @pytest.mark.parametrize("pivot", range(13))
+    def test_evidence_prob_is_one_without_evidence_at_any_pivot(self, pivot):
+        code, out = run("query", BN_C, "--pivot", str(pivot), "--q", "A", "--json")
         assert code == 0
-        doc = json.loads(out)
-        assert doc["posteriors"] == []
-        bn = load(BN_A)
-        want = oracle_event_prob(bn, parse_evidence("H=h0,K=k1", bn))
-        assert doc["evidence_prob"] == pytest.approx(want, rel=1e-12)
+        assert json.loads(out)["evidence_prob"] == 1.0
 
     def test_pivot_that_is_not_a_border_exit_2(self, capsys):
         code, out = run("query", BN_C, "--evidence", "B=b0", "--pivot", "999")
@@ -558,6 +566,12 @@ class TestRepl:
             "error: unknown value 'nope' for variable A",
             "error: unknown variable name 'ZZ'",
         ]
+
+    def test_query_list_with_a_repeated_or_no_name(self):
+        _, out = self._drive(["query H,H", "query ,", "query H"])
+        lines = out.splitlines()
+        assert lines[:2] == ["error: duplicate query for 'H'", "usage: query X[,Y]"]
+        assert [line.split("\t")[0] for line in lines[3:]] == ["H", "H"]
 
     def test_repeated_observation_is_rejected_and_leaves_state(self):
         session, out = self._drive(["evidence B=b0", "status", "evidence B=b1", "status"])

@@ -463,6 +463,42 @@ class TestContract:
         np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
 
 
+    def test_lone_operand_times_scalar_one_is_the_operand(self):
+        f = Factor((0, 1), (2, 3), np.arange(6.0))
+        assert contract([f, Factor.scalar(1.0)], f.scope) is f
+        assert contract([Factor.scalar(1.0), f], (0, 1, 9)) is f
+
+    def test_product_of_scalars_is_a_scalar(self):
+        assert contract([], ()) is factor_mod._ONE
+        assert contract([Factor.scalar(2.0), Factor.scalar(0.5)], {3}) is factor_mod._ONE
+        got = contract([Factor.scalar(2.0), Factor.scalar(3.0), Factor.scalar(0.25)], ())
+        assert got.scope == () and got.values.tobytes() == np.float64(1.5).tobytes()
+
+    def test_scaled_identity_matches_einsum_bits(self):
+        f = Factor((0, 2), (2, 3), np.random.default_rng(5).random((2, 3)))
+        for s in (0.1, 3.0, 0.0):
+            got = contract([f, Factor.scalar(s)], f.scope)
+            assert _bits(got) == _bits(factor_mod._einsum([f], frozenset(f.scope), s))
+            assert not got.values.flags.writeable
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.one_of(factors(max_vars=3), st.floats(0, 10).map(Factor.scalar)), max_size=5),
+        _KEEP,
+    )
+    def test_matches_einsum_on_the_non_scalar_operands(self, fs, keep):
+        ops = [f for f in fs if f.scope]
+        scale = 1.0
+        for f in fs:
+            if not f.scope:
+                scale *= float(f.values)
+        if ops:
+            want = factor_mod._einsum(ops, frozenset(keep), scale)
+        else:
+            want = Factor.scalar(scale)
+        assert _bits(contract(fs, keep)) == _bits(want)
+
+
 class TestPlanCache:
     def test_cardinality_mismatch_raises_on_every_call(self):
         f = Factor((0, 1), (2, 3), np.ones((2, 3)))
@@ -607,6 +643,18 @@ class TestEinsumCall:
         calls = _through_np_einsum(monkeypatch)
         assert _polytree_answers(11) == want
         assert len(calls) > 1000
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_no_call_computes_nothing(self, monkeypatch, seed):
+        # A leaf border's λ, a read-out whose λ is a scalar and a π message
+        # whose other children send scalars need no einsum call: no call
+        # has zero operands or is one operand copied as it is.
+        calls = _through_np_einsum(monkeypatch)
+        _polytree_answers(seed)
+        assert len(calls) > 100
+        for subscripts in calls:
+            ins, out = subscripts.split("->")
+            assert ins and ins != out, subscripts
 
 
 def _wide(scopes, cards, seed=0):
