@@ -9,12 +9,16 @@ from the informed set through a gate.  The restricted tables are where the
 evidence enters: π of a border carries the evidence of its members and of
 its parent side, λ only the evidence on its child sides.  The border
 chain engine is a reader of this session on the chain's one-macro view
-(:func:`~bordertree.border_chain.run_passes`).
+(:func:`~bordertree.border_chain.run_passes`).  A query that shares no
+ancestor with the evidence is independent of it, so the session reads its
+posterior off the unrestricted prior of its home border and sends it no
+message (see :mod:`~bordertree.messaging`).
 
 :class:`BorderSession` is a :class:`~bordertree.messaging.TreeSession`,
 which owns cores, pivots, the schedules, the store and the boundary
 fallbacks.  This module supplies the border algebra (border beliefs from
-cohort tables and junction splices, and the edge messages) and the
+cohort tables and junction splices, and the edge messages), the
+unrestricted prior the read-out of an independent query reads, and the
 restricted prior an outside parent border sends.  The restricted priors
 and cohort tables are built once per session.
 
@@ -84,8 +88,9 @@ def preload_priors(bp: BorderPolytree) -> dict[int, Factor]:
 class BorderSession(TreeSession):
     """One evidence set against a border polytree.
 
-    Border priors are read only where an outside parent border sends one,
-    and preloaded then if ``bp`` has none yet.  On a chain's view, a
+    Border priors are read only where an outside parent border sends one
+    or a query independent of the evidence reads one, and preloaded then
+    if ``bp`` has none yet.  On a chain's view, a
     session anchored at border 0 (``pivot=0``) reads none: every edge's
     parent side holds a core border.
 
@@ -148,12 +153,13 @@ class BorderSession(TreeSession):
 
     # -- restricted tables ------------------------------------------------------
 
+    def _prior(self, bid: int) -> Factor:
+        return (self.bp.priors or preload_priors(self.bp))[bid]
+
     def _prior_r(self, bid: int) -> Factor:
         f = self._prior_cache.get(bid)
         if f is None:
-            if self.bp.priors is None:
-                preload_priors(self.bp)
-            f = self._prior_cache[bid] = restrict(self.bp.priors[bid], self.ev)
+            f = self._prior_cache[bid] = restrict(self._prior(bid), self.ev)
         return f
 
     def _phi_r(self, b: Border) -> Factor:

@@ -376,8 +376,9 @@ class ReplSession:
     :meth:`~bordertree.bp_infer.BorderSession.with_evidence`, which keeps
     the messages the change left valid; ``reset`` returns to the
     evidence-free session.  That session, built once, also answers every
-    prior (``query``'s prior column and ``priors``) and keeps its border
-    beliefs between steps.  ``last_sent`` counts the messages the last
+    prior (``query``'s prior column and ``priors``); with no evidence no
+    variable is relevant, so it reads each from the preloaded priors and
+    sends no message.  ``last_sent`` counts the messages the last
     ``evidence``, ``retract``, ``query`` or ``core`` computed.
     """
 

@@ -47,6 +47,20 @@ evidence on its child sides.  In a border chain that reads: π(j) carries
 the evidence recruited at or before step j, and λ(j) the evidence
 recruited after step j.  An evidence-free child side therefore sends the
 scalar 1 upward.
+
+The read-out sends no message for a query the evidence cannot reach.  A
+variable X that shares no ancestor, itself included, with any evidence
+variable E is d-separated from E given nothing: a path between them
+without a head-to-head node would lead up from both ends to a common
+ancestor, and with nothing conditioned on a head-to-head node blocks its
+path (Geiger, Verma & Pearl 1990).  So Pr{X | e} = Pr{X}, read from the
+unrestricted preloaded prior at X's node.  The unnormalized read-out, as
+for every query, is Pr{X, e'} for the evidence e' of X's component, and
+that is Pr{X} Pr(e'), with Pr(e') the belief total at the component's
+pivot.  Finding that needs the ancestors of the evidence and of the
+queries, not the whole network: the session finds the evidence's
+ancestors once and walks up from each query to the first variable it has
+already classified.
 """
 
 from __future__ import annotations
@@ -505,15 +519,19 @@ class TreeSession:
       message absent from the store must come from a side without core
       nodes (``_side_has_core``, O(1)), and is the prior an outside parent
       sends, or the scalar 1 an outside child sends;
-    * the read-out of posteriors and ``evidence_prob``.
+    * the read-out of posteriors and ``evidence_prob``: the relevance memo
+      (``_relevant``) that sends a query the evidence cannot reach to its
+      prior, and the evidence total of each component (``_evidence_total``),
+      contracted at its pivot once per session.
 
-    An engine supplies its edge messages (``compute_pi_edge(p, c)``, the
-    message parent p sends child c, and ``compute_lambda_edge(p, c)``, the
-    one c sends p), ``_outside_prior(p)``, ``_belief_factors(v)`` (the
-    factors whose product is v's belief), ``posterior`` and
-    ``ensure_informed``.  The engine passes in the schedule functions, so
-    each engine calls them through its own module, where the benchmark's
-    tracer finds them.
+    An engine supplies ``bn``, the network whose parents the relevance walk
+    reads, its edge messages (``compute_pi_edge(p, c)``, the message parent
+    p sends child c, and ``compute_lambda_edge(p, c)``, the one c sends p),
+    ``_prior(v)`` (the unrestricted prior of node v), ``_outside_prior(p)``,
+    ``_belief_factors(v)`` (the factors whose product is v's belief),
+    ``posterior`` and ``ensure_informed``.  The engine passes in the
+    schedule functions, so each engine calls them through its own module,
+    where the benchmark's tracer finds them.
 
     Messages are keyed by ``(p, c, direction)``, for the edge p->c and
     ``"pi"`` (down) or ``"lambda"`` (up).
@@ -533,6 +551,8 @@ class TreeSession:
         self.pivots: dict[Node, Node] = {}
         self.informed_in: dict[Node, set[Node]] = {}  # component id -> informed nodes
         self._top: dict[Node, Node] = {}  # component id -> its least-depth informed node
+        self._totals: dict[Node, Factor] = {}  # component id -> Pr of its evidence
+        self._relevance: Optional[dict[int, bool]] = None  # variable -> relevant?
         for comp, (core, pv) in component_cores(tree, groups, pivot).items():
             self.cores[comp] = core
             self.core_nodes |= core.nodes
@@ -613,11 +633,74 @@ class TreeSession:
                 top = dst
         self._top[comp] = top
 
+    def _relevant(self, var: int) -> bool:
+        """Does ``var`` share an ancestor, itself included, with an evidence
+        variable?
+
+        The memo starts as the evidence variables and their ancestors, all
+        relevant, found once per session.  A query walks up the parents
+        from ``var``, stopping at nodes the memo already knows: a relevant
+        one settles the walk, an irrelevant one has only irrelevant
+        ancestors.  A walk that meets no relevant node marks every node it
+        saw irrelevant.  The cost is bounded by the ancestors of the
+        evidence and of the queries, and nothing recurses."""
+        parents = self.bn.parents
+        memo = self._relevance
+        if memo is None:
+            memo = self._relevance = dict.fromkeys(self.ev.vars, True)
+            stack = list(memo)
+            while stack:
+                for p in parents[stack.pop()]:
+                    if p not in memo:
+                        memo[p] = True
+                        stack.append(p)
+        known = memo.get(var)
+        if known is not None:
+            return known
+        seen = {var}
+        stack = [var]
+        while stack:
+            for p in parents[stack.pop()]:
+                known = memo.get(p)
+                if known:
+                    memo[var] = True
+                    return True
+                if known is None and p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+        memo.update(dict.fromkeys(seen, False))
+        return False
+
+    def _evidence_total(self, comp: Node) -> Factor:
+        """Pr of the evidence in component ``comp``, as a scalar factor: the
+        belief's total at its pivot, contracted once per session; the
+        scalar 1 in a component with no core."""
+        total = self._totals.get(comp)
+        if total is None:
+            pv = self.pivots.get(comp)
+            total = _VACUOUS if pv is None else contract(self._belief_factors(pv), ())
+            self._totals[comp] = total
+        return total
+
     def _readout(self, v: Node, var: int) -> tuple[Factor, Factor]:
-        """(unnormalized Pr{var, [evidence]}, normalized posterior), read at v."""
-        self.ensure_informed(v)
-        unnorm = contract(self._belief_factors(v), (var,))
-        post, _ = normalize(unnorm)
+        """(unnormalized Pr{var, [evidence]}, normalized posterior), read at v.
+
+        A variable that shares no ancestor with any evidence variable is
+        d-separated from the evidence given nothing, so its posterior is
+        its prior, read from v's unrestricted prior with no message sent,
+        and Pr{var, e} is that prior times the evidence total of v's
+        component."""
+        if self._relevant(var):
+            self.ensure_informed(v)
+            unnorm = contract(self._belief_factors(v), (var,))
+            post, _ = normalize(unnorm)
+            return unnorm, post
+        prior = contract([self._prior(v)], (var,))
+        total = self._evidence_total(self.tree.comp[v])
+        unnorm = contract([prior, total], (var,))
+        # Impossible evidence leaves unnorm all zero, and normalizing it
+        # raises as it does for a relevant query.
+        post, _ = normalize(prior if total.total() > 0.0 else unnorm)
         return unnorm, post
 
     def evidence_prob(self) -> float:
@@ -627,6 +710,6 @@ class TreeSession:
         if not self.ev:
             return 1.0
         out = 1.0
-        for pv in self.pivots.values():
-            out *= contract(self._belief_factors(pv), ()).total()
+        for comp in self.pivots:
+            out *= self._evidence_total(comp).total()
         return out

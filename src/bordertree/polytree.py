@@ -8,13 +8,16 @@ from the informed set out to each query.  Messages from outside the core
 are never computed: an outside parent contributes its preloaded prior and
 an outside child the scalar 1.  Evidence enters through the restricted
 CPTs only: a node's CPT holds the node, so its π carries its own evidence.
+A query that shares no ancestor with the evidence is independent of it, so
+its posterior is its preloaded prior, and no message is sent to it (see
+:mod:`~bordertree.messaging`).
 
 :class:`PolytreeSession` is a :class:`~bordertree.messaging.TreeSession`,
 which owns cores, pivots, the schedules, the store and the boundary
-fallbacks; this module supplies the node messages and the node priors an
-outside parent sends.  Messages are keyed as the skeleton keys them,
-``(parent, child, direction)``: the store dies with its session, whose
-evidence is fixed.  Restricted tables are built once per session.
+fallbacks; this module supplies the node messages and the node priors,
+which an independent query reads and an outside parent sends.  Messages
+are keyed as the skeleton keys them, ``(parent, child, direction)``: the
+store dies with its session, whose evidence is fixed.  Restricted tables are built once per session.
 """
 
 from __future__ import annotations
@@ -76,8 +79,12 @@ class PolytreeSession(TreeSession):
         groups = [{v} for v in ev.vars]
         super().__init__(engine.tree, ev, groups, pivot, collection_schedule)
 
-    def _outside_prior(self, x: int) -> Factor:
+    def _prior(self, x: int) -> Factor:
         return self.e.priors[x]
+
+    # A node's CPT holds only the node, so an outside parent's side holds
+    # no evidence and it sends its unrestricted prior.
+    _outside_prior = _prior
 
     def _pr_r(self, v: int) -> Factor:
         f = self._cpt_cache.get(v)

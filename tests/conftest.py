@@ -97,6 +97,39 @@ def reference_chain(bn, forced_order=None) -> list[ChainStep]:
     return steps
 
 
+def d_separated(bn, x: int, observed) -> bool:
+    """Is ``x`` d-separated from every variable in ``observed`` given
+    nothing?  The moralization test of Lauritzen et al. (1990): take
+    {x} ∪ observed and all their ancestors, marry the parents of each node
+    there and drop directions; x is d-separated when no observed variable
+    is connected to it in that graph.  Kept apart from the
+    engines' ancestor walk, as a reference for it."""
+    ancestral = {x, *observed}
+    todo = list(ancestral)
+    while todo:
+        for p in bn.parents[todo.pop()]:
+            if p not in ancestral:
+                ancestral.add(p)
+                todo.append(p)
+    moral = {v: set() for v in ancestral}
+    for v in ancestral:
+        ps = bn.parents[v]
+        for i, p in enumerate(ps):
+            moral[v].add(p)
+            moral[p].add(v)
+            for q in ps[i + 1 :]:
+                moral[p].add(q)
+                moral[q].add(p)
+    reached = {x}
+    todo = [x]
+    while todo:
+        for u in moral[todo.pop()]:
+            if u not in reached:
+                reached.add(u)
+                todo.append(u)
+    return reached.isdisjoint(observed)
+
+
 def load_fixture(name: str):
     """The network in ``fixtures/<name>.bn``."""
     with open(fixture_path(f"{name}.bn"), encoding="utf-8") as fh:

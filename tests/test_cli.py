@@ -478,9 +478,12 @@ class TestRepl:
         # downward message 16->17 ({B,C,G,N,P} to {B,C,G,P,O}) depends on
         # Q alone again once B is retracted, but it went stale when B was
         # added, and a session keeps no message of an earlier evidence set.
+        # A shares no ancestor with Q, and Z none with I, so ``query A,O``
+        # and ``query A,Z`` read A and Z from the preloaded priors and send
+        # only the messages to O and to A.
         steps = [
             ("evidence Q=q0", 0, 0),
-            ("query A,O", 6, 6),
+            ("query A,O", 4, 4),
             ("evidence B=b0", 2, 5),
             ("query Z", 7, 12),
             ("evidence O=o1", 3, 6),
@@ -497,8 +500,8 @@ class TestRepl:
             ("reset", 2, 0),
             ("query A", 0, 0),
             ("evidence I=i0", 0, 0),
-            ("query A,Z", 19, 19),
-            ("priors", 19, 19),
+            ("query A,Z", 10, 10),
+            ("priors", 10, 10),
         ]
         session = ReplSession(load(BN_C), io.StringIO())
         got = []

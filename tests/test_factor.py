@@ -601,7 +601,10 @@ def _contract_layouts():
 
 
 def _polytree_answers(seed):
-    """Every posterior and Pr(e) of ``bp_query`` on a seeded 400-node polytree."""
+    """Every posterior and Pr(e) of ``bp_query`` on a seeded 400-node
+    polytree, for four seeded evidence sets.  Queries that share no
+    ancestor with an evidence set read their priors and send no message,
+    so one set alone leaves many of the polytree's messages unexercised."""
     from bordertree.bp_build import build_border_polytree
     from bordertree.bp_infer import bp_query, preload_priors
     from bordertree.randgen import random_evidence, random_polytree
@@ -610,8 +613,11 @@ def _polytree_answers(seed):
     bn = random_polytree(rng, 400, 400, 3)
     bp = build_border_polytree(bn)
     preload_priors(bp)
-    posts, pe = bp_query(bp, random_evidence(rng, bn, max_vars=5))
-    return [_bits(posts[v]) for v in sorted(posts)], pe.hex()
+    out = []
+    for _ in range(4):
+        posts, pe = bp_query(bp, random_evidence(rng, bn, max_vars=5))
+        out.append(([_bits(posts[v]) for v in sorted(posts)], pe.hex()))
+    return out
 
 
 class TestEinsumCall:

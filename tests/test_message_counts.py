@@ -1,13 +1,16 @@
 """The paper's message-count claim, checked by counting.
 
 A session sends one message per edge of its evidential core, toward the
-pivot, and each query then adds one message per edge of the path from the
-informed set out to the query's home: the node itself for the polytree
-engine, its home border for the border polytree.  So the number of
-messages grows with the core and the query paths, not with the network.
-The reference counts below walk the same geometry with plain BFS
-(``Tree.bfs_path``), apart from the session's index and schedules; counts
-are pinned, not times.
+pivot.  Each relevant query then adds one message per edge of the path
+from the informed set out to the query's home: the node itself for the
+polytree engine, its home border for the border polytree.  A query that
+shares no ancestor with the evidence is d-separated from it, reads its
+preloaded prior and adds none.  So the number of messages grows with the
+core and the paths to relevant queries, not with the network.  The
+reference counts below walk the same geometry with plain BFS
+(``Tree.bfs_path``), apart from the session's index and schedules, and
+call a query relevant by the moralization test (``conftest.d_separated``),
+apart from the session's ancestor walk; counts are pinned, not times.
 """
 
 import numpy as np
@@ -18,6 +21,8 @@ from bordertree.bp_infer import BorderSession
 from bordertree.network import EvidenceSet
 from bordertree.polytree import PolytreeEngine
 from bordertree.randgen import random_polytree
+
+from conftest import d_separated
 
 SIZES = (100, 400, 1600)
 COUNTS = (1, 4, 16)  # observed variables, and queried variables
@@ -65,9 +70,10 @@ def test_messages_follow_core_and_query_paths(n):
             border = BorderSession(bp, ev)
             assert border.collected == inner_edges(bp.tree(), border.core_nodes)
 
+            relevant = [q for q in queries if not d_separated(bn, q, observed)]
             for session, homes in (
-                (node, queries),
-                (border, [bp.home_border(q) for q in queries]),
+                (node, relevant),
+                (border, [bp.home_border(q) for q in relevant]),
             ):
                 for q in queries:
                     session.posterior(q)
