@@ -449,6 +449,9 @@ class BorderPolytree:
                 home[v].append(b.id)
         self.variable_home = {v: tuple(ids) for v, ids in home.items()}
         self.priors: Optional[dict[int, Factor]] = None
+        # Variable -> its normalized prior marginal, filled by the read-outs
+        # of queries independent of their session's evidence.
+        self.marginals: dict[int, Factor] = {}
         self._tree: Optional[Tree] = None
 
     def __len__(self):

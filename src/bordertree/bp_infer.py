@@ -10,16 +10,20 @@ evidence enters: π of a border carries the evidence of its members and of
 its parent side, λ only the evidence on its child sides.  The border
 chain engine is a reader of this session on the chain's one-macro view
 (:func:`~bordertree.border_chain.run_passes`).  A query that shares no
-ancestor with the evidence is independent of it, so the session reads its
-posterior off the unrestricted prior of its home border and sends it no
-message (see :mod:`~bordertree.messaging`).
+ancestor with the evidence is independent of it, so the session sends it
+no message: its posterior is its prior marginal, which the first read
+takes off the unrestricted prior of its home border and the border
+polytree keeps (``BorderPolytree.marginals``) for every later session (see
+:mod:`~bordertree.messaging`).  ``posterior`` returns the normalized
+posterior only, and ``joint`` the unnormalized Pr{var, e}.
 
 :class:`BorderSession` is a :class:`~bordertree.messaging.TreeSession`,
 which owns cores, pivots, the schedules, the store and the boundary
 fallbacks.  This module supplies the border algebra (border beliefs from
 cohort tables and junction splices, and the edge messages), the
-unrestricted prior the read-out of an independent query reads, and the
-restricted prior an outside parent border sends.  The restricted priors
+unrestricted prior and the memo of prior marginals the read-out of an
+independent query reads, and the restricted prior an outside parent
+border sends.  The restricted priors
 and cohort tables are built once per session.
 
 Every session keys its store by ``(parent, child, direction)``: its
@@ -112,6 +116,7 @@ class BorderSession(TreeSession):
         self._lambda_cache: dict[int, Factor] = {}
         self._prior_cache: dict[int, Factor] = {}
         self._phi_cache: dict[int, Factor] = {}
+        self._marginals = bp.marginals
         groups = [set(bp.variable_home[v]) for v in ev.vars]
         super().__init__(bp.tree(), ev, groups, pivot, collection_schedule, _carried)
 
@@ -229,10 +234,13 @@ class BorderSession(TreeSession):
     def ensure_informed(self, bid: int):
         self._inform(bid, distribution_schedule)
 
-    def posterior(self, var: int) -> tuple[Factor, Factor]:
-        """(unnormalized Pr{var, [evidence]}, normalized posterior), read
-        at var's home border."""
+    def posterior(self, var: int) -> Factor:
+        """The normalized posterior of var, read at var's home border."""
         return self._readout(self.bp.home_border(var), var)
+
+    def joint(self, var: int) -> Factor:
+        """The unnormalized Pr{var, e}, read at var's home border."""
+        return self._joint(self.bp.home_border(var), var)
 
     # Bound here too, so that perfbench's tracer can wrap it per engine.
     evidence_prob = TreeSession.evidence_prob
@@ -248,5 +256,5 @@ def bp_query(
     session = BorderSession(bp, ev, pivot=pivot)
     if queries is None:
         queries = list(bp.source.ids)
-    posteriors = {q: session.posterior(q)[1] for q in queries}
+    posteriors = {q: session.posterior(q) for q in queries}
     return posteriors, session.evidence_prob()

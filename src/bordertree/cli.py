@@ -165,7 +165,7 @@ def _prior_table(session, queries, out) -> None:
     rows = [
         {"variable": bn.name_of(q), "value": label, "prior": _fmt_prob(p)}
         for q in queries
-        for label, p in zip(bn.variables[q].value_labels, session.posterior(q)[1].values)
+        for label, p in zip(bn.variables[q].value_labels, session.posterior(q).values)
     ]
     _tsv(rows, ["variable", "value", "prior"], out)
 
@@ -377,9 +377,11 @@ class ReplSession:
     the messages the change left valid; ``reset`` returns to the
     evidence-free session.  That session, built once, also answers every
     prior (``query``'s prior column and ``priors``); with no evidence no
-    variable is relevant, so it reads each from the preloaded priors and
-    sends no message.  ``last_sent`` counts the messages the last
-    ``evidence``, ``retract``, ``query`` or ``core`` computed.
+    variable is relevant, so it sends no message, and each prior it reads
+    is kept in the border polytree's memo of prior marginals, which the
+    evidence sessions read for their independent queries too.
+    ``last_sent`` counts the messages the last ``evidence``, ``retract``,
+    ``query`` or ``core`` computed.
     """
 
     def __init__(self, bn: BayesianNetwork, out):
@@ -424,9 +426,9 @@ class ReplSession:
                     print("usage: query X[,Y]", file=out)
                     return True
                 session = self.session
-                priors = {q: self.prior.posterior(q)[1].values for q in queries}
+                priors = {q: self.prior.posterior(q).values for q in queries}
                 sent = session.sent
-                posts = {q: session.posterior(q)[1].values for q in queries}
+                posts = {q: session.posterior(q).values for q in queries}
                 self.last_sent = session.sent - sent
                 rows = _posterior_rows(self.bn, queries, priors, posts)
                 _tsv(rows, ["variable", "value", "prior", "posterior", "log_ratio"], out)

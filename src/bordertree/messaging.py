@@ -33,7 +33,8 @@ polytree engine's nodes, the border polytree's borders): cores and pivots
 CLI's ``core``), collection, the informed set and distribution, the
 message store and ``_send``, the boundary fallbacks, counters and the
 read-out.  Each engine supplies only its message algebra, its boundary
-prior, its belief factors and ``posterior``.  Every session keys its own
+prior, its belief factors, its structure's memo of prior marginals, and
+``posterior`` and ``joint``.  Every session keys its own
 store by ``(parent, child, direction)``: a session's evidence is fixed, so
 an edge and a direction name a message.  Messages outlive a session only
 when the border engine hands the ones its next evidence leaves unchanged
@@ -53,14 +54,24 @@ variable X that shares no ancestor, itself included, with any evidence
 variable E is d-separated from E given nothing: a path between them
 without a head-to-head node would lead up from both ends to a common
 ancestor, and with nothing conditioned on a head-to-head node blocks its
-path (Geiger, Verma & Pearl 1990).  So Pr{X | e} = Pr{X}, read from the
-unrestricted preloaded prior at X's node.  The unnormalized read-out, as
-for every query, is Pr{X, e'} for the evidence e' of X's component, and
-that is Pr{X} Pr(e'), with Pr(e') the belief total at the component's
-pivot.  Finding that needs the ancestors of the evidence and of the
-queries, not the whole network: the session finds the evidence's
+path (Geiger, Verma & Pearl 1990).  So Pr{X | e} = Pr{X}, a function of
+the structure alone: the first read normalizes X's marginal of the
+unrestricted preloaded prior at X's node, and the structure keeps it in a
+memo of prior marginals that every later session on it reads.  Finding
+which queries are independent needs the ancestors of the evidence and of
+the queries, not the whole network: the session finds the evidence's
 ancestors once and walks up from each query to the first variable it has
 already classified.
+
+A read-out returns the normalized posterior only.  The unnormalized
+Pr{X, e} is computed only when ``joint`` asks for it: Pr{X, e'} for the
+evidence e' of X's component, times the evidence totals of the others.
+For an independent X, Pr{X, e'} is Pr{X} Pr(e'), with Pr(e') the belief
+total at the component's pivot.  Every read-out first
+checks that no component's evidence total is exactly 0, each total on its
+own: evidence that is impossible in one component makes every posterior
+undefined, even one read in another component, while the product of
+totals that are each positive can underflow to 0.
 """
 
 from __future__ import annotations
@@ -70,7 +81,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import BordertreeError, NotSinglyConnectedError
+from .errors import BordertreeError, ImpossibleEvidenceError, NotSinglyConnectedError
 from .factor import Factor, contract, normalize
 
 Node = int  # trees number their nodes 0..n-1
@@ -519,19 +530,22 @@ class TreeSession:
       message absent from the store must come from a side without core
       nodes (``_side_has_core``, O(1)), and is the prior an outside parent
       sends, or the scalar 1 an outside child sends;
-    * the read-out of posteriors and ``evidence_prob``: the relevance memo
-      (``_relevant``) that sends a query the evidence cannot reach to its
-      prior, and the evidence total of each component (``_evidence_total``),
-      contracted at its pivot once per session.
+    * the read-out of posteriors, of joints and ``evidence_prob``: the
+      relevance memo (``_relevant``) that sends a query the evidence cannot
+      reach to the structure's memo of prior marginals, the evidence total
+      of each component (``_evidence_total``), contracted at its pivot once
+      per session, and the check that none of those totals is 0.
 
     An engine supplies ``bn``, the network whose parents the relevance walk
-    reads, its edge messages (``compute_pi_edge(p, c)``, the message parent
-    p sends child c, and ``compute_lambda_edge(p, c)``, the one c sends p),
-    ``_prior(v)`` (the unrestricted prior of node v), ``_outside_prior(p)``,
-    ``_belief_factors(v)`` (the factors whose product is v's belief),
-    ``posterior`` and ``ensure_informed``.  The engine passes in the
-    schedule functions, so each engine calls them through its own module,
-    where the benchmark's tracer finds them.
+    reads, ``_marginals``, the structure's memo of normalized prior
+    marginals by variable, its edge messages (``compute_pi_edge(p, c)``,
+    the message parent p sends child c, and ``compute_lambda_edge(p, c)``,
+    the one c sends p), ``_prior(v)`` (the unrestricted prior of node v),
+    ``_outside_prior(p)``, ``_belief_factors(v)`` (the factors whose
+    product is v's belief), ``posterior``, ``joint`` and
+    ``ensure_informed``.  The engine passes in the schedule functions, so
+    each engine calls them through its own module, where the benchmark's
+    tracer finds them.
 
     Messages are keyed by ``(p, c, direction)``, for the edge p->c and
     ``"pi"`` (down) or ``"lambda"`` (up).
@@ -553,6 +567,7 @@ class TreeSession:
         self._top: dict[Node, Node] = {}  # component id -> its least-depth informed node
         self._totals: dict[Node, Factor] = {}  # component id -> Pr of its evidence
         self._relevance: Optional[dict[int, bool]] = None  # variable -> relevant?
+        self._possible = False  # every component's evidence total checked > 0
         for comp, (core, pv) in component_cores(tree, groups, pivot).items():
             self.cores[comp] = core
             self.core_nodes |= core.nodes
@@ -682,26 +697,52 @@ class TreeSession:
             self._totals[comp] = total
         return total
 
-    def _readout(self, v: Node, var: int) -> tuple[Factor, Factor]:
-        """(unnormalized Pr{var, [evidence]}, normalized posterior), read at v.
+    def _check_possible(self) -> None:
+        """Raise ImpossibleEvidenceError if any component's evidence has
+        probability exactly 0; checked once per session.  Each total is
+        tested on its own, since totals that are each positive can have a
+        product that underflows to 0."""
+        if self._possible:
+            return
+        for comp in self.pivots:
+            if self._evidence_total(comp).total() <= 0.0:
+                raise ImpossibleEvidenceError("evidence has probability 0")
+        self._possible = True
+
+    def _belief(self, v: Node, var: int) -> Factor:
+        """Pr{var, e'} for the evidence e' of v's component, from the
+        belief at v, once v is informed."""
+        self.ensure_informed(v)
+        return contract(self._belief_factors(v), (var,))
+
+    def _readout(self, v: Node, var: int) -> Factor:
+        """The normalized posterior of ``var``, read at v.
 
         A variable that shares no ancestor with any evidence variable is
         d-separated from the evidence given nothing, so its posterior is
-        its prior, read from v's unrestricted prior with no message sent,
-        and Pr{var, e} is that prior times the evidence total of v's
-        component."""
+        its prior marginal: the structure's memo holds it, filled from v's
+        unrestricted prior on the first read, and no message is sent."""
+        self._check_possible()
         if self._relevant(var):
-            self.ensure_informed(v)
-            unnorm = contract(self._belief_factors(v), (var,))
-            post, _ = normalize(unnorm)
-            return unnorm, post
+            return normalize(self._belief(v, var))[0]
+        post = self._marginals.get(var)
+        if post is None:
+            post = normalize(contract([self._prior(v)], (var,)))[0]
+            self._marginals[var] = post
+        return post
+
+    def _joint(self, v: Node, var: int) -> Factor:
+        """The unnormalized Pr{var, e}, read at v: Pr{var, e'} for the
+        evidence e' of v's component, which for a variable independent of
+        the evidence is its prior marginal times the component's evidence
+        total, times the evidence totals of the other components."""
+        self._check_possible()
+        comp = self.tree.comp[v]
+        others = [self._evidence_total(c) for c in self.pivots if c != comp]
+        if self._relevant(var):
+            return contract([self._belief(v, var), *others], (var,))
         prior = contract([self._prior(v)], (var,))
-        total = self._evidence_total(self.tree.comp[v])
-        unnorm = contract([prior, total], (var,))
-        # Impossible evidence leaves unnorm all zero, and normalizing it
-        # raises as it does for a relevant query.
-        post, _ = normalize(prior if total.total() > 0.0 else unnorm)
-        return unnorm, post
+        return contract([prior, self._evidence_total(comp), *others], (var,))
 
     def evidence_prob(self) -> float:
         """Pr(evidence): the product over cores of the belief's total at

@@ -9,8 +9,11 @@ are never computed: an outside parent contributes its preloaded prior and
 an outside child the scalar 1.  Evidence enters through the restricted
 CPTs only: a node's CPT holds the node, so its π carries its own evidence.
 A query that shares no ancestor with the evidence is independent of it, so
-its posterior is its preloaded prior, and no message is sent to it (see
-:mod:`~bordertree.messaging`).
+its posterior is its normalized preloaded prior, and no message is sent to
+it; the engine keeps each such marginal (``PolytreeEngine.marginals``) for
+every later session (see :mod:`~bordertree.messaging`).  ``posterior``
+returns the normalized posterior only, and ``joint`` the unnormalized
+Pr{q, e}.
 
 :class:`PolytreeSession` is a :class:`~bordertree.messaging.TreeSession`,
 which owns cores, pivots, the schedules, the store and the boundary
@@ -55,6 +58,9 @@ class PolytreeEngine:
         self.tree = _node_tree(bn)
         self.bn = bn
         self.priors = node_priors(bn)
+        # Variable -> its normalized prior marginal, filled by the read-outs
+        # of queries independent of their session's evidence.
+        self.marginals: dict[int, Factor] = {}
 
     def session(self, ev=NO_EVIDENCE, pivot: Optional[int] = None) -> "PolytreeSession":
         return PolytreeSession(self, ev, pivot)
@@ -65,7 +71,7 @@ class PolytreeEngine:
         session = self.session(ev, pivot)
         if queries is None:
             queries = list(self.bn.ids)
-        posteriors = {q: session.posterior(q)[1] for q in queries}
+        posteriors = {q: session.posterior(q) for q in queries}
         return posteriors, session.evidence_prob()
 
 
@@ -76,6 +82,7 @@ class PolytreeSession(TreeSession):
         self.e = engine
         self.bn = engine.bn
         self._cpt_cache: dict[int, Factor] = {}
+        self._marginals = engine.marginals
         groups = [{v} for v in ev.vars]
         super().__init__(engine.tree, ev, groups, pivot, collection_schedule)
 
@@ -118,9 +125,13 @@ class PolytreeSession(TreeSession):
     def ensure_informed(self, q: int):
         self._inform(q, distribution_schedule)
 
-    def posterior(self, q: int) -> tuple[Factor, Factor]:
-        """(unnormalized Pr{q, [evidence]}, normalized posterior)."""
+    def posterior(self, q: int) -> Factor:
+        """The normalized posterior of q."""
         return self._readout(q, q)
+
+    def joint(self, q: int) -> Factor:
+        """The unnormalized Pr{q, e}."""
+        return self._joint(q, q)
 
     # Bound here too, so that perfbench's tracer can wrap it per engine.
     evidence_prob = TreeSession.evidence_prob

@@ -153,8 +153,8 @@ def test_criterion_5_pivot_independence(bn_c, bp_c, ev_boq):
     assert leaf_dirs == {"pi"} and root_dirs == {"lambda"}
 
     p = bn_c.id_of("P")
-    _, post_leaf = s_leaf.posterior(p)
-    _, post_root = s_root.posterior(p)
+    post_leaf = s_leaf.posterior(p)
+    post_root = s_root.posterior(p)
     rel = np.max(
         np.abs(post_leaf.values - post_root.values) / np.abs(post_root.values)
     )

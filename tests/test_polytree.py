@@ -92,7 +92,7 @@ class TestMessages:
         d = poly_b.id_of("D")
         s = eng.session(EvidenceSet(poly_b, {d: {0}}), pivot=d)
         assert s.collected == 0
-        _, post = s.posterior(d)
+        post = s.posterior(d)
         np.testing.assert_allclose(post.values, [1.0, 0.0], atol=1e-12)
 
 
@@ -111,7 +111,7 @@ class TestSessions:
                 assert x in s.pivots.values()
                 assert s.evidence_prob() == pytest.approx(pe, rel=1e-9)
                 for q in bn.ids:
-                    np.testing.assert_allclose(s.posterior(q)[1].values, want[q], atol=1e-9)
+                    np.testing.assert_allclose(s.posterior(q).values, want[q], atol=1e-9)
 
     def test_pivot_without_evidence_seeds_its_core(self, poly_b, bn_c, bp_c):
         # A requested pivot alone makes a core of itself in a component
@@ -125,14 +125,14 @@ class TestSessions:
         for session, pivots, queries in sessions:
             plain = session(None)
             assert not plain.cores
-            want = {q: plain.posterior(q)[1].values for q in queries}
+            want = {q: plain.posterior(q).values for q in queries}
             for pv in pivots:
                 s = session(pv)
                 assert [c.nodes for c in s.cores.values()] == [frozenset({pv})]
                 assert list(s.pivots.values()) == [pv] and s.collected == 0
                 assert s.evidence_prob() == pytest.approx(plain.evidence_prob(), rel=1e-12)
                 for q in queries:
-                    np.testing.assert_allclose(s.posterior(q)[1].values, want[q], rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(s.posterior(q).values, want[q], rtol=0, atol=1e-12)
 
     def test_pivot_outside_the_tree_raises_key_error(self, poly_b, bn_c, bp_c):
         # A pivot that names no node is an error, not silently dropped.
@@ -216,7 +216,7 @@ class TestPosteriors:
         s = eng.session(ev)
         pe = oracle_event_prob(poly_b, ev)
         for q in poly_b.ids:
-            unnorm, _ = s.posterior(q)
+            unnorm = s.joint(q)
             assert unnorm.total() == pytest.approx(pe, rel=1e-9)
 
     def test_parent_and_child_side_sets_disjoint(self, poly_b):

@@ -3,12 +3,17 @@
 A variable that shares no ancestor, itself included, with any evidence
 variable is d-separated from the evidence given nothing, so its posterior
 is its prior, and both tree engines answer it from the unrestricted prior
-at its node without sending a message.  These tests check the sessions'
-relevance split against the moralization reference
-(``conftest.d_separated``), which shares no code with the engines, and
-every answer against the oracle.
+at its node without sending a message.  The structure (a border polytree,
+a polytree engine) keeps each such normalized prior in a memo that every
+session on it reads.  These tests check the sessions' relevance split
+against the moralization reference (``conftest.d_separated``), which
+shares no code with the engines, every answer against the oracle, and the
+memo's entries bit for bit against a fresh read of the prior.  Evidence
+that is impossible in any component stops every read-out, also one in
+another component or one the memo could answer.
 """
 
+import functools
 import io
 import sys
 
@@ -19,8 +24,9 @@ from bordertree import zoo
 from bordertree.bnformat import parse_evidence, parse_network
 from bordertree.bp_build import build_border_polytree
 from bordertree.bp_infer import BorderSession, bp_query, preload_priors
-from bordertree.cli import main
+from bordertree.cli import ReplSession, main
 from bordertree.errors import ImpossibleEvidenceError
+from bordertree.factor import contract, normalize
 from bordertree.network import EvidenceSet
 from bordertree.oracle import oracle_event_prob, oracle_marginal, oracle_posterior
 from bordertree.polytree import PolytreeEngine
@@ -35,6 +41,14 @@ PER_KIND = 80  # 240 networks in all
 COLLIDER = (
     "node A 2 a0 a1\nnode B 2 b0 b1\nnode C 2 c0 c1\nparents C A B\n"
     "cpt A 0 1\ncpt B 0.5 0.5\ncpt C 0.9 0.1 0.2 0.8 0.3 0.7 0.6 0.4\n"
+)
+
+# A->B beside C->D with Pr(C=c0) = 0: evidence C=c0 is impossible, and B,
+# in the other component, is independent of it.
+CROSS = (
+    "node A 2 a0 a1\nnode B 2 b0 b1\nnode C 2 c0 c1\nnode D 2 d0 d1\n"
+    "parents B A\nparents D C\n"
+    "cpt A 0.4 0.6\ncpt B 0.3 0.7 0.8 0.2\ncpt C 0 1\ncpt D 0.1 0.9 0.6 0.4\n"
 )
 
 
@@ -71,16 +85,6 @@ def _sessions(bn, ev):
     return out
 
 
-def _connected(bn):
-    nbrs = {v: set(bn.parents[v]) | set(bn.children(v)) for v in bn.ids}
-    seen, todo = {0}, [0]
-    while todo:
-        for u in nbrs[todo.pop()] - seen:
-            seen.add(u)
-            todo.append(u)
-    return len(seen) == len(bn)
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_relevance_split_matches_moralization(kind):
     rng = np.random.default_rng(99)
@@ -109,12 +113,11 @@ def test_answers_match_the_oracle(kind):
             assert pe == pytest.approx(oracle_event_prob(bn, ev), rel=1e-9)
             for q in bn.ids:
                 np.testing.assert_allclose(posts[q].values, oracle_posterior(bn, ev, q), atol=1e-9)
-        if _connected(bn):
-            for session in _sessions(bn, ev):
-                for q in bn.ids:
-                    np.testing.assert_allclose(
-                        session.posterior(q)[0].values, oracle_marginal(bn, [q], ev), atol=1e-9
-                    )
+        for session in _sessions(bn, ev):
+            for q in bn.ids:
+                np.testing.assert_allclose(
+                    session.joint(q).values, oracle_marginal(bn, [q], ev), atol=1e-9
+                )
         irrelevant += sum(d_separated(bn, v, ev.vars) for v in bn.ids)
     assert irrelevant
 
@@ -148,6 +151,96 @@ def test_long_ancestry_reads_the_prior():
     for v in range(1, n):  # the table of v has axes (v-1, v)
         want = want @ bn.cpts[v].values
     for session in _sessions(bn, ev):
-        post = session.posterior(n - 1)[1].values
+        post = session.posterior(n - 1).values
         np.testing.assert_allclose(post, want, rtol=0, atol=1e-12)
         assert session.distributed == 0
+
+
+def _bits(f):
+    return f.scope, f.cards, f.values.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_memo_holds_fresh_priors_bit_for_bit(kind):
+    filled = 0
+    for bn, ev in _cases(kind):
+        bp = build_border_polytree(bn)
+        preload_priors(bp)
+        assert bp.marginals == {}  # preloading the priors leaves it empty
+        bp_query(bp, ev)
+        structures = [(bp, BorderSession(bp), bp.home_border)]
+        if bn.is_singly_connected():
+            engine = PolytreeEngine(bn)
+            engine.query(ev)
+            structures.append((engine, engine.session(), lambda v: v))
+        free = {v for v in bn.ids if d_separated(bn, v, ev.vars)}
+        for owner, reader, home in structures:
+            assert set(owner.marginals) == free  # every query was read once
+            for var, entry in owner.marginals.items():
+                fresh = normalize(contract([reader._prior(home(var))], (var,)))[0]
+                assert _bits(entry) == _bits(fresh)
+                filled += 1
+    assert filled
+
+
+def test_sessions_on_one_structure_read_the_same_entries():
+    bn = random_polytree(np.random.default_rng(7), 8, 8, 3)
+    observed = bn.ids[-1]
+    free = [v for v in bn.ids if d_separated(bn, v, [observed])]
+    assert free
+    first_ev, other_ev = (EvidenceSet(bn, {observed: {k}}) for k in (0, 1))
+    bp, engine = build_border_polytree(bn), PolytreeEngine(bn)
+    for owner, session in ((bp, functools.partial(BorderSession, bp)), (engine, engine.session)):
+        first = session(first_ev)
+        entries = {v: first.posterior(v) for v in free}
+        assert {v: owner.marginals[v] for v in free} == entries
+        later = [session(other_ev), session()]
+        if owner is bp:
+            later.append(first.with_evidence(other_ev))
+        for s in later:
+            for v in free:
+                assert s.posterior(v) is entries[v]
+
+
+def test_impossible_evidence_raises_after_the_memo_holds_the_query():
+    bn = parse_network(COLLIDER)
+    b = bn.id_of("B")
+    ev = parse_evidence("A=a0", bn)
+    bp = build_border_polytree(bn)
+    engine = PolytreeEngine(bn)
+    prior = BorderSession(bp).posterior(b)
+    assert bp.marginals[b] is prior
+    engine.session().posterior(b)
+    assert b in engine.marginals
+    for session in (BorderSession(bp, ev), engine.session(ev)):
+        for read in (session.posterior, session.joint):
+            with pytest.raises(ImpossibleEvidenceError):
+                read(b)
+    with pytest.raises(ImpossibleEvidenceError):
+        bp_query(bp, ev, [b])
+    with pytest.raises(ImpossibleEvidenceError):
+        engine.query(ev, [b])
+
+
+@pytest.mark.parametrize("evidence", ["C=c0", "A=a0,C=c0"])
+def test_impossible_evidence_in_another_component(tmp_path, evidence):
+    # B is answered in A->B, while C=c0 has probability 0 in C->D: every
+    # engine must refuse, whether or not B is relevant to A=a0.
+    bn = parse_network(CROSS)
+    ev = parse_evidence(evidence, bn)
+    b = bn.id_of("B")
+    with pytest.raises(ImpossibleEvidenceError):
+        bp_query(build_border_polytree(bn), ev, [b])
+    with pytest.raises(ImpossibleEvidenceError):
+        PolytreeEngine(bn).query(ev, [b])
+    path = tmp_path / "cross.bn"
+    path.write_text(CROSS)
+    for engine in ("bp", "polytree", "chain", "oracle"):
+        argv = ["query", str(path), "--evidence", evidence, "--q", "B", "--engine", engine]
+        assert main(argv, out=io.StringIO()) == 1, engine
+    out = io.StringIO()
+    repl = ReplSession(bn, out)
+    repl.handle(f"evidence {evidence}")
+    assert out.getvalue() == "error: evidence has probability 0; session unchanged\n"
+    assert not repl.session.ev
+
