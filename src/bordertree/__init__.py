@@ -22,7 +22,6 @@ from .bnformat import (
 from .border_chain import (
     BorderChain,
     ChainStep,
-    PassResult,
     build_chain,
     chain_posterior,
     run_passes,

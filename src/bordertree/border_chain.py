@@ -13,7 +13,10 @@ border 0: λ messages collect from the last evidence border back to the
 first border, π messages distribute down the whole chain.  π(j) carries
 the evidence recruited at or before step j and λ(j) the evidence recruited
 after it, so λ is 1 past the last evidence step, and any border containing
-the query yields the same posterior.
+the query yields the same posterior.  A chain is read like every border
+polytree, through the session's read-out
+(:class:`~bordertree.messaging.TreeSession`): :func:`run_passes` returns
+the informed session, and :func:`chain_posterior` reads its ``joint``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Optional, Sequence
 
 from .bp_build import Border, BorderPolytree, MacroPolytree, _MacroStretcher
 from .bp_infer import BorderSession
-from .factor import Factor, contract, normalize
+from .factor import Factor, normalize
 from .network import NO_EVIDENCE, BayesianNetwork
 
 
@@ -51,12 +54,6 @@ class BorderChain:
         return self.steps[j].border
 
 
-@dataclass
-class PassResult:
-    pi: list[Factor]  # pi[j]: Pr{border j, evidence recruited at or before j}
-    lam: list[Factor]  # lam[j]: Pr{evidence recruited after j | border j}
-
-
 def build_chain(
     bn: BayesianNetwork, forced_order: Optional[Sequence[Optional[int]]] = None
 ) -> BorderChain:
@@ -82,29 +79,26 @@ def build_chain(
 # -- evidential passes ----------------------------------------------------
 
 
-def run_passes(chain: BorderChain, ev=NO_EVIDENCE) -> PassResult:
-    """π and λ of every border, from one border session on the chain's view
-    anchored at border 0.  The view is a path from border 0, so informing
+def run_passes(chain: BorderChain, ev=NO_EVIDENCE) -> BorderSession:
+    """The border session on the chain's view anchored at border 0, with
+    every border informed: π(j) is ``pi_border(j)`` and λ(j) is
+    ``lambda_border(j)``.  The view is a path from border 0, so informing
     the last border informs every border."""
     session = BorderSession(chain.view, ev, pivot=0)
     session.ensure_informed(chain.gamma)
-    borders = range(chain.gamma + 1)
-    return PassResult(
-        [session.pi_border(j) for j in borders], [session.lambda_border(j) for j in borders]
-    )
+    return session
 
 
 def chain_posterior(
-    chain: BorderChain, ev, q: int, passes: Optional[PassResult] = None
+    chain: BorderChain, ev, q: int, passes: Optional[BorderSession] = None
 ) -> tuple[Factor, Factor, float]:
     """(unnormalized Pr{q,[evidence]}, posterior, evidence probability),
-    read at the lowest border containing q.  Any border containing q gives
-    the same answer.
+    read through the session's ``joint`` (``passes``, or the passes for
+    ``ev``), which checks that the evidence is possible.
     """
     if passes is None:
         passes = run_passes(chain, ev)
-    j = chain.view.home_border(q)
-    unnorm = contract([passes.pi[j], passes.lam[j]], (q,))
+    unnorm = passes.joint(q)
     posterior, evidence_prob = normalize(unnorm)
     return unnorm, posterior, evidence_prob
 

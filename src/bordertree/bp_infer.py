@@ -8,8 +8,9 @@ core, collects to a pivot border, and answers each query by distributing
 from the informed set through a gate.  The restricted tables are where the
 evidence enters: π of a border carries the evidence of its members and of
 its parent side, λ only the evidence on its child sides.  The border
-chain engine is a reader of this session on the chain's one-macro view
-(:func:`~bordertree.border_chain.run_passes`).  A query that shares no
+chain engine is this session on the chain's one-macro view, anchored at
+its first border: :func:`~bordertree.border_chain.run_passes` returns it,
+and the chain answers through its read-out.  A query that shares no
 ancestor with the evidence is independent of it, so the session sends it
 no message: its posterior is its prior marginal, which the first read
 takes off the unrestricted prior of its home border and the border
@@ -95,8 +96,9 @@ class BorderSession(TreeSession):
     Border priors are read only where an outside parent border sends one
     or a query independent of the evidence reads one, and preloaded then
     if ``bp`` has none yet.  On a chain's view, a
-    session anchored at border 0 (``pivot=0``) reads none: every edge's
-    parent side holds a core border.
+    session anchored at border 0 (``pivot=0``) is the chain engine's
+    session; its passes read no prior, since every edge's parent side
+    holds a core border, and only an independent query reads one.
 
     Messages carry over to a session for other evidence only through
     :meth:`with_evidence`.

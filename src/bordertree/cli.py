@@ -7,7 +7,10 @@ a file that cannot be read or written.
 All output is deterministic for fixed inputs.
 
 ``query`` reads each engine through one answer call, (posteriors, Pr(e)):
-once with no evidence for the prior column, once with the evidence.
+once with no evidence for the prior column, once with the evidence.  The
+chain engine answers with ``bp_query`` on the chain's one-macro view,
+anchored at its first border, so it shares the border polytree's read-out
+and its impossible-evidence check.
 ``prior`` and the REPL's ``priors`` print an evidence-free border polytree
 session's posteriors through one helper, and ``core`` and the REPL's
 ``core`` print border sets through one formatter.  The REPL is a thin
@@ -38,11 +41,10 @@ from .bnformat import (
     parse_evidence_file,
     parse_network,
 )
-from .border_chain import build_chain, chain_posterior, chain_rows, run_passes
+from .border_chain import build_chain, chain_rows
 from .bp_build import build_border_polytree, verify_bp
 from .bp_infer import BorderSession, bp_query, preload_priors
 from .errors import BnFormatError, BordertreeError, CycleError, ImpossibleEvidenceError
-from .factor import contract
 from .messaging import build_hub_index, component_cores, tree_path
 from .network import NO_EVIDENCE, BayesianNetwork, EvidenceSet, validate
 from .oracle import oracle_event_prob, oracle_posterior
@@ -245,7 +247,8 @@ def cmd_query(args, out):
 
     # Each engine answers through one call, (posterior tables, Pr(e)); the
     # prior column is its answer with no evidence, whose probability is 1,
-    # so the oracle and the chain compute Pr(e) only for evidence.
+    # so the oracle computes Pr(e) only for evidence.  The chain is read as
+    # the one-macro border polytree it is, anchored at its first border.
     if args.engine == "oracle":
 
         def answer(evidence, pivot=None):
@@ -256,9 +259,7 @@ def cmd_query(args, out):
         chain = build_chain(bn)
 
         def answer(evidence, pivot=None):
-            passes = run_passes(chain, evidence)
-            posts = {q: chain_posterior(chain, evidence, q, passes=passes)[1].values for q in queries}
-            return posts, contract([passes.pi[0], passes.lam[0]], ()).total() if evidence else 1.0
+            return _tables(*bp_query(chain.view, evidence, queries, 0))
 
     elif args.engine == "polytree":
         engine = PolytreeEngine(bn)
@@ -392,16 +393,19 @@ class ReplSession:
         self.last_sent = 0
 
     def _move_to(self, ev) -> None:
-        """Make the session for ``ev`` current, unless ``ev`` is impossible.
+        """Make the session for ``ev`` current, unless ``ev`` is impossible
+        as the read-out decides it (``check_possible``): some component's
+        evidence total is 0, however small their product.
         The candidate copies the messages it keeps, so a rejected one
         leaves the current session as it was."""
         session = self.session.with_evidence(ev)
-        pe = session.evidence_prob()
-        if pe <= 0.0:
-            raise ImpossibleEvidenceError("evidence has probability 0; session unchanged")
+        try:
+            session.check_possible()
+        except ImpossibleEvidenceError:
+            raise ImpossibleEvidenceError("evidence has probability 0; session unchanged") from None
         self.session = session
         self.last_sent = session.sent
-        print(f"evidence_prob\t{_fmt_prob(pe)}", file=self.out)
+        print(f"evidence_prob\t{_fmt_prob(session.evidence_prob())}", file=self.out)
 
     def handle(self, line: str) -> bool:
         tokens = line.strip().split(None, 1)

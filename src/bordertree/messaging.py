@@ -69,9 +69,10 @@ evidence e' of X's component, times the evidence totals of the others.
 For an independent X, Pr{X, e'} is Pr{X} Pr(e'), with Pr(e') the belief
 total at the component's pivot.  Every read-out first
 checks that no component's evidence total is exactly 0, each total on its
-own: evidence that is impossible in one component makes every posterior
-undefined, even one read in another component, while the product of
-totals that are each positive can underflow to 0.
+own (``check_possible``, which the REPL also calls before it takes new
+evidence): evidence that is impossible in one component makes every
+posterior undefined, even one read in another component, while the
+product of totals that are each positive can underflow to 0.
 """
 
 from __future__ import annotations
@@ -534,7 +535,8 @@ class TreeSession:
       relevance memo (``_relevant``) that sends a query the evidence cannot
       reach to the structure's memo of prior marginals, the evidence total
       of each component (``_evidence_total``), contracted at its pivot once
-      per session, and the check that none of those totals is 0.
+      per session, and the check that none of those totals is 0
+      (``check_possible``).
 
     An engine supplies ``bn``, the network whose parents the relevance walk
     reads, ``_marginals``, the structure's memo of normalized prior
@@ -697,7 +699,7 @@ class TreeSession:
             self._totals[comp] = total
         return total
 
-    def _check_possible(self) -> None:
+    def check_possible(self) -> None:
         """Raise ImpossibleEvidenceError if any component's evidence has
         probability exactly 0; checked once per session.  Each total is
         tested on its own, since totals that are each positive can have a
@@ -722,7 +724,7 @@ class TreeSession:
         d-separated from the evidence given nothing, so its posterior is
         its prior marginal: the structure's memo holds it, filled from v's
         unrestricted prior on the first read, and no message is sent."""
-        self._check_possible()
+        self.check_possible()
         if self._relevant(var):
             return normalize(self._belief(v, var))[0]
         post = self._marginals.get(var)
@@ -736,7 +738,7 @@ class TreeSession:
         evidence e' of v's component, which for a variable independent of
         the evidence is its prior marginal times the component's evidence
         total, times the evidence totals of the other components."""
-        self._check_possible()
+        self.check_possible()
         comp = self.tree.comp[v]
         others = [self._evidence_total(c) for c in self.pivots if c != comp]
         if self._relevant(var):

@@ -9,7 +9,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CycleError, NotSinglyConnectedError
-from .factor import Factor, contract
+from .factor import Factor
 from .messaging import Tree
 
 
@@ -168,9 +168,6 @@ class BayesianNetwork:
     def ancestors(self, var: int) -> frozenset[int]:
         return frozenset(reach((var,), self.parents.__getitem__))
 
-    def descendants(self, var: int) -> frozenset[int]:
-        return frozenset(reach((var,), self.children))
-
     def set_parents(self, xs: Iterable[int]) -> frozenset[int]:
         xs = set(xs)
         out: set[int] = set()
@@ -248,14 +245,15 @@ def validate(bn: BayesianNetwork) -> list[Diagnostic]:
         out.append(Diagnostic("error", "cycle", str(e)))
     for v in bn.ids:
         f = bn.cpts[v]
-        rows = contract([f], bn.parents[v])
-        vals = np.atleast_1d(rows.values)
+        # One row sum per parent assignment, parents in ascending id order.
+        vals = np.atleast_1d(f.values.sum(axis=f.scope.index(v)))
+        parents = [u for u in f.scope if u != v]
         bad = np.argwhere(np.abs(vals - 1.0) > _ROW_TOL)
         if len(bad):
-            idx = tuple(int(i) for i in bad[0][: len(rows.scope)])
+            idx = tuple(int(i) for i in bad[0][: len(parents)])
             assign = ", ".join(
                 f"{bn.name_of(u)}={bn.variables[u].value_labels[i]}"
-                for u, i in zip(rows.scope, idx)
+                for u, i in zip(parents, idx)
             )
             got = float(vals[tuple(bad[0])])
             out.append(

@@ -1,4 +1,4 @@
-"""Seeded generators for fuzz networks, polytrees and evidence sets."""
+"""Seeded generators for fuzz networks and polytrees."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .network import BayesianNetwork, EvidenceSet
+from .network import BayesianNetwork
 from .zoo import build_network
 
 
@@ -64,24 +64,3 @@ def random_polytree(
     ]
     return build_network(spec, rng)
 
-
-def random_evidence(
-    rng: np.random.Generator,
-    bn: BayesianNetwork,
-    max_vars: int = 3,
-    allow_soft: bool = True,
-) -> EvidenceSet:
-    """Evidence on up to ``max_vars`` variables, mixing hard single values
-    with soft proper subsets."""
-    k = int(rng.integers(1, max_vars + 1))
-    chosen = rng.choice(len(bn), size=min(k, len(bn)), replace=False)
-    ev = EvidenceSet(bn)
-    for var in sorted(int(v) for v in chosen):
-        card = bn.card(var)
-        if allow_soft and card > 2 and rng.random() < 0.5:
-            size = int(rng.integers(2, card))
-        else:
-            size = 1
-        vals = rng.choice(card, size=size, replace=False)
-        ev.set(var, {int(x) for x in vals})
-    return ev

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bordertree import zoo
-from bordertree.border_chain import ChainStep, PassResult, build_chain, chain_posterior
+from bordertree.border_chain import ChainStep, build_chain
 from bordertree.bnformat import parse_evidence, parse_network
 from bordertree.bp_build import (
     _rule_for_forced,
@@ -17,16 +17,17 @@ from bordertree.bp_build import (
 )
 from bordertree.bp_infer import preload_priors
 from bordertree.errors import BordertreeError
-from bordertree.factor import Factor, contract, indicator, restrict
-from bordertree.network import NO_EVIDENCE, EvidenceSet
+from bordertree.factor import Factor, contract, indicator, normalize, restrict
+from bordertree.network import NO_EVIDENCE, BayesianNetwork, EvidenceSet, reach
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
-def reference_passes(chain, ev=NO_EVIDENCE) -> PassResult:
+def reference_passes(chain, ev=NO_EVIDENCE) -> tuple[list[Factor], list[Factor]]:
     """The chain's two evidential passes as plain loops over the steps, kept
     as a reference independent of the session machinery that
-    :func:`bordertree.border_chain.run_passes` reads.
+    :func:`bordertree.border_chain.run_passes` returns; ``(pi, lam)``, one
+    factor per border in each list.
 
     The downward pass pushes evidence-weighted mass border by border toward
     the last border; pi[j] has scope border(j), and with no evidence it is
@@ -54,7 +55,41 @@ def reference_passes(chain, ev=NO_EVIDENCE) -> PassResult:
             lam[j - 1] = contract([restrict(step.cohort_table, ev), lam[j]], steps[j - 1].border)
         else:
             lam[j - 1] = lam[j]
-    return PassResult(pi, lam)
+    return pi, lam
+
+
+def reference_readout(chain, pi, lam, q: int) -> tuple[Factor, float]:
+    """(posterior of q, Pr(e)) from passes ``pi`` and ``lam``: their product
+    at q's home border, marginalized onto q and normalized, kept as a
+    reference independent of the session's read-out."""
+    j = chain.view.home_border(q)
+    return normalize(contract([pi[j], lam[j]], (q,)))
+
+
+def descendants(bn: BayesianNetwork, var: int) -> frozenset[int]:
+    return frozenset(reach((var,), bn.children))
+
+
+def random_evidence(
+    rng: np.random.Generator,
+    bn: BayesianNetwork,
+    max_vars: int = 3,
+    allow_soft: bool = True,
+) -> EvidenceSet:
+    """Evidence on up to ``max_vars`` variables, mixing hard single values
+    with soft proper subsets."""
+    k = int(rng.integers(1, max_vars + 1))
+    chosen = rng.choice(len(bn), size=min(k, len(bn)), replace=False)
+    ev = EvidenceSet(bn)
+    for var in sorted(int(v) for v in chosen):
+        card = bn.card(var)
+        if allow_soft and card > 2 and rng.random() < 0.5:
+            size = int(rng.integers(2, card))
+        else:
+            size = 1
+        vals = rng.choice(card, size=size, replace=False)
+        ev.set(var, {int(x) for x in vals})
+    return ev
 
 
 def reference_chain(bn, forced_order=None) -> list[ChainStep]:
@@ -200,10 +235,10 @@ def long_chain():
     bn = zoo.build_network(spec, np.random.default_rng(7))
     ev = EvidenceSet(bn, {0: {1}, n - 1: {0}})
     chain = build_chain(bn)
-    passes = reference_passes(chain, ev)
+    pi, lam = reference_passes(chain, ev)
     posts, pe = {}, None
     for q in bn.ids:
-        _, posts[q], pe = chain_posterior(chain, ev, q, passes=passes)
+        posts[q], pe = reference_readout(chain, pi, lam, q)
     return bn, ev, posts, pe
 
 

@@ -36,7 +36,8 @@ from bordertree.bnformat import parse_network
 from bordertree.border_chain import build_chain
 from bordertree.bp_build import _rule_for_forced, build_border_polytree
 from bordertree.bp_infer import BorderSession
-from bordertree.randgen import random_dag, random_evidence, random_polytree
+from bordertree.randgen import random_dag, random_polytree
+from conftest import random_evidence
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 JSON_PATH = os.path.join(HERE, "structure_digests.json")

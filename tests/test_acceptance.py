@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import random_evidence
 
 from bordertree.bnformat import parse_evidence
 from bordertree.border_chain import (
@@ -31,7 +32,7 @@ from bordertree.factor import multiply
 from bordertree.messaging import build_hub_index, tree_path
 from bordertree.oracle import oracle_event_prob, oracle_marginal, oracle_posterior
 from bordertree.polytree import PolytreeEngine
-from bordertree.randgen import random_dag, random_evidence, random_polytree
+from bordertree.randgen import random_dag, random_polytree
 
 
 def _ok(n, text):
@@ -101,16 +102,16 @@ def test_criterion_3_worked_trace_regression(bn_a, ev_hk):
     chain = build_chain(bn_a, forced_order=[None] + [bn_a.id_of(c) for c in "ABCDFHGI"])
     passes = run_passes(chain, ev_hk)
 
-    pi8 = passes.pi[8]
+    pi8 = passes.pi_border(8)
     want = oracle_marginal(bn_a, chain.border(8), ev_hk)
     assert np.all(np.abs(pi8.values - want) <= 1e-9)
 
     b0 = sorted(chain.border(0))
     cond = oracle_marginal(bn_a, b0, ev_hk) / oracle_marginal(bn_a, b0)
-    assert np.all(np.abs(passes.lam[0].values - cond) <= 1e-9)
+    assert np.all(np.abs(passes.lambda_border(0).values - cond) <= 1e-9)
 
     for j in range(chain.gamma + 1):
-        prod = multiply(passes.pi[j], passes.lam[j])
+        prod = multiply(passes.pi_border(j), passes.lambda_border(j))
         want = oracle_marginal(bn_a, chain.border(j), ev_hk)
         assert np.all(np.abs(prod.values - want) <= 1e-9)
     _ok(3, "Pi(B_8), Lambda(B_0) and all Pi*Lambda products match the oracle")
@@ -128,7 +129,7 @@ def test_criterion_4_constancy(bn_a, ev_hk, rng):
         passes = run_passes(chain, ev)
         pe = oracle_event_prob(bn, ev)
         totals = [
-            multiply(passes.pi[j], passes.lam[j]).total()
+            multiply(passes.pi_border(j), passes.lambda_border(j)).total()
             for j in range(chain.gamma + 1)
         ]
         spread = (max(totals) - min(totals)) / max(max(totals), 1e-300)

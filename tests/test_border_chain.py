@@ -4,7 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import dyspnoea_shaped, load_fixture, reference_chain, reference_passes
+from conftest import (
+    dyspnoea_shaped,
+    load_fixture,
+    random_evidence,
+    reference_chain,
+    reference_passes,
+)
 
 from bordertree.border_chain import (
     build_chain,
@@ -17,7 +23,7 @@ from bordertree.errors import BordertreeError, ImpossibleEvidenceError
 from bordertree.factor import contract, multiply, normalize
 from bordertree.network import EvidenceSet
 from bordertree.oracle import oracle_event_prob, oracle_marginal, oracle_posterior
-from bordertree.randgen import random_dag, random_evidence, random_polytree
+from bordertree.randgen import random_dag, random_polytree
 from bordertree import zoo
 
 
@@ -271,12 +277,15 @@ class TestStretchLoop:
 class TestPasses:
     def test_no_evidence_gives_prior_marginals(self, bn_a):
         chain = build_chain(bn_a, forced_order=forced_table_order(bn_a))
-        for passes in (run_passes(chain), reference_passes(chain)):
+        session = run_passes(chain)
+        borders = range(chain.gamma + 1)
+        got = [session.pi_border(j) for j in borders], [session.lambda_border(j) for j in borders]
+        for pi, lam in (got, reference_passes(chain)):
             for j, step in enumerate(chain.steps):
                 np.testing.assert_allclose(
-                    passes.pi[j].values, oracle_marginal(bn_a, step.border), atol=1e-9
+                    pi[j].values, oracle_marginal(bn_a, step.border), atol=1e-9
                 )
-                np.testing.assert_allclose(passes.lam[j].values, 1.0)  # all-ones, trimmed
+                np.testing.assert_allclose(lam[j].values, 1.0)  # all-ones, trimmed
 
     def test_worked_trace(self, bn_a, ev_hk):
         chain = build_chain(bn_a, forced_order=forced_table_order(bn_a))
@@ -285,7 +294,7 @@ class TestPasses:
 
         # Pi(B5) lives on {H, I}, is zero off H=h0, and carries only the
         # evidence recruited so far (H, not K).
-        pi5 = passes.pi[5]
+        pi5 = passes.pi_border(5)
         assert pi5.scope == tuple(sorted((h, bn_a.id_of("I"))))
         assert np.all(pi5.values[1, :] == 0.0)
         ev_h = EvidenceSet(bn_a, {h: {0}})
@@ -297,8 +306,8 @@ class TestPasses:
         # it.  Lambda on borders 6..8 is all ones, and Pi there carries both
         # H and K: zero off K=k1 and equal to the oracle's evidential joint.
         for j in (6, 7, 8):
-            assert np.all(passes.lam[j].values == 1.0)
-            pi = passes.pi[j]
+            assert np.all(passes.lambda_border(j).values == 1.0)
+            pi = passes.pi_border(j)
             assert pi.scope == tuple(sorted(chain.border(j))) and k in pi.scope
             assert np.all(np.take(pi.values, 0, axis=pi.scope.index(k)) == 0.0)
             np.testing.assert_allclose(
@@ -308,18 +317,18 @@ class TestPasses:
         # Lambda(B0) equals the conditional Pr{h,k | A,B} (positive CPTs).
         b0 = sorted(chain.border(0))
         cond = oracle_marginal(bn_a, b0, ev_hk) / oracle_marginal(bn_a, b0)
-        np.testing.assert_allclose(passes.lam[0].values, cond, atol=1e-12)
+        np.testing.assert_allclose(passes.lambda_border(0).values, cond, atol=1e-12)
 
         # Pi(B8) is the oracle joint over the last border with the evidence.
         np.testing.assert_allclose(
-            passes.pi[8].values,
+            passes.pi_border(8).values,
             oracle_marginal(bn_a, chain.border(8), ev_hk),
             atol=1e-12,
         )
 
         # Pi * Lambda equals the evidential joint at every border.
         for j, step in enumerate(chain.steps):
-            m = multiply(passes.pi[j], passes.lam[j])
+            m = multiply(passes.pi_border(j), passes.lambda_border(j))
             np.testing.assert_allclose(
                 m.values, oracle_marginal(bn_a, step.border, ev_hk), atol=1e-9
             )
@@ -344,13 +353,13 @@ class TestPasses:
         cases.append((grid, random_evidence(rng, grid, max_vars=5)))
         for bn, ev in cases:
             chain = build_chain(bn)
-            got, want = run_passes(chain, ev), reference_passes(chain, ev)
+            got, (pi, lam) = run_passes(chain, ev), reference_passes(chain, ev)
             for j in range(chain.gamma + 1):
-                assert got.pi[j].scope == want.pi[j].scope
-                np.testing.assert_allclose(got.pi[j].values, want.pi[j].values, rtol=0, atol=1e-12)
+                assert got.pi_border(j).scope == pi[j].scope
+                np.testing.assert_allclose(got.pi_border(j).values, pi[j].values, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(
-                    multiply(got.pi[j], got.lam[j]).values,
-                    multiply(want.pi[j], want.lam[j]).values,
+                    multiply(got.pi_border(j), got.lambda_border(j)).values,
+                    multiply(pi[j], lam[j]).values,
                     rtol=0,
                     atol=1e-12,
                 )
@@ -372,7 +381,10 @@ class TestChainPosterior:
         i = bn_a.id_of("I")
         homes = [j for j, s in enumerate(chain.steps) if i in s.border]
         assert homes == [4, 5, 6, 7]
-        results = [normalize(contract([passes.pi[j], passes.lam[j]], (i,)))[0] for j in homes]
+        results = [
+            normalize(contract([passes.pi_border(j), passes.lambda_border(j)], (i,)))[0]
+            for j in homes
+        ]
         for r in results[1:]:
             np.testing.assert_allclose(r.values, results[0].values, atol=1e-12)
         np.testing.assert_allclose(
@@ -416,7 +428,7 @@ class TestChainPosterior:
             passes = run_passes(chain, ev)
             pe = oracle_event_prob(bn, ev)
             totals = [
-                multiply(passes.pi[j], passes.lam[j]).total()
+                multiply(passes.pi_border(j), passes.lambda_border(j)).total()
                 for j in range(chain.gamma + 1)
             ]
             for t in totals:

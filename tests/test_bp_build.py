@@ -25,7 +25,7 @@ from bordertree.network import EvidenceSet
 from bordertree.randgen import random_dag, random_polytree
 from bordertree import zoo
 
-from conftest import chain_ab, dyspnoea_shaped, load_fixture
+from conftest import chain_ab, descendants, dyspnoea_shaped, load_fixture
 
 
 def group_names(bn, mp):
@@ -40,7 +40,7 @@ def fixpoint_closure(bn, seed):
     """Reference aggregation closure: absorb the interiors of directed paths
     between members until nothing changes."""
     members = set(seed)
-    desc = {v: bn.descendants(v) for v in bn.ids}
+    desc = {v: descendants(bn, v) for v in bn.ids}
     anc = {v: bn.ancestors(v) for v in bn.ids}
     while True:
         add = set()

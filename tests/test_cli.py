@@ -141,6 +141,14 @@ class TestQuery:
         code, _ = run("query", str(net), "--evidence", "B=t", "--q", "A")
         assert code == 1
 
+    @pytest.mark.parametrize("engine", ["bp", "chain", "polytree", "oracle"])
+    def test_impossible_evidence_same_message_on_every_engine(self, engine, tmp_path, capsys):
+        net = tmp_path / "imp.bn"
+        net.write_text("node A 2 a0 a1\nnode B 2 b0 b1\nparents B A\ncpt A 1 0\ncpt B 1 0 0.5 0.5\n")
+        code, out = run("query", str(net), "--evidence", "B=b1", "--engine", engine)
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == "error: evidence has probability 0\n"
+
     @pytest.mark.parametrize("engine", ["bp", "chain", "oracle"])
     def test_empty_query_list_exit_2(self, engine, capsys):
         # A --q list that names no variable is a usage error, as the REPL's

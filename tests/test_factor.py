@@ -607,7 +607,9 @@ def _polytree_answers(seed):
     so one set alone leaves many of the polytree's messages unexercised."""
     from bordertree.bp_build import build_border_polytree
     from bordertree.bp_infer import bp_query, preload_priors
-    from bordertree.randgen import random_evidence, random_polytree
+    from conftest import random_evidence
+
+    from bordertree.randgen import random_polytree
 
     rng = np.random.default_rng(seed)
     bn = random_polytree(rng, 400, 400, 3)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import descendants
 
 from bordertree.bp_build import bottom_ancestors
 from bordertree.errors import CycleError, NotSinglyConnectedError
@@ -31,7 +32,7 @@ class TestSetQueries:
     def test_single_node_queries(self, bn_a):
         assert bn_a.co_parents(bn_a.id_of("D")) == ids(bn_a, "C", "F")
         assert bn_a.ancestors(bn_a.id_of("I")) == ids(bn_a, "A", "B", "D", "F")
-        assert bn_a.descendants(bn_a.id_of("C")) == ids(bn_a, "H", "J", "K")
+        assert descendants(bn_a, bn_a.id_of("C")) == ids(bn_a, "H", "J", "K")
 
     def test_root_has_no_ancestors(self, bn_a):
         assert bn_a.ancestors(bn_a.id_of("A")) == frozenset()
@@ -58,7 +59,7 @@ class TestSetQueries:
             path = closure(adj)
             for v in bn.ids:
                 assert bn.ancestors(v) == frozenset(np.flatnonzero(path[:, v]).tolist())
-                assert bn.descendants(v) == frozenset(np.flatnonzero(path[v]).tolist())
+                assert descendants(bn, v) == frozenset(np.flatnonzero(path[v]).tolist())
             bottom = frozenset(int(v) for v in np.flatnonzero(rng.random(n) < 0.6))
             seeds = [int(v) for v in rng.choice(n, size=2, replace=False)]
             # Every node of such a path but the seed it ends at is bottom.

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import random_evidence
 
 from bordertree.bp_build import build_border_polytree
 from bordertree.bp_infer import BorderSession, bp_query
@@ -10,7 +11,7 @@ from bordertree.factor import contract, multiply
 from bordertree.network import EvidenceSet
 from bordertree.oracle import oracle_event_prob, oracle_marginal, oracle_posterior
 from bordertree.polytree import PolytreeEngine, node_priors
-from bordertree.randgen import random_evidence, random_polytree
+from bordertree.randgen import random_polytree
 from bordertree import zoo
 
 

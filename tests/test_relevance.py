@@ -5,7 +5,9 @@ variable is d-separated from the evidence given nothing, so its posterior
 is its prior, and both tree engines answer it from the unrestricted prior
 at its node without sending a message.  The structure (a border polytree,
 a polytree engine) keeps each such normalized prior in a memo that every
-session on it reads.  These tests check the sessions' relevance split
+session on it reads.  The chain is one more input: a border session on
+its one-macro view, anchored at its first border, and the chain engine's
+answers.  These tests check the sessions' relevance split
 against the moralization reference (``conftest.d_separated``), which
 shares no code with the engines, every answer against the oracle, and the
 memo's entries bit for bit against a fresh read of the prior.  Evidence
@@ -22,6 +24,7 @@ import pytest
 
 from bordertree import zoo
 from bordertree.bnformat import parse_evidence, parse_network
+from bordertree.border_chain import build_chain, chain_posterior, run_passes
 from bordertree.bp_build import build_border_polytree
 from bordertree.bp_infer import BorderSession, bp_query, preload_priors
 from bordertree.cli import ReplSession, main
@@ -30,9 +33,9 @@ from bordertree.factor import contract, normalize
 from bordertree.network import EvidenceSet
 from bordertree.oracle import oracle_event_prob, oracle_marginal, oracle_posterior
 from bordertree.polytree import PolytreeEngine
-from bordertree.randgen import random_dag, random_evidence, random_polytree
+from bordertree.randgen import random_dag, random_polytree
 
-from conftest import d_separated
+from conftest import d_separated, random_evidence
 
 KINDS = ("dag", "polytree", "two_components")
 PER_KIND = 80  # 240 networks in all
@@ -75,11 +78,11 @@ def _cases(kind):
 
 
 def _sessions(bn, ev):
-    """A border session, and a node session where the network is singly
-    connected."""
+    """A border session, one on the chain's view anchored at its first
+    border, and a node session where the network is singly connected."""
     bp = build_border_polytree(bn)
     preload_priors(bp)
-    out = [BorderSession(bp, ev)]
+    out = [BorderSession(bp, ev), BorderSession(build_chain(bn).view, ev, pivot=0)]
     if bn.is_singly_connected():
         out.append(PolytreeEngine(bn).session(ev))
     return out
@@ -106,7 +109,14 @@ def test_answers_match_the_oracle(kind):
     for bn, ev in _cases(kind):
         bp = build_border_polytree(bn)
         preload_priors(bp)
-        answers = [bp_query(bp, ev)]
+        chain = build_chain(bn)
+        passes = run_passes(chain, ev)
+        read = {q: chain_posterior(chain, ev, q, passes=passes) for q in bn.ids}
+        answers = [
+            bp_query(bp, ev),
+            bp_query(chain.view, ev, pivot=0),
+            ({q: r[1] for q, r in read.items()}, read[0][2]),
+        ]
         if bn.is_singly_connected():
             answers.append(PolytreeEngine(bn).query(ev))
         for posts, pe in answers:

@@ -13,7 +13,10 @@ Two networks, with expected values in closed form:
   the row [0.2, 0.8].  Pr(e) is about 1e-361.
 
 The marks are strict: a test that starts to pass fails the suite, so the
-change that carries scaled messages removes them.
+change that makes it pass removes its mark (for most of them, the change
+that carries scaled messages).  The REPL test carries none: the REPL
+takes the evidence, since each component's total is positive, and prints
+``evidence_prob 0``, as ``query`` does on ``bp`` and ``polytree``.
 """
 
 import io
@@ -78,7 +81,6 @@ def test_two_roots_oracle(two_roots):
     assert_observed({q: oracle_posterior(bn, ev, q) for q in bn.ids})
 
 
-@pytest.mark.xfail(strict=True)
 def test_two_roots_repl_takes_both_observations(two_roots):
     bn, _ev = two_roots
     out = io.StringIO()
