@@ -45,23 +45,43 @@ einsum runs one inner loop over the innermost run of variables that
 lie in the same operands and are kept or summed alike, so it is slow when
 that run is short: ``ajk,bcdefghijk->abcdefghij`` (3^3 x 3^10) takes over
 ten times as long as ``aef,bcdefghijk->abcdeghijk``, which does the same
-work.  A two-factor layout with at least 4,096 union entries that sums out
-a shared variable, and no variable of one operand only, can instead run as
-one batched matrix product: each operand is transposed and reshaped into a
-stack of matrices (the shared kept variables are the stack, the shared
-summed ones the inner axis), ``np.matmul`` multiplies them, and the output
-is reshaped and, if needed, transposed back to scope order.  The plan
-takes that route when a cost model, in units of one union entry of plain
-einsum, finds it cheaper:
+work.  A two-factor layout with at least 4,096 union entries can instead
+run as one ``np.matmul`` call, on one of two routes:
+
+* the window route.  The operand with fewer entries (the narrow one)
+  touches one window of consecutive variables of the union, and may also
+  hold a run of leading variables.  The other (wide) operand is read in
+  place as (lead, prefix, window-in, suffix): its variables outside the
+  window pass through.  The narrow operand is expanded into a small
+  matrix from the window's input states to its output states.  It has an
+  identity block for each kept variable of the wide operand inside the
+  window, and ones for each variable that only the wide operand has and
+  that is summed.  One matmul writes the output in scope order into a
+  fresh array.  A leading variable of the narrow operand alone is
+  broadcast; a summed one is summed after the product.
+* the transposing route, for a layout that sums a shared variable and no
+  variable of one operand only.  Each operand is transposed and reshaped
+  into a stack of matrices (the shared kept variables are the stack, the
+  shared summed ones the inner axis).  ``np.matmul`` multiplies them, and
+  the output is reshaped and, if needed, transposed back to scope order.
+
+The plan takes whichever of the three a cost model, in units of one union
+entry of plain einsum, finds cheapest:
 
 * einsum: ``|union| * (1 + 10 / run)``, ``run`` the size of that
   innermost run;
-* matmul: 2 per entry of an operand that must be copied before BLAS can
-  read it, 1 per output entry if the output must be permuted, 1 per entry
-  of the larger operand, and 2,000 per call.
+* window: 0.05 per multiply-add (``|lead| * |prefix| * |suffix| * |in| *
+  |out|``), 125 per matrix product in matmul's batch, 2.5 per entry of the
+  matrix, 0.7 per entry of a product summed after it is taken, and 500 per
+  call;
+* transposing: 2 per entry of an operand that must be copied before BLAS
+  can read it, 1 per output entry if the output must be permuted, 1 per
+  entry of the larger operand, and 2,000 per call.
 
 The constants were fitted to every two-factor layout of the benchmark's
-grid-wide round (two 10x10 grids at card 3, BLAS on one thread).  The
+grid-wide workload (two 10x10 grids at card 3, BLAS on one thread): the
+einsum and transposing terms first, the window terms later against them,
+on the set-up, the border polytree and the chain at seeds 1 and 2.  The
 choice is a pure function of the layout: nothing is timed at run time.
 
 The einsum call is numpy's C ``c_einsum``, which ``np.einsum`` itself calls
@@ -200,12 +220,17 @@ _MAX_OPERANDS = 31
 
 # The route cost model (see the module docstring and _route), in units of
 # one union entry of plain einsum.
-_MATMUL_FLOOR = 4096  # union entries below which einsum is always taken
+_ROUTE_FLOOR = 4096  # union entries below which einsum is always taken
 _EINSUM_LOOP = 10.0  # einsum: per pass of its innermost loop
-_MATMUL_COPY = 2.0  # matmul: per entry of an operand it has to copy
+_MATMUL_COPY = 2.0  # transposing matmul: per entry of an operand it has to copy
 _MATMUL_PERMUTE = 1.0  # per entry of an output it has to permute
 _MATMUL_OPERAND = 1.0  # per entry of the larger operand
 _MATMUL_CALL = 2000.0  # per call
+_WINDOW_MAC = 0.05  # window: per multiply-add
+_WINDOW_GEMM = 125.0  # per matrix product in matmul's batch
+_WINDOW_MATRIX = 2.5  # per entry of the expanded matrix
+_WINDOW_SUM = 0.7  # per entry of a product summed after it is taken
+_WINDOW_CALL = 500.0  # per call
 
 
 def contract(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
@@ -219,7 +244,8 @@ def contract(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
     when the multiplier is not 1.  More operands than one einsum call takes
     are folded in groups: each group is contracted onto the variables that
     ``keep`` or a later operand still needs.  The call is numpy's C einsum,
-    or ``np.matmul`` where the layout's plan chose that route (see ``_plan``).
+    or ``np.matmul`` where the layout's plan chose a matmul route (see
+    ``_plan``).
     """
     scale = 1.0
     ops: list[Factor] = []
@@ -249,60 +275,45 @@ def _einsum(ops: list[Factor], keep: frozenset[int], scale: float) -> Factor:
     """
     key = keep if len(keep) > 1 else tuple(keep)
     subscripts, scope, cards, route = _plan(tuple([(f.scope, f.cards) for f in ops]), key)
-    if route is not None:
-        vals = _matmul(route, cards, *[f.values for f in ops])
-    else:
+    if route is None:
         vals = _EINSUM(subscripts, *[f.values for f in ops])
+    elif route.__class__ is _Window:
+        vals = _window_product(route, cards, ops[0].values, ops[1].values)
+    else:
+        vals = _matmul(route, cards, ops[0].values, ops[1].values)
     if scale != 1.0:
         vals = vals * scale
     return Factor(scope, cards, _fresh(vals))
 
 
-def _matmul(route: "_Route", cards: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Run a matmul route: transpose, reshape, matmul, reshape, transpose.
-
-    An output already in scope order is written into a fresh array of the
-    output's shape, which ``Factor`` takes without a copy.
-    """
-    if route.swap:
-        a, b = b, a
-    x, y = _stack(a, route.left), _stack(b, route.right)
-    if route.perm_out is None:
-        out = np.empty(cards)
-        np.matmul(x, y, out=out.reshape(route.mm_shape))
-        return out
-    return np.ascontiguousarray(np.matmul(x, y).reshape(route.grouped).transpose(route.perm_out))
-
-
-def _stack(vals: np.ndarray, operand: tuple) -> np.ndarray:
-    """``vals`` as the stack of matrices that ``operand`` plans."""
-    perm, shape, copy = operand
-    vals = vals.transpose(perm)
-    return (vals.copy() if copy else vals).reshape(shape)
-
-
-# The least recently used plan goes first.  A plan with its key takes about
-# 0.6 kB (0.9 kB with a matmul route), so the full cache takes 5 to 7 MB
-# in a long-lived process.  No benchmark workload needs more than about
-# 4,000 plans for set-up and queries together.
+# The least recently used plan goes first.  A plan with its key takes
+# about 0.55 kB with einsum, 1.3 kB with a window route and 1.5 kB with a
+# transposing route, so the full cache takes 5 to 10 MB in a long-lived
+# process.  Set-up and two rounds of every case make 1,449 plans on
+# polytree-large (all einsum) and 982 on grid-wide (317 window, 39
+# transposing).
 @functools.lru_cache(maxsize=8192)
 def _plan(layout: tuple, keep) -> tuple:
-    """Einsum subscripts, output scope, output cards and matmul route for
+    """Einsum subscripts, output scope, output cards and route for
     operands laid out as ``layout``, one ``(scope, cards)`` pair each,
     summed onto ``keep`` (a tuple or a frozenset, see ``_einsum``).
 
-    The route is None (plain einsum) unless the layout has two operands,
-    at least ``_MATMUL_FLOOR`` union entries, a shared summed variable and
-    no summed variable of one operand only, and the matmul route costs
-    less.  Costs, in units of one union entry of plain einsum:
+    The route is a ``_Window``, a transposing ``_Route`` or None (plain
+    einsum), whichever costs least (see ``_route``).  Costs, in units of
+    one union entry of plain einsum:
 
     * einsum: ``|union| * (1 + _EINSUM_LOOP / run)``, where ``run`` is the
       size of the innermost run of variables (in scope order) that lie in
       the same operands and are all kept or all summed.  einsum's inner
       loop covers that run, so a short run means many passes.
-    * matmul: ``_MATMUL_COPY`` per entry of each operand it has to copy
-      (see ``_reads_in_place``), ``_MATMUL_PERMUTE`` per output entry if
-      the output needs permuting, ``_MATMUL_OPERAND`` per entry of the
+    * window (see ``_windows``): ``_WINDOW_MAC`` per multiply-add of the
+      matmul, ``_WINDOW_GEMM`` per matrix product in its batch,
+      ``_WINDOW_MATRIX`` per entry of the expanded matrix, ``_WINDOW_SUM``
+      per entry of a product summed after it is taken, and
+      ``_WINDOW_CALL`` per call.
+    * transposing: ``_MATMUL_COPY`` per entry of each operand it has to
+      copy (see ``_reads_in_place``), ``_MATMUL_PERMUTE`` per output entry
+      if the output needs permuting, ``_MATMUL_OPERAND`` per entry of the
       larger operand and ``_MATMUL_CALL`` per call.
 
     Raises ValueError on a variable whose cards differ between operands,
@@ -330,10 +341,174 @@ def _plan(layout: tuple, keep) -> tuple:
     return subscripts, out, out_cards, _route(layout, cards, kept, out)
 
 
+def _route(layout: tuple, cards: dict[int, int], kept: set[int], out: tuple[int, ...]):
+    """``_plan``'s route for ``layout``: a ``_Window``, a transposing
+    ``_Route`` or None for einsum, whichever the cost model puts lowest.
+
+    Only a layout of two operands and at least ``_ROUTE_FLOOR`` union
+    entries has a route other than einsum.  The window route expands the
+    operand of fewer entries (the first on a tie).
+    """
+    union = math.prod(cards.values())
+    if len(layout) != 2 or union < _ROUTE_FLOOR:
+        return None
+    (sa, ca), (sb, cb) = layout
+    a, b = set(sa), set(sb)
+    run, sig = 1, None
+    for v in sorted(cards, reverse=True):
+        if cards[v] == 1:
+            continue
+        s = (v in a, v in b, v in kept)
+        if sig is not None and s != sig:
+            break
+        sig, run = s, run * cards[v]
+    best, cost = None, union * (1.0 + _EINSUM_LOOP / run)
+    narrow = int(math.prod(cb) < math.prod(ca))
+    for route, route_cost in itertools.chain(
+        _transposing(layout, cards, kept, out), _windows(layout, cards, kept, narrow)
+    ):
+        if route_cost < cost:
+            best, cost = route, route_cost
+    return best
+
+
+class _Window(NamedTuple):
+    """A window route (see ``_windows``): the narrow operand expanded into
+    a matrix, which one ``np.matmul`` applies to the wide operand."""
+
+    narrow: int  # which operand is expanded
+    reduce: Optional[tuple[int, ...]]  # its own summed axes, summed out first
+    fill_shape: tuple[int, ...]  # the view of the matrix that takes its entries
+    fill_strides: tuple[int, ...]  # (in bytes)
+    src_shape: tuple[int, ...]  # its shape, broadcast over that view
+    matrix: tuple[int, ...]  # the matrix: lead axes, then (out, in) or (in, out)
+    wide: tuple[int, ...]  # the wide operand's shape as a matmul operand
+    matrix_left: bool  # the matrix is matmul's left operand
+    lead_sum: Optional[tuple[int, ...]]  # axes of matmul's output summed after it
+    out_shape: tuple[int, ...]  # the output's shape as the last call writes it
+
+
+def _window_product(route: _Window, cards: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Run a window route: fill the matrix from the narrow operand, then one
+    matmul with the wide operand, viewed in place, into a fresh array of
+    the output's shape, which ``Factor`` takes without a copy."""
+    if route.narrow:
+        a, b = b, a
+    if route.reduce:
+        a = np.add.reduce(a, axis=route.reduce)
+    m = np.zeros(route.matrix)
+    np.copyto(np.ndarray(route.fill_shape, buffer=m, strides=route.fill_strides), a.reshape(route.src_shape))
+    b = b.reshape(route.wide)
+    x, y = (m, b) if route.matrix_left else (b, m)
+    out = np.empty(cards)
+    if route.lead_sum is None:
+        np.matmul(x, y, out=out.reshape(route.out_shape))
+    else:
+        np.add.reduce(np.matmul(x, y), axis=route.lead_sum, out=out.reshape(route.out_shape))
+    return out
+
+
+def _windows(layout: tuple, cards: dict[int, int], kept: set[int], narrow: int):
+    """Window routes for ``layout`` that expand operand ``narrow``, each
+    with its cost: one on the shortest window and, if that is not the same,
+    one on the window carried on to the last variable.
+
+    In scope order, the union's variables (less those of card 1, which
+    have no extent, and the narrow operand's own summed ones, which it
+    sums out first) fall into four runs:
+
+    * lead: the leading run of the narrow operand's variables, which
+      become batch axes.  One of the narrow operand alone is broadcast
+      over the wide one; a summed one is summed after the product.  With
+      no prefix after it, the lead is part of the window instead.
+    * prefix and suffix: the wide operand's own kept variables before and
+      after the window.  They pass through, so the wide operand is read in
+      place as (lead, prefix, window-in, suffix).
+    * window: the shortest run that holds the narrow operand's other
+      variables and every other summed variable.  Its kept variables are
+      the matrix's out side and the wide operand's are its in side: a
+      kept variable of the wide operand gives an identity block, and a
+      summed variable of the wide operand alone a block of ones.
+
+    The product is matrix times (prefix, window-in, suffix), batched over
+    the lead and the prefix, or, with no suffix, (prefix, window-in) times
+    the matrix laid out as (in, out), one product per lead entry.  No
+    route is made when the matrix, or a product summed after, would hold
+    more than ``MAX_TABLE_ENTRIES`` entries.
+    """
+    sa, sb = layout[narrow][0], layout[1 - narrow][0]
+    a, b = set(sa), set(sb)
+    own = {v for v in sa if v not in b and v not in kept and cards[v] > 1}
+    order = [v for v in sorted(cards) if cards[v] > 1 and v not in own]
+    k = 0
+    while k < len(order) and order[k] in a:
+        k += 1
+    need = [i for i in range(k, len(order)) if order[i] in a or order[i] not in kept]
+    if need and need[0] > k:
+        lead, lo, hi = order[:k], need[0], need[-1]
+    else:  # no prefix
+        lead, lo, hi = [], 0, need[-1] if need else k - 1
+    if hi < lo:
+        return
+    size = lambda vs: math.prod([cards[v] for v in vs])
+    reduce = tuple(j for j, v in enumerate(sa) if v in own) or None
+    summed = tuple(j for j, v in enumerate(lead) if v not in kept) or None
+    n_lead = size(lead)
+    lead_cards = tuple(cards[v] for v in lead)
+    lead_wide = tuple(cards[v] if v in b else 1 for v in lead)
+    lead_out = tuple(cards[v] for v in lead if v in kept)
+    for end in sorted({hi, len(order) - 1}):
+        pre, win, suf = order[len(lead) : lo], order[lo : end + 1], order[end + 1 :]
+        ins = [v for v in win if v in b]
+        outs = [v for v in win if v in kept]
+        n_pre, n_suf, n_in, n_out = size(pre), size(suf), size(ins), size(outs)
+        product = n_lead * n_pre * n_out * n_suf
+        if n_lead * n_in * n_out > MAX_TABLE_ENTRIES or (summed and product > MAX_TABLE_ENTRIES):
+            continue
+        left = bool(suf)
+        lead_st = _strides(lead, cards, n_in * n_out)
+        in_st = _strides(ins, cards, 1 if left else n_out)
+        out_st = _strides(outs, cards, n_in if left else 1)
+        fill = [v for v in sa if v not in own] + [v for v in win if v not in a]
+        fill_strides = tuple(
+            8 * (lead_st[v] if v in lead_st else in_st.get(v, 0) + out_st.get(v, 0)) for v in fill
+        )  # 8 bytes per float64
+        src_shape = tuple(cards[v] for v in sa if v not in own)
+        src_shape += (1,) * (len(fill) - len(src_shape))
+        if left:
+            matrix, wide = lead_cards + (1, n_out, n_in), lead_wide + (n_pre, n_in, n_suf)
+            mm = (n_pre, n_out, n_suf)
+        else:
+            matrix, wide, mm = lead_cards + (n_in, n_out), lead_wide + (n_pre, n_in), (n_pre, n_out)
+        cost = (
+            _WINDOW_MAC * n_lead * n_pre * n_suf * n_in * n_out
+            + _WINDOW_GEMM * n_lead * (n_pre if left else 1)
+            + _WINDOW_MATRIX * n_lead * n_in * n_out
+            + (_WINDOW_SUM * product if summed else 0.0)
+            + _WINDOW_CALL
+        )
+        fill_shape = tuple(cards[v] for v in fill)
+        route = _Window(
+            narrow, reduce, fill_shape, fill_strides, src_shape, matrix, wide, left, summed, lead_out + mm
+        )
+        yield route, cost
+
+
+def _strides(vs: list[int], cards: dict[int, int], unit: int) -> dict[int, int]:
+    """Row-major element strides of ``vs`` laid out in that order, the last
+    one ``unit``."""
+    out, step = {}, unit
+    for v in reversed(vs):
+        out[v] = step
+        step *= cards[v]
+    return out
+
+
 class _Route(NamedTuple):
-    """A matmul route: which operand goes left, each operand's matrix stack,
-    matmul's output shape and, when that output is not in scope order, its
-    shape with one axis per variable and the permutation to scope order."""
+    """A transposing matmul route: which operand goes left, each operand's
+    matrix stack, matmul's output shape and, when that output is not in
+    scope order, its shape with one axis per variable and the permutation
+    to scope order."""
 
     swap: bool  # the second operand goes left
     left: tuple  # (axis permutation, stack shape, copy first)
@@ -343,21 +518,20 @@ class _Route(NamedTuple):
     perm_out: Optional[tuple[int, ...]]
 
 
-def _route(layout: tuple, cards: dict[int, int], kept: set[int], out: tuple[int, ...]):
-    """``_plan``'s matmul route for ``layout``, or None for einsum.
+def _transposing(layout: tuple, cards: dict[int, int], kept: set[int], out: tuple[int, ...]):
+    """The transposing matmul route for ``layout`` with its cost, if the
+    layout has a shared summed variable and sums no variable of one operand
+    only.
 
     The shared kept variables are matmul's batch axes, the shared summed
     ones its inner axis, and each operand's own kept variables its rows or
     columns.
     """
-    union = math.prod(cards.values())
-    if len(layout) != 2 or union < _MATMUL_FLOOR:
-        return None
     (sa, _), (sb, _) = layout
     a, b = set(sa), set(sb)
     con = [v for v in sorted(cards) if v in a and v in b and v not in kept]
     if not con or not (a ^ b) <= kept:
-        return None
+        return
     batch = [v for v in out if v in a and v in b]
     own_a = [v for v in out if v not in b]
     own_b = [v for v in out if v not in a]
@@ -378,28 +552,41 @@ def _route(layout: tuple, cards: dict[int, int], kept: set[int], out: tuple[int,
         return perm, lead + (size(rows), size(cols)), copy
 
     left, right = stack(sl, m, con), stack(sr, con, n)
-    run, sig = 1, None
-    for v in sorted(cards, reverse=True):
-        if cards[v] == 1:
-            continue
-        s = (v in a, v in b, v in kept)
-        if sig is not None and s != sig:
-            break
-        sig, run = s, run * cards[v]
-    einsum_cost = union * (1.0 + _EINSUM_LOOP / run)
-    matmul_cost = (
+    cost = (
         _MATMUL_COPY * (size(sl) * left[2] + size(sr) * right[2])
         + _MATMUL_PERMUTE * (size(out) if permuted else 0)
         + _MATMUL_OPERAND * max(size(sa), size(sb))
         + _MATMUL_CALL
     )
-    if matmul_cost >= einsum_cost:
-        return None
     mm_shape = lead + (size(m), size(n))
     if not permuted:
-        return _Route(swap, left, right, mm_shape, None, None)
-    grouped = tuple(cards[v] for v in order)
-    return _Route(swap, left, right, mm_shape, grouped, tuple(order.index(v) for v in out))
+        yield _Route(swap, left, right, mm_shape, None, None), cost
+    else:
+        grouped = tuple(cards[v] for v in order)
+        yield _Route(swap, left, right, mm_shape, grouped, tuple(order.index(v) for v in out)), cost
+
+
+def _matmul(route: "_Route", cards: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Run a matmul route: transpose, reshape, matmul, reshape, transpose.
+
+    An output already in scope order is written into a fresh array of the
+    output's shape, which ``Factor`` takes without a copy.
+    """
+    if route.swap:
+        a, b = b, a
+    x, y = _stack(a, route.left), _stack(b, route.right)
+    if route.perm_out is None:
+        out = np.empty(cards)
+        np.matmul(x, y, out=out.reshape(route.mm_shape))
+        return out
+    return np.ascontiguousarray(np.matmul(x, y).reshape(route.grouped).transpose(route.perm_out))
+
+
+def _stack(vals: np.ndarray, operand: tuple) -> np.ndarray:
+    """``vals`` as the stack of matrices that ``operand`` plans."""
+    perm, shape, copy = operand
+    vals = vals.transpose(perm)
+    return (vals.copy() if copy else vals).reshape(shape)
 
 
 def _reads_in_place(scope, cards: dict[int, int], rows: list[int], cols: list[int]) -> bool:

@@ -66,6 +66,77 @@ def reference_readout(chain, pi, lam, q: int) -> tuple[Factor, float]:
     return normalize(contract([pi[j], lam[j]], (q,)))
 
 
+def reference_ve(bn: BayesianNetwork, ev, queries) -> tuple[dict[int, np.ndarray], float]:
+    """Posteriors of ``queries`` and Pr(e) by variable elimination, kept as
+    a reference independent of the engines and of :mod:`bordertree.factor`:
+    it reads the parsed network's tables and runs on plain numpy arrays.
+
+    Each query runs one elimination.  Variables that are neither ancestors
+    of the query nor of the evidence sum out to 1 and are dropped first.
+    The rest are eliminated one at a time in a greedy min-fill order (fewest
+    fill-in edges, then the smallest id).  Tables are kept as logarithms, so
+    no product underflows: a product is a sum, and summing a variable out
+    is ``np.logaddexp`` over its values.  Returns ``({q: posterior},
+    log Pr(e))`` and raises ValueError on evidence of probability 0.
+    """
+    posts, log_pe = {}, 0.0
+    for q in queries:
+        relevant, todo = set(), [q, *ev.vars]
+        while todo:
+            v = todo.pop()
+            if v not in relevant:
+                relevant.add(v)
+                todo.extend(bn.parents[v])
+        tables = []
+        with np.errstate(divide="ignore"):
+            for v in sorted(relevant):
+                tables.append((bn.cpts[v].scope, np.log(bn.cpts[v].values)))
+                allowed = ev.allowed(v)
+                if allowed is not None:
+                    tables.append(((v,), np.log([float(k in allowed) for k in range(bn.card(v))])))
+        nbrs = {v: set() for v in relevant}
+        for scope, _ in tables:
+            for v in scope:
+                nbrs[v].update(scope)
+                nbrs[v].discard(v)
+        left = set(relevant) - {q}
+        while left:
+            x = min(left, key=lambda v: (_fill_in(nbrs, v), v))
+            for u in nbrs[x]:
+                nbrs[u] |= nbrs[x] - {u}
+                nbrs[u].discard(x)
+            left.remove(x)
+            del nbrs[x]
+            hit = [t for t in tables if x in t[0]]
+            tables = [t for t in tables if x not in t[0]] + [_log_sum_out(hit, x)]
+        total = sum(t for _, t in tables)  # every table left is over (q,)
+        log_pe = float(np.logaddexp.reduce(total))
+        if log_pe == -np.inf:
+            raise ValueError("evidence has probability 0")
+        posts[q] = np.exp(total - log_pe)
+    return posts, log_pe
+
+
+def _fill_in(nbrs: dict[int, set[int]], v: int) -> int:
+    """Edges that eliminating ``v`` would add between its neighbours."""
+    ns = sorted(nbrs[v])
+    return sum(1 for i, a in enumerate(ns) for b in ns[i + 1 :] if b not in nbrs[a])
+
+
+def _log_sum_out(tables, x: int):
+    """(scope, log-table) of the sum over ``x`` of the product of
+    ``tables``, each a (ascending scope, log-table) pair that holds ``x``."""
+    cards = {v: c for scope, t in tables for v, c in zip(scope, t.shape)}
+    scope = tuple(sorted(cards.keys() - {x}))
+    out = None
+    for k in range(cards[x]):
+        term = np.zeros([cards[v] for v in scope])
+        for s, t in tables:
+            term += np.take(t, k, axis=s.index(x)).reshape([cards[v] if v in s else 1 for v in scope])
+        out = term if out is None else np.logaddexp(out, term, out=out)
+    return scope, out
+
+
 def descendants(bn: BayesianNetwork, var: int) -> frozenset[int]:
     return frozenset(reach((var,), bn.children))
 

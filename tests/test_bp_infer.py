@@ -552,31 +552,40 @@ def test_grid_engines_vs_oracle():
 
 def test_wide_grid_same_answers_on_either_route(monkeypatch):
     # A 7x7 grid at card 3 has contractions over 3^8 entries, past the
-    # matmul route's floor.  The oracle cannot enumerate it, so each
-    # engine's answers with the route are checked against its answers
-    # with plain einsum only.
+    # route floor.  The oracle cannot enumerate it, so each engine's
+    # answers on the routes the cost model picks are checked against its
+    # answers with plain einsum only.  Both engines take the window route.
     bn = _grid(7, 7, 3, np.random.default_rng(33))
     bp = build_border_polytree(bn)
     preload_priors(bp)
     chain = build_chain(bn)
     evs = [random_evidence(np.random.default_rng(34 + k), bn, max_vars=5) for k in range(2)]
-    calls = []
-    matmul = factor._matmul
-    monkeypatch.setattr(factor, "_matmul", lambda *args: calls.append(1) or matmul(*args))
+    windows = {"bp": 0, "chain": 0}
+    engine = ["bp"]
+    window = factor._window_product
+
+    def counted(*args):
+        windows[engine[0]] += 1
+        return window(*args)
+
+    monkeypatch.setattr(factor, "_window_product", counted)
 
     def answers():
         factor._plan.cache_clear()
         out = []
         for ev in evs:
+            engine[0] = "bp"
             out.append(bp_query(bp, ev))
+            engine[0] = "chain"
             passes = run_passes(chain, ev)
             rows = {q: chain_posterior(chain, ev, q, passes=passes) for q in bn.ids}
             out.append(({q: r[1] for q, r in rows.items()}, rows[0][2]))
         return out
 
     routed = answers()
-    assert calls
+    assert windows["bp"] > 0 and windows["chain"] > 0, windows
     monkeypatch.setattr(factor, "_MATMUL_CALL", float("inf"))
+    monkeypatch.setattr(factor, "_WINDOW_CALL", float("inf"))
     plain = answers()
     factor._plan.cache_clear()
     for (posts, pe), (want, want_pe) in zip(routed, plain):

@@ -271,6 +271,42 @@ class TestTableCap:
             tracemalloc.stop()
         assert peak < 2**20
 
+    def test_window_layout_past_the_cap_raises_before_allocating(self, monkeypatch):
+        # 3^10 output entries (472 kB), one more than the cap.
+        layout = (((7, 9, 10), (3,) * 3), (tuple(range(10)), (3,) * 10))
+        keep = tuple(v for v in range(11) if v != 7)
+        assert isinstance(factor_mod._plan.__wrapped__(layout, keep)[3], factor_mod._Window)
+        fs = _wide([scope for scope, _ in layout], {v: 3 for v in range(11)})
+        monkeypatch.setattr(factor_mod, "MAX_TABLE_ENTRIES", 3**10 - 1)
+        factor_mod._plan.cache_clear()
+        tracemalloc.start()
+        try:
+            with pytest.raises(TableCapError):
+                contract(fs, keep)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            factor_mod._plan.cache_clear()
+        assert peak < 3**10
+
+    def test_a_product_summed_after_the_matmul_stays_under_the_cap(self, monkeypatch):
+        # ajk,abcdefghij->bcdefghijk at card 3: the leading sum's product
+        # holds 3^11 entries, past a cap of 3^10, so no window route sums
+        # after the product, and the table is still right.
+        layout = (((0, 9, 10), (3,) * 3), (tuple(range(10)), (3,) * 10))
+        cards = {v: 3 for v in range(11)}
+        keep = set(range(1, 11))
+        assert any(r.lead_sum for r, _ in factor_mod._windows(layout, cards, keep, 0))
+        monkeypatch.setattr(factor_mod, "MAX_TABLE_ENTRIES", 3**10)
+        factor_mod._plan.cache_clear()
+        try:
+            assert not any(r.lead_sum for r, _ in factor_mod._windows(layout, cards, keep, 0))
+            fs = _wide([scope for scope, _ in layout], cards)
+            want = np.einsum("ajk,abcdefghij->bcdefghijk", fs[0].values, fs[1].values)
+            np.testing.assert_allclose(contract(fs, keep).values, want, rtol=1e-12, atol=0.0)
+        finally:
+            factor_mod._plan.cache_clear()
+
     def test_a_table_at_the_cap_is_computed(self, monkeypatch):
         monkeypatch.setattr(factor_mod, "MAX_TABLE_ENTRIES", 2**10)
         factor_mod._plan.cache_clear()  # plans made under the real cap
@@ -677,8 +713,21 @@ def _wide(scopes, cards, seed=0):
 
 @pytest.fixture
 def matmul_whenever_allowed(monkeypatch):
-    """Plans made inside the test take the matmul route wherever it is allowed."""
+    """Plans made inside the test take the transposing matmul route wherever
+    it is allowed, and never the window route."""
     monkeypatch.setattr(factor_mod, "_MATMUL_CALL", -math.inf)
+    monkeypatch.setattr(factor_mod, "_WINDOW_CALL", math.inf)
+    factor_mod._plan.cache_clear()
+    yield
+    factor_mod._plan.cache_clear()
+
+
+@pytest.fixture
+def window_whenever_allowed(monkeypatch):
+    """Plans made inside the test take a window route wherever one is
+    allowed, and never the transposing route."""
+    monkeypatch.setattr(factor_mod, "_MATMUL_CALL", math.inf)
+    monkeypatch.setattr(factor_mod, "_WINDOW_CALL", -math.inf)
     factor_mod._plan.cache_clear()
     yield
     factor_mod._plan.cache_clear()
@@ -711,8 +760,56 @@ _ROUTE_LAYOUTS = {
 }
 
 
+# Layouts with a window route, 4,096 union entries or more.  Each: (scope
+# of the narrow operand, of the wide one, summed variables, cards other
+# than 2).  The narrow operand's variables lie in one window of the
+# union's order, or lead it.
+_WINDOW_LAYOUTS = {
+    "trailing window": ((9, 11, 12), tuple(range(12)), {9}, {}),
+    "interior pass-through, suffix": ((7, 9, 10), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12), {7}, {}),
+    "new leading variable": ((0, 9, 10), tuple(range(1, 13)), {10}, {}),
+    "summed leading variable": ((0, 11, 12), tuple(range(12)), {0}, {}),
+    "shared kept leading variable": ((0, 10, 11), tuple(range(12)), {11}, {}),
+    "lead without a prefix joins the window": ((0, 1, 2), (0, 2) + tuple(range(3, 13)), {0}, {}),
+    "own summed variable, summed first": ((9, 11, 13), tuple(range(13)), {9, 13}, {}),
+    "card-1 variables inside and outside the window": (
+        (3, 9, 10, 12),
+        (0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 13),
+        {3, 9},
+        {0: 3, 1: 3, 2: 1, 3: 1, 10: 1},
+    ),
+    "mixed cards": (
+        (5, 7, 8), tuple(range(9)), {5}, {0: 3, 1: 5, 2: 4, 3: 3, 4: 3, 6: 2, 7: 3}
+    ),
+}
+
+
+def _window_case(name, seed=0):
+    """Factors for ``_WINDOW_LAYOUTS[name]``, the kept variables and the
+    loop reference's table."""
+    sa, sb, summed, cards = _WINDOW_LAYOUTS[name]
+    fs = _wide([sa, sb], cards, seed)
+    keep = tuple(sorted((set(sa) | set(sb)) - summed))
+    return fs, keep, loop_marginal(loop_product(fs), keep)
+
+
+def _every_window(ops, keep):
+    """Each window route of ``ops`` onto ``keep``, whichever operand it
+    expands, with the table it computes; routes whose matrix would hold
+    more than 2^16 entries are left out."""
+    layout = tuple((f.scope, f.cards) for f in ops)
+    cards = {v: c for f in ops for v, c in zip(f.scope, f.cards)}
+    out_cards = tuple(cards[v] for v in sorted(cards) if v in keep)
+    for narrow in (0, 1):
+        for route, _cost in factor_mod._windows(layout, cards, set(keep), narrow):
+            if math.prod(route.matrix) <= 2**16:
+                yield route, factor_mod._window_product(route, out_cards, ops[0].values, ops[1].values)
+
+
 class TestRoutes:
-    """Every route the planner can choose gives the loop reference's table."""
+    """Every route the planner can choose gives the loop reference's table:
+    the transposing route on ``_ROUTE_LAYOUTS``, the window route on
+    ``_WINDOW_LAYOUTS`` and on drawn layouts."""
 
     @pytest.mark.parametrize("name", sorted(_ROUTE_LAYOUTS))
     def test_matmul_route_matches_loop_reference(self, name, matmul_whenever_allowed):
@@ -771,6 +868,44 @@ class TestRoutes:
                     assert got.scope == want.scope
                     np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("name", sorted(_WINDOW_LAYOUTS))
+    def test_window_route_matches_loop_reference(self, name, window_whenever_allowed):
+        fs, keep, want = _window_case(name)
+        for ops in (fs, fs[::-1]):  # both operand orders
+            layout = tuple((f.scope, f.cards) for f in ops)
+            assert isinstance(factor_mod._plan(layout, keep)[3], factor_mod._Window)
+            got = contract(ops, keep)
+            assert got.scope == want.scope and got.cards == want.cards
+            np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0.0)
+            # Every window, shortest or carried on to the last variable, with
+            # either operand expanded; its result is owned and C-contiguous,
+            # which is what Factor takes without a copy.
+            for route, vals in _every_window(ops, keep):
+                assert vals.base is None and vals.flags.c_contiguous and vals.shape == want.cards, route
+                np.testing.assert_allclose(vals, want.values, rtol=1e-12, atol=0.0, err_msg=str(route))
+
+    @pytest.mark.parametrize("scale", [2.5, 1e-3])
+    def test_window_route_with_a_scalar_multiplier(self, scale, window_whenever_allowed):
+        fs, keep, want = _window_case("interior pass-through, suffix")
+        got = contract([Factor.scalar(scale), *fs], keep)
+        np.testing.assert_allclose(got.values, scale * want.values, rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.integers(0, 12), min_size=1, max_size=3, unique=True),
+        st.sets(st.integers(0, 13)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_drawn_window_layouts(self, narrow, keep, seed):
+        # A narrow factor of up to three variables (12 is its own) against
+        # one over twelve binary variables: 4,096 entries, the route floor.
+        fs = _wide([tuple(sorted(narrow)), tuple(range(12))], {}, seed)
+        want = loop_marginal(loop_product(fs), keep)
+        for ops in (fs, fs[::-1]):
+            for route, vals in _every_window(ops, keep):
+                np.testing.assert_allclose(vals, want.values, rtol=1e-12, atol=0.0, err_msg=str(route))
+            np.testing.assert_allclose(contract(ops, keep).values, want.values, rtol=1e-12, atol=0.0)
+
 
 def _seeded_matmul_layouts(count, seed=11):
     """Two-factor layouts over the route floor that the matmul route takes:
@@ -808,7 +943,27 @@ class TestRouteChoice:
         assert self.route("ajk,bcdefghijk->abcdefghij", 3) is not None
 
     def test_long_inner_run_takes_einsum(self):
-        assert self.route("aef,bcdefghijk->abcdeghijk", 3) is None
+        # A product that sums nothing, over inner runs of 3^6 entries.
+        assert self.route("abcdefghij,efghij->abcdefghij", 3) is None
+
+    @pytest.mark.parametrize(
+        "subscripts",
+        [
+            "hjk,abcdefghij->abcdefgijk",  # the border polytree's costliest
+            "gij,abcdefghik->abcdefhijk",
+            "ajk,abcdefghij->bcdefghijk",  # the chain's costliest
+            "aij,bcdefghijk->abcdefghik",
+            "aef,bcdefghijk->abcdeghijk",  # a long inner run, 116 -> 67 us
+        ],
+    )
+    def test_costliest_grid_layouts_take_the_window(self, subscripts):
+        assert isinstance(self.route(subscripts, 3), factor_mod._Window)
+
+    def test_leading_sum_beside_a_shared_kept_variable_takes_the_transposing_route(self):
+        assert isinstance(self.route("ahi,abcdefghjk->bcdefghijk", 3), factor_mod._Route)
+
+    def test_two_wide_operands_never_take_the_window(self):
+        assert not isinstance(self.route("abcdefghij,abcdefghij->j", 3), factor_mod._Window)
 
     @pytest.mark.parametrize(
         "subscripts, card",
