@@ -46,43 +46,47 @@ lie in the same operands and are kept or summed alike, so it is slow when
 that run is short: ``ajk,bcdefghijk->abcdefghij`` (3^3 x 3^10) takes over
 ten times as long as ``aef,bcdefghijk->abcdeghijk``, which does the same
 work.  A two-factor layout with at least 4,096 union entries can instead
-run as one ``np.matmul`` call, on one of two routes:
+run as one ``np.matmul`` call, on one of two routes.  Neither copies an
+operand or permutes its output: matmul writes the output in scope order
+into a fresh array.
 
 * the window route.  The operand with fewer entries (the narrow one)
   touches one window of consecutive variables of the union, and may also
-  hold a run of leading variables.  The other (wide) operand is read in
+  lead with a run of kept variables, which are batch axes (broadcast when
+  the wide operand lacks them).  The other (wide) operand is read in
   place as (lead, prefix, window-in, suffix): its variables outside the
   window pass through.  The narrow operand is expanded into a small
   matrix from the window's input states to its output states.  It has an
   identity block for each kept variable of the wide operand inside the
   window, and ones for each variable that only the wide operand has and
-  that is summed.  One matmul writes the output in scope order into a
-  fresh array.  A leading variable of the narrow operand alone is
-  broadcast; a summed one is summed after the product.
-* the transposing route, for a layout that sums a shared variable and no
-  variable of one operand only.  Each operand is transposed and reshaped
-  into a stack of matrices (the shared kept variables are the stack, the
-  shared summed ones the inner axis).  ``np.matmul`` multiplies them, and
-  the output is reshaped and, if needed, transposed back to scope order.
+  that is summed.
+* the strided route, for a layout that sums a shared variable and no
+  variable of one operand only: a batched matrix product over strided
+  views, as in Shi et al.'s StridedBatchedGEMM (HiPC 2016).  The shared
+  summed variables are the inner axis, each operand's own kept variables
+  its rows or its columns, and the shared kept ones the batch.  Both
+  operands are read and the output written in place through views built
+  from precomputed shapes and byte strides.  Own variables that are not
+  one run in their operand and in the output are batch axes with stride
+  0 in the other operand.
 
-The plan takes whichever of the three a cost model, in units of one union
-entry of plain einsum, finds cheapest:
+The plan takes whichever a cost model, in units of one union entry of
+plain einsum, finds cheapest:
 
 * einsum: ``|union| * (1 + 10 / run)``, ``run`` the size of that
   innermost run;
-* window: 0.05 per multiply-add (``|lead| * |prefix| * |suffix| * |in| *
-  |out|``), 125 per matrix product in matmul's batch, 2.5 per entry of the
-  matrix, 0.7 per entry of a product summed after it is taken, and 500 per
-  call;
-* transposing: 2 per entry of an operand that must be copied before BLAS
-  can read it, 1 per output entry if the output must be permuted, 1 per
-  entry of the larger operand, and 2,000 per call.
+* window: 0.03 per multiply-add (``|lead| * |prefix| * |suffix| * |in| *
+  |out|``), 30 per matrix product in matmul's batch, 2 per entry of the
+  matrix and 250 per call;
+* strided: 0.12 per multiply-add (one per union entry) when BLAS reads
+  every matrix in place, 1 when a matrix has no unit-stride axis and
+  matmul runs its own loop, 30 per matrix product and 300 per call.
 
 The constants were fitted to every two-factor layout of the benchmark's
 grid-wide workload (two 10x10 grids at card 3, BLAS on one thread): the
-einsum and transposing terms first, the window terms later against them,
-on the set-up, the border polytree and the chain at seeds 1 and 2.  The
-choice is a pure function of the layout: nothing is timed at run time.
+set-up, the border polytree and the chain at seeds 1 and 2, with einsum's
+term kept.  The choice is a pure function of the layout: nothing is timed
+at run time.
 
 The einsum call is numpy's C ``c_einsum``, which ``np.einsum`` itself calls
 when ``optimize`` is off (its default): the results are the same, without
@@ -218,19 +222,17 @@ MAX_TABLE_ENTRIES = 2**24
 # np.einsum takes fewer than NPY_MAXARGS operands: 32 on numpy 1.x, 64 on 2.x.
 _MAX_OPERANDS = 31
 
-# The route cost model (see the module docstring and _route), in units of
+# The route cost model (see the module docstring and _plan), in units of
 # one union entry of plain einsum.
 _ROUTE_FLOOR = 4096  # union entries below which einsum is always taken
 _EINSUM_LOOP = 10.0  # einsum: per pass of its innermost loop
-_MATMUL_COPY = 2.0  # transposing matmul: per entry of an operand it has to copy
-_MATMUL_PERMUTE = 1.0  # per entry of an output it has to permute
-_MATMUL_OPERAND = 1.0  # per entry of the larger operand
-_MATMUL_CALL = 2000.0  # per call
-_WINDOW_MAC = 0.05  # window: per multiply-add
-_WINDOW_GEMM = 125.0  # per matrix product in matmul's batch
-_WINDOW_MATRIX = 2.5  # per entry of the expanded matrix
-_WINDOW_SUM = 0.7  # per entry of a product summed after it is taken
-_WINDOW_CALL = 500.0  # per call
+_MATMUL_GEMM = 30.0  # either matmul route: per matrix product in matmul's batch
+_WINDOW_MAC = 0.03  # window: per multiply-add
+_WINDOW_MATRIX = 2.0  # per entry of the expanded matrix
+_WINDOW_CALL = 250.0  # per call
+_STRIDED_MAC = 0.12  # strided: per multiply-add through BLAS
+_STRIDED_LOOP = 1.0  # per multiply-add in matmul's own loop
+_STRIDED_CALL = 300.0  # per call
 
 
 def contract(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
@@ -280,41 +282,43 @@ def _einsum(ops: list[Factor], keep: frozenset[int], scale: float) -> Factor:
     elif route.__class__ is _Window:
         vals = _window_product(route, cards, ops[0].values, ops[1].values)
     else:
-        vals = _matmul(route, cards, ops[0].values, ops[1].values)
+        vals = _strided_product(route, cards, ops[0].values, ops[1].values)
     if scale != 1.0:
         vals = vals * scale
     return Factor(scope, cards, _fresh(vals))
 
 
 # The least recently used plan goes first.  A plan with its key takes
-# about 0.55 kB with einsum, 1.3 kB with a window route and 1.5 kB with a
-# transposing route, so the full cache takes 5 to 10 MB in a long-lived
-# process.  Set-up and two rounds of every case make 1,449 plans on
-# polytree-large (all einsum) and 982 on grid-wide (317 window, 39
-# transposing).
+# about 0.5 kB with einsum, 0.95 kB with a strided route and 1.05 kB with a
+# window route, so the full cache takes 4 to 9 MB in a long-lived process.
+# Set-up and two rounds of every case make 1,449 plans on polytree-large
+# (all einsum) and 982 on grid-wide (120 strided, 252 window).
 @functools.lru_cache(maxsize=8192)
 def _plan(layout: tuple, keep) -> tuple:
     """Einsum subscripts, output scope, output cards and route for
     operands laid out as ``layout``, one ``(scope, cards)`` pair each,
     summed onto ``keep`` (a tuple or a frozenset, see ``_einsum``).
 
-    The route is a ``_Window``, a transposing ``_Route`` or None (plain
-    einsum), whichever costs least (see ``_route``).  Costs, in units of
-    one union entry of plain einsum:
+    The route is a ``_Strided``, a ``_Window`` or None (plain einsum),
+    whichever costs least (see ``_route``).  Costs, in units of one union
+    entry of plain einsum:
 
     * einsum: ``|union| * (1 + _EINSUM_LOOP / run)``, where ``run`` is the
       size of the innermost run of variables (in scope order) that lie in
       the same operands and are all kept or all summed.  einsum's inner
       loop covers that run, so a short run means many passes.
     * window (see ``_windows``): ``_WINDOW_MAC`` per multiply-add of the
-      matmul, ``_WINDOW_GEMM`` per matrix product in its batch,
-      ``_WINDOW_MATRIX`` per entry of the expanded matrix, ``_WINDOW_SUM``
-      per entry of a product summed after it is taken, and
+      matmul, ``_MATMUL_GEMM`` per matrix product in its batch,
+      ``_WINDOW_MATRIX`` per entry of the expanded matrix and
       ``_WINDOW_CALL`` per call.
-    * transposing: ``_MATMUL_COPY`` per entry of each operand it has to
-      copy (see ``_reads_in_place``), ``_MATMUL_PERMUTE`` per output entry
-      if the output needs permuting, ``_MATMUL_OPERAND`` per entry of the
-      larger operand and ``_MATMUL_CALL`` per call.
+    * strided (see ``_strided``): per multiply-add, one per union entry,
+      ``_STRIDED_MAC`` when BLAS reads every matrix in place and
+      ``_STRIDED_LOOP`` when one has no unit-stride axis, so that matmul
+      runs its own loop; ``_MATMUL_GEMM`` per matrix product and
+      ``_STRIDED_CALL`` per call.  Through BLAS, a multiply-add costs
+      more here than on the window route (fitted 0.12 against 0.03,
+      measured alone about 0.2 against 0.07): BLAS takes small strided
+      matrices here, and long runs of the wide operand there.
 
     Raises ValueError on a variable whose cards differ between operands,
     and TableCapError on an output of more than ``MAX_TABLE_ENTRIES``
@@ -342,8 +346,8 @@ def _plan(layout: tuple, keep) -> tuple:
 
 
 def _route(layout: tuple, cards: dict[int, int], kept: set[int], out: tuple[int, ...]):
-    """``_plan``'s route for ``layout``: a ``_Window``, a transposing
-    ``_Route`` or None for einsum, whichever the cost model puts lowest.
+    """``_plan``'s route for ``layout``: a ``_Strided``, a ``_Window`` or
+    None for einsum, whichever the cost model puts lowest.
 
     Only a layout of two operands and at least ``_ROUTE_FLOOR`` union
     entries has a route other than einsum.  The window route expands the
@@ -365,7 +369,7 @@ def _route(layout: tuple, cards: dict[int, int], kept: set[int], out: tuple[int,
     best, cost = None, union * (1.0 + _EINSUM_LOOP / run)
     narrow = int(math.prod(cb) < math.prod(ca))
     for route, route_cost in itertools.chain(
-        _transposing(layout, cards, kept, out), _windows(layout, cards, kept, narrow)
+        _strided(layout, cards, kept, out), _windows(layout, cards, kept, narrow)
     ):
         if route_cost < cost:
             best, cost = route, route_cost
@@ -384,7 +388,6 @@ class _Window(NamedTuple):
     matrix: tuple[int, ...]  # the matrix: lead axes, then (out, in) or (in, out)
     wide: tuple[int, ...]  # the wide operand's shape as a matmul operand
     matrix_left: bool  # the matrix is matmul's left operand
-    lead_sum: Optional[tuple[int, ...]]  # axes of matmul's output summed after it
     out_shape: tuple[int, ...]  # the output's shape as the last call writes it
 
 
@@ -401,10 +404,7 @@ def _window_product(route: _Window, cards: tuple[int, ...], a: np.ndarray, b: np
     b = b.reshape(route.wide)
     x, y = (m, b) if route.matrix_left else (b, m)
     out = np.empty(cards)
-    if route.lead_sum is None:
-        np.matmul(x, y, out=out.reshape(route.out_shape))
-    else:
-        np.add.reduce(np.matmul(x, y), axis=route.lead_sum, out=out.reshape(route.out_shape))
+    np.matmul(x, y, out=out.reshape(route.out_shape))
     return out
 
 
@@ -417,10 +417,10 @@ def _windows(layout: tuple, cards: dict[int, int], kept: set[int], narrow: int):
     have no extent, and the narrow operand's own summed ones, which it
     sums out first) fall into four runs:
 
-    * lead: the leading run of the narrow operand's variables, which
+    * lead: the leading run of the narrow operand's kept variables, which
       become batch axes.  One of the narrow operand alone is broadcast
-      over the wide one; a summed one is summed after the product.  With
-      no prefix after it, the lead is part of the window instead.
+      over the wide one.  With no prefix after it, the lead is part of the
+      window instead.
     * prefix and suffix: the wide operand's own kept variables before and
       after the window.  They pass through, so the wide operand is read in
       place as (lead, prefix, window-in, suffix).
@@ -433,15 +433,15 @@ def _windows(layout: tuple, cards: dict[int, int], kept: set[int], narrow: int):
     The product is matrix times (prefix, window-in, suffix), batched over
     the lead and the prefix, or, with no suffix, (prefix, window-in) times
     the matrix laid out as (in, out), one product per lead entry.  No
-    route is made when the matrix, or a product summed after, would hold
-    more than ``MAX_TABLE_ENTRIES`` entries.
+    route is made when the matrix would hold more than
+    ``MAX_TABLE_ENTRIES`` entries.
     """
     sa, sb = layout[narrow][0], layout[1 - narrow][0]
     a, b = set(sa), set(sb)
     own = {v for v in sa if v not in b and v not in kept and cards[v] > 1}
     order = [v for v in sorted(cards) if cards[v] > 1 and v not in own]
     k = 0
-    while k < len(order) and order[k] in a:
+    while k < len(order) and order[k] in a and order[k] in kept:
         k += 1
     need = [i for i in range(k, len(order)) if order[i] in a or order[i] not in kept]
     if need and need[0] > k:
@@ -452,18 +452,15 @@ def _windows(layout: tuple, cards: dict[int, int], kept: set[int], narrow: int):
         return
     size = lambda vs: math.prod([cards[v] for v in vs])
     reduce = tuple(j for j, v in enumerate(sa) if v in own) or None
-    summed = tuple(j for j, v in enumerate(lead) if v not in kept) or None
     n_lead = size(lead)
     lead_cards = tuple(cards[v] for v in lead)
     lead_wide = tuple(cards[v] if v in b else 1 for v in lead)
-    lead_out = tuple(cards[v] for v in lead if v in kept)
     for end in sorted({hi, len(order) - 1}):
         pre, win, suf = order[len(lead) : lo], order[lo : end + 1], order[end + 1 :]
         ins = [v for v in win if v in b]
         outs = [v for v in win if v in kept]
         n_pre, n_suf, n_in, n_out = size(pre), size(suf), size(ins), size(outs)
-        product = n_lead * n_pre * n_out * n_suf
-        if n_lead * n_in * n_out > MAX_TABLE_ENTRIES or (summed and product > MAX_TABLE_ENTRIES):
+        if n_lead * n_in * n_out > MAX_TABLE_ENTRIES:
             continue
         left = bool(suf)
         lead_st = _strides(lead, cards, n_in * n_out)
@@ -482,16 +479,114 @@ def _windows(layout: tuple, cards: dict[int, int], kept: set[int], narrow: int):
             matrix, wide, mm = lead_cards + (n_in, n_out), lead_wide + (n_pre, n_in), (n_pre, n_out)
         cost = (
             _WINDOW_MAC * n_lead * n_pre * n_suf * n_in * n_out
-            + _WINDOW_GEMM * n_lead * (n_pre if left else 1)
+            + _MATMUL_GEMM * n_lead * (n_pre if left else 1)
             + _WINDOW_MATRIX * n_lead * n_in * n_out
-            + (_WINDOW_SUM * product if summed else 0.0)
             + _WINDOW_CALL
         )
         fill_shape = tuple(cards[v] for v in fill)
         route = _Window(
-            narrow, reduce, fill_shape, fill_strides, src_shape, matrix, wide, left, summed, lead_out + mm
+            narrow, reduce, fill_shape, fill_strides, src_shape, matrix, wide, left, lead_cards + mm
         )
         yield route, cost
+
+
+class _Strided(NamedTuple):
+    """A strided route (see ``_strided``): the first operand, the second
+    and the output, each read or written in place through one view, as
+    (shape, strides in bytes)."""
+
+    left: tuple[tuple[int, ...], tuple[int, ...]]
+    right: tuple[tuple[int, ...], tuple[int, ...]]
+    out: tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _strided_product(route: _Strided, cards: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Run a strided route: one matmul from views of both operands into a
+    view of a fresh array of the output's shape, which ``Factor`` takes
+    without a copy."""
+    out = np.empty(cards)
+    np.matmul(
+        np.ndarray(route.left[0], buffer=a, strides=route.left[1]),
+        np.ndarray(route.right[0], buffer=b, strides=route.right[1]),
+        out=np.ndarray(route.out[0], buffer=out, strides=route.out[1]),
+    )
+    return out
+
+
+def _strided(layout: tuple, cards: dict[int, int], kept: set[int], out: tuple[int, ...]):
+    """Strided routes for ``layout``, each with its cost, if the layout sums
+    a shared variable and no variable of one operand only.
+
+    Each variable of card over 1 is an axis with a byte stride in the
+    first operand, the second and the output (0 where it is absent).  The
+    shared summed variables are matmul's inner axis, so they must form one
+    run in both operands.  The first operand's own variables are the rows
+    and the second's the columns: each falls into runs that lie unbroken
+    in its operand and in the output, one run is the matrix axis and the
+    others are batch axes with stride 0 in the other operand.  A route is
+    made for each choice of row run and column run.  The shared kept
+    variables are batch axes too, in output order, merged where they lie
+    unbroken in all three arrays.
+    """
+    (sa, _), (sb, _) = layout
+    a, b = set(sa), set(sb)
+    strides = [_strides(s, cards, 8) for s in (sa, sb, out)]  # 8 bytes per float64
+    roles: dict[str, list] = {"k": [], "m": [], "n": [], "batch": []}
+    for v in sorted(cards):
+        if cards[v] == 1:
+            continue
+        if v not in kept:
+            if v not in a or v not in b:
+                return
+            role = "k"
+        else:
+            role = "batch" if v in a and v in b else "m" if v in a else "n"
+        roles[role].append((cards[v], tuple([st.get(v, 0) for st in strides])))
+    inner = _runs(roles["k"])
+    if len(inner) != 1:
+        return
+    dk, (ka, kb, _) = inner[0]
+    none = [(1, (0, 0, 0))]  # no own variable: a matrix axis of extent 1
+    rows, cols = _runs(roles["m"]) or none, _runs(roles["n"]) or none
+    union = math.prod(cards.values())
+    for i, j in itertools.product(range(len(rows)), range(len(cols))):
+        (dm, (ma, _, mo)), (dp, (_, nb, no)) = rows[i], cols[j]
+        batch = roles["batch"] + rows[:i] + rows[i + 1 :] + cols[:j] + cols[j + 1 :]
+        batch = _runs(sorted(batch, key=lambda axis: -axis[1][2]))
+        shape = tuple([n for n, _ in batch])
+        st = [tuple([s[k] for _, s in batch]) for k in range(3)]
+        blas = _blas(dm, dk, ma, ka) and _blas(dk, dp, kb, nb) and _blas(dm, dp, mo, no)
+        cost = (
+            (_STRIDED_MAC if blas else _STRIDED_LOOP) * union
+            + _MATMUL_GEMM * math.prod(shape)
+            + _STRIDED_CALL
+        )
+        route = _Strided(
+            (shape + (dm, dk), st[0] + (ma, ka)),
+            (shape + (dk, dp), st[1] + (kb, nb)),
+            (shape + (dm, dp), st[2] + (mo, no)),
+        )
+        yield route, cost
+
+
+def _runs(axes: list) -> list:
+    """``axes``, (extent, strides) pairs, with each pair of neighbours that
+    lie unbroken in every array merged into one axis."""
+    out: list = []
+    for n, st in axes:
+        if out and all(p == s * n for p, s in zip(out[-1][1], st)):
+            out[-1] = (out[-1][0] * n, st)
+        else:
+            out.append((n, st))
+    return out
+
+
+def _blas(d1: int, d2: int, s1: int, s2: int) -> bool:
+    """Whether matmul hands a ``d1`` x ``d2`` matrix with byte strides
+    ``s1``, ``s2`` to BLAS in place: one axis has unit stride and the other
+    steps over it.  A matrix of one row or column is a vector, which BLAS
+    reads at any stride."""
+    return d1 == 1 or d2 == 1 or (s2 == 8 and s1 >= 8 * d2) or (s1 == 8 and s2 >= 8 * d1)
 
 
 def _strides(vs: list[int], cards: dict[int, int], unit: int) -> dict[int, int]:
@@ -502,103 +597,6 @@ def _strides(vs: list[int], cards: dict[int, int], unit: int) -> dict[int, int]:
         out[v] = step
         step *= cards[v]
     return out
-
-
-class _Route(NamedTuple):
-    """A transposing matmul route: which operand goes left, each operand's
-    matrix stack, matmul's output shape and, when that output is not in
-    scope order, its shape with one axis per variable and the permutation
-    to scope order."""
-
-    swap: bool  # the second operand goes left
-    left: tuple  # (axis permutation, stack shape, copy first)
-    right: tuple
-    mm_shape: tuple[int, ...]
-    grouped: Optional[tuple[int, ...]]
-    perm_out: Optional[tuple[int, ...]]
-
-
-def _transposing(layout: tuple, cards: dict[int, int], kept: set[int], out: tuple[int, ...]):
-    """The transposing matmul route for ``layout`` with its cost, if the
-    layout has a shared summed variable and sums no variable of one operand
-    only.
-
-    The shared kept variables are matmul's batch axes, the shared summed
-    ones its inner axis, and each operand's own kept variables its rows or
-    columns.
-    """
-    (sa, _), (sb, _) = layout
-    a, b = set(sa), set(sb)
-    con = [v for v in sorted(cards) if v in a and v in b and v not in kept]
-    if not con or not (a ^ b) <= kept:
-        return
-    batch = [v for v in out if v in a and v in b]
-    own_a = [v for v in out if v not in b]
-    own_b = [v for v in out if v not in a]
-    # matmul's output holds the batch, then the left operand's own
-    # variables, then the right one's.  The operand whose own variables
-    # come first goes left, so that this is the scope order when any is.
-    first = lambda vs: next((v for v in vs if cards[v] > 1), math.inf)
-    swap = first(own_b) < first(own_a)
-    sl, sr, m, n = (sb, sa, own_b, own_a) if swap else (sa, sb, own_a, own_b)
-    order = batch + m + n
-    permuted = [v for v in order if cards[v] > 1] != [v for v in out if cards[v] > 1]
-    size = lambda vs: math.prod([cards[v] for v in vs])
-    lead = tuple(cards[v] for v in batch)
-
-    def stack(scope, rows, cols):
-        perm = tuple(scope.index(v) for v in batch + rows + cols)
-        copy = not _reads_in_place(scope, cards, rows, cols)
-        return perm, lead + (size(rows), size(cols)), copy
-
-    left, right = stack(sl, m, con), stack(sr, con, n)
-    cost = (
-        _MATMUL_COPY * (size(sl) * left[2] + size(sr) * right[2])
-        + _MATMUL_PERMUTE * (size(out) if permuted else 0)
-        + _MATMUL_OPERAND * max(size(sa), size(sb))
-        + _MATMUL_CALL
-    )
-    mm_shape = lead + (size(m), size(n))
-    if not permuted:
-        yield _Route(swap, left, right, mm_shape, None, None), cost
-    else:
-        grouped = tuple(cards[v] for v in order)
-        yield _Route(swap, left, right, mm_shape, grouped, tuple(order.index(v) for v in out)), cost
-
-
-def _matmul(route: "_Route", cards: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Run a matmul route: transpose, reshape, matmul, reshape, transpose.
-
-    An output already in scope order is written into a fresh array of the
-    output's shape, which ``Factor`` takes without a copy.
-    """
-    if route.swap:
-        a, b = b, a
-    x, y = _stack(a, route.left), _stack(b, route.right)
-    if route.perm_out is None:
-        out = np.empty(cards)
-        np.matmul(x, y, out=out.reshape(route.mm_shape))
-        return out
-    return np.ascontiguousarray(np.matmul(x, y).reshape(route.grouped).transpose(route.perm_out))
-
-
-def _stack(vals: np.ndarray, operand: tuple) -> np.ndarray:
-    """``vals`` as the stack of matrices that ``operand`` plans."""
-    perm, shape, copy = operand
-    vals = vals.transpose(perm)
-    return (vals.copy() if copy else vals).reshape(shape)
-
-
-def _reads_in_place(scope, cards: dict[int, int], rows: list[int], cols: list[int]) -> bool:
-    """Whether an operand over ``scope`` (in memory order) is a stack of
-    ``rows`` x ``cols`` matrices that BLAS can read in place: the row
-    variables lie in one unbroken run, so do the column variables, and
-    the innermost variable is one of them, so one matrix axis has unit
-    stride.  Card-1 variables have no extent and are ignored.
-    """
-    seq = ["row" if v in rows else "col" if v in cols else "batch" for v in scope if cards[v] > 1]
-    runs = [group for group, _ in itertools.groupby(seq)]
-    return not runs or (runs[-1] != "batch" and runs.count("row") <= 1 and runs.count("col") <= 1)
 
 
 def multiply(f: Factor, g: Factor) -> Factor:

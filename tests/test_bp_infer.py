@@ -554,21 +554,25 @@ def test_wide_grid_same_answers_on_either_route(monkeypatch):
     # A 7x7 grid at card 3 has contractions over 3^8 entries, past the
     # route floor.  The oracle cannot enumerate it, so each engine's
     # answers on the routes the cost model picks are checked against its
-    # answers with plain einsum only.  Both engines take the window route.
+    # answers with plain einsum only.  Both engines take the window route,
+    # and the chain takes the strided route too.
     bn = _grid(7, 7, 3, np.random.default_rng(33))
     bp = build_border_polytree(bn)
     preload_priors(bp)
     chain = build_chain(bn)
     evs = [random_evidence(np.random.default_rng(34 + k), bn, max_vars=5) for k in range(2)]
-    windows = {"bp": 0, "chain": 0}
+    calls = {(engine, route): 0 for engine in ("bp", "chain") for route in ("window", "strided")}
     engine = ["bp"]
-    window = factor._window_product
 
-    def counted(*args):
-        windows[engine[0]] += 1
-        return window(*args)
+    def counted(route, run):
+        def call(*args):
+            calls[engine[0], route] += 1
+            return run(*args)
 
-    monkeypatch.setattr(factor, "_window_product", counted)
+        return call
+
+    monkeypatch.setattr(factor, "_window_product", counted("window", factor._window_product))
+    monkeypatch.setattr(factor, "_strided_product", counted("strided", factor._strided_product))
 
     def answers():
         factor._plan.cache_clear()
@@ -583,10 +587,13 @@ def test_wide_grid_same_answers_on_either_route(monkeypatch):
         return out
 
     routed = answers()
-    assert windows["bp"] > 0 and windows["chain"] > 0, windows
-    monkeypatch.setattr(factor, "_MATMUL_CALL", float("inf"))
+    assert calls["bp", "window"] > 0 and calls["chain", "window"] > 0, calls
+    assert calls["chain", "strided"] > 0, calls
+    routed_calls = dict(calls)
+    monkeypatch.setattr(factor, "_STRIDED_CALL", float("inf"))
     monkeypatch.setattr(factor, "_WINDOW_CALL", float("inf"))
     plain = answers()
+    assert calls == routed_calls, calls  # the plain pass takes no matmul route
     factor._plan.cache_clear()
     for (posts, pe), (want, want_pe) in zip(routed, plain):
         assert pe == pytest.approx(want_pe, rel=1e-12)

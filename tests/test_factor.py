@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from bordertree.errors import ImpossibleEvidenceError, TableCapError
 from bordertree import factor as factor_mod
@@ -288,24 +288,6 @@ class TestTableCap:
             tracemalloc.stop()
             factor_mod._plan.cache_clear()
         assert peak < 3**10
-
-    def test_a_product_summed_after_the_matmul_stays_under_the_cap(self, monkeypatch):
-        # ajk,abcdefghij->bcdefghijk at card 3: the leading sum's product
-        # holds 3^11 entries, past a cap of 3^10, so no window route sums
-        # after the product, and the table is still right.
-        layout = (((0, 9, 10), (3,) * 3), (tuple(range(10)), (3,) * 10))
-        cards = {v: 3 for v in range(11)}
-        keep = set(range(1, 11))
-        assert any(r.lead_sum for r, _ in factor_mod._windows(layout, cards, keep, 0))
-        monkeypatch.setattr(factor_mod, "MAX_TABLE_ENTRIES", 3**10)
-        factor_mod._plan.cache_clear()
-        try:
-            assert not any(r.lead_sum for r, _ in factor_mod._windows(layout, cards, keep, 0))
-            fs = _wide([scope for scope, _ in layout], cards)
-            want = np.einsum("ajk,abcdefghij->bcdefghijk", fs[0].values, fs[1].values)
-            np.testing.assert_allclose(contract(fs, keep).values, want, rtol=1e-12, atol=0.0)
-        finally:
-            factor_mod._plan.cache_clear()
 
     def test_a_table_at_the_cap_is_computed(self, monkeypatch):
         monkeypatch.setattr(factor_mod, "MAX_TABLE_ENTRIES", 2**10)
@@ -713,9 +695,9 @@ def _wide(scopes, cards, seed=0):
 
 @pytest.fixture
 def matmul_whenever_allowed(monkeypatch):
-    """Plans made inside the test take the transposing matmul route wherever
-    it is allowed, and never the window route."""
-    monkeypatch.setattr(factor_mod, "_MATMUL_CALL", -math.inf)
+    """Plans made inside the test take the strided matmul route wherever it
+    is allowed, and never the window route."""
+    monkeypatch.setattr(factor_mod, "_STRIDED_CALL", -math.inf)
     monkeypatch.setattr(factor_mod, "_WINDOW_CALL", math.inf)
     factor_mod._plan.cache_clear()
     yield
@@ -725,8 +707,8 @@ def matmul_whenever_allowed(monkeypatch):
 @pytest.fixture
 def window_whenever_allowed(monkeypatch):
     """Plans made inside the test take a window route wherever one is
-    allowed, and never the transposing route."""
-    monkeypatch.setattr(factor_mod, "_MATMUL_CALL", math.inf)
+    allowed, and never the strided route."""
+    monkeypatch.setattr(factor_mod, "_STRIDED_CALL", math.inf)
     monkeypatch.setattr(factor_mod, "_WINDOW_CALL", -math.inf)
     factor_mod._plan.cache_clear()
     yield
@@ -735,7 +717,10 @@ def window_whenever_allowed(monkeypatch):
 
 # Twelve variables of card 2 make a union of 4,096 entries, the route floor.
 # Each layout: (scope of the first operand, of the second, summed variables,
-# cards other than 2).
+# cards other than 2).  In those named "copied", an operand is no stack of
+# matrices in memory order; the strided route reads it in place all the
+# same.  The summed variables of "inner product kept to one variable" form
+# two runs, so it has no strided route.
 _ROUTE_LAYOUTS = {
     "batch, permuted output": ((0, 10, 11), tuple(range(1, 12)), {11}, {}),
     "no batch, output in scope order": ((0, 1, 2), tuple(range(2, 12)), {2}, {}),
@@ -743,6 +728,7 @@ _ROUTE_LAYOUTS = {
     "batch splits an operand: copied": ((0, 5, 11), tuple(range(1, 12)), {11}, {}),
     "innermost batch: both copied": ((0, 10, 11), tuple(range(1, 12)), {10}, {}),
     "no own kept variable on the left": ((10, 11), tuple(range(12)), {10, 11}, {}),
+    "summed leading variable": ((0, 11, 12), tuple(range(12)), {0}, {}),
     "inner product": (tuple(range(12)), tuple(range(12)), set(range(12)), {}),
     "inner product kept to one variable": (
         tuple(range(12)), tuple(range(12)), set(range(12)) - {5}, {}
@@ -768,7 +754,6 @@ _WINDOW_LAYOUTS = {
     "trailing window": ((9, 11, 12), tuple(range(12)), {9}, {}),
     "interior pass-through, suffix": ((7, 9, 10), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12), {7}, {}),
     "new leading variable": ((0, 9, 10), tuple(range(1, 13)), {10}, {}),
-    "summed leading variable": ((0, 11, 12), tuple(range(12)), {0}, {}),
     "shared kept leading variable": ((0, 10, 11), tuple(range(12)), {11}, {}),
     "lead without a prefix joins the window": ((0, 1, 2), (0, 2) + tuple(range(3, 13)), {0}, {}),
     "own summed variable, summed first": ((9, 11, 13), tuple(range(13)), {9, 13}, {}),
@@ -793,6 +778,63 @@ def _window_case(name, seed=0):
     return fs, keep, loop_marginal(loop_product(fs), keep)
 
 
+def _strided_layout(ops, keep):
+    """Whether ``ops`` onto ``keep`` is a layout the strided route takes:
+    every summed variable of card over 1 lies in both operands, and they
+    form one unbroken run of each operand's variables of card over 1."""
+    summed = {v for f in ops for v, c in zip(f.scope, f.cards) if v not in keep and c > 1}
+    if not summed:
+        return False
+    for f in ops:
+        wide = [v for v, c in zip(f.scope, f.cards) if c > 1]
+        at = [k for k, v in enumerate(wide) if v in summed]
+        if len(at) != len(summed) or at[-1] - at[0] != len(at) - 1:
+            return False
+    return True
+
+
+def _every_strided(ops, keep):
+    """Each strided route of ``ops`` onto ``keep``, one per choice of row
+    and column run, with the table it computes."""
+    layout = tuple((f.scope, f.cards) for f in ops)
+    cards = {v: c for f in ops for v, c in zip(f.scope, f.cards)}
+    out = tuple(v for v in sorted(cards) if v in keep)
+    out_cards = tuple(cards[v] for v in out)
+    for route, _cost in factor_mod._strided(layout, cards, set(keep), out):
+        yield route, factor_mod._strided_product(route, out_cards, ops[0].values, ops[1].values)
+
+
+def _assert_fresh(vals, ops, shape, route):
+    """An owned, C-contiguous result that shares no memory with an operand
+    is what Factor takes without a copy, and what no caller can alter."""
+    assert vals.base is None and vals.flags.c_contiguous and vals.shape == shape, route
+    assert not any(np.shares_memory(vals, f.values) for f in ops), route
+
+
+@st.composite
+def strided_layouts(draw):
+    """Two factors whose layout has a strided route, and the kept variables.
+
+    One block of one or two shared summed variables lies among variables
+    kept in the first operand only, the second only or both, or summed in
+    the first only at card 1.  Cards are 1 to 4, the first summed one over
+    1.  Own variables split by others become batch axes broadcast over the
+    other operand.
+    """
+    roles = st.sampled_from(["a", "b", "ab", "a summed"])
+    role = draw(st.lists(roles, max_size=3)) + ["k"] * draw(st.integers(1, 2))
+    first = role.index("k")
+    role += draw(st.lists(roles, max_size=3))
+    cards = {v: draw(st.integers(1, 4)) for v in range(len(role))}
+    cards.update({v: 1 for v, r in enumerate(role) if r == "a summed"})
+    cards[first] = draw(st.integers(2, 4))
+    assume(math.prod(cards.values()) <= 6000)
+    sa = tuple(v for v, r in enumerate(role) if r != "b")
+    sb = tuple(v for v, r in enumerate(role) if r in ("b", "ab", "k"))
+    keep = tuple(v for v, r in enumerate(role) if r in ("a", "b", "ab"))
+    return _wide([sa, sb], cards, draw(st.integers(0, 2**32 - 1))), keep
+
+
 def _every_window(ops, keep):
     """Each window route of ``ops`` onto ``keep``, whichever operand it
     expands, with the table it computes; routes whose matrix would hold
@@ -808,8 +850,8 @@ def _every_window(ops, keep):
 
 class TestRoutes:
     """Every route the planner can choose gives the loop reference's table:
-    the transposing route on ``_ROUTE_LAYOUTS``, the window route on
-    ``_WINDOW_LAYOUTS`` and on drawn layouts."""
+    the strided route on ``_ROUTE_LAYOUTS`` and on drawn layouts, the
+    window route on ``_WINDOW_LAYOUTS`` and on drawn layouts."""
 
     @pytest.mark.parametrize("name", sorted(_ROUTE_LAYOUTS))
     def test_matmul_route_matches_loop_reference(self, name, matmul_whenever_allowed):
@@ -819,22 +861,29 @@ class TestRoutes:
         want = loop_marginal(loop_product(fs), keep)
         for ops in (fs, fs[::-1]):  # both operand orders
             layout = tuple((f.scope, f.cards) for f in ops)
-            assert factor_mod._plan(layout, tuple(keep))[3] is not None
+            route = factor_mod._plan(layout, tuple(keep))[3]
+            if _strided_layout(ops, keep):
+                assert isinstance(route, factor_mod._Strided)
+            else:
+                assert route is None
             got = contract(ops, keep)
             assert got.scope == want.scope and got.cards == want.cards
             np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0.0)
+            # Every choice of row and column run, not only the cheapest.
+            for route, vals in _every_strided(ops, keep):
+                _assert_fresh(vals, ops, want.cards, route)
+                np.testing.assert_allclose(vals, want.values, rtol=1e-12, atol=0.0, err_msg=str(route))
 
     @pytest.mark.parametrize(
         "name", ["batch, permuted output", "no batch, output in scope order"]
     )
     def test_matmul_output_is_owned(self, name, matmul_whenever_allowed):
-        # An owned, C-contiguous result is what Factor takes without a copy.
         sa, sb, summed, cards = _ROUTE_LAYOUTS[name]
         fs = _wide([sa, sb], cards)
         keep = tuple(sorted((set(sa) | set(sb)) - summed))
         _, _, out_cards, route = factor_mod._plan(((sa, fs[0].cards), (sb, fs[1].cards)), keep)
-        vals = factor_mod._matmul(route, out_cards, fs[0].values, fs[1].values)
-        assert vals.base is None and vals.flags.c_contiguous and vals.shape == out_cards
+        vals = factor_mod._strided_product(route, out_cards, fs[0].values, fs[1].values)
+        _assert_fresh(vals, fs, out_cards, route)
 
     @pytest.mark.parametrize(
         "sa, sb, keep",
@@ -859,14 +908,41 @@ class TestRoutes:
             fs = _wide([sa, sb], cards, seed=k)
             want = loop_marginal(loop_product(fs), keep)
             for call in (math.inf, -math.inf):  # matmul never, and wherever allowed
-                monkeypatch.setattr(factor_mod, "_MATMUL_CALL", call)
+                monkeypatch.setattr(factor_mod, "_STRIDED_CALL", call)
                 factor_mod._plan.cache_clear()
                 for ops in (fs, fs[::-1]):
                     layout = tuple((f.scope, f.cards) for f in ops)
-                    assert (factor_mod._plan(layout, keep)[3] is None) == (call > 0)
+                    routed = call < 0 and _strided_layout(ops, keep)
+                    assert (factor_mod._plan(layout, keep)[3] is not None) == routed
                     got = contract(ops, keep)
                     assert got.scope == want.scope
                     np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0.0)
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(strided_layouts(), st.sampled_from([1.0, 2.5, 1e-3]))
+    def test_drawn_strided_layouts(self, monkeypatch, case, scale):
+        # Under the route floor too, so that small drawn layouts take it.
+        monkeypatch.setattr(factor_mod, "_ROUTE_FLOOR", 0)
+        monkeypatch.setattr(factor_mod, "_STRIDED_CALL", -math.inf)
+        monkeypatch.setattr(factor_mod, "_WINDOW_CALL", math.inf)
+        factor_mod._plan.cache_clear()
+        try:
+            fs, keep = case
+            want = loop_marginal(loop_product(fs), keep)
+            for ops in (fs, fs[::-1]):
+                routes = list(_every_strided(ops, keep))
+                assert routes
+                for route, vals in routes:
+                    _assert_fresh(vals, ops, want.cards, route)
+                    np.testing.assert_allclose(vals, want.values, rtol=1e-12, atol=0.0, err_msg=str(route))
+                layout = tuple((f.scope, f.cards) for f in ops)
+                assert isinstance(factor_mod._plan(layout, keep)[3], factor_mod._Strided)
+                got = contract([Factor.scalar(scale), *ops], keep)
+                np.testing.assert_allclose(got.values, scale * want.values, rtol=1e-12, atol=0.0)
+        finally:
+            factor_mod._plan.cache_clear()
 
     @pytest.mark.parametrize("name", sorted(_WINDOW_LAYOUTS))
     def test_window_route_matches_loop_reference(self, name, window_whenever_allowed):
@@ -951,7 +1027,6 @@ class TestRouteChoice:
         [
             "hjk,abcdefghij->abcdefgijk",  # the border polytree's costliest
             "gij,abcdefghik->abcdefhijk",
-            "ajk,abcdefghij->bcdefghijk",  # the chain's costliest
             "aij,bcdefghijk->abcdefghik",
             "aef,bcdefghijk->abcdeghijk",  # a long inner run, 116 -> 67 us
         ],
@@ -959,8 +1034,16 @@ class TestRouteChoice:
     def test_costliest_grid_layouts_take_the_window(self, subscripts):
         assert isinstance(self.route(subscripts, 3), factor_mod._Window)
 
-    def test_leading_sum_beside_a_shared_kept_variable_takes_the_transposing_route(self):
-        assert isinstance(self.route("ahi,abcdefghjk->bcdefghijk", 3), factor_mod._Route)
+    @pytest.mark.parametrize(
+        "subscripts",
+        [
+            "ahi,abcdefghjk->bcdefghijk",  # a leading sum beside a shared kept variable
+            "ajk,abcdefghij->bcdefghijk",  # the chain's costliest
+            "abcdefghij,abcdefghij->j",  # the pi-lambda read-out, 3 strided dots
+        ],
+    )
+    def test_chain_layouts_take_the_strided_route(self, subscripts):
+        assert isinstance(self.route(subscripts, 3), factor_mod._Strided)
 
     def test_two_wide_operands_never_take_the_window(self):
         assert not isinstance(self.route("abcdefghij,abcdefghij->j", 3), factor_mod._Window)
