@@ -45,6 +45,7 @@ from .errors import (
     CycleError,
     EnumerationCapError,
     ImpossibleEvidenceError,
+    NormalizationError,
     NotSinglyConnectedError,
     TableCapError,
 )

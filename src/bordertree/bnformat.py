@@ -14,23 +14,32 @@ on the command line, one per line in files.
 So that evidence can name every variable and value, a node name may not
 contain ``,`` or ``=``, and a value label may not contain ``,`` or ``|``;
 ``parse_network`` rejects either with the line number.
+
+``parse_network`` checks only what the lines themselves hold: directives,
+names, label characters, parent names and value counts.  The rest is
+checked once, where each object is built, and the parser puts that
+object's error on its line: ``Variable`` (cardinality and labels) on the
+node line, ``Factor`` (finite, non-negative entries) and the
+``BayesianNetwork`` constructor's row sums on the cpt line.  A directed
+cycle, which no one line holds, is the constructor's ``CycleError``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import BnFormatError, CycleError
+from .errors import BnFormatError, NormalizationError
 from .factor import Factor
-from .network import BayesianNetwork, EvidenceSet, Variable, validate
+from .network import BayesianNetwork, EvidenceSet, Variable
 
 
 def parse_network(text: str) -> BayesianNetwork:
-    names: list[str] = []
-    labels: dict[str, list[str]] = {}
-    parents: dict[str, list[str]] = {}
+    variables: list[Variable] = []
+    ids: dict[str, int] = {}
+    parents: dict[int, tuple[int, ...]] = {}
     raw_cpts: dict[str, list[float]] = {}
     cpt_line: dict[str, int] = {}
 
@@ -44,7 +53,7 @@ def parse_network(text: str) -> BayesianNetwork:
             if len(tokens) < 3:
                 raise BnFormatError("node needs a name and a cardinality", lineno)
             name = tokens[1]
-            if name in labels:
+            if name in ids:
                 raise BnFormatError(f"duplicate node {name!r}", lineno)
             if "," in name or "=" in name:
                 raise BnFormatError(f"node name {name!r} contains ',' or '='", lineno)
@@ -52,95 +61,79 @@ def parse_network(text: str) -> BayesianNetwork:
                 k = int(tokens[2])
             except ValueError:
                 raise BnFormatError(f"bad cardinality {tokens[2]!r}", lineno) from None
-            vals = tokens[3:]
-            if k < 1:
-                raise BnFormatError("cardinality must be >= 1", lineno)
-            if len(vals) != k:
-                raise BnFormatError(
-                    f"node {name!r}: expected {k} value labels, got {len(vals)}", lineno
-                )
-            if len(set(vals)) != k:
-                raise BnFormatError(f"node {name!r}: duplicate value labels", lineno)
-            for label in vals:
+            try:
+                var = Variable(len(variables), name, k, tuple(tokens[3:]))
+            except ValueError as e:
+                raise BnFormatError(str(e), lineno) from None
+            for label in var.value_labels:
                 if "," in label or "|" in label:
                     raise BnFormatError(
                         f"node {name!r}: value label {label!r} contains ',' or '|'", lineno
                     )
-            names.append(name)
-            labels[name] = vals
+            variables.append(var)
+            ids[name] = var.id
         elif kind == "parents":
             if len(tokens) < 2:
                 raise BnFormatError("parents needs a node name", lineno)
             name = tokens[1]
-            if name not in labels:
+            if name not in ids:
                 raise BnFormatError(f"parents before node for {name!r}", lineno)
-            if name in parents:
+            if ids[name] in parents:
                 raise BnFormatError(f"duplicate parents line for {name!r}", lineno)
             ps = tokens[2:]
             for p in ps:
-                if p not in labels:
+                if p not in ids:
                     raise BnFormatError(f"unknown parent name {p!r}", lineno)
             if len(set(ps)) != len(ps):
                 raise BnFormatError(f"repeated parent for {name!r}", lineno)
             if name in ps:
                 raise BnFormatError(f"{name!r} cannot be its own parent", lineno)
-            parents[name] = ps
+            parents[ids[name]] = tuple(ids[p] for p in ps)
         elif kind == "cpt":
             if len(tokens) < 2:
                 raise BnFormatError("cpt needs a node name", lineno)
             name = tokens[1]
-            if name not in labels:
+            if name not in ids:
                 raise BnFormatError(f"cpt before node for {name!r}", lineno)
             if name in raw_cpts:
                 raise BnFormatError(f"duplicate cpt for {name!r}", lineno)
             try:
-                vals = [float(t) for t in tokens[2:]]
+                raw_cpts[name] = [float(t) for t in tokens[2:]]
             except ValueError:
                 raise BnFormatError(f"bad cpt number in {name!r}", lineno) from None
-            if any(v < 0 for v in vals) or not all(np.isfinite(vals)):
-                raise BnFormatError(
-                    f"cpt of {name!r}: entries must be finite and >= 0", lineno
-                )
-            raw_cpts[name] = vals
             cpt_line[name] = lineno
         else:
             raise BnFormatError(f"unknown directive {kind!r}", lineno)
 
-    ids = {name: i for i, name in enumerate(names)}
-    variables = [
-        Variable(ids[n], n, len(labels[n]), tuple(labels[n])) for n in names
-    ]
-    parent_ids = {ids[n]: tuple(ids[p] for p in parents.get(n, [])) for n in names}
-
     cpts: dict[int, Factor] = {}
-    for n in names:
-        v = ids[n]
+    for var in variables:
+        n, v = var.name, var.id
         if n not in raw_cpts:
             raise BnFormatError(f"missing cpt for {n!r}")
-        ps = parent_ids[v]
-        file_axes = (*ps, v)  # first parent most significant, child fastest
+        file_axes = (*parents.get(v, ()), v)  # first parent most significant, child fastest
         shape = tuple(variables[u].cardinality for u in file_axes)
-        expected = int(np.prod(shape)) if shape else 1
-        vals = raw_cpts[n]
-        if len(vals) != expected:
+        vals, size = raw_cpts[n], math.prod(shape)
+        if len(vals) != size:
+            raise BnFormatError(f"cpt of {n!r}: expected {size} values, got {len(vals)}", cpt_line[n])
+        scope = tuple(sorted(file_axes))
+        table = np.array(vals)
+        try:
+            table.shape = shape  # in place: the table keeps owning its data
+        except ValueError as e:  # more axes than numpy's arrays hold
+            raise BnFormatError(f"cpt of {n!r}: {e}", cpt_line[n]) from None
+        if scope != file_axes:
+            table = table.transpose([file_axes.index(u) for u in scope]).copy()
+        table.setflags(write=False)  # frozen and C-order, so Factor takes it as is
+        try:
+            cpts[v] = Factor(scope, table.shape, table)
+        except ValueError:
             raise BnFormatError(
-                f"cpt of {n!r}: expected {expected} values, got {len(vals)}",
-                cpt_line[n],
-            )
-        table = np.asarray(vals).reshape(shape)
-        sorted_scope = tuple(sorted(file_axes))
-        perm = tuple(file_axes.index(u) for u in sorted_scope)
-        table = np.ascontiguousarray(table.transpose(perm))
-        cpts[v] = Factor(sorted_scope, [variables[u].cardinality for u in sorted_scope], table)
-
-    bn = BayesianNetwork(variables, parent_ids, cpts)
-    for d in validate(bn):
-        if d.severity == "error":
-            if d.code == "cycle":
-                raise CycleError(d.message)
-            line = cpt_line.get(bn.name_of(d.var)) if d.var is not None else None
-            raise BnFormatError(d.message, line)
-    return bn
+                f"cpt of {n!r}: entries must be finite and >= 0", cpt_line[n]
+            ) from None
+    try:
+        return BayesianNetwork(variables, parents, cpts)
+    except NormalizationError as e:
+        raise BnFormatError(str(e), cpt_line[variables[e.var].name]) from None
 
 
 def _fmt(x: float) -> str:

@@ -298,8 +298,6 @@ def initial_border(bn: BayesianNetwork, members=None) -> frozenset[int]:
     """
     members = frozenset(bn.ids if members is None else members)
     roots = frozenset(v for v in members if not bn.parents[v])
-    if not roots:
-        bn.topological_order()  # raises CycleError with a useful message
     for start in sorted(roots):
         current = frozenset({start})
         seen: set[frozenset[int]] = set()

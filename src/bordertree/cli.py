@@ -484,7 +484,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="report acyclicity/normalization/positivity")
+    p = sub.add_parser(
+        "validate", help="parse (checking acyclicity and row sums), then report zero cpt entries"
+    )
     p.add_argument("network")
 
     p = sub.add_parser("chain", help="dump the border chain as TSV")

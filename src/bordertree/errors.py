@@ -19,6 +19,14 @@ class CycleError(BordertreeError):
     """The parent graph contains a directed cycle."""
 
 
+class NormalizationError(BordertreeError):
+    """A CPT row does not sum to 1.  Carries the variable's id."""
+
+    def __init__(self, message: str, var: int):
+        self.var = var
+        super().__init__(message)
+
+
 class ImpossibleEvidenceError(BordertreeError):
     """The observed evidence has probability zero under the model."""
 
@@ -28,7 +36,8 @@ class EnumerationCapError(BordertreeError):
 
 
 class TableCapError(BordertreeError):
-    """A computed table would exceed ``factor.MAX_TABLE_ENTRIES`` entries."""
+    """A computed table would exceed ``factor.MAX_TABLE_ENTRIES`` entries, or
+    a contraction would range over more variables than einsum can name."""
 
 
 class NotSinglyConnectedError(BordertreeError):

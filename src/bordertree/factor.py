@@ -281,8 +281,10 @@ def _einsum(ops: list[Factor], keep: frozenset[int], scale: float) -> Factor:
         vals = _EINSUM(subscripts, *[f.values for f in ops])
     elif route.__class__ is _Window:
         vals = _window_product(route, cards, ops[0].values, ops[1].values)
-    else:
+    elif route.__class__ is _Strided:
         vals = _strided_product(route, cards, ops[0].values, ops[1].values)
+    else:  # each operand's shape without its card-1 axes (see ``_plan``)
+        vals = _EINSUM(subscripts, *[f.values.reshape(s) for f, s in zip(ops, route)])
     if scale != 1.0:
         vals = vals * scale
     return Factor(scope, cards, _fresh(vals))
@@ -300,8 +302,11 @@ def _plan(layout: tuple, keep) -> tuple:
     summed onto ``keep`` (a tuple or a frozenset, see ``_einsum``).
 
     The route is a ``_Strided``, a ``_Window`` or None (plain einsum),
-    whichever costs least (see ``_route``).  Costs, in units of one union
-    entry of plain einsum:
+    whichever costs least (see ``_route``).  einsum names 52 variables at
+    most, so a union of more leaves its card-1 variables unnamed: they have
+    no extent, and the route is then each operand's shape without them,
+    for einsum to read.  Costs, in units of one union entry of plain
+    einsum:
 
     * einsum: ``|union| * (1 + _EINSUM_LOOP / run)``, where ``run`` is the
       size of the innermost run of variables (in scope order) that lie in
@@ -322,8 +327,9 @@ def _plan(layout: tuple, keep) -> tuple:
 
     Raises ValueError on a variable whose cards differ between operands,
     and TableCapError on an output of more than ``MAX_TABLE_ENTRIES``
-    entries; the cache stores no exception, so every call with such a
-    layout raises.
+    entries or on more than 52 variables of card above 1 (at least 2^53
+    union entries); the cache stores no exception, so every call with such
+    a layout raises.
     """
     cards: dict[int, int] = {}
     for scope, cs in layout:
@@ -331,17 +337,25 @@ def _plan(layout: tuple, keep) -> tuple:
             if cards.setdefault(v, c) != c:
                 raise ValueError(f"cardinality mismatch for variable {v}: {cards[v]} vs {c}")
     kept = set(keep)
-    rank = {v: _LETTERS[r] for r, v in enumerate(sorted(cards))}
-    out = tuple(v for v in rank if v in kept)
-    subscripts = (
-        ",".join("".join([rank[v] for v in scope]) for scope, _ in layout)
-        + "->"
-        + "".join([rank[v] for v in out])
-    )
+    union = sorted(cards)
+    out = tuple(v for v in union if v in kept)
     out_cards = tuple(cards[v] for v in out)
     size = math.prod(out_cards)
     if size > MAX_TABLE_ENTRIES:
         raise TableCapError(f"table of {size} entries exceeds cap {MAX_TABLE_ENTRIES}")
+    named = union if len(union) <= len(_LETTERS) else [v for v in union if cards[v] > 1]
+    if len(named) > len(_LETTERS):
+        raise TableCapError(
+            f"contraction over {len(named)} variables of card above 1 exceeds einsum's {len(_LETTERS)}"
+        )
+    rank = {v: _LETTERS[r] for r, v in enumerate(named)}
+    subscripts = (
+        ",".join("".join([rank[v] for v in scope if v in rank]) for scope, _ in layout)
+        + "->"
+        + "".join([rank[v] for v in out if v in rank])
+    )
+    if named is not union:  # the operands are read without their card-1 axes
+        return subscripts, out, out_cards, tuple(tuple(c for c in cs if c > 1) for _, cs in layout)
     return subscripts, out, out_cards, _route(layout, cards, kept, out)
 
 

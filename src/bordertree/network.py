@@ -8,7 +8,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CycleError, NotSinglyConnectedError
+from .errors import CycleError, NormalizationError, NotSinglyConnectedError
 from .factor import Factor
 from .messaging import Tree
 
@@ -45,6 +45,10 @@ def _kahn_order(
     return order
 
 
+# How far a CPT row's sum may stray from 1 before the constructor rejects it.
+_ROW_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class Variable:
     id: int
@@ -53,22 +57,26 @@ class Variable:
     value_labels: tuple[str, ...]
 
     def __post_init__(self):
+        # The parser's texts: it raises them at the node line.
         if self.cardinality < 1:
-            raise ValueError(f"variable {self.name}: cardinality must be >= 1")
-        if len(self.value_labels) != self.cardinality:
-            raise ValueError(f"variable {self.name}: need one label per value")
-        if len(set(self.value_labels)) != self.cardinality:
-            raise ValueError(f"variable {self.name}: value labels must be unique")
+            raise ValueError("cardinality must be >= 1")
+        k, labels = self.cardinality, self.value_labels
+        if len(labels) != k:
+            raise ValueError(f"node {self.name!r}: expected {k} value labels, got {len(labels)}")
+        if len(set(labels)) != k:
+            raise ValueError(f"node {self.name!r}: duplicate value labels")
 
 
 class BayesianNetwork:
     """Immutable DAG of discrete variables with one CPT factor per variable.
 
     The CPT of variable v is a factor over sorted({v} ∪ parents(v)); each
-    slice at a fixed parent assignment sums to 1.  Acyclicity and
-    normalization are checked by :func:`validate` (hard diagnostics) and by
-    the parser; the constructor only enforces shape-level consistency so
-    that deliberately broken networks can be built for diagnostics tests.
+    slice at a fixed parent assignment sums to 1.  The constructor checks
+    every invariant once, whoever builds the network: ids, names, parents
+    and CPT scopes and cards (ValueError), acyclicity (:class:`CycleError`,
+    from the one topological order that it keeps) and each CPT row's sum
+    within 1e-9 (:class:`NormalizationError`).  ``Factor`` has already
+    checked that the entries are finite and non-negative.
     """
 
     def __init__(
@@ -94,6 +102,16 @@ class BayesianNetwork:
                 raise ValueError(f"duplicate parent for variable {self.name_of(v)}")
             if v in ps:
                 raise ValueError(f"variable {self.name_of(v)} cannot parent itself")
+        kids: dict[int, list[int]] = {v: [] for v in ids}
+        for v in ids:  # ascending, so each list comes out sorted
+            for p in self.parents[v]:
+                kids[p].append(v)
+        self._children = {v: tuple(ks) for v, ks in kids.items()}
+        order = _kahn_order(len(ids), self.parents.__getitem__, self.children)
+        if len(order) != len(ids):
+            stuck = sorted(set(ids).difference(order))
+            raise CycleError("directed cycle through " + ", ".join(self.name_of(v) for v in stuck))
+        self._order = tuple(order)
         self.cpts = dict(cpts)
         for v in ids:
             expected = tuple(sorted((v, *self.parents[v])))
@@ -107,14 +125,28 @@ class BayesianNetwork:
             for u in f.scope:
                 if f.card_of(u) != self.variables[u].cardinality:
                     raise ValueError(f"cpt cardinality mismatch at {self.name_of(u)}")
-        kids: dict[int, list[int]] = {v: [] for v in ids}
-        for v in ids:  # ascending, so each list comes out sorted
-            for p in self.parents[v]:
-                kids[p].append(v)
-        self._children = {v: tuple(ks) for v, ks in kids.items()}
+            # One row sum per parent assignment, parents in ascending id order.
+            rows = np.atleast_1d(f.values.sum(axis=f.scope.index(v)))
+            off = np.abs(rows - 1.0) > _ROW_TOL
+            if off.any():
+                raise self._row_error(v, rows, np.argwhere(off)[0])
         self._rank: dict[int, int] | None = None
         self._tree: Tree | None = None
         self._by_name = {v.name: v.id for v in self.variables}
+
+    def _row_error(self, v: int, rows: np.ndarray, bad: np.ndarray) -> NormalizationError:
+        """The error for ``v``'s row ``bad`` of row sums ``rows``, which
+        names the row's parent assignment."""
+        parents = [u for u in self.cpts[v].scope if u != v]
+        assign = ", ".join(
+            f"{self.name_of(u)}={self.variables[u].value_labels[i]}"
+            for u, i in zip(parents, bad[: len(parents)])
+        )
+        return NormalizationError(
+            f"cpt rows of {self.name_of(v)} must sum to 1: "
+            f"got {float(rows[tuple(bad)]):.12g} at {assign or '()'}",
+            v,
+        )
 
     # -- basic lookups ----------------------------------------------------
 
@@ -191,11 +223,7 @@ class BayesianNetwork:
 
     def topological_order(self) -> tuple[int, ...]:
         """Parents first, lowest id first among the ready nodes."""
-        order = _kahn_order(len(self), self.parents.__getitem__, self.children)
-        if len(order) != len(self):
-            stuck = sorted(set(self.ids).difference(order))
-            raise CycleError("directed cycle through " + ", ".join(self.name_of(v) for v in stuck))
-        return tuple(order)
+        return self._order
 
     def rank(self) -> dict[int, int]:
         """Each variable's position in :meth:`topological_order`."""
@@ -227,54 +255,18 @@ class Diagnostic:
     severity: str  # "error" | "warning" | "note"
     code: str
     message: str
-    var: int | None = None  # the variable whose cpt it is about, if any
-
-
-# How far a CPT row's sum may stray from 1 before validation reports it.
-_ROW_TOL = 1e-9
 
 
 def validate(bn: BayesianNetwork) -> list[Diagnostic]:
-    """Report-only checks: acyclicity and normalization (each CPT row sums
-    to 1 within 1e-9) are hard errors, strict positivity is a warning (the
-    summation-form recursions never divide by table entries)."""
-    out: list[Diagnostic] = []
-    try:
-        bn.topological_order()
-    except CycleError as e:
-        out.append(Diagnostic("error", "cycle", str(e)))
-    for v in bn.ids:
-        f = bn.cpts[v]
-        # One row sum per parent assignment, parents in ascending id order.
-        vals = np.atleast_1d(f.values.sum(axis=f.scope.index(v)))
-        parents = [u for u in f.scope if u != v]
-        bad = np.argwhere(np.abs(vals - 1.0) > _ROW_TOL)
-        if len(bad):
-            idx = tuple(int(i) for i in bad[0][: len(parents)])
-            assign = ", ".join(
-                f"{bn.name_of(u)}={bn.variables[u].value_labels[i]}"
-                for u, i in zip(parents, idx)
-            )
-            got = float(vals[tuple(bad[0])])
-            out.append(
-                Diagnostic(
-                    "error",
-                    "normalization",
-                    f"cpt rows of {bn.name_of(v)} must sum to 1: "
-                    f"got {got:.12g} at {assign or '()'}",
-                    v,
-                )
-            )
-        if np.any(f.values == 0.0):
-            out.append(
-                Diagnostic(
-                    "warning",
-                    "positivity",
-                    f"cpt of {bn.name_of(v)} contains zero entries",
-                    v,
-                )
-            )
-    return out
+    """Report-only check: a warning for each CPT with a zero entry (legal:
+    the summation-form recursions never divide by table entries).  The
+    hard checks, acyclicity and each row summing to 1, are the
+    constructor's, so every network passes them."""
+    return [
+        Diagnostic("warning", "positivity", f"cpt of {bn.name_of(v)} contains zero entries")
+        for v in bn.ids
+        if not bn.cpts[v].values.all()
+    ]
 
 
 class EvidenceSet:

@@ -68,10 +68,28 @@ def test_unnormalized_row_blames_its_own_cpt_line():
         ("node A 2 f t\nnode X=1 2 f t", "line 2: node name 'X=1'"),
         ("node A 2 f t\nnode B 2 x|y z", r"line 2: node 'B': value label 'x\|y'"),
         ("node A 2 f t\nnode B 2 z,w y", "line 2: node 'B': value label 'z,w'"),
+        # Each check's full text and line.
+        ("node A 2 f t\nnode B 0\ncpt A 0.5 0.5", "^line 2: cardinality must be >= 1$"),
+        ("node A 2 f f\ncpt A 0.5 0.5", "^line 1: node 'A': duplicate value labels$"),
+        ("node A 3 f t\ncpt A 0.5 0.5", "^line 1: node 'A': expected 3 value labels, got 2$"),
+        ("node A 2 f t\ncpt A nan 1", r"^line 2: cpt of 'A': entries must be finite and >= 0$"),
+        ("node A 2 f t\n\ncpt A inf 0", r"^line 3: cpt of 'A': entries must be finite and >= 0$"),
+        ("node A 2 f t\ncpt A -0.5 1.5", r"^line 2: cpt of 'A': entries must be finite and >= 0$"),
+        (
+            "node A 2 f t\nnode B 2 f t\nparents B A\ncpt A 0.5 0.5\ncpt B 0.5 0.5 0.6 0.5",
+            "^line 5: cpt rows of B must sum to 1: got 1.1 at A=t$",
+        ),
+        (
+            "node A 2 f t\nnode B 2 f t\nnode C 2 f t\nparents A C\nparents B A\nparents C B\n"
+            "cpt A 0.5 0.5 0.5 0.5\ncpt B 0.5 0.5 0.5 0.5\ncpt C 0.5 0.5 0.5 0.5",
+            "^directed cycle through A, B, C$",
+        ),
     ],
 )
 def test_parse_errors(text, match):
-    with pytest.raises(BnFormatError, match=match):
+    # A directed cycle is a CycleError, which names no line.
+    error = CycleError if match.startswith("^directed cycle") else BnFormatError
+    with pytest.raises(error, match=match):
         parse_network(text)
 
 

@@ -678,3 +678,65 @@ def test_prior_over_the_table_cap_exits_1_without_a_traceback(tmp_path):
     assert "Traceback" not in proc.stdout + proc.stderr
     assert proc.stderr.startswith("error: table of ")
     assert "exceeds cap" in proc.stderr
+
+
+# X has 55 parents of cardinality 1, so its family has more variables than
+# einsum has letters (52); Pr(X=x0) = 0.3.
+WIDE_FAMILY = (
+    "".join(f"node P{i} 1 p\n" for i in range(55))
+    + "node X 2 x0 x1\nparents X "
+    + " ".join(f"P{i}" for i in range(55))
+    + "\n"
+    + "".join(f"cpt P{i} 1\n" for i in range(55))
+    + "cpt X 0.3 0.7\n"
+)
+# numpy 1.x arrays hold at most 32 axes: X's table, with 56, cannot be built.
+NUMPY_1 = np.lib.NumpyVersion(np.__version__) < "2.0.0"
+
+
+class TestWideFamily:
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "wide_family.bn"
+        path.write_text(WIDE_FAMILY)
+        return str(path)
+
+    @pytest.mark.parametrize("engine", ["bp", "polytree", "chain", "oracle"])
+    def test_query_gives_the_oracle_answer(self, path, engine, capsys):
+        code, out = run("query", path, "--evidence", "X=x0", "--q", "X", "--json", "--engine", engine)
+        if NUMPY_1:
+            assert code == 2 and capsys.readouterr().err.startswith("parse error: line 113: cpt of 'X'")
+            return
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["evidence_prob"] == pytest.approx(0.3, abs=1e-12)
+        assert [(r["value"], r["posterior"]) for r in doc["posteriors"]] == [("x0", "1"), ("x1", "0")]
+
+    def test_prior_chain_and_repl(self, path):
+        if NUMPY_1:
+            pytest.skip("numpy 1.x cannot hold X's table of 56 axes")
+        code, out = run("prior", path, "--q", "X")
+        assert code == 0 and out.splitlines()[1:] == ["X\tx0\t0.3", "X\tx1\t0.7"]
+        assert run("chain", path)[0] == 0
+        out = io.StringIO()
+        session = ReplSession(parse_network(WIDE_FAMILY), out)
+        for line in ("evidence X=x0", "query X", "priors"):
+            session.handle(line)
+        assert "error" not in out.getvalue()
+        assert "X\tx0\t0.3\t1\t" in out.getvalue()
+
+    def test_more_axes_than_numpy_holds_is_a_parse_error(self, tmp_path, capsys):
+        # 70 parents of cardinality 1: X's table would have 71 axes, more than
+        # numpy arrays hold (64 on numpy 2.x).
+        text = (
+            "".join(f"node P{i} 1 p\n" for i in range(70))
+            + "node X 2 x0 x1\nparents X "
+            + " ".join(f"P{i}" for i in range(70))
+            + "\n"
+            + "".join(f"cpt P{i} 1\n" for i in range(70))
+            + "cpt X 0.3 0.7\n"
+        )
+        path = tmp_path / "too_wide.bn"
+        path.write_text(text)
+        assert run("query", str(path))[0] == 2
+        assert capsys.readouterr().err.startswith("parse error: line 143: cpt of 'X': ")

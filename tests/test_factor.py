@@ -298,6 +298,26 @@ class TestTableCap:
             contract(fs, range(11))
 
 
+class TestManyVariables:
+    """einsum names 52 variables; card-1 variables past that go unnamed."""
+
+    def test_card_one_variables_past_the_letters(self):
+        # 62 variables, 60 of them of card 1; each operand has 31 axes, which
+        # numpy 1.x arrays hold too.
+        f = Factor(tuple(range(30)) + (60,), (1,) * 30 + (2,), [1.0, 2.0])
+        g = Factor(tuple(range(30, 60)) + (61,), (1,) * 30 + (2,), [3.0, 4.0])
+        got = contract([f, g], [0, 30, 61])
+        assert got.scope == (0, 30, 61) and got.cards == (1, 1, 2)
+        np.testing.assert_array_equal(got.values.reshape(-1), [9.0, 12.0])
+        assert contract([f, g], ()).values == 21.0
+
+    def test_more_than_52_variables_of_card_above_1(self):
+        # 27 binary pairs: 54 variables, 2^54 union entries.
+        fs = [Factor((2 * i, 2 * i + 1), (2, 2), np.full((2, 2), 0.25)) for i in range(27)]
+        with pytest.raises(TableCapError, match="^contraction over 54 variables of card above 1"):
+            contract(fs, ())
+
+
 class TestMultiply:
     def test_identity_ones(self):
         f = Factor((0, 1), (2, 3), np.arange(6.0))

@@ -1,11 +1,11 @@
-"""Structure queries and the report-only validator."""
+"""Structure queries, the constructor's checks and the report-only validator."""
 
 import numpy as np
 import pytest
 from conftest import descendants
 
 from bordertree.bp_build import bottom_ancestors
-from bordertree.errors import CycleError, NotSinglyConnectedError
+from bordertree.errors import BordertreeError, CycleError, NormalizationError, NotSinglyConnectedError
 from bordertree.factor import Factor
 from bordertree.network import BayesianNetwork, EvidenceSet, Variable, validate
 from bordertree.polytree import PolytreeEngine
@@ -98,12 +98,10 @@ class TestValidate:
         assert validate(bn_a) == []
 
     def test_cycle_flagged(self, bn_a):
-        # L -> A closes the directed cycle A -> D -> I -> L -> A.
-        broken = _with_extra_edge(bn_a, "L", "A")
-        diags = validate(broken)
-        assert [d.code for d in diags if d.severity == "error"] == ["cycle"]
-        with pytest.raises(CycleError):
-            broken.topological_order()
+        # L -> A closes the directed cycle A -> D -> I -> L -> A: the
+        # network cannot be built, so no validator ever sees it.
+        with pytest.raises(CycleError, match="^directed cycle through A, C, D, "):
+            _with_extra_edge(bn_a, "L", "A")
 
     def test_zero_entry_is_warning_only(self):
         bn = zoo.build_network(
@@ -113,10 +111,29 @@ class TestValidate:
         assert [(d.severity, d.code) for d in diags] == [("warning", "positivity")]
 
     def test_unnormalized_row_is_error(self):
-        bn = zoo.build_network([("A", 2, [])], cpts={"A": np.array([0.4, 0.5])})
-        # build_network accepts it; the validator reports it.
-        diags = validate(bn)
-        assert any(d.code == "normalization" for d in diags)
+        # Built directly, not parsed: the constructor rejects the row.
+        with pytest.raises(NormalizationError, match=r"^cpt rows of A must sum to 1: got 0\.9 at \(\)$"):
+            zoo.build_network([("A", 2, [])], cpts={"A": np.array([0.4, 0.5])})
+
+
+def test_all_ones_chain_is_rejected_at_construction():
+    # A 1,100-node binary chain with all-ones rows: with evidence on its
+    # last node, its messages overflow to inf in every engine.  The row
+    # check stops it where it is built, naming the first bad variable.
+    n = 1100
+    spec = [(f"X{i}", 2, [f"X{i - 1}"] if i else []) for i in range(n)]
+    cpts = {f"X{i}": np.ones(4 if i else 2) for i in range(n)}
+    with pytest.raises(NormalizationError, match=r"^cpt rows of X0 must sum to 1: got 2 at \(\)$") as exc:
+        zoo.build_network(spec, cpts=cpts)
+    assert isinstance(exc.value, BordertreeError) and exc.value.var == 0
+
+
+def test_row_error_names_the_parent_assignment():
+    spec = [("A", 2, []), ("B", 3, []), ("C", 2, ["B", "A"])]
+    rows = np.full((3, 2, 2), 0.5)
+    rows[2, 1] = [0.5, 0.6]  # B=b2, A=a1
+    with pytest.raises(NormalizationError, match=r"^cpt rows of C must sum to 1: got 1\.1 at A=a1, B=b2$"):
+        zoo.build_network(spec, cpts={"C": rows})
 
 
 @pytest.mark.parametrize("parent", [2, -1])
