@@ -42,7 +42,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import BordertreeError, NotSinglyConnectedError
-from .factor import Factor, contract
+from .factor import _ONE, Factor, _contract
 from .messaging import Tree, UnionFind
 from .network import BayesianNetwork, Diagnostic, _kahn_order, reach
 
@@ -410,13 +410,13 @@ def _rule_for_forced(bn, border, bottom, promoted):
 
 def cohort_table(bn: BayesianNetwork, cohort: frozenset[int], border: frozenset[int]) -> Factor:
     if not cohort:
-        return Factor.scalar(1.0)
+        return _ONE
     hc = bn.set_parents(cohort)
     if not hc <= border:
         raise BordertreeError(
             f"cohort parents {bn.names(hc - border)} escape the border"
         )
-    return contract([bn.cpts[v] for v in sorted(cohort)], cohort | hc)
+    return _contract([bn.cpts[v] for v in sorted(cohort)], cohort | hc)
 
 
 @dataclass(frozen=True)

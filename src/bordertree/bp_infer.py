@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Optional
 
 from .bp_build import Border, BorderPolytree
 from .errors import BordertreeError
-from .factor import Factor, contract, restrict
+from .factor import Factor, _contract, restrict
 from .messaging import TreeSession, collection_schedule, distribution_schedule
 from .network import NO_EVIDENCE
 
@@ -52,7 +52,7 @@ from .network import NO_EVIDENCE
 def border_pi(b: Border, phi: Optional[Factor], parent_pi: Callable[[int], Factor]) -> Factor:
     """π of border ``b`` from its cohort table ``phi`` (type 1 only) and the
     π message ``parent_pi(pid)`` each parent border sends it.  The off-line
-    priors and the session's messages compute it alike, with ``contract``.
+    priors and the session's messages compute it alike, with ``_contract``.
 
     With no evidence this is the prior Pr{b}.  Type 1: the cohort table
     times the parent's π, with the promoted variable summed out.  Type 2:
@@ -72,9 +72,9 @@ def border_pi(b: Border, phi: Optional[Factor], parent_pi: Callable[[int], Facto
     if b.kind == "type1":
         if not b.parents:
             return phi
-        return contract([phi, parent_pi(b.parents[0])], b.members)
-    marginals = [contract([parent_pi(pid)], kept) for pid, kept in zip(b.parents, b.carried)]
-    return contract(marginals, b.members)
+        return _contract([phi, parent_pi(b.parents[0])], b.members)
+    marginals = [_contract([parent_pi(pid)], kept) for pid, kept in zip(b.parents, b.carried)]
+    return _contract(marginals, b.members)
 
 
 def preload_priors(bp: BorderPolytree) -> dict[int, Factor]:
@@ -196,7 +196,7 @@ class BorderSession(TreeSession):
         if f is not None:
             return f
         lams = [self.get_lambda_edge(bid, c) for c in self.tree.children[bid]]
-        f = contract(lams, self.bp.borders[bid].members)
+        f = _contract(lams, self.bp.borders[bid].members)
         self._lambda_cache[bid] = f
         return f
 
@@ -207,7 +207,7 @@ class BorderSession(TreeSession):
 
     def compute_pi_edge(self, p: int, c: int) -> Factor:
         lams = [self.get_lambda_edge(p, w) for w in self.tree.children[p] if w != c]
-        return contract([self.pi_border(p), *lams], self.bp.borders[p].members)
+        return _contract([self.pi_border(p), *lams], self.bp.borders[p].members)
 
     def compute_lambda_edge(self, p: int, c: int) -> Factor:
         """Message the child border c sends up to its parent p."""
@@ -215,7 +215,7 @@ class BorderSession(TreeSession):
         lam = self.lambda_border(c)
         if b.kind == "type1":
             # Everything but the cohort lies in the parent border.
-            return contract([self._phi_r(b), lam], self.bp.borders[p].members)
+            return _contract([self._phi_r(b), lam], self.bp.borders[p].members)
         return self._junction_lambda(b, p, lam)
 
     def _junction_lambda(self, b: Border, p: int, lam: Factor) -> Factor:
@@ -228,7 +228,7 @@ class BorderSession(TreeSession):
                 continue
             # f stays within b's members; sum out what parent pid holds.
             keep = b.members - self.bp.borders[pid].members
-            f = contract([f, self.get_pi_edge(pid, b.id)], keep)
+            f = _contract([f, self.get_pi_edge(pid, b.id)], keep)
         return f
 
     # -- queries ---------------------------------------------------------------

@@ -11,12 +11,22 @@ aligns tables deterministically:
 * entries are finite and non-negative.
 
 Factors are immutable after construction and all operations are pure.
-Every factor, whatever built it, passes the same checks in
-``Factor.__init__``: scope order, cards, shape, finiteness and sign.  The
-constructor copies its input unless the array is read-only, C-contiguous and
-owns its data: nothing else can then write to it.  The operations below
-hand their fresh results over in that form, so a result is checked but never
-copied.
+A table is checked where it enters: ``Factor(...)``, which builds the
+tables that come from outside (CPTs, a user's tables), checks the scope
+order, cards, shape, finiteness and sign, and copies its input unless the
+array is read-only, C-contiguous and owns its data, so that nothing else
+can write to it.  The tables the operations below compute skip those
+checks: they are built by ``_computed``, which freezes a fresh result and
+takes it as is.  Their scope and shape come from the operands, and their
+entries are sums of products of checked entries and 0/1 masks, so they
+are non-negative.  A network's CPT rows sum to 1 (``BayesianNetwork``
+checks that), so the engines' tables are probabilities, at most 1 up to
+rounding: they neither overflow nor hold a NaN.  The public
+:func:`contract` and its short forms still check their result's entries,
+as ``Factor(...)`` does, since a product of a user's factors may
+overflow; the engines call ``_contract``, which does not.  The test suite
+wraps ``_computed`` with the full check, so a route that writes garbage
+still fails it.
 
 Every table the program computes is a product of factors followed by a
 marginalization: messages, passes and readouts, and also priors, cohort
@@ -98,7 +108,7 @@ picked once, at import, by numpy's major version (from
 :func:`multiply`, :func:`product_all`, :func:`sum_out` and
 :func:`marginal_to` are short forms of :func:`contract` (a product onto the
 union scope, or a marginal of one factor), kept for the tests and the
-library's users.  The program itself calls :func:`contract`.
+library's users.  The program itself calls ``_contract``.
 """
 
 from __future__ import annotations
@@ -113,7 +123,7 @@ import numpy as np
 
 from .errors import ImpossibleEvidenceError, TableCapError
 
-# ``Factor.__init__``'s checks, bound once: the ufuncs' own reductions skip
+# ``_check_entries``'s reductions, bound once: the ufuncs' own reductions skip
 # the Python-level wrappers of ``ndarray.min``/``max``, and a uint64 bound
 # compares faster than a Python int.
 _MIN = np.minimum.reduce
@@ -132,20 +142,45 @@ except ImportError:
     _EINSUM = np.einsum
 
 
-class Factor:
-    """A checked, read-only table over an ascending scope.
+def _check_scope(scope: tuple[int, ...]) -> None:
+    if not all(map(operator.lt, scope, scope[1:])):
+        raise ValueError("scope must be strictly ascending variable ids")
 
-    Every construction checks the entries with one reduction: the largest
-    of their bit patterns, read as ``uint64``, lies below +inf's exactly
-    when every entry is +0.0 through the largest finite double.  A table
-    that fails it gets two more, a minimum and a maximum: a NaN or an
-    infinity makes one of them non-finite, a negative entry makes the
-    minimum negative, and a table whose only sign bits are -0.0's passes.
-    ``values`` is copied unless it is a read-only, C-contiguous array that
-    owns its data, the form in which ``contract``, ``restrict`` and
-    ``normalize`` hand over their results.  ``cards`` is kept as the
+
+def _check_entries(vals: np.ndarray) -> None:
+    """Raise ValueError unless every entry of the float64 array ``vals`` is
+    finite and non-negative.
+
+    One reduction decides most tables: the largest of the entries' bit
+    patterns, read as ``uint64``, lies below +inf's exactly when every entry
+    is +0.0 through the largest finite double.  A table that fails it gets
+    two more, a minimum and a maximum: a NaN or an infinity makes one of
+    them non-finite, a negative entry makes the minimum negative, and a
+    table whose only sign bits are -0.0's passes.
+    """
+    if not _MAX(vals.view(_BITS), axis=None, initial=0) < _INF_BITS:
+        # A sign bit, a NaN or an infinity: the min/max pair names the
+        # fault, or accepts the table if its only sign bits are -0.0's.
+        lo = _MIN(vals, axis=None, initial=0.0)
+        hi = _MAX(vals, axis=None, initial=0.0)
+        # A NaN fails both comparisons; only a failure tells the two apart.
+        if not (lo >= 0.0 and hi < math.inf):
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("factor entries must be finite")
+            raise ValueError("factor entries must be non-negative")
+
+
+class Factor:
+    """A read-only table over an ascending scope.
+
+    A table built from outside, ``Factor(scope, cards, values)``, is
+    checked: the scope's order, the shape, and the entries with
+    ``_check_entries``.  ``values`` is copied unless it is a read-only,
+    C-contiguous array that owns its data.  ``cards`` is kept as the
     table's shape, so it holds plain ints whatever integer type the caller
-    passed; a tuple ``scope`` is kept as is.
+    passed; a tuple ``scope`` is kept as is.  The tables this module
+    computes are built with ``_computed`` instead (see the module
+    docstring).
     """
 
     __slots__ = ("scope", "cards", "values")
@@ -157,19 +192,9 @@ class Factor:
             cards = tuple(cards)
         if len(scope) != len(cards):
             raise ValueError("scope and cards length mismatch")
-        if not all(map(operator.lt, scope, scope[1:])):
-            raise ValueError("scope must be strictly ascending variable ids")
+        _check_scope(scope)
         vals = np.asarray(values, dtype=np.float64)
-        if not _MAX(vals.view(_BITS), axis=None, initial=0) < _INF_BITS:
-            # A sign bit, a NaN or an infinity: the min/max pair names the
-            # fault, or accepts the table if its only sign bits are -0.0's.
-            lo = _MIN(vals, axis=None, initial=0.0)
-            hi = _MAX(vals, axis=None, initial=0.0)
-            # A NaN fails both comparisons; only a failure tells the two apart.
-            if not (lo >= 0.0 and hi < math.inf):
-                if not (math.isfinite(lo) and math.isfinite(hi)):
-                    raise ValueError("factor entries must be finite")
-                raise ValueError("factor entries must be non-negative")
+        _check_entries(vals)
         if vals.shape != cards:
             vals = vals.reshape(cards)
         if vals.flags.writeable or vals.base is not None or not vals.flags.c_contiguous:
@@ -202,17 +227,25 @@ class Factor:
         return f"Factor(scope={self.scope}, cards={self.cards})"
 
 
-def _fresh(vals) -> np.ndarray:
-    """Freeze a newly computed result so ``Factor`` takes it without a copy.
+_NEW = object.__new__
 
-    Only the operation that computed ``vals`` holds it, so no writable
-    reference remains.  einsum hands back a view only for a lone operand
-    with nothing to sum out, which ``contract`` returns before it calls
-    einsum; ``Factor`` would copy such a view, as it does not own its data.
+
+def _computed(scope: tuple[int, ...], cards: tuple[int, ...], vals: np.ndarray) -> Factor:
+    """A factor over a table this module has just computed, built without
+    ``Factor.__init__``'s checks.
+
+    ``vals`` is frozen and taken as is.  The caller passes the ascending
+    ``scope`` and the plain-int ``cards`` of its operands, with ``vals`` of
+    that shape, and holds no other writable reference to ``vals``.  The
+    operations look this function up at call time, so a wrapper set on
+    the module sees every computed table.
     """
-    vals = np.asarray(vals)
     vals.setflags(write=False)
-    return vals
+    f = _NEW(Factor)
+    f.scope = scope
+    f.cards = cards
+    f.values = vals
+    return f
 
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -236,6 +269,20 @@ _STRIDED_CALL = 300.0  # per call
 
 
 def contract(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
+    """Marginal onto ``keep`` of the product of ``factors``, in one call,
+    with its entries checked as ``Factor(...)`` checks them.
+
+    This is the library's form of ``_contract``: a product of a user's
+    factors may overflow, which raises ValueError ("factor entries must be
+    finite").  The engines call ``_contract``, whose operands are
+    probabilities and 0/1 indicators, so that its results need no check.
+    """
+    f = _contract(factors, keep)
+    _check_entries(f.values)
+    return f
+
+
+def _contract(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
     """Marginal onto ``keep`` of the product of ``factors``, in one call.
 
     Variables in ``keep`` outside every operand's scope are ignored.
@@ -257,11 +304,11 @@ def contract(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
         else:
             scale *= float(f.values)
     if not ops:
-        return _ONE if scale == 1.0 else Factor.scalar(scale)
+        return _ONE if scale == 1.0 else _computed((), (), np.array(scale))
     keep = frozenset(keep)
     if len(ops) == 1 and keep.issuperset(ops[0].scope):
         f = ops[0]
-        return f if scale == 1.0 else Factor(f.scope, f.cards, _fresh(f.values * scale))
+        return f if scale == 1.0 else _computed(f.scope, f.cards, f.values * scale)
     while len(ops) > _MAX_OPERANDS:
         head, ops = ops[:_MAX_OPERANDS], ops[_MAX_OPERANDS:]
         ops.insert(0, _einsum(head, keep.union(*(f.scope for f in ops)), 1.0))
@@ -284,10 +331,14 @@ def _einsum(ops: list[Factor], keep: frozenset[int], scale: float) -> Factor:
     elif route.__class__ is _Strided:
         vals = _strided_product(route, cards, ops[0].values, ops[1].values)
     else:  # each operand's shape without its card-1 axes (see ``_plan``)
-        vals = _EINSUM(subscripts, *[f.values.reshape(s) for f, s in zip(ops, route)])
+        vals = _EINSUM(subscripts, *[f.values.reshape(s) for f, s in zip(ops, route)]).reshape(cards)
     if scale != 1.0:
         vals = vals * scale
-    return Factor(scope, cards, _fresh(vals))
+    if not cards:  # a full sum: einsum and ``*`` hand back a numpy scalar
+        vals = np.asarray(vals)
+    elif not vals.flags.c_contiguous:  # einsum may lay its output out in another order
+        vals = np.ascontiguousarray(vals)
+    return _computed(scope, cards, vals)
 
 
 # The least recently used plan goes first.  A plan with its key takes
@@ -408,7 +459,7 @@ class _Window(NamedTuple):
 def _window_product(route: _Window, cards: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Run a window route: fill the matrix from the narrow operand, then one
     matmul with the wide operand, viewed in place, into a fresh array of
-    the output's shape, which ``Factor`` takes without a copy."""
+    the output's shape, which ``_computed`` takes as is."""
     if route.narrow:
         a, b = b, a
     if route.reduce:
@@ -516,8 +567,8 @@ class _Strided(NamedTuple):
 
 def _strided_product(route: _Strided, cards: tuple[int, ...], a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Run a strided route: one matmul from views of both operands into a
-    view of a fresh array of the output's shape, which ``Factor`` takes
-    without a copy."""
+    view of a fresh array of the output's shape, which ``_computed`` takes
+    as is."""
     out = np.empty(cards)
     np.matmul(
         np.ndarray(route.left[0], buffer=a, strides=route.left[1]),
@@ -652,7 +703,7 @@ def restrict(f: Factor, ev: "EvidenceLike") -> Factor:
         shape = [1] * nd
         shape[axis] = len(mask)
         vals *= mask.reshape(shape)
-    return Factor(f.scope, f.cards, _fresh(vals))
+    return _computed(f.scope, f.cards, vals)
 
 
 def _axis_masks(f: Factor, ev) -> list[tuple[int, np.ndarray]]:
@@ -667,9 +718,10 @@ def _axis_masks(f: Factor, ev) -> list[tuple[int, np.ndarray]]:
     return out
 
 
-# Factors are immutable, so every evidence-free indicator, and every
-# contraction of scalars whose product is 1, is this one.
-_ONE = Factor.scalar(1.0)
+# Factors are immutable, so every evidence-free indicator, every
+# contraction of scalars whose product is 1, and every vacuous message is
+# this one.
+_ONE = _computed((), (), np.array(1.0))
 
 
 def indicator(scope: Iterable[int], cards: Mapping[int, int] | Iterable[int], ev) -> Factor:
@@ -682,8 +734,10 @@ def indicator(scope: Iterable[int], cards: Mapping[int, int] | Iterable[int], ev
     ev_vars = [(v, c) for v, c in zip(scope, card_list) if ev.allowed(v) is not None]
     if not ev_vars:
         return _ONE
-    f = Factor.ones([v for v, _ in ev_vars], [c for _, c in ev_vars])
-    return restrict(f, ev)
+    ev_scope = tuple([v for v, _ in ev_vars])
+    _check_scope(ev_scope)
+    ones = np.ones([c for _, c in ev_vars])
+    return restrict(_computed(ev_scope, ones.shape, ones), ev)
 
 
 def normalize(f: Factor) -> tuple[Factor, float]:
@@ -691,7 +745,7 @@ def normalize(f: Factor) -> tuple[Factor, float]:
     s = f.total()
     if s <= 0.0:
         raise ImpossibleEvidenceError("all-zero factor: evidence has probability 0")
-    return Factor(f.scope, f.cards, _fresh(f.values / s)), s
+    return _computed(f.scope, f.cards, np.asarray(f.values / s)), s
 
 
 def divide(f: Factor, g: Factor) -> Factor:

@@ -2,8 +2,9 @@
 
 ``product`` multiplies two aligned row-major float64 tables onto their union
 shape and ``sum_axes`` marginalizes a set of axes.  Nothing in the package
-calls them: every table goes through ``factor.contract``, and
-``factor.multiply``/``factor.sum_out`` are short forms of it.  The module
+calls them: every table goes through ``factor._contract``, and
+``factor.multiply``/``factor.sum_out`` are short forms of its checked form
+``factor.contract``.  The module
 stays because the benchmark harness binds it: ``perfbench/spans.py`` wraps
 ``product`` and ``sum_axes`` (their counts read 0 on a working build), and
 ``perfbench/run.py`` records ``bordertree.KERNEL_BACKEND``, which is

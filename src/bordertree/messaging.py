@@ -83,12 +83,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import BordertreeError, ImpossibleEvidenceError, NotSinglyConnectedError
-from .factor import Factor, contract, normalize
+from .factor import _ONE, Factor, _contract, normalize
 
 Node = int  # trees number their nodes 0..n-1
-
-# The upward message of a side with no evidence.
-_VACUOUS = Factor.scalar(1.0)
 
 
 class UnionFind:
@@ -619,7 +616,7 @@ class TreeSession:
             raise BordertreeError(
                 f"missing prerequisite upward message {c}->{p}"
             )  # pragma: no cover
-        return _VACUOUS
+        return _ONE
 
     def _send(self, src: Node, dst: Node):
         down = self.tree.has_edge(src, dst)
@@ -695,7 +692,7 @@ class TreeSession:
         total = self._totals.get(comp)
         if total is None:
             pv = self.pivots.get(comp)
-            total = _VACUOUS if pv is None else contract(self._belief_factors(pv), ())
+            total = _ONE if pv is None else _contract(self._belief_factors(pv), ())
             self._totals[comp] = total
         return total
 
@@ -715,7 +712,7 @@ class TreeSession:
         """Pr{var, e'} for the evidence e' of v's component, from the
         belief at v, once v is informed."""
         self.ensure_informed(v)
-        return contract(self._belief_factors(v), (var,))
+        return _contract(self._belief_factors(v), (var,))
 
     def _readout(self, v: Node, var: int) -> Factor:
         """The normalized posterior of ``var``, read at v.
@@ -729,7 +726,7 @@ class TreeSession:
             return normalize(self._belief(v, var))[0]
         post = self._marginals.get(var)
         if post is None:
-            post = normalize(contract([self._prior(v)], (var,)))[0]
+            post = normalize(_contract([self._prior(v)], (var,)))[0]
             self._marginals[var] = post
         return post
 
@@ -742,9 +739,9 @@ class TreeSession:
         comp = self.tree.comp[v]
         others = [self._evidence_total(c) for c in self.pivots if c != comp]
         if self._relevant(var):
-            return contract([self._belief(v, var), *others], (var,))
-        prior = contract([self._prior(v)], (var,))
-        return contract([prior, self._evidence_total(comp), *others], (var,))
+            return _contract([self._belief(v, var), *others], (var,))
+        prior = _contract([self._prior(v)], (var,))
+        return _contract([prior, self._evidence_total(comp), *others], (var,))
 
     def evidence_prob(self) -> float:
         """Pr(evidence): the product over cores of the belief's total at

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import NotSinglyConnectedError
-from .factor import Factor, contract, restrict
+from .factor import Factor, _contract, restrict
 from .messaging import Tree, TreeSession, collection_schedule, distribution_schedule
 from .network import NO_EVIDENCE, BayesianNetwork
 
@@ -38,7 +38,7 @@ def node_priors(bn: BayesianNetwork) -> dict[int, Factor]:
     mutually independent, so one topological sweep suffices."""
     priors: dict[int, Factor] = {}
     for v in bn.topological_order():
-        priors[v] = contract([bn.cpts[v], *[priors[p] for p in bn.parents[v]]], (v,))
+        priors[v] = _contract([bn.cpts[v], *[priors[p] for p in bn.parents[v]]], (v,))
     return priors
 
 
@@ -113,12 +113,12 @@ class PolytreeSession(TreeSession):
     def compute_pi_edge(self, x: int, y: int) -> Factor:
         """Message x sends down to its child y."""
         lams = [self.get_lambda_edge(x, w) for w in self.bn.children(x) if w != y]
-        return contract([*self._pi_factors(x), *lams], (x,))
+        return _contract([*self._pi_factors(x), *lams], (x,))
 
     def compute_lambda_edge(self, x: int, y: int) -> Factor:
         """Message y sends up to its parent x."""
         pis = [self.get_pi_edge(p, y) for p in self.bn.parents[y] if p != x]
-        return contract([self._pr_r(y), *pis, *self._lambda_factors(y)], (x,))
+        return _contract([self._pr_r(y), *pis, *self._lambda_factors(y)], (x,))
 
     # -- queries ---------------------------------------------------------------
 

@@ -1,9 +1,11 @@
+import operator
 import os
 import sys
 
 import numpy as np
 import pytest
 
+from bordertree import factor as factor_mod
 from bordertree import zoo
 from bordertree.border_chain import ChainStep, build_chain
 from bordertree.bnformat import parse_evidence, parse_network
@@ -263,6 +265,28 @@ def chain_ab():
         [("A", 2, []), ("B", 2, ["A"])],
         cpts={"A": np.array([0.4, 0.6]), "B": np.array([[0.5, 0.5], [0.1, 0.9]])},
     )
+
+
+@pytest.fixture(autouse=True)
+def checked_tables(monkeypatch):
+    """Every table the factor algebra computes gets ``Factor(...)``'s full
+    check in every test: the program builds those tables with
+    ``factor._computed``, which skips it, and looks that function up at
+    call time, so this wrapper sees each one.  It checks an ascending tuple
+    scope, plain-int cards, a C-contiguous float64 table of that shape (the
+    strided route reads operands as raw buffers) and finite, non-negative
+    entries."""
+    computed = factor_mod._computed
+
+    def checked(scope, cards, vals):
+        assert type(scope) is tuple and all(map(operator.lt, scope, scope[1:])), scope
+        assert type(cards) is tuple and all(type(c) is int for c in cards), cards
+        assert vals.shape == cards, (vals.shape, cards)
+        assert vals.dtype == np.float64 and vals.flags.c_contiguous, vals.flags
+        factor_mod._check_entries(vals)
+        return computed(scope, cards, vals)
+
+    monkeypatch.setattr(factor_mod, "_computed", checked)
 
 
 @pytest.fixture(scope="session")

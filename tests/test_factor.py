@@ -1178,3 +1178,105 @@ def test_marginal_to(bn_a):
 def test_immutable_values(bn_a):
     with pytest.raises(ValueError):
         bn_a.cpts[0].values[0] = 0.5
+
+
+def _user_tables_whose_product_overflows():
+    f = Factor((0,), (2,), [1e200, 1.0])
+    g = Factor((1,), (2,), [1e200, 1.0])
+    h = Factor((0, 1), (2, 2), [[1e308, 1e308], [1.0, 1.0]])
+    return f, g, h
+
+
+class TestCheckedWhereTablesEnter:
+    """Tables are checked where they enter: ``Factor(...)`` and the public
+    ``contract`` with its short forms check, while the tables the engines
+    compute are built by ``factor._computed`` without a check (in tier-1,
+    ``conftest.checked_tables`` wraps it with the full check)."""
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda f, g, h: multiply(f, g),
+            lambda f, g, h: product_all([f, g]),
+            lambda f, g, h: marginal_to(h, (0,)),
+            lambda f, g, h: sum_out(h, (1,)),
+        ],
+        ids=["multiply", "product_all", "marginal_to", "sum_out"],
+    )
+    def test_short_forms_reject_an_overflowing_product(self, op):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^factor entries must be finite$"):
+            op(*_user_tables_whose_product_overflows())
+
+    def test_restrict_and_normalize_return_read_only_tables(self, bn_a):
+        d = bn_a.id_of("D")
+        f = bn_a.cpts[d]
+        ev = EvidenceSet(bn_a, {d: {0, 2}})
+        for out in (restrict(f, ev), normalize(f)[0]):
+            assert out.scope == f.scope and type(out.scope) is tuple
+            assert out.cards == f.cards and all(type(c) is int for c in out.cards)
+            assert out.values.shape == f.cards and not out.values.flags.writeable
+            with pytest.raises(ValueError):
+                out.values[...] = 0.0
+
+    def test_queries_build_no_checked_factor(self, monkeypatch, poly_b):
+        from bordertree.bnformat import parse_evidence
+        from bordertree.border_chain import build_chain
+        from bordertree.bp_build import build_border_polytree
+        from bordertree.bp_infer import bp_query, preload_priors
+        from bordertree.polytree import PolytreeEngine
+
+        bp = build_border_polytree(poly_b)
+        preload_priors(bp)
+        engine = PolytreeEngine(poly_b)
+        chain = build_chain(poly_b)
+        preload_priors(chain.view)
+        ev = parse_evidence("B=b0,C=c1,K=k0,L4=l40", poly_b)
+        queries = {
+            "bp": lambda: bp_query(bp, ev),
+            "polytree": lambda: engine.query(ev),
+            "chain": lambda: bp_query(chain.view, ev, pivot=0),
+        }
+        built = [0]
+        init = Factor.__init__
+
+        def counted(self, *args):
+            built[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(Factor, "__init__", counted)
+        counts = {}
+        for name, query in queries.items():
+            built[0] = 0
+            posteriors, pe = query()
+            assert len(posteriors) == len(poly_b.ids) and pe > 0.0, name
+            counts[name] = built[0]
+        assert counts == {"bp": 0, "polytree": 0, "chain": 0}
+
+    def test_the_tier1_wrapper_catches_a_route_writing_nans(self, monkeypatch):
+        import importlib.util
+        import os
+
+        from bordertree.bnformat import parse_evidence, parse_network
+        from bordertree.border_chain import build_chain
+        from bordertree.bp_infer import bp_query, preload_priors
+        from conftest import FIXTURES
+
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_gen", os.path.join(FIXTURES, "..", "perfbench", "gen.py")
+        )
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        bn = parse_network(gen.grid_text(np.random.default_rng(7), 7, 7, 3))
+        ev = parse_evidence("v10=s1,v24=s0,v38=s2", bn)
+        chain = build_chain(bn)
+        preload_priors(chain.view)
+        calls = [0]
+
+        def nans(route, cards, a, b):
+            calls[0] += 1
+            return np.full(cards, np.nan)
+
+        monkeypatch.setattr(factor_mod, "_strided_product", nans)
+        with pytest.raises(ValueError, match="must be finite"):
+            bp_query(chain.view, ev, pivot=0)
+        assert calls[0] > 0
