@@ -85,18 +85,18 @@ plain einsum, finds cheapest:
 
 * einsum: ``|union| * (1 + 10 / run)``, ``run`` the size of that
   innermost run;
-* window: 0.03 per multiply-add (``|lead| * |prefix| * |suffix| * |in| *
-  |out|``), 30 per matrix product in matmul's batch, 2 per entry of the
-  matrix and 250 per call;
-* strided: 0.12 per multiply-add (one per union entry) when BLAS reads
-  every matrix in place, 1 when a matrix has no unit-stride axis and
-  matmul runs its own loop, 30 per matrix product and 300 per call.
+* either matmul route: 0.08 per multiply-add when BLAS reads every matrix
+  in place, 1 when a matrix has no unit-stride axis and matmul runs its
+  own loop, 75 per matrix product in matmul's batch and 300 per call.
+  The strided route does one multiply-add per union entry, the window
+  route ``|lead| * |prefix| * |suffix| * |in| * |out|``, all through BLAS;
+* the window route adds 2 per entry of its expanded matrix.
 
 The constants were fitted to every two-factor layout of the benchmark's
 grid-wide workload (two 10x10 grids at card 3, BLAS on one thread): the
-set-up, the border polytree and the chain at seeds 1 and 2, with einsum's
-term kept.  The choice is a pure function of the layout: nothing is timed
-at run time.
+set-up and two rounds of the border polytree and the chain at seeds 1
+and 2, with einsum's term kept.  The choice is a pure function of the
+layout: nothing is timed at run time.
 
 The einsum call is numpy's C ``c_einsum``, which ``np.einsum`` itself calls
 when ``optimize`` is off (its default): the results are the same, without
@@ -259,13 +259,10 @@ _MAX_OPERANDS = 31
 # one union entry of plain einsum.
 _ROUTE_FLOOR = 4096  # union entries below which einsum is always taken
 _EINSUM_LOOP = 10.0  # einsum: per pass of its innermost loop
-_MATMUL_GEMM = 30.0  # either matmul route: per matrix product in matmul's batch
-_WINDOW_MAC = 0.03  # window: per multiply-add
-_WINDOW_MATRIX = 2.0  # per entry of the expanded matrix
-_WINDOW_CALL = 250.0  # per call
-_STRIDED_MAC = 0.12  # strided: per multiply-add through BLAS
-_STRIDED_LOOP = 1.0  # per multiply-add in matmul's own loop
-_STRIDED_CALL = 300.0  # per call
+_MATMUL_MAC = 0.08  # either matmul route: per multiply-add through BLAS
+_MATMUL_GEMM = 75.0  # per matrix product in matmul's batch
+_MATMUL_CALL = 300.0  # per call
+_WINDOW_MATRIX = 2.0  # window route: per entry of the expanded matrix
 
 
 def contract(factors: Iterable[Factor], keep: Iterable[int]) -> Factor:
@@ -345,7 +342,7 @@ def _einsum(ops: list[Factor], keep: frozenset[int], scale: float) -> Factor:
 # about 0.5 kB with einsum, 0.95 kB with a strided route and 1.05 kB with a
 # window route, so the full cache takes 4 to 9 MB in a long-lived process.
 # Set-up and two rounds of every case make 1,449 plans on polytree-large
-# (all einsum) and 982 on grid-wide (120 strided, 252 window).
+# (all einsum) and 982 on grid-wide (235 strided, 137 window).
 @functools.lru_cache(maxsize=8192)
 def _plan(layout: tuple, keep) -> tuple:
     """Einsum subscripts, output scope, output cards and route for
@@ -363,18 +360,14 @@ def _plan(layout: tuple, keep) -> tuple:
       size of the innermost run of variables (in scope order) that lie in
       the same operands and are all kept or all summed.  einsum's inner
       loop covers that run, so a short run means many passes.
-    * window (see ``_windows``): ``_WINDOW_MAC`` per multiply-add of the
-      matmul, ``_MATMUL_GEMM`` per matrix product in its batch,
-      ``_WINDOW_MATRIX`` per entry of the expanded matrix and
-      ``_WINDOW_CALL`` per call.
-    * strided (see ``_strided``): per multiply-add, one per union entry,
-      ``_STRIDED_MAC`` when BLAS reads every matrix in place and
-      ``_STRIDED_LOOP`` when one has no unit-stride axis, so that matmul
-      runs its own loop; ``_MATMUL_GEMM`` per matrix product and
-      ``_STRIDED_CALL`` per call.  Through BLAS, a multiply-add costs
-      more here than on the window route (fitted 0.12 against 0.03,
-      measured alone about 0.2 against 0.07): BLAS takes small strided
-      matrices here, and long runs of the wide operand there.
+    * either matmul route, ``_matmul_cost``: ``_MATMUL_MAC`` per
+      multiply-add where BLAS reads every matrix in place and 1 where one
+      has no unit-stride axis, so that matmul runs its own loop;
+      ``_MATMUL_GEMM`` per matrix product in matmul's batch and
+      ``_MATMUL_CALL`` per call.  The strided route (see ``_strided``)
+      does one multiply-add per union entry; the window route (see
+      ``_windows``) does its matmul's, all through BLAS, and adds
+      ``_WINDOW_MATRIX`` per entry of the expanded matrix.
 
     Raises ValueError on a variable whose cards differ between operands,
     and TableCapError on an output of more than ``MAX_TABLE_ENTRIES``
@@ -416,7 +409,9 @@ def _route(layout: tuple, cards: dict[int, int], kept: set[int], out: tuple[int,
 
     Only a layout of two operands and at least ``_ROUTE_FLOOR`` union
     entries has a route other than einsum.  The window route expands the
-    operand of fewer entries (the first on a tie).
+    operand of fewer entries (the first on a tie).  Both matmul routes are
+    priced by ``_matmul_cost``; on equal costs einsum wins, then the
+    strided route, then the window.
     """
     union = math.prod(cards.values())
     if len(layout) != 2 or union < _ROUTE_FLOOR:
@@ -542,12 +537,8 @@ def _windows(layout: tuple, cards: dict[int, int], kept: set[int], narrow: int):
             mm = (n_pre, n_out, n_suf)
         else:
             matrix, wide, mm = lead_cards + (n_in, n_out), lead_wide + (n_pre, n_in), (n_pre, n_out)
-        cost = (
-            _WINDOW_MAC * n_lead * n_pre * n_suf * n_in * n_out
-            + _MATMUL_GEMM * n_lead * (n_pre if left else 1)
-            + _WINDOW_MATRIX * n_lead * n_in * n_out
-            + _WINDOW_CALL
-        )
+        macs, products = n_lead * n_pre * n_suf * n_in * n_out, n_lead * (n_pre if left else 1)
+        cost = _matmul_cost(macs, products, True) + _WINDOW_MATRIX * n_lead * n_in * n_out
         fill_shape = tuple(cards[v] for v in fill)
         route = _Window(
             narrow, reduce, fill_shape, fill_strides, src_shape, matrix, wide, left, lead_cards + mm
@@ -621,17 +612,20 @@ def _strided(layout: tuple, cards: dict[int, int], kept: set[int], out: tuple[in
         shape = tuple([n for n, _ in batch])
         st = [tuple([s[k] for _, s in batch]) for k in range(3)]
         blas = _blas(dm, dk, ma, ka) and _blas(dk, dp, kb, nb) and _blas(dm, dp, mo, no)
-        cost = (
-            (_STRIDED_MAC if blas else _STRIDED_LOOP) * union
-            + _MATMUL_GEMM * math.prod(shape)
-            + _STRIDED_CALL
-        )
         route = _Strided(
             (shape + (dm, dk), st[0] + (ma, ka)),
             (shape + (dk, dp), st[1] + (kb, nb)),
             (shape + (dm, dp), st[2] + (mo, no)),
         )
-        yield route, cost
+        yield route, _matmul_cost(union, math.prod(shape), blas)
+
+
+def _matmul_cost(macs: int, products: int, blas: bool) -> float:
+    """Either matmul route's cost: ``macs`` multiply-adds, at ``_MATMUL_MAC``
+    each where BLAS reads every matrix in place and at one union entry each
+    where matmul runs its own loop, ``products`` matrix products in
+    matmul's batch, and one call."""
+    return (_MATMUL_MAC if blas else 1.0) * macs + _MATMUL_GEMM * products + _MATMUL_CALL
 
 
 def _runs(axes: list) -> list:
@@ -741,10 +735,16 @@ def indicator(scope: Iterable[int], cards: Mapping[int, int] | Iterable[int], ev
 
 
 def normalize(f: Factor) -> tuple[Factor, float]:
-    """Scale to total mass 1; the normalizer is the pre-normalization sum."""
+    """Scale to total mass 1; the normalizer is the pre-normalization sum.
+
+    Raises ImpossibleEvidenceError on a total of 0, and ValueError on a
+    total that overflows: a user's factor of finite entries can reach it,
+    an engine's table of probabilities cannot."""
     s = f.total()
     if s <= 0.0:
         raise ImpossibleEvidenceError("all-zero factor: evidence has probability 0")
+    if not math.isfinite(s):
+        raise ValueError("factor total must be finite")
     return _computed(f.scope, f.cards, np.asarray(f.values / s)), s
 
 

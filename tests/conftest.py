@@ -267,23 +267,29 @@ def chain_ab():
     )
 
 
+def check_computed(scope, cards, vals) -> None:
+    """``Factor(...)``'s full check of a table that ``factor._computed``
+    takes without it: an ascending tuple scope, plain-int cards, a
+    C-contiguous float64 table of that shape (the strided route reads
+    operands as raw buffers) and finite, non-negative entries.  CI's grid7
+    step imports it from here too."""
+    assert type(scope) is tuple and all(map(operator.lt, scope, scope[1:])), scope
+    assert type(cards) is tuple and all(type(c) is int for c in cards), cards
+    assert vals.shape == cards, (vals.shape, cards)
+    assert vals.dtype == np.float64 and vals.flags.c_contiguous, vals.flags
+    factor_mod._check_entries(vals)
+
+
 @pytest.fixture(autouse=True)
 def checked_tables(monkeypatch):
-    """Every table the factor algebra computes gets ``Factor(...)``'s full
-    check in every test: the program builds those tables with
-    ``factor._computed``, which skips it, and looks that function up at
-    call time, so this wrapper sees each one.  It checks an ascending tuple
-    scope, plain-int cards, a C-contiguous float64 table of that shape (the
-    strided route reads operands as raw buffers) and finite, non-negative
-    entries."""
+    """Every table the factor algebra computes gets ``check_computed`` in
+    every test: the program builds those tables with ``factor._computed``,
+    which skips ``Factor(...)``'s check, and looks that function up at call
+    time, so this wrapper sees each one."""
     computed = factor_mod._computed
 
     def checked(scope, cards, vals):
-        assert type(scope) is tuple and all(map(operator.lt, scope, scope[1:])), scope
-        assert type(cards) is tuple and all(type(c) is int for c in cards), cards
-        assert vals.shape == cards, (vals.shape, cards)
-        assert vals.dtype == np.float64 and vals.flags.c_contiguous, vals.flags
-        factor_mod._check_entries(vals)
+        check_computed(scope, cards, vals)
         return computed(scope, cards, vals)
 
     monkeypatch.setattr(factor_mod, "_computed", checked)
