@@ -434,6 +434,19 @@ class Border:
 
 
 class BorderPolytree:
+    """The borders of a network, their parent edges and, per variable, its
+    home set: the ids of the borders that hold it, in creation order.
+
+    Home sets are connected subtrees of the polytree (running
+    intersection).  ``tree()`` builds the :class:`Tree`, with its
+    structural index, on first use, and with it ``read_border``, a map
+    from each variable to the one border of a minimum read cover it is
+    read at (:func:`read_cover`), so that a session reading a query set
+    contracts one belief per cover border and no query pays for the cover.
+    ``priors`` holds each border's prior once preloaded, and ``marginals``
+    the prior marginals that read-outs of independent queries fill.
+    """
+
     def __init__(self, borders: list[Border], source: BayesianNetwork, macro: MacroPolytree):
         self.borders = borders
         self.source = source
@@ -451,17 +464,27 @@ class BorderPolytree:
         # of queries independent of their session's evidence.
         self.marginals: dict[int, Factor] = {}
         self._tree: Optional[Tree] = None
+        self._read_border: dict[int, int] = {}
 
     def __len__(self):
         return len(self.borders)
 
     def tree(self) -> Tree:
         """The border polytree as a :class:`Tree`, built on first use and
-        then shared (with its structural index) by every session.  Raises
-        NotSinglyConnectedError if the borders form an undirected loop."""
+        then shared (with its structural index and the read cover) by every
+        session.  Raises NotSinglyConnectedError if the borders form an
+        undirected loop."""
         if self._tree is None:
-            self._tree = Tree(len(self.borders), self.edges)
+            tree = Tree(len(self.borders), self.edges)
+            self._read_border = read_cover(self.variable_home, tree.depth)
+            self._tree = tree
         return self._tree
+
+    @property
+    def read_border(self) -> dict[int, int]:
+        """Variable -> the border of the read cover it is read at."""
+        self.tree()
+        return self._read_border
 
     def home_border(self, var: int) -> int:
         ids = self.variable_home[var]
@@ -485,6 +508,30 @@ class BorderPolytree:
                 }
             )
         return rows
+
+
+def read_cover(homes: dict[int, tuple[int, ...]], depth: Sequence[int]) -> dict[int, int]:
+    """Variable -> one border of its home set, over the fewest borders.
+
+    Each home set is a connected subtree of the rooted tree whose node
+    depths ``depth`` gives, so it has one top border, its least deep.
+    Variables are taken deepest top first; one whose home set holds no
+    chosen border yet chooses its top.  This is interval stabbing on
+    subtrees, and the cover is minimum: two variables that chose have
+    disjoint home sets (had they met, the later one's set would hold the
+    earlier one's top, the deeper of the two), so every cover needs a
+    border per choice.  Cost: O(total membership + n log n).
+    """
+    tops = {v: min(h, key=depth.__getitem__) for v, h in homes.items() if h}
+    chosen: set[int] = set()
+    read: dict[int, int] = {}
+    for v in sorted(tops, key=lambda v: -depth[tops[v]]):
+        b = next((b for b in homes[v] if b in chosen), None)
+        if b is None:
+            b = tops[v]
+            chosen.add(b)
+        read[v] = b
+    return read
 
 
 class _MacroStretcher:

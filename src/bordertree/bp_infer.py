@@ -5,12 +5,18 @@ order (parents always precede children), the first time a session needs
 one.  A query session restricts those priors and the stored cohort tables
 by the session's evidence, prunes the polytree to its border evidential
 core, collects to a pivot border, and answers each query by distributing
-from the informed set through a gate.  The restricted tables are where the
-evidence enters: π of a border carries the evidence of its members and of
-its parent side, λ only the evidence on its child sides.  The border
-chain engine is this session on the chain's one-macro view, anchored at
-its first border: :func:`~bordertree.border_chain.run_passes` returns it,
-and the chain answers through its read-out.  A query that shares no
+from the informed set through a gate.  A query set (``bp_query``, and so
+the CLI for the border polytree and the chain) is read from the fewest
+border beliefs: its queries are grouped by their border of the structure's
+minimum read cover (``BorderPolytree.read_border``), and each group's
+border belief π·λ is contracted once onto the group, then summed down to
+each query (:meth:`BorderSession.posteriors`).  ``posterior`` and
+``joint`` read one query at its home border.  The restricted tables are
+where the evidence enters: π of a border carries the evidence of its
+members and of its parent side, λ only the evidence on its child sides.
+The border chain engine is this session on the chain's one-macro view,
+anchored at its first border: :func:`~bordertree.border_chain.run_passes`
+returns it, and the chain answers through its read-out.  A query that shares no
 ancestor with the evidence is independent of it, so the session sends it
 no message: its posterior is its prior marginal, which the first read
 takes off the unrestricted prior of its home border and the border
@@ -44,7 +50,7 @@ from typing import Callable, Iterable, Optional
 
 from .bp_build import Border, BorderPolytree
 from .errors import BordertreeError
-from .factor import Factor, _contract, restrict
+from .factor import Factor, _contract, normalize, restrict
 from .messaging import TreeSession, collection_schedule, distribution_schedule
 from .network import NO_EVIDENCE
 
@@ -244,6 +250,32 @@ class BorderSession(TreeSession):
         """The unnormalized Pr{var, e}, read at var's home border."""
         return self._joint(self.bp.home_border(var), var)
 
+    def posteriors(self, queries: Iterable[int]) -> dict[int, Factor]:
+        """The normalized posterior of each query, keyed in query order,
+        read from the fewest border beliefs.
+
+        A query the evidence cannot reach reads the prior memo, as
+        ``posterior`` does.  The others are grouped by their border of
+        the read cover (``BorderPolytree.read_border``): each group's
+        border is informed, its belief π·λ is contracted once onto the
+        group, and each query is summed out of that table on its own."""
+        self.check_possible()
+        read = self.bp.read_border
+        out: dict[int, Optional[Factor]] = {}
+        groups: dict[int, list[int]] = {}
+        for q in queries:
+            if self._relevant(q):
+                out[q] = None  # filled below, in query order
+                groups.setdefault(read[q], []).append(q)
+            else:
+                out[q] = self._prior_marginal(self.bp.home_border(q), q)
+        for bid, group in groups.items():
+            self.ensure_informed(bid)
+            t = _contract(self._belief_factors(bid), group)
+            for q in group:
+                out[q] = normalize(_contract([t], (q,)))[0]
+        return out
+
     # Bound here too, so that perfbench's tracer can wrap it per engine.
     evidence_prob = TreeSession.evidence_prob
 
@@ -254,9 +286,9 @@ def bp_query(
     queries: Optional[Iterable[int]] = None,
     pivot: Optional[int] = None,
 ) -> tuple[dict[int, Factor], float]:
-    """Posterior marginals (normalized factors) and the evidence probability."""
+    """Posterior marginals (normalized factors, keyed in query order, every
+    variable by default) and the evidence probability, read through
+    :meth:`BorderSession.posteriors`."""
     session = BorderSession(bp, ev, pivot=pivot)
-    if queries is None:
-        queries = list(bp.source.ids)
-    posteriors = {q: session.posterior(q) for q in queries}
+    posteriors = session.posteriors(bp.source.ids if queries is None else queries)
     return posteriors, session.evidence_prob()

@@ -86,8 +86,9 @@ plain einsum, finds cheapest:
 * einsum: ``|union| * (1 + 10 / run)``, ``run`` the size of that
   innermost run;
 * either matmul route: 0.08 per multiply-add when BLAS reads every matrix
-  in place, 1 when a matrix has no unit-stride axis and matmul runs its
-  own loop, 75 per matrix product in matmul's batch and 300 per call.
+  in place along its longer axis, 1 when a matrix has no unit-stride axis
+  (matmul runs its own loop) or has it only on its shorter axis, 75 per
+  matrix product in matmul's batch and 300 per call.
   The strided route does one multiply-add per union entry, the window
   route ``|lead| * |prefix| * |suffix| * |in| * |out|``, all through BLAS;
 * the window route adds 2 per entry of its expanded matrix.
@@ -361,8 +362,9 @@ def _plan(layout: tuple, keep) -> tuple:
       the same operands and are all kept or all summed.  einsum's inner
       loop covers that run, so a short run means many passes.
     * either matmul route, ``_matmul_cost``: ``_MATMUL_MAC`` per
-      multiply-add where BLAS reads every matrix in place and 1 where one
-      has no unit-stride axis, so that matmul runs its own loop;
+      multiply-add where BLAS reads every matrix in place along its
+      longer axis (``_blas``) and 1 where one has no unit-stride axis
+      (matmul runs its own loop) or has it only on its shorter axis;
       ``_MATMUL_GEMM`` per matrix product in matmul's batch and
       ``_MATMUL_CALL`` per call.  The strided route (see ``_strided``)
       does one multiply-add per union entry; the window route (see
@@ -642,10 +644,17 @@ def _runs(axes: list) -> list:
 
 def _blas(d1: int, d2: int, s1: int, s2: int) -> bool:
     """Whether matmul hands a ``d1`` x ``d2`` matrix with byte strides
-    ``s1``, ``s2`` to BLAS in place: one axis has unit stride and the other
-    steps over it.  A matrix of one row or column is a vector, which BLAS
-    reads at any stride."""
-    return d1 == 1 or d2 == 1 or (s2 == 8 and s1 >= 8 * d2) or (s1 == 8 and s2 >= 8 * d1)
+    ``s1``, ``s2`` to BLAS in place and BLAS runs it fast: the longer axis
+    has unit stride and the other steps over it.  A short unit-stride axis
+    (a 3 x 2187 matrix with byte strides 8 and 72) makes BLAS step through
+    memory along the long one.  A matrix of one row or column is a vector,
+    which BLAS reads at any stride."""
+    return (
+        d1 == 1
+        or d2 == 1
+        or (s2 == 8 and s1 >= 8 * d2 and d2 >= d1)
+        or (s1 == 8 and s2 >= 8 * d1 and d1 >= d2)
+    )
 
 
 def _strides(vs: list[int], cards: dict[int, int], unit: int) -> dict[int, int]:

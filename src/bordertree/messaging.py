@@ -530,7 +530,8 @@ class TreeSession:
       sends, or the scalar 1 an outside child sends;
     * the read-out of posteriors, of joints and ``evidence_prob``: the
       relevance memo (``_relevant``) that sends a query the evidence cannot
-      reach to the structure's memo of prior marginals, the evidence total
+      reach to the structure's memo of prior marginals
+      (``_prior_marginal``), the evidence total
       of each component (``_evidence_total``), contracted at its pivot once
       per session, and the check that none of those totals is 0
       (``check_possible``).
@@ -542,9 +543,12 @@ class TreeSession:
     the one c sends p), ``_prior(v)`` (the unrestricted prior of node v),
     ``_outside_prior(p)``, ``_belief_factors(v)`` (the factors whose
     product is v's belief), ``posterior``, ``joint`` and
-    ``ensure_informed``.  The engine passes in the schedule functions, so
-    each engine calls them through its own module, where the benchmark's
-    tracer finds them.
+    ``ensure_informed``.  ``_readout`` reads one query at one node that
+    holds it; an engine whose beliefs hold many variables may read a query
+    set from fewer beliefs, as the border polytree's ``posteriors`` does
+    from one belief per border of its read cover.  The engine passes in
+    the schedule functions, so each engine calls them through its own
+    module, where the benchmark's tracer finds them.
 
     Messages are keyed by ``(p, c, direction)``, for the edge p->c and
     ``"pi"`` (down) or ``"lambda"`` (up).
@@ -724,6 +728,11 @@ class TreeSession:
         self.check_possible()
         if self._relevant(var):
             return normalize(self._belief(v, var))[0]
+        return self._prior_marginal(v, var)
+
+    def _prior_marginal(self, v: Node, var: int) -> Factor:
+        """The normalized prior marginal of ``var`` from the structure's
+        memo, filled from v's unrestricted prior on the first read."""
         post = self._marginals.get(var)
         if post is None:
             post = normalize(_contract([self._prior(v)], (var,)))[0]

@@ -1,8 +1,11 @@
 """Inference on border polytrees: priors, sessions, traces, incremental stores."""
 
+import itertools
+
 import numpy as np
 import pytest
-from conftest import random_evidence, reference_passes, reference_readout
+from conftest import d_separated, load_fixture, random_evidence, reference_passes, reference_readout
+from test_message_counts import reference_hops
 
 from bordertree.border_chain import build_chain, chain_posterior, run_passes
 from bordertree.bnformat import parse_evidence
@@ -475,6 +478,121 @@ class TestIncrementalStore:
 
         with pytest.raises(ImpossibleEvidenceError):
             bp_query(bp, ev)
+
+
+def _posterior_reads(bp, ev, queries):
+    """Each query read at its home border, one ``posterior`` at a time."""
+    session = BorderSession(bp, ev)
+    return {q: session.posterior(q) for q in queries}, session.evidence_prob()
+
+
+def _min_cover_size(bp):
+    """The fewest borders that hold every variable, by brute force."""
+    homes = [set(h) for h in bp.variable_home.values() if h]
+    for k in range(1, len(bp.borders) + 1):
+        for chosen in itertools.combinations(range(len(bp.borders)), k):
+            if all(h.intersection(chosen) for h in homes):
+                return k
+    raise AssertionError("no cover")  # pragma: no cover
+
+
+class TestReadCover:
+    """``bp_query`` reads its queries through ``BorderSession.posteriors``:
+    one belief per border of the read cover, then each query from it."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(61)
+        grid = _grid(7, 7, 3, np.random.default_rng(62))
+        poly = random_polytree(np.random.default_rng(63), 400, 400, 3)
+        two = zoo.build_network(
+            [("a", 2, []), ("b", 3, ["a"]), ("c", 2, ["a", "b"]), ("x", 3, []), ("y", 3, ["x"])],
+            np.random.default_rng(64),
+        )
+        out = []
+        for name in ("bn_a", "bn_c", "polytree_b"):
+            bn = load_fixture(name)
+            out += [(name, bn, random_evidence(rng, bn, max_vars=4)) for _ in range(3)]
+        out.append(("grid7", grid, random_evidence(rng, grid, max_vars=5)))
+        out.append(("poly400", poly, random_evidence(rng, poly, max_vars=8)))
+        out.append(("two components", two, EvidenceSet(two, {2: {1}, 4: {0, 2}})))
+        out.append(("soft", grid, EvidenceSet(grid, {10: {0, 2}, 30: {1, 2}, 44: {0, 1}})))
+        out.append(("no evidence", grid, EvidenceSet(grid)))
+        return out
+
+    def test_equals_per_query_reads(self):
+        for name, bn, ev in self.cases():
+            bp = build_border_polytree(bn)
+            posts, pe = bp_query(bp, ev)
+            want, want_pe = _posterior_reads(bp, ev, bn.ids)
+            assert pe == want_pe, name
+            assert list(posts) == list(bn.ids), name
+            for q in bn.ids:
+                np.testing.assert_allclose(posts[q].values, want[q].values, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_query_subset_from_a_generator(self, bn_c, bp_c, ev_boq):
+        subset = [bn_c.id_of(n) for n in "QMBFQ"]
+        posts, pe = bp_query(bp_c, ev_boq, (q for q in subset))
+        want, want_pe = _posterior_reads(bp_c, ev_boq, subset)
+        assert pe == want_pe
+        assert list(posts) == list(dict.fromkeys(subset))  # query order, once each
+        for q in subset:
+            np.testing.assert_allclose(posts[q].values, want[q].values, rtol=0, atol=1e-12)
+
+    def test_impossible_evidence_raises(self):
+        from bordertree.errors import ImpossibleEvidenceError
+
+        bn = zoo.build_network(
+            [("A", 2, []), ("B", 2, ["A"]), ("C", 2, [])],
+            cpts={"A": np.array([1.0, 0.0]), "B": np.array([[1.0, 0.0], [0.5, 0.5]])},
+        )
+        bp = build_border_polytree(bn)
+        ev = EvidenceSet(bn, {bn.id_of("B"): {1}})
+        for queries in (None, [bn.id_of("C")]):  # C is independent of the evidence
+            with pytest.raises(ImpossibleEvidenceError):
+                bp_query(bp, ev, queries)
+
+    def test_one_belief_per_cover_border(self, monkeypatch):
+        bn = _grid(7, 7, 3, np.random.default_rng(62))
+        bp = build_border_polytree(bn)
+        ev = random_evidence(np.random.default_rng(65), bn, max_vars=5)
+        beliefs = []
+        belief_factors = BorderSession._belief_factors
+        monkeypatch.setattr(
+            BorderSession, "_belief_factors", lambda s, bid: beliefs.append(bid) or belief_factors(s, bid)
+        )
+        session = BorderSession(bp, ev)
+        session.posteriors(bn.ids)
+        relevant = [q for q in bn.ids if not d_separated(bn, q, list(ev.vars))]
+        read = {bp.read_border[q] for q in relevant}
+        # One per component's evidence total, then one per read border.
+        assert len(beliefs) == len(session.pivots) + len(read)
+        assert len(read) < len(relevant)
+
+    def test_read_borders_hold_their_variable_and_cover_is_minimum(self):
+        rng = np.random.default_rng(66)
+        for k in range(40):
+            bn = random_dag(rng, 4, 10, 3) if k % 2 else random_polytree(rng, 4, 12, 3)
+            bp = build_border_polytree(bn)
+            read = bp.read_border
+            assert set(read) == set(bn.ids)
+            for v, b in read.items():
+                assert v in bp.borders[b].members
+            assert len(set(read.values())) == _min_cover_size(bp)
+
+    def test_distribution_reaches_the_read_borders(self):
+        rng = np.random.default_rng(67)
+        for k in range(12):
+            bn = random_polytree(rng, 30, 80, 3) if k % 2 else random_dag(rng, 8, 14, 3)
+            bp = build_border_polytree(bn)
+            ev = random_evidence(rng, bn, max_vars=4)
+            queries = [int(q) for q in rng.choice(len(bn), size=min(10, len(bn)), replace=False)]
+            session = BorderSession(bp, ev)
+            session.posteriors(queries)
+            relevant = [q for q in queries if not d_separated(bn, q, list(ev.vars))]
+            homes = [bp.read_border[q] for q in relevant]
+            assert session.distributed == reference_hops(session.tree, session.pivots.values(), homes)
+            assert session.sent == session.collected + session.distributed
 
 
 def test_random_dags_bp_vs_oracle(rng):

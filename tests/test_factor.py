@@ -1052,10 +1052,30 @@ class TestRouteChoice:
         [
             "hjk,abcdefghij->abcdefgijk",  # the border polytree's costliest
             "aij,bcdefghijk->abcdefghik",
+            # Strided matrices whose unit-stride axis is the short one
+            # (3 x 2187 at byte strides 8 and 72): 40 us here against 169 us
+            # on the strided route, and 17 against 62 us.
+            "hjk,abcdefgik->abcdefghij",
+            "gij,abcdefhj->abcdefghi",
         ],
     )
     def test_costliest_grid_layouts_take_the_window(self, subscripts):
         assert isinstance(self.route(subscripts, 3), factor_mod._Window)
+
+    @pytest.mark.parametrize(
+        "d1, d2, s1, s2, blas",
+        [
+            (3, 2187, 8 * 2187, 8, True),  # row-major: the long axis has unit stride
+            (2187, 3, 8, 8 * 2187 * 3, True),
+            (3, 2187, 8, 72, False),  # the short axis has unit stride
+            (2187, 3, 72, 8, False),
+            (3, 3, 8, 24, True),
+            (1, 2187, 8, 72, True),  # a vector, at any stride
+            (27, 81, 648, 72, False),  # no unit-stride axis
+        ],
+    )
+    def test_blas_needs_the_long_axis_at_unit_stride(self, d1, d2, s1, s2, blas):
+        assert factor_mod._blas(d1, d2, s1, s2) is blas
 
     @pytest.mark.parametrize(
         "subscripts",
