@@ -14,9 +14,11 @@ first border, π messages distribute down the whole chain.  π(j) carries
 the evidence recruited at or before step j and λ(j) the evidence recruited
 after it, so λ is 1 past the last evidence step, and any border containing
 the query yields the same posterior.  A chain is read like every border
-polytree, through the session's read-out
-(:class:`~bordertree.messaging.TreeSession`): :func:`run_passes` returns
-the informed session, and :func:`chain_posterior` reads its ``joint``.
+polytree, through the session's one read-out
+(:meth:`~bordertree.messaging.TreeSession.posteriors`, at each variable's
+border of the view's read cover): :func:`run_passes` returns the informed
+session, and :func:`chain_posterior` reads its ``joint``, the posterior
+times Pr(e).
 """
 
 from __future__ import annotations

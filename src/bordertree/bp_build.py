@@ -486,12 +486,6 @@ class BorderPolytree:
         self.tree()
         return self._read_border
 
-    def home_border(self, var: int) -> int:
-        ids = self.variable_home[var]
-        if not ids:
-            raise KeyError(f"variable {var} appears in no border")
-        return ids[0]
-
     def describe(self) -> list[dict]:
         bn = self.source
         rows = []

@@ -4,14 +4,14 @@ Prior marginals of every border are computed once, off line, in creation
 order (parents always precede children), the first time a session needs
 one.  A query session restricts those priors and the stored cohort tables
 by the session's evidence, prunes the polytree to its border evidential
-core, collects to a pivot border, and answers each query by distributing
-from the informed set through a gate.  A query set (``bp_query``, and so
-the CLI for the border polytree and the chain) is read from the fewest
-border beliefs: its queries are grouped by their border of the structure's
-minimum read cover (``BorderPolytree.read_border``), and each group's
-border belief π·λ is contracted once onto the group, then summed down to
-each query (:meth:`BorderSession.posteriors`).  ``posterior`` and
-``joint`` read one query at its home border.  The restricted tables are
+core, collects to a pivot border, and answers queries by distributing
+from the informed set through a gate.  Every read goes through the
+session's one read-out (:meth:`~bordertree.messaging.TreeSession.posteriors`),
+whose read hook here is the structure's minimum read cover
+(``BorderPolytree.read_border``): a query set is grouped by read border,
+and each group's border belief π·λ is contracted once onto the group, then
+summed down to each query.  ``posterior`` reads a set of one, and
+``joint`` is that posterior times Pr(e).  The restricted tables are
 where the evidence enters: π of a border carries the evidence of its
 members and of its parent side, λ only the evidence on its child sides.
 The border chain engine is this session on the chain's one-macro view,
@@ -19,18 +19,17 @@ anchored at its first border: :func:`~bordertree.border_chain.run_passes`
 returns it, and the chain answers through its read-out.  A query that shares no
 ancestor with the evidence is independent of it, so the session sends it
 no message: its posterior is its prior marginal, which the first read
-takes off the unrestricted prior of its home border and the border
+takes off the unrestricted prior of its read border and the border
 polytree keeps (``BorderPolytree.marginals``) for every later session (see
-:mod:`~bordertree.messaging`).  ``posterior`` returns the normalized
-posterior only, and ``joint`` the unnormalized Pr{var, e}.
+:mod:`~bordertree.messaging`).
 
 :class:`BorderSession` is a :class:`~bordertree.messaging.TreeSession`,
 which owns cores, pivots, the schedules, the store and the boundary
-fallbacks.  This module supplies the border algebra (border beliefs from
-cohort tables and junction splices, and the edge messages), the
-unrestricted prior and the memo of prior marginals the read-out of an
-independent query reads, and the restricted prior an outside parent
-border sends.  The restricted priors
+fallbacks and the read-out.  This module supplies the border algebra
+(border beliefs from cohort tables and junction splices, and the edge
+messages), the read hook, the unrestricted prior and the memo of prior
+marginals the read-out of an independent query reads, and the restricted
+prior an outside parent border sends.  The restricted priors
 and cohort tables are built once per session.
 
 Every session keys its store by ``(parent, child, direction)``: its
@@ -50,7 +49,7 @@ from typing import Callable, Iterable, Optional
 
 from .bp_build import Border, BorderPolytree
 from .errors import BordertreeError
-from .factor import Factor, _contract, normalize, restrict
+from .factor import Factor, _contract, restrict
 from .messaging import TreeSession, collection_schedule, distribution_schedule
 from .network import NO_EVIDENCE
 
@@ -125,6 +124,7 @@ class BorderSession(TreeSession):
         self._prior_cache: dict[int, Factor] = {}
         self._phi_cache: dict[int, Factor] = {}
         self._marginals = bp.marginals
+        self.read_node = bp.read_border
         groups = [set(bp.variable_home[v]) for v in ev.vars]
         super().__init__(bp.tree(), ev, groups, pivot, collection_schedule, _carried)
 
@@ -242,41 +242,8 @@ class BorderSession(TreeSession):
     def ensure_informed(self, bid: int):
         self._inform(bid, distribution_schedule)
 
-    def posterior(self, var: int) -> Factor:
-        """The normalized posterior of var, read at var's home border."""
-        return self._readout(self.bp.home_border(var), var)
-
-    def joint(self, var: int) -> Factor:
-        """The unnormalized Pr{var, e}, read at var's home border."""
-        return self._joint(self.bp.home_border(var), var)
-
-    def posteriors(self, queries: Iterable[int]) -> dict[int, Factor]:
-        """The normalized posterior of each query, keyed in query order,
-        read from the fewest border beliefs.
-
-        A query the evidence cannot reach reads the prior memo, as
-        ``posterior`` does.  The others are grouped by their border of
-        the read cover (``BorderPolytree.read_border``): each group's
-        border is informed, its belief π·λ is contracted once onto the
-        group, and each query is summed out of that table on its own."""
-        self.check_possible()
-        read = self.bp.read_border
-        out: dict[int, Optional[Factor]] = {}
-        groups: dict[int, list[int]] = {}
-        for q in queries:
-            if self._relevant(q):
-                out[q] = None  # filled below, in query order
-                groups.setdefault(read[q], []).append(q)
-            else:
-                out[q] = self._prior_marginal(self.bp.home_border(q), q)
-        for bid, group in groups.items():
-            self.ensure_informed(bid)
-            t = _contract(self._belief_factors(bid), group)
-            for q in group:
-                out[q] = normalize(_contract([t], (q,)))[0]
-        return out
-
-    # Bound here too, so that perfbench's tracer can wrap it per engine.
+    # Bound here too, so that perfbench's tracer can wrap them per engine.
+    posterior = TreeSession.posterior
     evidence_prob = TreeSession.evidence_prob
 
 
@@ -288,7 +255,7 @@ def bp_query(
 ) -> tuple[dict[int, Factor], float]:
     """Posterior marginals (normalized factors, keyed in query order, every
     variable by default) and the evidence probability, read through
-    :meth:`BorderSession.posteriors`."""
+    :meth:`~bordertree.messaging.TreeSession.posteriors`."""
     session = BorderSession(bp, ev, pivot=pivot)
     posteriors = session.posteriors(bp.source.ids if queries is None else queries)
     return posteriors, session.evidence_prob()

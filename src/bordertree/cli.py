@@ -166,8 +166,8 @@ def _prior_table(session, queries, out) -> None:
     bn = session.bn
     rows = [
         {"variable": bn.name_of(q), "value": label, "prior": _fmt_prob(p)}
-        for q in queries
-        for label, p in zip(bn.variables[q].value_labels, session.posterior(q).values)
+        for q, f in session.posteriors(queries).items()
+        for label, p in zip(bn.variables[q].value_labels, f.values)
     ]
     _tsv(rows, ["variable", "value", "prior"], out)
 
@@ -430,9 +430,9 @@ class ReplSession:
                     print("usage: query X[,Y]", file=out)
                     return True
                 session = self.session
-                priors = {q: self.prior.posterior(q).values for q in queries}
+                priors = {q: f.values for q, f in self.prior.posteriors(queries).items()}
                 sent = session.sent
-                posts = {q: session.posterior(q).values for q in queries}
+                posts = {q: f.values for q, f in session.posteriors(queries).items()}
                 self.last_sent = session.sent - sent
                 rows = _posterior_rows(self.bn, queries, priors, posts)
                 _tsv(rows, ["variable", "value", "prior", "posterior", "log_ratio"], out)

@@ -211,11 +211,6 @@ class Factor:
     def scalar(value: float) -> "Factor":
         return Factor((), (), np.asarray(float(value)))
 
-    @staticmethod
-    def ones(scope: Iterable[int], cards: Iterable[int]) -> "Factor":
-        cards = tuple(cards)
-        return Factor(scope, cards, np.ones(cards))
-
     # -- helpers ---------------------------------------------------------
 
     def card_of(self, var: int) -> int:

@@ -32,9 +32,10 @@ polytree engine's nodes, the border polytree's borders): cores and pivots
 (:func:`component_cores`, which reads the tree only and so also serves the
 CLI's ``core``), collection, the informed set and distribution, the
 message store and ``_send``, the boundary fallbacks, counters and the
-read-out.  Each engine supplies only its message algebra, its boundary
-prior, its belief factors, its structure's memo of prior marginals, and
-``posterior`` and ``joint``.  Every session keys its own
+one read-out, ``posteriors``.  Each engine supplies only its message
+algebra, its boundary prior, its belief factors, its structure's memo of
+prior marginals, and its read hook: the node each variable is read at.
+Every session keys its own
 store by ``(parent, child, direction)``: a session's evidence is fixed, so
 an edge and a direction name a message.  Messages outlive a session only
 when the border engine hands the ones its next evidence leaves unchanged
@@ -56,23 +57,23 @@ without a head-to-head node would lead up from both ends to a common
 ancestor, and with nothing conditioned on a head-to-head node blocks its
 path (Geiger, Verma & Pearl 1990).  So Pr{X | e} = Pr{X}, a function of
 the structure alone: the first read normalizes X's marginal of the
-unrestricted preloaded prior at X's node, and the structure keeps it in a
-memo of prior marginals that every later session on it reads.  Finding
-which queries are independent needs the ancestors of the evidence and of
-the queries, not the whole network: the session finds the evidence's
-ancestors once and walks up from each query to the first variable it has
-already classified.
+unrestricted preloaded prior at X's read node, and the structure keeps it
+in a memo of prior marginals that every later session on it reads.
+Finding which queries are independent needs the ancestors of the evidence
+and of the queries, not the whole network: the session finds the
+evidence's ancestors once and walks up from each query to the first
+variable it has already classified.
 
-A read-out returns the normalized posterior only.  The unnormalized
-Pr{X, e} is computed only when ``joint`` asks for it: Pr{X, e'} for the
-evidence e' of X's component, times the evidence totals of the others.
-For an independent X, Pr{X, e'} is Pr{X} Pr(e'), with Pr(e') the belief
-total at the component's pivot.  Every read-out first
-checks that no component's evidence total is exactly 0, each total on its
-own (``check_possible``, which the REPL also calls before it takes new
-evidence): evidence that is impossible in one component makes every
-posterior undefined, even one read in another component, while the
-product of totals that are each positive can underflow to 0.
+Every query is read through ``posteriors``: the queries that the evidence
+reaches are grouped by their read node, and each group's belief is
+contracted once onto the group.  ``posterior`` reads a set of one, and
+``joint`` is that posterior times Pr(e), since Pr{X, e} = Pr{X | e} Pr(e).
+The read-out first checks that no component's evidence total is exactly
+0, each total on its own (``check_possible``, which the REPL also calls
+before it takes new evidence): evidence that is impossible in one
+component makes every posterior undefined, even one read in another
+component, while the product of totals that are each positive can
+underflow to 0.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import BordertreeError, ImpossibleEvidenceError, NotSinglyConnectedError
-from .factor import _ONE, Factor, _contract, normalize
+from .factor import _ONE, Factor, _computed, _contract, normalize
 
 Node = int  # trees number their nodes 0..n-1
 
@@ -528,25 +529,23 @@ class TreeSession:
       message absent from the store must come from a side without core
       nodes (``_side_has_core``, O(1)), and is the prior an outside parent
       sends, or the scalar 1 an outside child sends;
-    * the read-out of posteriors, of joints and ``evidence_prob``: the
-      relevance memo (``_relevant``) that sends a query the evidence cannot
-      reach to the structure's memo of prior marginals
-      (``_prior_marginal``), the evidence total
-      of each component (``_evidence_total``), contracted at its pivot once
-      per session, and the check that none of those totals is 0
-      (``check_possible``).
+    * the one read-out, ``posteriors`` (``posterior`` and ``joint`` read
+      through it), and ``evidence_prob``: the relevance memo
+      (``_relevant``) that sends a query the evidence cannot reach to the
+      structure's memo of prior marginals (``_prior_marginal``), the
+      evidence total of each component (``_evidence_total``), contracted
+      at its pivot once per session, and the check that none of those
+      totals is 0 (``check_possible``).
 
     An engine supplies ``bn``, the network whose parents the relevance walk
     reads, ``_marginals``, the structure's memo of normalized prior
-    marginals by variable, its edge messages (``compute_pi_edge(p, c)``,
-    the message parent p sends child c, and ``compute_lambda_edge(p, c)``,
-    the one c sends p), ``_prior(v)`` (the unrestricted prior of node v),
+    marginals by variable, ``read_node``, the read hook that maps each
+    variable to the node it is read at (one lookup per query), its edge
+    messages (``compute_pi_edge(p, c)``, the message parent p sends child
+    c, and ``compute_lambda_edge(p, c)``, the one c sends p),
+    ``_prior(v)`` (the unrestricted prior of node v),
     ``_outside_prior(p)``, ``_belief_factors(v)`` (the factors whose
-    product is v's belief), ``posterior``, ``joint`` and
-    ``ensure_informed``.  ``_readout`` reads one query at one node that
-    holds it; an engine whose beliefs hold many variables may read a query
-    set from fewer beliefs, as the border polytree's ``posteriors`` does
-    from one belief per border of its read cover.  The engine passes in
+    product is v's belief) and ``ensure_informed``.  The engine passes in
     the schedule functions, so each engine calls them through its own
     module, where the benchmark's tracer finds them.
 
@@ -712,23 +711,43 @@ class TreeSession:
                 raise ImpossibleEvidenceError("evidence has probability 0")
         self._possible = True
 
-    def _belief(self, v: Node, var: int) -> Factor:
-        """Pr{var, e'} for the evidence e' of v's component, from the
-        belief at v, once v is informed."""
-        self.ensure_informed(v)
-        return _contract(self._belief_factors(v), (var,))
+    def posteriors(self, queries: Iterable[int]) -> dict[int, Factor]:
+        """The normalized posterior of each query, keyed in query order,
+        read from the fewest beliefs.
 
-    def _readout(self, v: Node, var: int) -> Factor:
-        """The normalized posterior of ``var``, read at v.
-
-        A variable that shares no ancestor with any evidence variable is
+        A query that shares no ancestor with any evidence variable is
         d-separated from the evidence given nothing, so its posterior is
-        its prior marginal: the structure's memo holds it, filled from v's
-        unrestricted prior on the first read, and no message is sent."""
+        its prior marginal: the structure's memo holds it, filled from the
+        unrestricted prior of its read node on the first read, and no
+        message is sent.  The others are grouped by their read node
+        (``read_node``): each group's node is informed, its belief is
+        contracted once onto the group, and each query is summed out of
+        that table on its own."""
         self.check_possible()
-        if self._relevant(var):
-            return normalize(self._belief(v, var))[0]
-        return self._prior_marginal(v, var)
+        read = self.read_node
+        out: dict[int, Optional[Factor]] = {}
+        groups: dict[Node, list[int]] = {}
+        for q in queries:
+            if self._relevant(q):
+                out[q] = None  # filled below, in query order
+                groups.setdefault(read[q], []).append(q)
+            else:
+                out[q] = self._prior_marginal(read[q], q)
+        for v, group in groups.items():
+            self.ensure_informed(v)
+            t = _contract(self._belief_factors(v), group)
+            for q in group:
+                out[q] = normalize(_contract([t], (q,)))[0]
+        return out
+
+    def posterior(self, var: int) -> Factor:
+        """The normalized posterior of ``var``."""
+        return self.posteriors((var,))[var]
+
+    def joint(self, var: int) -> Factor:
+        """The unnormalized Pr{var, e} = Pr{var | e} Pr(e)."""
+        post = self.posterior(var)
+        return _computed(post.scope, post.cards, post.values * self.evidence_prob())
 
     def _prior_marginal(self, v: Node, var: int) -> Factor:
         """The normalized prior marginal of ``var`` from the structure's
@@ -738,19 +757,6 @@ class TreeSession:
             post = normalize(_contract([self._prior(v)], (var,)))[0]
             self._marginals[var] = post
         return post
-
-    def _joint(self, v: Node, var: int) -> Factor:
-        """The unnormalized Pr{var, e}, read at v: Pr{var, e'} for the
-        evidence e' of v's component, which for a variable independent of
-        the evidence is its prior marginal times the component's evidence
-        total, times the evidence totals of the other components."""
-        self.check_possible()
-        comp = self.tree.comp[v]
-        others = [self._evidence_total(c) for c in self.pivots if c != comp]
-        if self._relevant(var):
-            return _contract([self._belief(v, var), *others], (var,))
-        prior = _contract([self._prior(v)], (var,))
-        return _contract([prior, self._evidence_total(comp), *others], (var,))
 
     def evidence_prob(self) -> float:
         """Pr(evidence): the product over cores of the belief's total at

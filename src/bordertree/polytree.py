@@ -11,14 +11,14 @@ CPTs only: a node's CPT holds the node, so its π carries its own evidence.
 A query that shares no ancestor with the evidence is independent of it, so
 its posterior is its normalized preloaded prior, and no message is sent to
 it; the engine keeps each such marginal (``PolytreeEngine.marginals``) for
-every later session (see :mod:`~bordertree.messaging`).  ``posterior``
-returns the normalized posterior only, and ``joint`` the unnormalized
-Pr{q, e}.
+every later session (see :mod:`~bordertree.messaging`).
 
 :class:`PolytreeSession` is a :class:`~bordertree.messaging.TreeSession`,
-which owns cores, pivots, the schedules, the store and the boundary
-fallbacks; this module supplies the node messages and the node priors,
-which an independent query reads and an outside parent sends.  Messages
+which owns cores, pivots, the schedules, the store, the boundary
+fallbacks and the read-out (``posteriors``, through which ``query``,
+``posterior`` and ``joint`` read); this module supplies the node
+messages, the read hook (a variable is read at its own node) and the node
+priors, which an independent query reads and an outside parent sends.  Messages
 are keyed as the skeleton keys them, ``(parent, child, direction)``: the
 store dies with its session, whose evidence is fixed.  Restricted tables are built once per session.
 """
@@ -69,9 +69,7 @@ class PolytreeEngine:
         self, ev=NO_EVIDENCE, queries: Optional[Iterable[int]] = None, pivot=None
     ) -> tuple[dict[int, Factor], float]:
         session = self.session(ev, pivot)
-        if queries is None:
-            queries = list(self.bn.ids)
-        posteriors = {q: session.posterior(q) for q in queries}
+        posteriors = session.posteriors(self.bn.ids if queries is None else queries)
         return posteriors, session.evidence_prob()
 
 
@@ -83,6 +81,9 @@ class PolytreeSession(TreeSession):
         self.bn = engine.bn
         self._cpt_cache: dict[int, Factor] = {}
         self._marginals = engine.marginals
+        # Each variable is read at its own node: ``tree.nodes`` is
+        # ``range(n)``, which maps each node to itself.
+        self.read_node = engine.tree.nodes
         groups = [{v} for v in ev.vars]
         super().__init__(engine.tree, ev, groups, pivot, collection_schedule)
 
@@ -125,13 +126,6 @@ class PolytreeSession(TreeSession):
     def ensure_informed(self, q: int):
         self._inform(q, distribution_schedule)
 
-    def posterior(self, q: int) -> Factor:
-        """The normalized posterior of q."""
-        return self._readout(q, q)
-
-    def joint(self, q: int) -> Factor:
-        """The unnormalized Pr{q, e}."""
-        return self._joint(q, q)
-
-    # Bound here too, so that perfbench's tracer can wrap it per engine.
+    # Bound here too, so that perfbench's tracer can wrap them per engine.
+    posterior = TreeSession.posterior
     evidence_prob = TreeSession.evidence_prob

@@ -62,9 +62,10 @@ def reference_passes(chain, ev=NO_EVIDENCE) -> tuple[list[Factor], list[Factor]]
 
 def reference_readout(chain, pi, lam, q: int) -> tuple[Factor, float]:
     """(posterior of q, Pr(e)) from passes ``pi`` and ``lam``: their product
-    at q's home border, marginalized onto q and normalized, kept as a
-    reference independent of the session's read-out."""
-    j = chain.view.home_border(q)
+    at q's first home border, marginalized onto q and normalized, kept as a
+    reference independent of the session's read-out, which reads q at its
+    border of the read cover."""
+    j = chain.view.variable_home[q][0]
     return normalize(contract([pi[j], lam[j]], (q,)))
 
 

@@ -1,5 +1,6 @@
 """Inference on border polytrees: priors, sessions, traces, incremental stores."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -215,8 +216,8 @@ class TestQueries:
         s = BorderSession(bp_c, ev_boq, pivot=piv)
         tree = s.tree
         s.posterior(bn_c.id_of("M"))
-        home = bp_c.home_border(bn_c.id_of("M"))
-        baseline = len(tree.bfs_path(piv, home)) - 1
+        read = bp_c.read_border[bn_c.id_of("M")]
+        baseline = len(tree.bfs_path(piv, read)) - 1
         assert s.sent == s.collected + baseline
 
     def test_evidence_prob_identical_at_informed_borders(self, bn_c, bp_c, ev_boq):
@@ -229,17 +230,15 @@ class TestQueries:
             assert prod.total() == pytest.approx(pe, rel=1e-9)
 
     def test_posterior_agrees_across_home_borders(self, bn_c, bp_c, ev_boq):
+        # Running intersection: the belief at every home border of a
+        # variable, independent ones too, gives the read-out's posterior.
         s = BorderSession(bp_c, ev_boq)
         for v in bn_c.ids:
-            homes = bp_c.variable_home[v]
-            results = []
-            for h in homes:
-                results.append(s._readout(h, v).values)
-                # An independent variable's posterior comes from the memo
-                # after the first read; its joint reads each home's prior.
-                results.append(factor.normalize(s._joint(h, v))[0].values)
-            for r in results[1:]:
-                np.testing.assert_allclose(r, results[0], atol=1e-9)
+            want = s.posterior(v).values
+            for h in bp_c.variable_home[v]:
+                s.ensure_informed(h)
+                got = factor.normalize(factor.contract(s._belief_factors(h), (v,)))[0]
+                np.testing.assert_allclose(got.values, want, atol=1e-9)
 
     def test_no_evidence_queries_give_priors(self, bn_c, bp_c):
         posts, pe = bp_query(bp_c, EvidenceSet(bn_c))
@@ -480,9 +479,15 @@ class TestIncrementalStore:
             bp_query(bp, ev)
 
 
-def _posterior_reads(bp, ev, queries):
-    """Each query read at its home border, one ``posterior`` at a time."""
-    session = BorderSession(bp, ev)
+def _two_polytrees():
+    """a->b beside x->y: evidence on b leaves x and y independent of it."""
+    return zoo.build_network(
+        [("a", 2, []), ("b", 3, ["a"]), ("x", 3, []), ("y", 2, ["x"])], np.random.default_rng(68)
+    )
+
+
+def _posterior_reads(session, queries):
+    """Each query read on its own, one ``posterior`` at a time."""
     return {q: session.posterior(q) for q in queries}, session.evidence_prob()
 
 
@@ -497,8 +502,9 @@ def _min_cover_size(bp):
 
 
 class TestReadCover:
-    """``bp_query`` reads its queries through ``BorderSession.posteriors``:
-    one belief per border of the read cover, then each query from it."""
+    """``bp_query`` and ``PolytreeEngine.query`` read their queries through
+    ``TreeSession.posteriors``: one belief per read node (for the border
+    polytree, per border of the read cover), then each query from it."""
 
     @staticmethod
     def cases():
@@ -509,6 +515,7 @@ class TestReadCover:
             [("a", 2, []), ("b", 3, ["a"]), ("c", 2, ["a", "b"]), ("x", 3, []), ("y", 3, ["x"])],
             np.random.default_rng(64),
         )
+        apart = _two_polytrees()
         out = []
         for name in ("bn_a", "bn_c", "polytree_b"):
             bn = load_fixture(name)
@@ -516,24 +523,54 @@ class TestReadCover:
         out.append(("grid7", grid, random_evidence(rng, grid, max_vars=5)))
         out.append(("poly400", poly, random_evidence(rng, poly, max_vars=8)))
         out.append(("two components", two, EvidenceSet(two, {2: {1}, 4: {0, 2}})))
+        out.append(("two polytrees", apart, EvidenceSet(apart, {1: {2}})))
         out.append(("soft", grid, EvidenceSet(grid, {10: {0, 2}, 30: {1, 2}, 44: {0, 1}})))
         out.append(("no evidence", grid, EvidenceSet(grid)))
         return out
 
+    @staticmethod
+    def readers(bn):
+        """Per engine that takes ``bn``: its query-set call and its session
+        factory, on a structure of its own."""
+        bp = build_border_polytree(bn)
+        out = [(functools.partial(bp_query, bp), functools.partial(BorderSession, bp))]
+        if bn.is_singly_connected():
+            engine = PolytreeEngine(bn)
+            out.append((engine.query, engine.session))
+        return out
+
     def test_equals_per_query_reads(self):
+        engines = 0
         for name, bn, ev in self.cases():
-            bp = build_border_polytree(bn)
-            posts, pe = bp_query(bp, ev)
-            want, want_pe = _posterior_reads(bp, ev, bn.ids)
-            assert pe == want_pe, name
-            assert list(posts) == list(bn.ids), name
-            for q in bn.ids:
-                np.testing.assert_allclose(posts[q].values, want[q].values, rtol=0, atol=1e-12, err_msg=name)
+            # The per-query reads run on a second structure, whose memo of
+            # prior marginals the query set has not filled.
+            for (query, _), (_, session) in zip(self.readers(bn), self.readers(bn)):
+                posts, pe = query(ev)
+                want, want_pe = _posterior_reads(session(ev), bn.ids)
+                assert pe == want_pe, name
+                assert list(posts) == list(bn.ids), name
+                for q in bn.ids:
+                    np.testing.assert_allclose(posts[q].values, want[q].values, rtol=0, atol=1e-12, err_msg=name)
+                engines += 1
+        assert engines > len(self.cases())  # the node engine took some cases
+
+    def test_repeated_and_independent_queries(self):
+        bn = _two_polytrees()
+        ev = EvidenceSet(bn, {1: {2}})
+        queries = [3, 1, 3, 0, 2, 1]  # x and y share no ancestor with b
+        assert [d_separated(bn, q, [1]) for q in (0, 1, 2, 3)] == [False, False, True, True]
+        for (query, _), (_, session) in zip(self.readers(bn), self.readers(bn)):
+            posts, pe = query(ev, queries)
+            want, want_pe = _posterior_reads(session(ev), queries)
+            assert pe == want_pe
+            assert list(posts) == list(dict.fromkeys(queries))  # query order, once each
+            for q in queries:
+                np.testing.assert_allclose(posts[q].values, want[q].values, rtol=0, atol=1e-12)
 
     def test_query_subset_from_a_generator(self, bn_c, bp_c, ev_boq):
         subset = [bn_c.id_of(n) for n in "QMBFQ"]
         posts, pe = bp_query(bp_c, ev_boq, (q for q in subset))
-        want, want_pe = _posterior_reads(bp_c, ev_boq, subset)
+        want, want_pe = _posterior_reads(BorderSession(bp_c, ev_boq), subset)
         assert pe == want_pe
         assert list(posts) == list(dict.fromkeys(subset))  # query order, once each
         for q in subset:
@@ -590,8 +627,8 @@ class TestReadCover:
             session = BorderSession(bp, ev)
             session.posteriors(queries)
             relevant = [q for q in queries if not d_separated(bn, q, list(ev.vars))]
-            homes = [bp.read_border[q] for q in relevant]
-            assert session.distributed == reference_hops(session.tree, session.pivots.values(), homes)
+            reads = [bp.read_border[q] for q in relevant]
+            assert session.distributed == reference_hops(session.tree, session.pivots.values(), reads)
             assert session.sent == session.collected + session.distributed
 
 

@@ -482,22 +482,24 @@ class TestRepl:
 
     def test_shared_store_hits_and_sends_per_step(self):
         # Per step: the messages the step computed and the messages the
-        # current session holds after it.  ``query Y,I`` sends 14: the
+        # current session holds after it.  Queries are read at their
+        # border of the read cover.  ``query Y,I`` sends 15: the
         # downward message 16->17 ({B,C,G,N,P} to {B,C,G,P,O}) depends on
         # Q alone again once B is retracted, but it went stale when B was
         # added, and a session keeps no message of an earlier evidence set.
         # A shares no ancestor with Q, and Z none with I, so ``query A,O``
         # and ``query A,Z`` read A and Z from the preloaded priors and send
-        # only the messages to O and to A.
+        # only the messages to O and to A.  O's read border lies 8 edges
+        # from the pivot, where its first home border lies 4.
         steps = [
             ("evidence Q=q0", 0, 0),
-            ("query A,O", 4, 4),
+            ("query A,O", 8, 8),
             ("evidence B=b0", 2, 5),
             ("query Z", 7, 12),
             ("evidence O=o1", 3, 6),
             ("query A", 2, 8),
             ("retract B", 3, 6),
-            ("query Y,I", 14, 20),
+            ("query Y,I", 15, 21),
             ("evidence S=s0,T=t1", 8, 14),
             ("query J", 4, 18),
             ("evidence B=b1", 1, 8),

@@ -321,7 +321,7 @@ class TestManyVariables:
 class TestMultiply:
     def test_identity_ones(self):
         f = Factor((0, 1), (2, 3), np.arange(6.0))
-        ones = Factor.ones((0, 1), (2, 3))
+        ones = Factor((0, 1), (2, 3), np.ones((2, 3)))
         g = multiply(f, ones)
         assert g.scope == f.scope
         np.testing.assert_array_equal(g.values, f.values)

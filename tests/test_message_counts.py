@@ -2,8 +2,9 @@
 
 A session sends one message per edge of its evidential core, toward the
 pivot.  Each relevant query then adds one message per edge of the path
-from the informed set out to the query's home: the node itself for the
-polytree engine, its home border for the border polytree.  A query that
+from the informed set out to the node the query is read at: the node
+itself for the polytree engine, its border of the read cover
+(``BorderPolytree.read_border``) for the border polytree.  A query that
 shares no ancestor with the evidence is d-separated from it, reads its
 preloaded prior and adds none.  So the number of messages grows with the
 core and the paths to relevant queries, not with the network.  The
@@ -32,16 +33,16 @@ def inner_edges(tree, nodes):
     return sum(p in nodes and c in nodes for p, c in tree.edges)
 
 
-def reference_hops(tree, pivots, homes):
-    """Messages distribution adds for queries at ``homes``, in order: the
-    path from each home toward its component's pivot, cut at its first
-    informed node, whose nodes are then informed."""
+def reference_hops(tree, pivots, reads):
+    """Messages distribution adds for queries read at ``reads``, in order:
+    the path from each read node toward its component's pivot, cut at its
+    first informed node, whose nodes are then informed."""
     informed = [(tree.component_of(pv), {pv}) for pv in pivots]
     hops = 0
-    for home in homes:
+    for read in reads:
         for comp, done in informed:
-            if home in comp:
-                path = tree.bfs_path(home, next(iter(done)))
+            if read in comp:
+                path = tree.bfs_path(read, next(iter(done)))
                 cut = next(i for i, v in enumerate(path) if v in done)
                 hops += cut
                 done.update(path[:cut])
@@ -71,12 +72,12 @@ def test_messages_follow_core_and_query_paths(n):
             assert border.collected == inner_edges(bp.tree(), border.core_nodes)
 
             relevant = [q for q in queries if not d_separated(bn, q, observed)]
-            for session, homes in (
+            for session, reads in (
                 (node, relevant),
-                (border, [bp.home_border(q) for q in relevant]),
+                (border, [bp.read_border[q] for q in relevant]),
             ):
                 for q in queries:
                     session.posterior(q)
-                want = reference_hops(session.tree, session.pivots.values(), homes)
+                want = reference_hops(session.tree, session.pivots.values(), reads)
                 assert session.distributed == want
                 assert session.sent == session.collected + session.distributed

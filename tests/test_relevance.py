@@ -54,6 +54,14 @@ CROSS = (
     "cpt A 0.4 0.6\ncpt B 0.3 0.7 0.8 0.2\ncpt C 0 1\ncpt D 0.1 0.9 0.6 0.4\n"
 )
 
+# A->B beside C->D with positive tables: evidence on D leaves A and B's
+# component without evidence.
+APART = (
+    "node A 2 a0 a1\nnode B 3 b0 b1 b2\nnode C 2 c0 c1\nnode D 2 d0 d1\n"
+    "parents B A\nparents D C\n"
+    "cpt A 0.4 0.6\ncpt B 0.3 0.5 0.2 0.1 0.1 0.8\ncpt C 0.7 0.3\ncpt D 0.1 0.9 0.6 0.4\n"
+)
+
 
 def _two_components(rng):
     """A polytree beside a polytree or a DAG, with fresh tables."""
@@ -124,12 +132,35 @@ def test_answers_match_the_oracle(kind):
             for q in bn.ids:
                 np.testing.assert_allclose(posts[q].values, oracle_posterior(bn, ev, q), atol=1e-9)
         for session in _sessions(bn, ev):
+            pe = session.evidence_prob()
             for q in bn.ids:
-                np.testing.assert_allclose(
-                    session.joint(q).values, oracle_marginal(bn, [q], ev), atol=1e-9
-                )
+                joint = session.joint(q)
+                np.testing.assert_allclose(joint.values, oracle_marginal(bn, [q], ev), atol=1e-9)
+                assert joint.total() == pytest.approx(pe, rel=1e-12)
         irrelevant += sum(d_separated(bn, v, ev.vars) for v in bn.ids)
     assert irrelevant
+
+
+def test_joint_where_the_component_holds_no_evidence():
+    # Pr{q, e} = Pr{q | e} Pr(e) on every engine, for A and B, whose
+    # component holds no evidence, as for C and D.
+    bn = parse_network(APART)
+    ev = parse_evidence("D=d0", bn)
+    chain = build_chain(bn)
+    passes = run_passes(chain, ev)
+    sessions = _sessions(bn, ev)
+    assert len(sessions) == 3  # the border polytree, the chain's view, the polytree engine
+    for session in [*sessions, passes]:
+        pe = session.evidence_prob()
+        assert pe == pytest.approx(oracle_event_prob(bn, ev), rel=1e-12)
+        for q in bn.ids:
+            joint = session.joint(q)
+            np.testing.assert_allclose(joint.values, oracle_marginal(bn, [q], ev), rtol=0, atol=1e-9)
+            assert joint.total() == pytest.approx(pe, rel=1e-12)
+    for q in bn.ids:
+        unnorm, _, pe = chain_posterior(chain, ev, q, passes=passes)
+        np.testing.assert_allclose(unnorm.values, oracle_marginal(bn, [q], ev), rtol=0, atol=1e-9)
+        assert pe == pytest.approx(passes.evidence_prob(), rel=1e-12)
 
 
 def test_impossible_evidence_on_an_irrelevant_query(tmp_path):
@@ -178,16 +209,16 @@ def test_memo_holds_fresh_priors_bit_for_bit(kind):
         preload_priors(bp)
         assert bp.marginals == {}  # preloading the priors leaves it empty
         bp_query(bp, ev)
-        structures = [(bp, BorderSession(bp), bp.home_border)]
+        structures = [(bp, BorderSession(bp), bp.read_border.__getitem__)]
         if bn.is_singly_connected():
             engine = PolytreeEngine(bn)
             engine.query(ev)
             structures.append((engine, engine.session(), lambda v: v))
         free = {v for v in bn.ids if d_separated(bn, v, ev.vars)}
-        for owner, reader, home in structures:
+        for owner, reader, read_at in structures:
             assert set(owner.marginals) == free  # every query was read once
             for var, entry in owner.marginals.items():
-                fresh = normalize(contract([reader._prior(home(var))], (var,)))[0]
+                fresh = normalize(contract([reader._prior(read_at(var))], (var,)))[0]
                 assert _bits(entry) == _bits(fresh)
                 filled += 1
     assert filled
